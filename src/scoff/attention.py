@@ -3,21 +3,11 @@ soft competition among slots for input positions, hard Gumbel selection over
 the schema bank, and soft pairwise communication between slots.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
 from .rng import Rng
-
-
-@dataclass
-class AttentionWeights:
-    """Normalization results; rows are queriers, columns candidates."""
-
-    matrix: Tensor
-    axis: str  # "queriers" or "candidates"
 
 
 class AttentionProjections:
@@ -64,10 +54,11 @@ class AttentionProjections:
     def value_width(self) -> int:
         return sum(v.shape[1] for v in self.value)
 
-    def params(self) -> list:
-        out = []
-        for mats in (self.query, self.key, self.value):
-            out.extend(mats)
+    def named(self, prefix: str) -> dict:
+        """{prefix}q{h}, {prefix}k{h}, {prefix}v{h}, head by head."""
+        out = {}
+        for h, mats in enumerate(zip(self.query, self.key, self.value)):
+            out.update(zip((f"{prefix}q{h}", f"{prefix}k{h}", f"{prefix}v{h}"), mats))
         return out
 
 
@@ -79,8 +70,9 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
     scores = queries·keysᵀ·scale, normalized along ``normalize_axis``
     ("queriers" shares each candidate's mass across queriers, "candidates"
     makes each output row a convex combination of value rows). Returns the
-    pre-dropout weights and the aggregated outputs; dropout, when active,
-    zeroes weights at rate ``dropout`` and rescales survivors.
+    pre-dropout weights (rows are queriers, columns candidates) and the
+    aggregated outputs; dropout, when active, zeroes weights at rate
+    ``dropout`` and rescales survivors.
     """
     if normalize_axis not in ("queriers", "candidates"):
         raise ValueError(f"unknown normalize_axis {normalize_axis!r}")
@@ -99,28 +91,33 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
         keep = np.asarray(rng.uniform(weights.shape)) >= dropout
         used = weights * Tensor._lift(keep / (1.0 - dropout))
     outputs = nm.matmul(used, values)
-    return AttentionWeights(weights, normalize_axis), outputs
+    return weights, outputs
 
 
-def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0):
-    """Hard Gumbel selection with a straight-through gradient.
+def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
+                     hard: bool = True):
+    """Gumbel selection along the last axis, for logits of any rank >= 1.
 
-    index = argmax(logits + noise), ties to the lowest index. The returned
-    selection tensor is exactly one-hot in value but carries the gradient of
-    soft = softmax((logits + noise) / tau).
+    index = argmax(logits + noise) per row, ties to the lowest index, and
+    soft = softmax((logits + noise) / tau). With ``hard`` the returned
+    selection is exactly one-hot in value but carries the gradient of soft;
+    without it the selection is soft itself. Returns (selection, soft, index).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     logits = nm._as_tensor(logits)
     noise = nm._as_tensor(noise)
-    if logits.data.ndim != 1 or logits.shape != noise.shape:
-        raise ValueError(f"logits and noise must be matching vectors, got {logits.shape} and {noise.shape}")
+    if logits.data.ndim < 1 or logits.shape != noise.shape:
+        raise ValueError(f"logits and noise must share a shape of rank >= 1, "
+                         f"got {logits.shape} and {noise.shape}")
     scores = logits + noise
-    index = int(np.argmax(scores.data))
-    soft = nm.softmax(scores * (1.0 / tau), axis=0)
-    hard = np.zeros(logits.shape)
-    hard[index] = 1.0
-    return nm.straight_through(soft, hard), soft, index
+    index = np.argmax(scores.data, axis=-1)
+    soft = nm.softmax(scores * (1.0 / tau), axis=-1)
+    if not hard:
+        return soft, soft, index
+    onehot = np.zeros(logits.shape)
+    np.put_along_axis(onehot, index[..., None], 1.0, axis=-1)
+    return nm.straight_through(soft, onehot), soft, index
 
 
 def topk_mask(scores, k: int) -> np.ndarray:
@@ -135,11 +132,3 @@ def topk_mask(scores, k: int) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[order[:k]] = True
     return mask
-
-
-def head_mean(weights: list) -> np.ndarray:
-    """Detached average of per-head weight matrices, for tracing."""
-    acc = np.zeros(weights[0].matrix.shape)
-    for w in weights:
-        acc += w.matrix.data
-    return acc / len(weights)

@@ -2,17 +2,20 @@
 
 Commands: gen-data, train, eval, trace, check-grad, param-count. Config files
 are plain ``key = value`` lines with optional ``[section]`` headers and ``#``
-comments; ``--set key=value`` overrides win over file values. Every command
-that writes artifacts also writes the resolved configuration beside them, and
-every artifact is reproducible byte for byte from (command, config, seed).
+comments; ``--set key=value`` overrides win over file values. The model,
+codec and training keys are the fields of the config dataclasses. Every
+command that writes artifacts also writes the resolved configuration beside
+them, and every artifact is reproducible byte for byte from (command, config,
+seed).
 
 Exit codes: 0 success, 1 usage error, 2 runtime error, 3 verification failure.
 """
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,43 +35,23 @@ class ConfigError(Exception):
     pass
 
 
-# key -> (type, default); None defaults are filled per task after merging
+def _field_keys(cls, derived=()) -> dict:
+    """key -> (type, default) for each plain-typed field of a config dataclass."""
+    return {f.name: (f.type, f.default) for f in fields(cls)
+            if f.type in (int, float, bool, str) and f.name not in derived}
+
+
+# key -> (type, default). Model, codec and training keys come from the config
+# dataclasses; the literal entries are what no field holds. None defaults are
+# filled per task after merging; a 0 for n_sel or baseline_width means "all
+# slots active" and "n_f * d_h".
 _KEYS = {
-    "task": (str, "switching"),
-    "model": (str, "scoff"),
-    "seed": (int, 0),
-    "n_f": (int, 6),
-    "n_s": (int, 4),
-    "d_h": (int, 32),
-    "n_sel": (int, 0),           # 0 means all slots active every step
-    "sel_keys": (int, 16),
-    "tau": (float, 1.0),
-    "hard_selection": (bool, True),
-    "inp_heads": (int, 1),
-    "inp_keys": (int, 16),
-    "inp_values": (int, 32),
-    "inp_dropout": (float, 0.1),
-    "comm_heads": (int, 2),
-    "comm_keys": (int, 16),
-    "comm_values": (int, 0),     # 0 means d_h; anything else must equal d_h
-    "comm_dropout": (float, 0.1),
-    "comm_sparse": (bool, False),
-    "patch": (int, 4),
-    "d_c": (int, 16),
-    "d_pos": (int, 8),
-    "enc_hidden": (int, 32),
-    "dec_hidden": (int, 64),
-    "readout_hidden": (int, 32),
-    "readout_width": (int, 32),
+    **_field_keys(TrainConfig),
+    **_field_keys(ScoffConfig, derived=("d_in",)),  # d_in is the encoder width
+    **_field_keys(CodecConfig),
+    "n_sel": (int, 0),
+    "baseline_width": (int, 0),
     "lr": (float, None),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "epsilon": (float, 1e-8),
-    "clip_norm": (float, 1.0),
-    "batch_size": (int, 64),
-    "epochs": (int, 10),
-    "eval_subset": (int, 32),
-    "baseline_width": (int, 0),  # 0 means n_f * d_h
     "burn_in": (int, None),
     "horizon": (int, None),
     "train_count": (int, 2000),
@@ -107,9 +90,12 @@ def _coerce(key: str, raw: str, where: str):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: malformed value for {key!r}: {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) -> dict:
@@ -156,33 +142,19 @@ def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) ->
         resolved["burn_in"] = 10 if task == "bouncing" else 5
     if resolved["horizon"] is None:
         resolved["horizon"] = 15 if task == "bouncing" else 10
-    if resolved["comm_values"] not in (0, resolved["d_h"]):
-        raise ConfigError(
-            "comm_values must equal d_h (the communication result is added "
-            f"onto the state); got {resolved['comm_values']} with d_h={resolved['d_h']}")
     return resolved
 
 
+def _from_fields(cls, r: dict, **given):
+    """``cls`` with each field taken from ``r`` by name unless ``given``."""
+    return cls(**{f.name: r[f.name] for f in fields(cls) if f.name not in given}, **given)
+
+
 def to_train_config(r: dict) -> TrainConfig:
-    codec = CodecConfig(patch=r["patch"], d_c=r["d_c"], d_pos=r["d_pos"],
-                        enc_hidden=r["enc_hidden"], dec_hidden=r["dec_hidden"],
-                        readout_hidden=r["readout_hidden"],
-                        readout_width=r["readout_width"])
-    scoff = ScoffConfig(
-        n_f=r["n_f"], n_s=r["n_s"], d_h=r["d_h"], d_in=codec.d_a,
-        inp_heads=r["inp_heads"], inp_keys=r["inp_keys"],
-        inp_values=r["inp_values"], inp_dropout=r["inp_dropout"],
-        sel_keys=r["sel_keys"], comm_heads=r["comm_heads"],
-        comm_keys=r["comm_keys"], comm_dropout=r["comm_dropout"],
-        n_sel=(r["n_sel"] or None), tau=r["tau"],
-        hard_selection=r["hard_selection"], comm_sparse=r["comm_sparse"])
-    return TrainConfig(
-        task=r["task"], model=r["model"], scoff=scoff, codec=codec,
-        baseline_width=(r["baseline_width"] or None), lr=r["lr"],
-        beta1=r["beta1"], beta2=r["beta2"], epsilon=r["epsilon"],
-        batch_size=r["batch_size"], epochs=r["epochs"], seed=r["seed"],
-        burn_in=r["burn_in"], horizon=r["horizon"], clip_norm=r["clip_norm"],
-        eval_subset=r["eval_subset"])
+    codec = _from_fields(CodecConfig, r)
+    scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a, n_sel=r["n_sel"] or None)
+    return _from_fields(TrainConfig, r, scoff=scoff, codec=codec,
+                        baseline_width=r["baseline_width"] or None)
 
 
 def _write_snapshot(out_dir: str, resolved: dict) -> None:
@@ -266,7 +238,10 @@ def cmd_train(run: RunConfig, resolved: dict) -> int:
 def _restore(resolved: dict):
     ckpt_dir = _require(resolved, "checkpoint")
     tensors, stored = load_checkpoint(ckpt_dir)
-    cfg = to_train_config(stored)
+    try:
+        cfg = to_train_config(stored)
+    except KeyError as e:
+        raise ValueError(f"{ckpt_dir}: stored config lacks key {e}") from None
     model = build_model(cfg, Rng(stored["seed"]).spawn(0))
     restore_model(model, tensors)
     return model, cfg, stored

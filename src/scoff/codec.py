@@ -33,8 +33,34 @@ class CodecConfig:
         return self.d_c + self.d_pos
 
 
-class PositionEncoder:
-    """Patch perceptron plus learned position embeddings."""
+class EncoderBase:
+    """Shared two-layer input perceptron plus one learned embedding per position."""
+
+    def __init__(self, rng: Rng, n_in: int, positions: int, cfg: CodecConfig):
+        self.cfg = cfg
+        self.positions = positions
+        self.w1 = nm.glorot(rng, n_in, cfg.enc_hidden)
+        self.b1 = nm.zeros(cfg.enc_hidden, requires_grad=True)
+        self.w2 = nm.glorot(rng, cfg.enc_hidden, cfg.d_c)
+        self.b2 = nm.zeros(cfg.d_c, requires_grad=True)
+        self.pos_table = nm.glorot(rng, positions, cfg.d_pos)
+
+    @property
+    def d_a(self) -> int:
+        return self.cfg.d_a
+
+    def _encode_rows(self, x: Tensor) -> Tensor:
+        """[positions, d_a]: each input row's encoding with its position embedding."""
+        c = nm.matmul(nm.tanh(nm.matmul(x, self.w1) + self.b1), self.w2) + self.b2
+        return nm.concat([c, self.pos_table], axis=1)
+
+    def params(self) -> dict:
+        return {"enc_w1": self.w1, "enc_b1": self.b1, "enc_w2": self.w2,
+                "enc_b2": self.b2, "enc_pos": self.pos_table}
+
+
+class PositionEncoder(EncoderBase):
+    """Frames cut into square patches, one position per patch."""
 
     def __init__(self, rng: Rng, height: int, width: int, cfg: CodecConfig):
         if height % cfg.patch or width % cfg.patch:
@@ -42,19 +68,9 @@ class PositionEncoder:
                 f"frame {height}x{width} not divisible by patch size {cfg.patch}")
         self.height = height
         self.width = width
-        self.cfg = cfg
         s = cfg.patch
         self.grid = (height // s, width // s)
-        self.positions = self.grid[0] * self.grid[1]
-        self.w1 = nm.glorot(rng, s * s, cfg.enc_hidden)
-        self.b1 = nm.zeros(cfg.enc_hidden, requires_grad=True)
-        self.w2 = nm.glorot(rng, cfg.enc_hidden, cfg.d_c)
-        self.b2 = nm.zeros(cfg.d_c, requires_grad=True)
-        self.pos_table = nm.glorot(rng, self.positions, cfg.d_pos)
-
-    @property
-    def d_a(self) -> int:
-        return self.cfg.d_a
+        super().__init__(rng, s * s, self.grid[0] * self.grid[1], cfg)
 
     def patch_rows(self, frame: np.ndarray) -> np.ndarray:
         s = self.cfg.patch
@@ -71,43 +87,21 @@ class PositionEncoder:
             raise ValueError(f"expected {self.height}x{self.width} frame, got {frame.shape}")
         if frame.min() < 0.0 or frame.max() > 1.0:
             raise ValueError("frame values must lie in [0, 1]")
-        x = Tensor._lift(self.patch_rows(frame))
-        c = nm.matmul(nm.tanh(nm.matmul(x, self.w1) + self.b1), self.w2) + self.b2
-        return nm.concat([c, self.pos_table], axis=1)
-
-    def params(self) -> dict:
-        return {"enc_w1": self.w1, "enc_b1": self.b1, "enc_w2": self.w2,
-                "enc_b2": self.b2, "enc_pos": self.pos_table}
+        return self._encode_rows(Tensor._lift(self.patch_rows(frame)))
 
 
-class TokenEncoder:
+class TokenEncoder(EncoderBase):
     """Lifts one input token to a single feature row (P = 1)."""
 
     def __init__(self, rng: Rng, n_features: int, cfg: CodecConfig):
         self.n_features = n_features
-        self.cfg = cfg
-        self.positions = 1
-        self.w1 = nm.glorot(rng, n_features, cfg.enc_hidden)
-        self.b1 = nm.zeros(cfg.enc_hidden, requires_grad=True)
-        self.w2 = nm.glorot(rng, cfg.enc_hidden, cfg.d_c)
-        self.b2 = nm.zeros(cfg.d_c, requires_grad=True)
-        self.pos_table = nm.glorot(rng, 1, cfg.d_pos)
-
-    @property
-    def d_a(self) -> int:
-        return self.cfg.d_a
+        super().__init__(rng, n_features, 1, cfg)
 
     def encode_token(self, token: np.ndarray) -> Tensor:
         token = np.asarray(token, dtype=np.float64)
         if token.shape != (self.n_features,):
             raise ValueError(f"expected {self.n_features}-feature token, got {token.shape}")
-        x = Tensor(token.reshape(1, self.n_features))
-        c = nm.matmul(nm.tanh(nm.matmul(x, self.w1) + self.b1), self.w2) + self.b2
-        return nm.concat([c, self.pos_table], axis=1)
-
-    def params(self) -> dict:
-        return {"enc_w1": self.w1, "enc_b1": self.b1, "enc_w2": self.w2,
-                "enc_b2": self.b2, "enc_pos": self.pos_table}
+        return self._encode_rows(Tensor(token.reshape(1, self.n_features)))
 
 
 class ReadoutBase:

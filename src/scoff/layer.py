@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .attention import AttentionProjections, attend, head_mean, topk_mask
+from .attention import (AttentionProjections, attend, gumbel_st_select,
+                        topk_mask)
 from .numerics import Tensor
 from .recurrent import SchemaBank, gru_step, init_schema
 from .rng import Rng
@@ -56,8 +57,8 @@ class ScoffConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.n_sel <= self.n_f:
             raise ValueError(f"n_sel must lie in [1, {self.n_f}], got {self.n_sel}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.inp_values % self.inp_heads:
             raise ValueError("inp_values must divide evenly across inp_heads")
         if self.d_h % self.comm_heads:
@@ -121,21 +122,9 @@ class ScoffLayer:
         c = self.config
         if features.shape[1] != c.d_in:
             raise ValueError(f"feature width {features.shape[1]} != configured d_in {c.d_in}")
-        scale = 1.0 / math.sqrt(c.inp_keys)
-        outs, weights = [], []
-        for h in range(c.inp_heads):
-            q = nm.matmul(state, self.input_proj.query[h])
-            k = nm.matmul(features, self.input_proj.key[h])
-            v = nm.matmul(features, self.input_proj.value[h])
-            aw, out = attend(q, k, v, "queriers", scale,
-                             dropout=self.input_proj.dropout, rng=rng,
-                             training=training)
-            outs.append(out)
-            weights.append(aw)
-        z = outs[0] if len(outs) == 1 else nm.concat(outs, axis=1)
-        mean_w = head_mean(weights)
-        relevance = mean_w.max(axis=1)
-        return z, mean_w, relevance
+        z, mean_w = _heads(self.input_proj, state, features, "queriers",
+                           1.0 / math.sqrt(c.inp_keys), rng, training)
+        return z, mean_w, mean_w.max(axis=1)
 
     # ---- step 3: schema selection and update ----------------------------
 
@@ -163,15 +152,7 @@ class ScoffLayer:
             noise = nm.sample_gumbel(rng, (c.n_f, c.n_s))
         if noise.shape != (c.n_f, c.n_s):
             raise ValueError(f"noise must be [{c.n_f}, {c.n_s}], got {noise.shape}")
-        scores = logits + noise
-        indices = np.argmax(scores.data, axis=1)
-        soft = nm.softmax(scores * (1.0 / c.tau), axis=1)
-        if c.hard_selection:
-            hard = np.zeros((c.n_f, c.n_s))
-            hard[np.arange(c.n_f), indices] = 1.0
-            sel = nm.straight_through(soft, hard)
-        else:
-            sel = soft
+        sel, soft, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
         h_new = (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1)
         return h_new, indices, soft.data.copy()
 
@@ -183,22 +164,11 @@ class ScoffLayer:
         """Residual exchange: queries from the pre-update state, keys and
         values from the post-update state, normalized over sources.
         """
-        c = self.config
-        scale = 1.0 / math.sqrt(c.comm_keys)
-        outs, weights = [], []
-        for h in range(c.comm_heads):
-            q = nm.matmul(state_prev, self.comm_proj.query[h])
-            k = nm.matmul(state_new, self.comm_proj.key[h])
-            v = nm.matmul(state_new, self.comm_proj.value[h])
-            aw, out = attend(q, k, v, "candidates", scale,
-                             dropout=self.comm_proj.dropout, rng=rng,
-                             training=training)
-            outs.append(out)
-            weights.append(aw)
-        update = outs[0] if len(outs) == 1 else nm.concat(outs, axis=1)
+        update, mean_w = _heads(self.comm_proj, state_prev, state_new, "candidates",
+                                1.0 / math.sqrt(self.config.comm_keys), rng, training)
         if receive_mask is not None:
             update = update * Tensor._lift(receive_mask.astype(np.float64).reshape(-1, 1))
-        return state_new + update, head_mean(weights)
+        return state_new + update, mean_w
 
     # ---- one full step ----------------------------------------------------
 
@@ -239,21 +209,29 @@ class ScoffLayer:
         return states, traces
 
     def parameters(self) -> dict:
-        out = {}
-        for h in range(self.config.inp_heads):
-            out[f"inp_q{h}"] = self.input_proj.query[h]
-            out[f"inp_k{h}"] = self.input_proj.key[h]
-            out[f"inp_v{h}"] = self.input_proj.value[h]
-        out["sel_q"] = self.sel_query
-        out["sel_k"] = self.sel_key
-        for h in range(self.config.comm_heads):
-            out[f"comm_q{h}"] = self.comm_proj.query[h]
-            out[f"comm_k{h}"] = self.comm_proj.key[h]
-            out[f"comm_v{h}"] = self.comm_proj.value[h]
+        out = {**self.input_proj.named("inp_"), "sel_q": self.sel_query,
+               "sel_k": self.sel_key, **self.comm_proj.named("comm_")}
         for j, schema in enumerate(self.bank):
-            for name, t in zip(schema._FIELDS, schema.params()):
-                out[f"schema{j}.{name}"] = t
+            out.update(schema.named(f"schema{j}."))
         return out
+
+
+def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,
+           normalize_axis: str, scale: float, rng: "Rng | None", training: bool):
+    """Every head of ``proj``: queries from ``queriers``, keys and values from
+    ``candidates``. Returns (head outputs concatenated, detached head-mean
+    weights)."""
+    outs, weights = [], []
+    for h in range(proj.heads):
+        q = nm.matmul(queriers, proj.query[h])
+        k = nm.matmul(candidates, proj.key[h])
+        v = nm.matmul(candidates, proj.value[h])
+        w, out = attend(q, k, v, normalize_axis, scale, dropout=proj.dropout,
+                        rng=rng, training=training)
+        outs.append(out)
+        weights.append(w.data)
+    joined = outs[0] if len(outs) == 1 else nm.concat(outs, axis=1)
+    return joined, sum(weights) / len(weights)
 
 
 def write_traces(f, traces: list) -> None:

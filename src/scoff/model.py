@@ -1,9 +1,10 @@
 """Trainable models sharing one sequence interface.
 
 Both models expose encode / init_state / step / readout / parameters, so the
-training loop and evaluators cannot tell them apart. The baseline is a single
-monolithic GRU cell over mean-pooled features with the same encoder and
-readout machinery.
+training loop and evaluators cannot tell them apart. They share the encoder,
+the readout head and the parameter naming, and differ only in the recurrent
+core: the scoff layer, or for the baseline a single monolithic GRU cell over
+mean-pooled features.
 
 When ``step`` is called without an rng the schema choice is greedy (zero
 selection noise) and dropout is off, which is the deterministic evaluation
@@ -24,15 +25,41 @@ FRAME_TASKS = ("single", "switching", "bouncing")
 TOKEN_FEATURES = 3  # value plus the two operand indicator channels
 
 
-def _build_encoder(task: str, codec_cfg: CodecConfig, rng: Rng):
-    if task in FRAME_TASKS:
-        return PositionEncoder(rng, GRID, GRID, codec_cfg)
-    if task == "adding":
-        return TokenEncoder(rng, TOKEN_FEATURES, codec_cfg)
-    raise ValueError(f"unknown task {task!r}")
+class SequenceModel:
+    """Encoder, recurrent core and readout head, built in that order from one
+    rng. Subclasses build the core in ``_build_core`` and name its parameters
+    in ``_core_parameters``."""
+
+    kind = ""
+
+    def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
+        self.task = task
+        if task in FRAME_TASKS:
+            self.encoder = PositionEncoder(rng, GRID, GRID, codec_cfg)
+        elif task == "adding":
+            self.encoder = TokenEncoder(rng, TOKEN_FEATURES, codec_cfg)
+        else:
+            raise ValueError(f"unknown task {task!r}")
+        self._build_core(rng)
+        if task in FRAME_TASKS:
+            self.head = FrameReadout(rng, width, codec_cfg, self.encoder)
+        else:
+            self.head = ScalarReadout(rng, width, codec_cfg)
+
+    def encode(self, x) -> Tensor:
+        x = np.asarray(x, dtype=np.float64)
+        if self.task in FRAME_TASKS:
+            return self.encoder.encode_frame(x)
+        return self.encoder.encode_token(x)
+
+    def readout(self, state: Tensor) -> Tensor:
+        return self.head.readout(state)
+
+    def parameters(self) -> dict:
+        return {**self.encoder.params(), **self._core_parameters(), **self.head.params()}
 
 
-class ScoffModel:
+class ScoffModel(SequenceModel):
     kind = "scoff"
 
     def __init__(self, task: str, scoff_cfg: ScoffConfig, codec_cfg: CodecConfig,
@@ -40,19 +67,15 @@ class ScoffModel:
         if scoff_cfg.d_in != codec_cfg.d_a:
             raise ValueError(
                 f"layer d_in {scoff_cfg.d_in} must equal encoder width {codec_cfg.d_a}")
-        self.task = task
-        self.encoder = _build_encoder(task, codec_cfg, rng)
-        self.layer = ScoffLayer(scoff_cfg, rng)
-        if task in FRAME_TASKS:
-            self.head = FrameReadout(rng, scoff_cfg.d_h, codec_cfg, self.encoder)
-        else:
-            self.head = ScalarReadout(rng, scoff_cfg.d_h, codec_cfg)
+        self.config = scoff_cfg
+        super().__init__(task, scoff_cfg.d_h, codec_cfg, rng)
         self._zero_noise = Tensor._lift(np.zeros((scoff_cfg.n_f, scoff_cfg.n_s)))
 
-    def encode(self, x) -> Tensor:
-        if self.task in FRAME_TASKS:
-            return self.encoder.encode_frame(np.asarray(x, dtype=np.float64))
-        return self.encoder.encode_token(np.asarray(x, dtype=np.float64))
+    def _build_core(self, rng: Rng) -> None:
+        self.layer = ScoffLayer(self.config, rng)
+
+    def _core_parameters(self) -> dict:
+        return {f"layer.{name}": t for name, t in self.layer.parameters().items()}
 
     def init_state(self) -> Tensor:
         return self.layer.init_state()
@@ -62,39 +85,21 @@ class ScoffModel:
         noise = None if rng is not None else self._zero_noise
         return self.layer.step(features, state, rng, training, noise=noise)
 
-    def readout(self, state: Tensor) -> Tensor:
-        return self.head.readout(state)
 
-    def parameters(self) -> dict:
-        out = {}
-        for name, t in self.encoder.params().items():
-            out[name] = t
-        for name, t in self.layer.parameters().items():
-            out[f"layer.{name}"] = t
-        for name, t in self.head.params().items():
-            out[name] = t
-        return out
-
-
-class GruBaseline:
+class GruBaseline(SequenceModel):
     kind = "gru"
 
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
         if width < 1:
             raise ValueError(f"hidden width must be positive, got {width}")
-        self.task = task
         self.width = width
-        self.encoder = _build_encoder(task, codec_cfg, rng)
-        self.cell = init_schema(rng, codec_cfg.d_a, width)
-        if task in FRAME_TASKS:
-            self.head = FrameReadout(rng, width, codec_cfg, self.encoder)
-        else:
-            self.head = ScalarReadout(rng, width, codec_cfg)
+        super().__init__(task, width, codec_cfg, rng)
 
-    def encode(self, x) -> Tensor:
-        if self.task in FRAME_TASKS:
-            return self.encoder.encode_frame(np.asarray(x, dtype=np.float64))
-        return self.encoder.encode_token(np.asarray(x, dtype=np.float64))
+    def _build_core(self, rng: Rng) -> None:
+        self.cell = init_schema(rng, self.encoder.d_a, self.width)
+
+    def _core_parameters(self) -> dict:
+        return self.cell.named("cell.")
 
     def init_state(self) -> Tensor:
         return Tensor._lift(np.zeros((1, self.width)))
@@ -103,16 +108,3 @@ class GruBaseline:
              training: bool = False):
         pooled = features.mean(axis=0, keepdims=True)
         return gru_step(pooled, state, self.cell), None
-
-    def readout(self, state: Tensor) -> Tensor:
-        return self.head.readout(state)
-
-    def parameters(self) -> dict:
-        out = {}
-        for name, t in self.encoder.params().items():
-            out[name] = t
-        for name, t in zip(self.cell._FIELDS, self.cell.params()):
-            out[f"cell.{name}"] = t
-        for name, t in self.head.params().items():
-            out[name] = t
-        return out

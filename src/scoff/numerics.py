@@ -105,9 +105,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor._lift(self.data.copy())
-
     # ---- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
@@ -142,24 +139,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_mean(self, axis, keepdims)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -507,32 +486,32 @@ def write_tensor(f, t: Tensor) -> None:
     f.write(t.data.astype("<f8").tobytes(order="C"))
 
 
+def read_exact(f, n: int, what: str) -> bytes:
+    """Exactly ``n`` bytes from the seekable ``f``. Fewer left raises ValueError
+    naming the file, before any read, so a corrupt length allocates nothing."""
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if n > left:
+        raise ValueError(f"{getattr(f, 'name', '<stream>')}: truncated {what} "
+                         f"(wanted {n} bytes, {left} left)")
+    return f.read(n)
+
+
 def read_tensor(f) -> Tensor:
-    magic = f.read(4)
+    magic = read_exact(f, 4, "tensor record")
     if magic != _MAGIC:
-        raise ValueError(f"bad tensor record magic: {magic!r}")
-    (rank,) = struct.unpack("<I", f.read(4))
+        raise ValueError(f"{getattr(f, 'name', '<stream>')}: bad tensor record magic: {magic!r}")
+    (rank,) = struct.unpack("<I", read_exact(f, 4, "tensor record"))
     if rank > 32:
         raise ValueError(f"implausible tensor rank {rank}")
-    shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
+    shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, "tensor record"))
     count = 1
     for s in shape:
         count *= s
-    payload = f.read(8 * count)
-    if len(payload) != 8 * count:
-        raise ValueError("truncated tensor record")
+    payload = read_exact(f, 8 * count, "tensor record")
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return Tensor(arr)
-
-
-def save_tensor(path, t: Tensor) -> None:
-    with open(path, "wb") as f:
-        write_tensor(f, t)
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as f:
-        return read_tensor(f)
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

@@ -5,8 +5,6 @@ A schema is exactly one :class:`SchemaParams`: the cell itself holds no
 weights, which is what lets any slot borrow any schema.
 """
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +52,13 @@ class SchemaParams:
     def d_h(self) -> int:
         return self.w_r.shape[1]
 
-    @property
-    def param_count(self) -> int:
-        return 3 * (self.d_in * self.d_h + self.d_h * self.d_h + self.d_h)
-
     _FIELDS = ("w_r", "w_u", "w_c", "u_r", "u_u", "u_c", "b_r", "b_u", "b_c")
 
     def params(self) -> list:
         return [getattr(self, name) for name in self._FIELDS]
+
+    def named(self, prefix: str) -> dict:
+        return {prefix + name: getattr(self, name) for name in self._FIELDS}
 
 
 class SchemaBank:
@@ -84,20 +81,6 @@ class SchemaBank:
 
     def __iter__(self):
         return iter(self.schemas)
-
-    @property
-    def d_in(self) -> int:
-        return self.schemas[0].d_in
-
-    @property
-    def d_h(self) -> int:
-        return self.schemas[0].d_h
-
-    def params(self) -> list:
-        out = []
-        for s in self.schemas:
-            out.extend(s.params())
-        return out
 
 
 def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
@@ -156,30 +139,3 @@ def recurrent_param_count(n_f: int, n_s: int, d_h: int, d_in: int) -> tuple:
     big = n_f * d_h
     monolithic = 3 * (d_in * big + big * big + big)
     return bank, monolithic
-
-
-def save_bank(path, bank: SchemaBank) -> None:
-    """Single file: u32 manifest length, JSON manifest, then tensor records."""
-    manifest = json.dumps({"n_s": len(bank), "d_in": bank.d_in, "d_h": bank.d_h}).encode()
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(manifest)))
-        f.write(manifest)
-        for schema in bank:
-            for t in schema.params():
-                nm.write_tensor(f, t)
-
-
-def load_bank(path) -> SchemaBank:
-    with open(path, "rb") as f:
-        (mlen,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(mlen).decode())
-        schemas = []
-        for _ in range(manifest["n_s"]):
-            tensors = [nm.read_tensor(f) for _ in range(9)]
-            for t in tensors:
-                t.requires_grad = True
-            schemas.append(SchemaParams(*tensors))
-    bank = SchemaBank(schemas)
-    if bank.d_in != manifest["d_in"] or bank.d_h != manifest["d_h"]:
-        raise ValueError("bank file manifest does not match its records")
-    return bank

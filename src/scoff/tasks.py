@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import read_exact
 from .rng import Rng
 
 GRID = 16
@@ -311,10 +312,12 @@ def write_dataset(path, sequences: list) -> None:
 
 
 def read_dataset(path) -> list:
+    """Sequences of a dataset file; a short or overlong file raises ValueError
+    naming it."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path} is not a dataset file")
-        task_id, count, t_or_l, h, w = struct.unpack("<IIIII", f.read(20))
+        task_id, count, t_or_l, h, w = struct.unpack("<IIIII", read_exact(f, 20, "header"))
         names = {v: k for k, v in TASK_IDS.items()}
         if task_id not in names:
             raise ValueError(f"unknown task id {task_id}")
@@ -322,19 +325,21 @@ def read_dataset(path) -> list:
         out = []
         for _ in range(count):
             if task == "adding":
-                triples = np.frombuffer(f.read(8 * 3 * t_or_l), dtype="<f8")
-                triples = triples.reshape(t_or_l, 3)
-                (target,) = struct.unpack("<d", f.read(8))
-                (n_ops,) = struct.unpack("<I", f.read(4))
+                triples = np.frombuffer(read_exact(f, 8 * 3 * t_or_l, "sequence"),
+                                        dtype="<f8").reshape(t_or_l, 3)
+                target, n_ops = struct.unpack("<dI", read_exact(f, 12, "sequence"))
                 out.append(AddingSequence(
                     triples[:, 0].astype(np.float64),
                     triples[:, 1:].astype(np.uint8), float(target), n_ops))
             else:
-                frames = np.frombuffer(f.read(t_or_l * h * w), dtype=np.uint8)
+                frames = np.frombuffer(read_exact(f, t_or_l * h * w, "sequence"),
+                                       dtype=np.uint8)
                 frames = frames.reshape(t_or_l, h, w).copy()
-                labels = np.frombuffer(f.read(t_or_l), dtype=np.uint8)
+                labels = np.frombuffer(read_exact(f, t_or_l, "sequence"), dtype=np.uint8)
                 out.append(FrameSequence(
                     task, frames, labels.astype(np.int64),
                     indicators=(task == "switching"),
                     occluder=None))
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last sequence")
         return out

@@ -7,6 +7,7 @@ noise, no dropout) so repeated evaluations agree bit for bit.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -91,25 +92,9 @@ def mse_scalar(pred: Tensor, target: float) -> Tensor:
 # ---- optimizer -------------------------------------------------------------
 
 
-def adam_step(params: list, grads: list, moments: tuple, t: int, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Bias-corrected Adam update, in place; returns (params, moments)."""
-    if t < 1:
-        raise ValueError(f"step counter must be >= 1, got {t}")
-    m, v = moments
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for p, g, mi, vi in zip(params, grads, m, v):
-        mi *= beta1
-        mi += (1.0 - beta1) * g
-        vi *= beta2
-        vi += (1.0 - beta2) * (g * g)
-        p.data -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
-    return params, (m, v)
-
-
 class Adam:
-    """Holds moments for a parameter list and applies scaled, clipped steps."""
+    """Holds moments for a parameter list and applies scaled, clipped,
+    bias-corrected steps in place."""
 
     def __init__(self, params: list, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -131,9 +116,15 @@ class Adam:
                 coef = clip / norm
                 grads = [g * coef for g in grads]
         self.t += 1
-        adam_step(self.params, grads, (self.m, self.v), self.t, self.lr,
-                  self.beta1, self.beta2, self.eps)
-        for p in self.params:
+        beta1, beta2 = self.beta1, self.beta2
+        bc1 = 1.0 - beta1 ** self.t
+        bc2 = 1.0 - beta2 ** self.t
+        for p, g, mi, vi in zip(self.params, grads, self.m, self.v):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * (g * g)
+            p.data -= self.lr * (mi / bc1) / (np.sqrt(vi / bc2) + self.eps)
             p.zero_grad()
 
 
@@ -363,7 +354,6 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
 
 
 def save_checkpoint(directory, params: dict, config: dict) -> None:
-    import os
     os.makedirs(directory, exist_ok=True)
     names = sorted(params)
     manifest = {"tensors": [{"name": n, "shape": list(params[n].shape)}
@@ -377,17 +367,28 @@ def save_checkpoint(directory, params: dict, config: dict) -> None:
 
 
 def load_checkpoint(directory):
-    import os
-    with open(os.path.join(directory, "manifest.json")) as f:
+    """(name -> Tensor, stored config); a malformed manifest or a truncated
+    or overlong tensors.bin raises ValueError naming the file."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path) as f:
         manifest = json.load(f)
+    try:
+        entries = [(e["name"], e["shape"]) for e in manifest["tensors"]]
+        config = manifest["config"]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{manifest_path}: malformed manifest ({e!r})") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"{manifest_path}: config must be a mapping")
     tensors = {}
     with open(os.path.join(directory, "tensors.bin"), "rb") as f:
-        for entry in manifest["tensors"]:
+        for name, shape in entries:
             t = nm.read_tensor(f)
-            if list(t.shape) != entry["shape"]:
-                raise ValueError(f"checkpoint shape mismatch for {entry['name']}")
-            tensors[entry["name"]] = t
-    return tensors, manifest["config"]
+            if list(t.shape) != shape:
+                raise ValueError(f"{f.name}: checkpoint shape mismatch for {name}")
+            tensors[name] = t
+        if f.read(1):
+            raise ValueError(f"{f.name}: trailing bytes after the last tensor")
+    return tensors, config
 
 
 def restore_model(model, tensors: dict) -> None:
@@ -395,6 +396,9 @@ def restore_model(model, tensors: dict) -> None:
     missing = set(params) - set(tensors)
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")
+    unexpected = set(tensors) - set(params)
+    if unexpected:
+        raise ValueError(f"checkpoint holds parameters the model lacks: {sorted(unexpected)}")
     for name, p in params.items():
         if tensors[name].shape != p.shape:
             raise ValueError(f"shape mismatch restoring {name}")

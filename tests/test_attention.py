@@ -44,7 +44,7 @@ def test_attend_single_candidate():
     k = Tensor([[0.3, 0.7]])
     v = Tensor([[2.0, 3.0, 4.0]])
     aw, out = attend(q, k, v, "candidates", 1.0)
-    assert np.allclose(aw.matrix.data, [[1.0]])
+    assert np.allclose(aw.data, [[1.0]])
     assert np.allclose(out.data, v.data)
 
 
@@ -53,7 +53,7 @@ def test_attend_identical_keys_average_values():
     k = Tensor([[1.0, 1.0], [1.0, 1.0]])
     v = Tensor([[2.0, 0.0], [0.0, 4.0]])
     aw, out = attend(q, k, v, "candidates", 1.0)
-    assert np.allclose(aw.matrix.data, [[0.5, 0.5]])
+    assert np.allclose(aw.data, [[0.5, 0.5]])
     assert np.allclose(out.data, [[1.0, 2.0]])
 
 
@@ -64,7 +64,7 @@ def test_attend_matches_double_loop_oracle():
     for axis in ("candidates", "queriers"):
         aw, out = attend(Tensor(q), Tensor(k), Tensor(v), axis, scale)
         w_ref, out_ref = attend_oracle(q, k, v, axis, scale)
-        assert np.max(np.abs(aw.matrix.data - w_ref)) < 1e-12
+        assert np.max(np.abs(aw.data - w_ref)) < 1e-12
         assert np.max(np.abs(out.data - out_ref)) < 1e-12
 
 
@@ -102,10 +102,10 @@ def test_attend_dropout_rescales_survivors():
     aw, out = attend(Tensor(q), Tensor(k), Tensor(v), "candidates", 1.0,
                      dropout=drop, rng=Rng(4), training=True)
     # weights returned are pre-dropout and still normalized
-    assert np.allclose(aw.matrix.data.sum(axis=1), 1.0)
+    assert np.allclose(aw.data.sum(axis=1), 1.0)
     # with all-ones values the output equals the dropped weight row sums
     mask = np.asarray(Rng(4).uniform((2, 6))) >= drop
-    expect = (aw.matrix.data * mask / (1 - drop)).sum(axis=1)
+    expect = (aw.data * mask / (1 - drop)).sum(axis=1)
     assert np.allclose(out.data[:, 0], expect)
 
 
@@ -136,7 +136,7 @@ def test_projections_validation():
     assert proj.heads == 2
     assert proj.key_width == 3
     assert proj.value_width == 8
-    assert len(proj.params()) == 6
+    assert list(proj.named("p_")) == ["p_q0", "p_k0", "p_v0", "p_q1", "p_k1", "p_v1"]
     with pytest.raises(ValueError):
         AttentionProjections.build(rng, 4, 6, 6, heads=3, key_width=3,
                                    value_width=8)  # 8 not divisible by 3

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scoff.cli import ConfigError, main, parse_config, to_train_config
 
@@ -19,16 +25,44 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 # ------------------------------------------------------------- config parsing
 
+SWITCHING_DEFAULTS = {
+    "baseline_width": 0, "batch_size": 64, "beta1": 0.9, "beta2": 0.999,
+    "burn_in": 5, "checkpoint": "", "clip_norm": 1.0, "comm_dropout": 0.1,
+    "comm_heads": 2, "comm_keys": 16, "comm_sparse": False, "d_c": 16,
+    "d_h": 32, "d_pos": 8, "data": "", "dec_hidden": 64, "enc_hidden": 32,
+    "epochs": 10, "epsilon": 1e-08, "eval_subset": 32, "hard_selection": True,
+    "horizon": 10, "inp_dropout": 0.1, "inp_heads": 1, "inp_keys": 16,
+    "inp_values": 32, "length": 21, "lr": 0.0001, "mode": "mixed",
+    "model": "scoff", "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0,
+    "occluder": False, "operands": "2,4", "patch": 4, "readout_hidden": 32,
+    "readout_width": 32, "seed": 0, "sel_keys": 16, "task": "switching",
+    "tau": 1.0, "test_count": 500, "train_count": 2000,
+}
+
+# the task-dependent entries on top of the switching defaults
+TASK_DEFAULTS = {
+    "single": {"task": "single", "length": 20},
+    "switching": {},
+    "bouncing": {"task": "bouncing", "burn_in": 10, "horizon": 15, "length": 30},
+    "adding": {"task": "adding", "lr": 0.01, "length": 50},
+}
+
+
 def test_empty_file_plus_task_gives_full_defaults(tmp_path):
     path = write_cfg(tmp_path, "")
-    resolved = parse_config(path, ["task=switching"])
-    assert resolved["task"] == "switching"
-    assert resolved["n_f"] == 6
-    assert resolved["n_s"] == 4
-    assert resolved["lr"] == 1e-4
-    assert resolved["beta1"] == 0.9
-    cfg = to_train_config(resolved)
-    assert cfg.scoff.n_f == 6 and cfg.scoff.n_s == 4
+    for task, extra in TASK_DEFAULTS.items():
+        expected = {**SWITCHING_DEFAULTS, **extra}
+        for resolved in (parse_config(path, [f"task={task}"]),
+                         parse_config(None, [f"task={task}"])):
+            assert resolved == expected, task
+            # types too: resolved_config.cfg prints each value with str()
+            assert {k: type(v) for k, v in resolved.items()} == \
+                {k: type(v) for k, v in expected.items()}, task
+        cfg = to_train_config(resolved)
+        assert cfg.task == task and cfg.lr == expected["lr"]
+        assert cfg.scoff.n_f == 6 and cfg.scoff.n_s == 4
+        assert cfg.scoff.n_sel == 6 and cfg.baseline_width is None
+        assert cfg.scoff.d_in == cfg.codec.d_a == 24
 
 
 def test_adding_lr_default():
@@ -47,6 +81,19 @@ def test_misspelled_key_named_in_error(tmp_path):
     with pytest.raises(ConfigError, match="'nf'"):
         parse_config(path)
 
+
+
+def test_comm_values_must_match_d_h():
+    # comm_values was dropped: the communication value width is always d_h,
+    # so the key is rejected whether or not it agrees with d_h
+    for override in ("comm_values=16", "comm_values=32"):
+        with pytest.raises(ConfigError, match="unknown key 'comm_values'"):
+            parse_config(None, [override, "d_h=32"])
+    from scoff.layer import ScoffLayer
+    from scoff.rng import Rng
+    for d_h in (8, 32):
+        cfg = to_train_config(parse_config(None, ["task=switching", f"d_h={d_h}"]))
+        assert ScoffLayer(cfg.scoff, Rng(0)).comm_proj.value_width == d_h
 
 def test_file_error_carries_line_number(tmp_path):
     path = write_cfg(tmp_path, "# comment\nn_f = 4\nbogus_key = 1\n")
@@ -77,11 +124,11 @@ def test_seed_flag_overrides():
     assert resolved["seed"] == 99
 
 
-def test_comm_values_must_match_d_h():
-    with pytest.raises(ConfigError, match="comm_values"):
-        parse_config(None, ["comm_values=16", "d_h=32"])
-    resolved = parse_config(None, ["comm_values=32", "d_h=32"])
-    assert resolved["comm_values"] == 32
+@pytest.mark.parametrize("key", ["lr", "tau", "inp_dropout", "clip_norm", "epsilon"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(key, raw):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(None, [f"{key}={raw}"])
 
 
 def test_unknown_task_and_model():
@@ -206,6 +253,123 @@ def test_missing_data_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_lr_exits_1_and_writes_nothing(tmp_path, capsys):
+    data_dir = str(tmp_path / "data")
+    assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",
+                   "--set", "test_count=1", "--set", "length=13", "--out", data_dir) == 0
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
+                   "--set", "lr=nan", "--out", str(run_dir)) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (run_dir / "checkpoint").exists()
+
+
 def test_missing_required_key_names_it(capsys):
     assert run_cli("train") == 1
     assert "data" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ damaged artifact files
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A tiny dataset and the checkpoint trained on it."""
+    base = tmp_path_factory.mktemp("tiny")
+    data_dir, run_dir = str(base / "data"), str(base / "run")
+    assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",
+                   "--set", "test_count=1", "--set", "length=11", "--out", data_dir) == 0
+    assert run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
+                   "--set", "n_f=1", "--set", "n_s=2", "--set", "d_h=4",
+                   "--set", "inp_keys=2", "--set", "inp_values=4", "--set", "sel_keys=2",
+                   "--set", "comm_heads=1", "--set", "comm_keys=2", "--set", "d_c=4",
+                   "--set", "d_pos=2", "--set", "enc_hidden=4", "--set", "dec_hidden=4",
+                   "--set", "readout_hidden=4", "--set", "readout_width=4",
+                   "--set", "epochs=1", "--set", "burn_in=2", "--set", "horizon=3",
+                   "--out", run_dir) == 0
+    return base
+
+
+def _eval_copy(tiny_run, damage) -> tuple:
+    """(exit code, stderr) of eval on a copy of the tiny run after ``damage(copy)``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        copy = os.path.join(tmp, "copy")
+        shutil.copytree(str(tiny_run), copy)
+        damage(copy)
+        code = run_cli("eval", "--set", f"data={os.path.join(copy, 'data')}",
+                       "--set", f"checkpoint={os.path.join(copy, 'run', 'checkpoint')}",
+                       "--out", os.path.join(tmp, "eval"))
+    return code, err.getvalue()
+
+
+def _truncate(path, size):
+    with open(path, "r+b") as f:
+        f.truncate(size)
+
+
+def test_tiny_run_evaluates(tiny_run):
+    assert _eval_copy(tiny_run, lambda copy: None) == (0, "")
+
+
+@settings(max_examples=40, deadline=None)
+@example(cut=0)
+@example(cut=6)    # inside the first record's rank field
+@example(cut=18)   # inside the first record's extents
+@given(cut=st.integers(min_value=0, max_value=10**9))
+def test_truncated_tensors_bin_exits_2(tiny_run, cut):
+    path = os.path.join("run", "checkpoint", "tensors.bin")
+    cut %= os.path.getsize(os.path.join(str(tiny_run), path))
+    code, err = _eval_copy(tiny_run, lambda copy: _truncate(os.path.join(copy, path), cut))
+    assert code == 2
+    assert "tensors.bin" in err
+
+
+@settings(max_examples=40, deadline=None)
+@example(cut=0)
+@example(cut=10)   # inside the 24-byte header
+@example(cut=23)
+@given(cut=st.integers(min_value=0, max_value=10**9))
+def test_truncated_dataset_exits_2(tiny_run, cut):
+    path = os.path.join("data", "test.scfd")
+    cut %= os.path.getsize(os.path.join(str(tiny_run), path))
+    code, err = _eval_copy(tiny_run, lambda copy: _truncate(os.path.join(copy, path), cut))
+    assert code == 2
+    assert "test.scfd" in err
+
+
+def test_overlong_artifacts_exit_2(tiny_run):
+    for name in (os.path.join("data", "test.scfd"),
+                 os.path.join("run", "checkpoint", "tensors.bin")):
+        def append(copy):
+            with open(os.path.join(copy, name), "ab") as f:
+                f.write(b"\0")
+        code, err = _eval_copy(tiny_run, append)
+        assert code == 2
+        assert "trailing bytes" in err
+
+
+@pytest.mark.parametrize("drop", ["tensors", "config"])
+def test_manifest_missing_key_exits_2(tiny_run, drop):
+    def damage(copy):
+        path = os.path.join(copy, "run", "checkpoint", "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        del manifest[drop]
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+    code, err = _eval_copy(tiny_run, damage)
+    assert code == 2
+    assert "manifest.json" in err
+
+
+def test_stored_config_missing_key_exits_2(tiny_run):
+    def damage(copy):
+        path = os.path.join(copy, "run", "checkpoint", "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        del manifest["config"]["d_h"]
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+    code, err = _eval_copy(tiny_run, damage)
+    assert code == 2
+    assert "d_h" in err

@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -372,6 +373,13 @@ def test_tensor_roundtrip_scalar_rank0():
 def test_read_tensor_rejects_bad_magic():
     with pytest.raises(ValueError, match="magic"):
         nm.read_tensor(io.BytesIO(b"NOPE" + b"\x00" * 16))
+
+
+def test_read_tensor_rejects_corrupt_extent_without_reading():
+    # an intact header claiming 2**61 doubles: refused against the bytes left
+    record = b"SCFT" + struct.pack("<IQ", 1, 2**61) + b"\x00" * 8
+    with pytest.raises(ValueError, match="truncated"):
+        nm.read_tensor(io.BytesIO(record))
 
 
 def test_concurrent_passes_with_own_tapes_match_serial():

@@ -6,7 +6,7 @@ import pytest
 import scoff.numerics as nm
 from scoff.numerics import Tape, Tensor, backward
 from scoff.recurrent import (SchemaBank, SchemaParams, gru_step, init_schema,
-                             load_bank, recurrent_param_count, save_bank)
+                             recurrent_param_count)
 from scoff.rng import Rng
 
 
@@ -177,16 +177,3 @@ def test_bank_validation():
         SchemaBank([])
     with pytest.raises(ValueError):
         SchemaBank([init_schema(rng, 2, 3), init_schema(rng, 2, 4)])
-
-
-def test_bank_roundtrip(tmp_path):
-    rng = Rng(13)
-    bank = SchemaBank([init_schema(rng, 3, 5) for _ in range(2)])
-    path = tmp_path / "bank.scfb"
-    save_bank(path, bank)
-    back = load_bank(path)
-    assert len(back) == 2
-    assert back.d_in == 3 and back.d_h == 5
-    for a, b in zip(bank.params(), back.params()):
-        assert np.array_equal(a.data, b.data)
-        assert b.requires_grad

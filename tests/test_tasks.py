@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -266,4 +268,12 @@ def test_dataset_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.scfd"
     p.write_bytes(b"JUNKxxxxxxxxxxxxxxxxxxxxxxx")
     with pytest.raises(ValueError):
+        read_dataset(p)
+
+
+def test_dataset_rejects_corrupt_sizes_naming_the_file(tmp_path):
+    # intact header for one bouncing sequence of 2**31 frames of 2**16 pixels
+    p = tmp_path / "huge.scfd"
+    p.write_bytes(b"SCFD" + struct.pack("<IIIII", 3, 1, 2**31, 2**8, 2**8) + b"\x00" * 64)
+    with pytest.raises(ValueError, match="huge.scfd: truncated"):
         read_dataset(p)

@@ -9,7 +9,7 @@ from scoff.layer import ScoffConfig, StepTrace
 from scoff.numerics import Tape, Tensor, backward
 from scoff.rng import Rng
 from scoff.tasks import gen_adding, gen_switching_dynamics
-from scoff.training import (Adam, TrainConfig, adam_step, bce_per_frame,
+from scoff.training import (Adam, TrainConfig, bce_per_frame,
                             build_model, collect_traces, eval_adding,
                             eval_rollout, load_checkpoint, mse_scalar,
                             restore_model, save_checkpoint,
@@ -110,15 +110,16 @@ def adam_oracle(x0, grad_fn, steps, lr, b1, b2, eps):
 def test_adam_zero_gradient_keeps_parameters():
     p = Tensor([1.5, -2.0], requires_grad=True)
     before = p.data.copy()
-    adam_step([p], [np.zeros(2)], ([np.zeros(2)], [np.zeros(2)]), 1, 0.1)
+    p.grad = np.zeros(2)
+    Adam([p], 0.1).apply()
     assert np.array_equal(p.data, before)
 
 
 def test_adam_first_step_magnitude_close_to_lr():
     for g in (0.3, -4.0, 1e3):
         p = Tensor([0.0], requires_grad=True)
-        adam_step([p], [np.array([g])], ([np.zeros(1)], [np.zeros(1)]), 1,
-                  lr=0.01)
+        p.grad = np.array([g])
+        Adam([p], lr=0.01).apply()
         assert abs(abs(p.data[0]) - 0.01) < 1e-5
         assert np.sign(p.data[0]) == -np.sign(g)
 
@@ -136,12 +137,6 @@ def test_adam_trajectory_matches_scalar_oracle():
         got.append(float(p.data[0]))
     want = adam_oracle(3.0, lambda x: 2.0 * x, 100, lr, b1, b2, eps)
     assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-12
-
-
-def test_adam_rejects_bad_step_counter():
-    p = Tensor([1.0], requires_grad=True)
-    with pytest.raises(ValueError):
-        adam_step([p], [np.ones(1)], ([np.zeros(1)], [np.zeros(1)]), 0, 0.1)
 
 
 def test_adam_clip_bounds_update_norm():
@@ -356,4 +351,15 @@ def test_restore_rejects_missing_params(tmp_path):
     save_checkpoint(tmp_path / "ck", params, {})
     tensors, _ = load_checkpoint(tmp_path / "ck")
     with pytest.raises(ValueError, match="missing"):
+        restore_model(model, tensors)
+
+
+def test_restore_rejects_unexpected_params(tmp_path):
+    cfg = tiny_train_config()
+    model = build_model(cfg, Rng(1))
+    params = dict(model.parameters())
+    params["extra"] = Tensor([1.0])
+    save_checkpoint(tmp_path / "ck", params, {})
+    tensors, _ = load_checkpoint(tmp_path / "ck")
+    with pytest.raises(ValueError, match="extra"):
         restore_model(model, tensors)
