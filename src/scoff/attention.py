@@ -65,14 +65,16 @@ class AttentionProjections:
 def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
            scale: float, dropout: float = 0.0, rng: "Rng | None" = None,
            training: bool = False):
-    """One head of scaled dot-product attention.
+    """One head of scaled dot-product attention, as one fused tape op.
 
     scores = queries·keysᵀ·scale, normalized along ``normalize_axis``
     ("queriers" shares each candidate's mass across queriers, "candidates"
     makes each output row a convex combination of value rows). Returns the
-    pre-dropout weights (rows are queriers, columns candidates) and the
-    aggregated outputs; dropout, when active, zeroes weights at rate
-    ``dropout`` and rescales survivors.
+    pre-dropout weights (rows are queriers, columns candidates) as a detached
+    Tensor, and the aggregated outputs; dropout, when active, zeroes weights
+    at rate ``dropout`` and rescales survivors. Values and gradients are
+    bit-identical to the same chain of elementary ops (see the numerics
+    module docstring).
     """
     if normalize_axis not in ("queriers", "candidates"):
         raise ValueError(f"unknown normalize_axis {normalize_axis!r}")
@@ -82,16 +84,28 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
         raise ValueError(f"query width {queries.shape} does not match key width {keys.shape}")
     if keys.shape[0] != values.shape[0]:
         raise ValueError(f"key rows {keys.shape} do not match value rows {values.shape}")
-    scores = nm.matmul(queries, nm.transpose(keys)) * scale
-    weights = nm.softmax(scores, axis=0 if normalize_axis == "queriers" else 1)
-    used = weights
+    axis = 0 if normalize_axis == "queriers" else 1
+    qd, kt, vd = queries.data, keys.data.T, values.data
+    weights = nm.stable_softmax((qd @ kt) * scale, axis)
+    used, mask = weights, None
     if training and dropout > 0.0:
         if rng is None:
             raise ValueError("dropout in training mode needs an rng")
         keep = np.asarray(rng.uniform(weights.shape)) >= dropout
-        used = weights * Tensor._lift(keep / (1.0 - dropout))
-    outputs = nm.matmul(used, values)
-    return weights, outputs
+        mask = keep / (1.0 - dropout)
+        used = weights * mask
+
+    def back(g):
+        # each parent's contributions in the order of the chain's reverse scan
+        g_w = g @ vd.T
+        nm.accum(values, used.T @ g)
+        if mask is not None:
+            g_w = g_w * mask
+        g_s = weights * (g_w - (g_w * weights).sum(axis=axis, keepdims=True)) * scale
+        nm.accum(queries, g_s @ kt.T)
+        nm.accum(keys, (qd.T @ g_s).T)
+
+    return nm.record(weights, (), None), nm.record(used @ vd, (queries, keys, values), back)
 
 
 def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
@@ -105,8 +119,8 @@ def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    logits = nm._as_tensor(logits)
-    noise = nm._as_tensor(noise)
+    logits = nm.as_tensor(logits)
+    noise = nm.as_tensor(noise)
     if logits.data.ndim < 1 or logits.shape != noise.shape:
         raise ValueError(f"logits and noise must share a shape of rank >= 1, "
                          f"got {logits.shape} and {noise.shape}")

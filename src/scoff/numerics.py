@@ -6,6 +6,19 @@ which is by construction a topological order, so the backward pass is a single
 reverse scan. With no active tape, ops run in plain evaluation mode and record
 nothing.
 
+Every op, built-in or defined elsewhere, takes the same path: it computes its
+output array, and :func:`record` wraps it in a Tensor and appends it to the
+active tape when any parent requires a gradient. The backward closure passed
+to ``record`` hands each parent its gradient contribution through
+:func:`accum`. A fused op (``recurrent.gru_step``, ``attention.attend``) is
+one such op whose forward and backward are written out by hand for a whole
+chain of elementary ops, so the chain costs one node instead of one per op.
+A fused op must give the same bits as the chain it replaces: its forward
+evaluates the same numpy expressions in the same order, and its backward
+calls ``accum`` on each parent in the order in which the chain's reverse scan
+would have added the contributions, since floating-point addition does not
+associate.
+
 Interior op results skip the finiteness check for speed; enable
 ``strict_checks`` to validate every op output. Tensors built from external
 data are always validated.
@@ -19,18 +32,18 @@ import numpy as np
 
 from .rng import Rng
 
-# per-thread active-tape stacks: independent passes may run concurrently as
-# long as each owns its Tape and Rng
-_TLS = threading.local()
+
+class _TapeStacks(threading.local):
+    """Per-thread active-tape stacks: independent passes may run concurrently
+    as long as each owns its Tape and Rng."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_TLS = _TapeStacks()
 
 strict_checks = False
-
-
-def _tape_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = _TLS.stack = []
-    return stack
 
 
 class Tape:
@@ -42,20 +55,15 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TLS.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _TLS.stack.pop()
         return False
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-
-def _active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
 
 
 class Tensor:
@@ -66,7 +74,7 @@ class Tensor:
     treat them as read-only and replace rather than update.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
@@ -79,7 +87,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-        self._tape = None
 
     @staticmethod
     def _lift(arr: np.ndarray) -> "Tensor":
@@ -90,7 +97,6 @@ class Tensor:
         t.grad = None
         t._parents = ()
         t._backward = None
-        t._tape = None
         return t
 
     @property
@@ -145,34 +151,39 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _as_tensor(x) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+def record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    """The op output ``out_data`` as a Tensor. When a tape is active and some
+    parent requires a gradient, the Tensor joins the tape, and the backward
+    pass calls ``backward_fn(g)`` with its gradient ``g``. With no parents the
+    result is a detached constant."""
     if strict_checks and not np.isfinite(out_data).all():
         raise FloatingPointError("op produced non-finite values")
     t = Tensor.__new__(Tensor)
     t.data = out_data
     t.grad = None
+    stack = _TLS.stack
+    if stack:
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                t._parents = parents
+                t._backward = backward_fn
+                stack[-1].nodes.append(t)
+                return t
+    t.requires_grad = False
     t._parents = ()
     t._backward = None
-    t._tape = None
-    tape = _active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
-        t.requires_grad = True
-        t._parents = parents
-        t._backward = backward_fn
-        t._tape = tape
-        tape.nodes.append(t)
-    else:
-        t.requires_grad = False
     return t
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def accum(t: Tensor, g: np.ndarray) -> None:
+    """Add the contribution ``g`` to the gradient of ``t``, if it takes one."""
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
 
@@ -193,96 +204,101 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        accum(a, _unbroadcast(g, a.data.shape))
+        accum(b, _unbroadcast(g, b.data.shape))
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        accum(a, _unbroadcast(g, a.data.shape))
+        accum(b, _unbroadcast(-g, b.data.shape))
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
 
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        accum(a, _unbroadcast(g * b.data, a.data.shape))
+        accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, in the form that never overflows exp."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    e = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    a = as_tensor(a)
+    out = stable_sigmoid(a.data)
 
     def back(g):
-        _accum(a, g * out * (1.0 - out))
+        accum(a, g * out * (1.0 - out))
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 def tanh(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = np.tanh(a.data)
 
     def back(g):
-        _accum(a, g * (1.0 - out * out))
+        accum(a, g * (1.0 - out * out))
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 def exp(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = np.exp(a.data)
 
     def back(g):
-        _accum(a, g * out)
+        accum(a, g * out)
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 def log(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     if a.data.min() <= 0.0:
         raise ValueError("log requires strictly positive inputs")
     out = np.log(a.data)
 
     def back(g):
-        _accum(a, g / a.data)
+        accum(a, g / a.data)
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 # ---- shape ops ----------------------------------------------------------
 
 
 def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = a.data.reshape(shape)
 
     def back(g):
-        _accum(a, g.reshape(a.data.shape))
+        accum(a, g.reshape(a.data.shape))
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 def transpose(a, axes=None) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = np.transpose(a.data, axes)
     if axes is None:
         inv = None
@@ -290,13 +306,13 @@ def transpose(a, axes=None) -> Tensor:
         inv = np.argsort(axes)
 
     def back(g):
-        _accum(a, np.transpose(g, inv))
+        accum(a, np.transpose(g, inv))
 
-    return _record(out, (a,), back)
+    return record(out, (a,), back)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
+    parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ValueError("concat needs at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
@@ -304,43 +320,43 @@ def concat(parts, axis: int = 0) -> Tensor:
 
     def back(g):
         for p, piece in zip(parts, np.split(g, offsets, axis=axis)):
-            _accum(p, piece)
+            accum(p, piece)
 
-    return _record(out, tuple(parts), back)
+    return record(out, tuple(parts), back)
 
 
 def stack(parts, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
+    parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ValueError("stack needs at least one tensor")
     out = np.stack([p.data for p in parts], axis=axis)
 
     def back(g):
         for i, p in enumerate(parts):
-            _accum(p, np.take(g, i, axis=axis))
+            accum(p, np.take(g, i, axis=axis))
 
-    return _record(out, tuple(parts), back)
+    return record(out, tuple(parts), back)
 
 
 # ---- reductions ----------------------------------------------------------
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
+            accum(a, np.broadcast_to(g, a.data.shape).copy())
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+            accum(a, np.broadcast_to(gg, a.data.shape).copy())
 
-    return _record(np.asarray(out), (a,), back)
+    return record(np.asarray(out), (a,), back)
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
     return mul(tensor_sum(a, axis, keepdims), 1.0 / n)
 
@@ -350,52 +366,56 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Strict 2-D matrix product; backward dA = g·Bᵀ, dB = Aᵀ·g."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def back(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        accum(a, g @ b.data.T)
+        accum(b, a.data.T @ g)
 
-    return _record(out, (a, b), back)
+    return record(out, (a, b), back)
+
+
+def stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Exp-normalization of an array along ``axis``, max subtracted first."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def softmax(x, axis: int) -> Tensor:
     """Exp-normalization along ``axis`` with max-subtraction for stability."""
-    x = _as_tensor(x)
+    x = as_tensor(x)
     nd = x.data.ndim
     if not -nd <= axis < nd:
         raise ValueError(f"softmax axis {axis} out of range for rank {nd}")
     if x.data.shape[axis] == 0:
         raise ValueError("softmax over an empty axis")
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = stable_softmax(x.data, axis)
 
     def back(g):
-        _accum(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        accum(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
-    return _record(s, (x,), back)
+    return record(s, (x,), back)
 
 
 def straight_through(x, forward_values) -> Tensor:
     """Forward takes ``forward_values``; the gradient passes to ``x`` unchanged."""
-    x = _as_tensor(x)
+    x = as_tensor(x)
     vals = np.asarray(forward_values, dtype=np.float64)
     if vals.shape != x.data.shape:
         raise ValueError(f"straight_through shape mismatch: {vals.shape} vs {x.shape}")
 
     def back(g):
-        _accum(x, g)
+        accum(x, g)
 
-    return _record(vals.copy(), (x,), back)
+    return record(vals.copy(), (x,), back)
 
 
 def logistic_loss_mean(logits, targets) -> Tensor:
     """Mean binary cross entropy against {0,1} targets, in stable logit form."""
-    lt = _as_tensor(logits)
+    lt = as_tensor(logits)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != lt.data.shape:
         raise ValueError(f"target shape {y.shape} does not match logits {lt.shape}")
@@ -405,11 +425,9 @@ def logistic_loss_mean(logits, targets) -> Tensor:
     n = d.size
 
     def back(g):
-        e = np.exp(-np.abs(d))
-        sig = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        _accum(lt, (sig - y) * (g / n))
+        accum(lt, (stable_sigmoid(d) - y) * (g / n))
 
-    return _record(out, (lt,), back)
+    return record(out, (lt,), back)
 
 
 def sample_gumbel(rng: Rng, shape) -> Tensor:
@@ -424,7 +442,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Populate grads of everything the scalar ``loss`` depends on."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._tape is not tape:
+    # a node holds no reference to its tape, so that a dropped tape is freed
+    # at once rather than left as a cycle for the garbage collector
+    if not any(node is loss for node in reversed(tape.nodes)):
         raise ValueError("loss was not recorded on this tape")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
@@ -511,7 +531,10 @@ def read_tensor(f) -> Tensor:
         count *= s
     payload = read_exact(f, 8 * count, "tensor record")
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-    return Tensor(arr)
+    try:
+        return Tensor(arr)
+    except ValueError as e:
+        raise ValueError(f"{getattr(f, 'name', '<stream>')}: {e}") from None
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

@@ -84,32 +84,59 @@ class SchemaBank:
 
 
 def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
-    """One GRU update with externally supplied parameters.
+    """One GRU update of the rows z [n, d_in], h [n, d_h] with externally
+    supplied parameters, as one fused tape op.
 
     r = σ(W_r z + U_r h + b_r)
     u = σ(W_u z + U_u h + b_u)
     c = tanh(W_c z + U_c (r ⊙ h) + b_c)
     h' = (1 - u) ⊙ h + u ⊙ c
 
-    Accepts vectors [d] or row-stacked matrices [n, d]; the update is applied
-    row by row, so which slot invokes it cannot matter.
+    The update is applied row by row, so which slot invokes it cannot matter.
+    Values and gradients are bit-identical to the same chain of elementary
+    ops (see the numerics module docstring).
     """
-    vector_in = isinstance(z, Tensor) and z.data.ndim == 1
-    if vector_in:
-        z = nm.reshape(z, (1, z.shape[0]))
-        h = nm.reshape(h, (1, h.shape[0]))
-    if z.shape[1] != theta.d_in or h.shape[1] != theta.d_h or z.shape[0] != h.shape[0]:
+    if z.data.ndim != 2 or h.data.ndim != 2 or z.shape[1] != theta.d_in \
+            or h.shape[1] != theta.d_h or z.shape[0] != h.shape[0]:
         raise ValueError(
             f"gru_step shapes z={z.shape} h={h.shape} do not fit cell "
             f"d_in={theta.d_in} d_h={theta.d_h}"
         )
-    r = nm.sigmoid(nm.matmul(z, theta.w_r) + nm.matmul(h, theta.u_r) + theta.b_r)
-    u = nm.sigmoid(nm.matmul(z, theta.w_u) + nm.matmul(h, theta.u_u) + theta.b_u)
-    c = nm.tanh(nm.matmul(z, theta.w_c) + nm.matmul(r * h, theta.u_c) + theta.b_c)
-    out = (1.0 - u) * h + u * c
-    if vector_in:
-        out = nm.reshape(out, (out.shape[1],))
-    return out
+    zd, hd = z.data, h.data
+    r = nm.stable_sigmoid(zd @ theta.w_r.data + hd @ theta.u_r.data + theta.b_r.data)
+    u = nm.stable_sigmoid(zd @ theta.w_u.data + hd @ theta.u_u.data + theta.b_u.data)
+    rh = r * hd
+    c = np.tanh(zd @ theta.w_c.data + rh @ theta.u_c.data + theta.b_c.data)
+    keep = 1.0 - u
+    out = keep * hd + u * c
+
+    def back(g):
+        # each parent's contributions in the order of the chain's reverse scan;
+        # g_a* are the gradients of the gates' pre-activations
+        nm.accum(h, g * keep)
+        g_u = g * c + -(g * hd)
+        g_ac = (g * u) * (1.0 - c * c)
+        nm.accum(theta.b_c, g_ac.sum(axis=0))
+        g_rh = g_ac @ theta.u_c.data.T
+        nm.accum(theta.u_c, rh.T @ g_ac)
+        g_r = g_rh * hd
+        nm.accum(h, g_rh * r)
+        nm.accum(z, g_ac @ theta.w_c.data.T)
+        nm.accum(theta.w_c, zd.T @ g_ac)
+        g_au = g_u * u * (1.0 - u)
+        nm.accum(theta.b_u, g_au.sum(axis=0))
+        nm.accum(h, g_au @ theta.u_u.data.T)
+        nm.accum(theta.u_u, hd.T @ g_au)
+        nm.accum(z, g_au @ theta.w_u.data.T)
+        nm.accum(theta.w_u, zd.T @ g_au)
+        g_ar = g_r * r * (1.0 - r)
+        nm.accum(theta.b_r, g_ar.sum(axis=0))
+        nm.accum(h, g_ar @ theta.u_r.data.T)
+        nm.accum(theta.u_r, hd.T @ g_ar)
+        nm.accum(z, g_ar @ theta.w_r.data.T)
+        nm.accum(theta.w_r, zd.T @ g_ar)
+
+    return nm.record(out, (z, h, *theta.params()), back)
 
 
 def init_schema(rng: Rng, d_in: int, d_h: int) -> SchemaParams:

@@ -25,6 +25,13 @@ def _mix(z):
         return z ^ (z >> np.uint64(31))
 
 
+def _mix_int(z: int) -> int:
+    """``_mix`` of one draw in Python int arithmetic, for scalar draws."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 class Rng:
     """SplitMix64 stream of uniform draws.
 
@@ -44,15 +51,22 @@ class Rng:
         with np.errstate(over="ignore"):
             return _mix(np.uint64(self.seed) + _GAMMA * idx)
 
+    def _raw_int(self) -> int:
+        """The next draw of the stream, equal to ``_raw(1)[0]`` but without
+        numpy's per-call overhead."""
+        self._counter += 1
+        return _mix_int((self.seed + 0x9E3779B97F4A7C15 * self._counter) & _MASK64)
+
     def uniform(self, shape=()) -> "np.ndarray | float":
         """Doubles in the open interval (0, 1); scalar when shape is ()."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        if not shape:
+            return min(max((self._raw_int() >> 11) / _TWO53, _EPS53), 1.0 - _EPS53)
         n = 1
         for s in shape:
             n *= s
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) / _TWO53
-        u = np.clip(u, _EPS53, 1.0 - _EPS53)
-        return u.reshape(shape) if shape else float(u[0])
+        return np.clip(u, _EPS53, 1.0 - _EPS53).reshape(shape)
 
     def gumbel(self, shape=()) -> "np.ndarray | float":
         """Standard Gumbel(0,1) via -log(-log(u))."""
@@ -70,8 +84,7 @@ class Rng:
         """Integer in [0, n) by the multiply-high reduction of one raw draw."""
         if n <= 0:
             raise ValueError(f"randint bound must be positive, got {n}")
-        r = int(self._raw(1)[0])
-        return (r * n) >> 64
+        return (self._raw_int() * n) >> 64
 
     def choice(self, seq):
         return seq[self.randint(len(seq))]

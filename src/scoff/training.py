@@ -7,6 +7,7 @@ noise, no dropout) so repeated evaluations agree bit for bit.
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -299,7 +300,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
         run_rng.shuffle(order)
         epoch_loss = 0.0
         usage = np.zeros(n_s)
-        for lo in range(0, len(order), cfg.batch_size):
+        for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo:lo + cfg.batch_size]
             for idx in batch:
                 with Tape() as tape:
@@ -313,7 +314,17 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                     for j in trace.schema:
                         if j >= 0:
                             usage[j] += 1
+            where = f"training diverged in epoch {epoch}, batch {b}"
+            bad = _first_non_finite((n, p.grad) for n, p in params.items())
+            if bad is not None:
+                raise ValueError(f"{where}: non-finite gradient of {bad} "
+                                 f"(loss so far {epoch_loss})")
+            if not math.isfinite(epoch_loss):
+                raise ValueError(f"{where}: non-finite loss")
             opt.apply(scale=1.0 / len(batch), clip=cfg.clip_norm)
+            bad = _first_non_finite((n, p.data) for n, p in params.items())
+            if bad is not None:
+                raise ValueError(f"{where}: the update made {bad} non-finite")
         epoch_loss /= len(order)
 
         usage_frac = (usage / usage.sum()).tolist() if usage.sum() else [0.0] * n_s
@@ -348,6 +359,14 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                 f"purity={purity_s} usage={[round(u, 3) for u in usage_frac]} "
                 f"({record.wall_seconds:.1f}s)")
     return metrics, model
+
+
+def _first_non_finite(named_arrays) -> "str | None":
+    """Name of the first (name, array) pair holding a non-finite entry."""
+    for name, arr in named_arrays:
+        if arr is not None and not np.isfinite(arr).all():
+            return name
+    return None
 
 
 # ---- checkpoints -------------------------------------------------------------

@@ -129,6 +129,104 @@ def test_attend_rejects_unknown_axis_and_scale():
         attend(q, q, q, "candidates", 0.0)
 
 
+def attend_chain(queries, keys, values, normalize_axis, scale, dropout=0.0,
+                 rng=None, training=False):
+    """Reference: one attention head as a chain of elementary taped ops."""
+    scores = nm.matmul(queries, nm.transpose(keys)) * scale
+    weights = nm.softmax(scores, axis=0 if normalize_axis == "queriers" else 1)
+    used = weights
+    if training and dropout > 0.0:
+        keep = np.asarray(rng.uniform(weights.shape)) >= dropout
+        used = weights * Tensor._lift(keep / (1.0 - dropout))
+    return weights, nm.matmul(used, values)
+
+
+def projected_heads(head, rows, axis, dropout):
+    """Two heads over shared projected inputs, as the layer runs them, so
+    that queriers, candidates and projections collect several contributions.
+    Returns (weights, outputs, loss, leaves)."""
+    rng = Rng(53)
+    d_q, d_c, d_k, d_v = 3, 4, 5, 2
+    x = Tensor(rand(rng, (rows, d_q)), requires_grad=True)
+    y = Tensor(rand(rng, (6, d_c)), requires_grad=True)
+    mats = [Tensor(rand(rng, shape), requires_grad=True)
+            for _ in range(2) for shape in ((d_q, d_k), (d_c, d_k), (d_c, d_v))]
+    w = Tensor._lift(rand(rng, (rows, 2 * d_v)))
+    noise = Rng(59)
+    weights, outs = [], []
+    with Tape() as tape:
+        for h in range(2):
+            wq, wk, wv = mats[3 * h:3 * h + 3]
+            aw, out = head(nm.matmul(x, wq), nm.matmul(y, wk), nm.matmul(y, wv),
+                           axis, 1.0 / math.sqrt(d_k), dropout=dropout, rng=noise,
+                           training=True)
+            weights.append(aw)
+            outs.append(out)
+        loss = (nm.concat(outs, axis=1) * w).sum()
+    backward(loss, tape)
+    return weights, outs, loss, [x, y, *mats]
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("axis", ["queriers", "candidates"])
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+def test_fused_attend_matches_op_chain_bit_for_bit(rows, axis, dropout):
+    weights, outs, loss, leaves = projected_heads(attend, rows, axis, dropout)
+    ref_w, ref_outs, ref_loss, ref_leaves = projected_heads(attend_chain, rows, axis,
+                                                             dropout)
+    assert np.array_equal(loss.data, ref_loss.data)
+    for got, want in zip(weights + outs, ref_w + ref_outs):
+        assert np.array_equal(got.data, want.data)
+    for got, want in zip(leaves, ref_leaves):
+        assert got.grad.shape == want.grad.shape
+        assert (got.grad == want.grad).all()
+
+
+@pytest.mark.parametrize("axis", ["queriers", "candidates"])
+def test_fused_attend_self_attention_matches_op_chain_bit_for_bit(axis):
+    # one tensor as queries, keys and values: the order in which the fused
+    # backward adds the three contributions decides the bits
+    grads = []
+    for head in (attend, attend_chain):
+        x = Tensor(rand(Rng(79), (4, 3)), requires_grad=True)
+        with Tape() as tape:
+            _, out = head(x, x, x, axis, 0.9)
+            loss = (out * out).sum()
+        backward(loss, tape)
+        grads.append(x.grad)
+    assert (grads[0] == grads[1]).all()
+
+
+@pytest.mark.parametrize("axis", ["queriers", "candidates"])
+@pytest.mark.parametrize("dropout", [0.0, 0.4])
+def test_fused_attend_grad_check_all_parents(axis, dropout):
+    rng = Rng(61)
+    q = Tensor(rand(rng, (3, 4)), requires_grad=True)
+    k = Tensor(rand(rng, (5, 4)), requires_grad=True)
+    v = Tensor(rand(rng, (5, 2)), requires_grad=True)
+    w = Tensor._lift(rand(rng, (3, 2)))
+
+    def f(params):
+        _, out = attend(*params, axis, 0.7, dropout=dropout, rng=Rng(67),
+                        training=True)
+        return (out * w).sum()
+
+    assert grad_check(f, [q, k, v], eps=1e-5) < 1e-6
+
+
+def test_training_attend_appends_one_tape_node_and_detached_weights():
+    rng = Rng(71)
+    q = Tensor(rand(rng, (3, 4)), requires_grad=True)
+    k = Tensor(rand(rng, (5, 4)), requires_grad=True)
+    v = Tensor(rand(rng, (5, 2)), requires_grad=True)
+    with Tape() as tape:
+        aw, out = attend(q, k, v, "queriers", 0.5, dropout=0.3, rng=Rng(73),
+                         training=True)
+    assert len(tape) == 1
+    assert tape.nodes[0] is out
+    assert not aw.requires_grad
+
+
 def test_projections_validation():
     rng = Rng(1)
     proj = AttentionProjections.build(rng, 4, 6, 6, heads=2, key_width=3,

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import tempfile
 
 import numpy as np
@@ -82,7 +83,6 @@ def test_misspelled_key_named_in_error(tmp_path):
         parse_config(path)
 
 
-
 def test_comm_values_must_match_d_h():
     # comm_values was dropped: the communication value width is always d_h,
     # so the key is rejected whether or not it agrees with d_h
@@ -94,6 +94,7 @@ def test_comm_values_must_match_d_h():
     for d_h in (8, 32):
         cfg = to_train_config(parse_config(None, ["task=switching", f"d_h={d_h}"]))
         assert ScoffLayer(cfg.scoff, Rng(0)).comm_proj.value_width == d_h
+
 
 def test_file_error_carries_line_number(tmp_path):
     path = write_cfg(tmp_path, "# comment\nn_f = 4\nbogus_key = 1\n")
@@ -264,6 +265,22 @@ def test_non_finite_lr_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not (run_dir / "checkpoint").exists()
 
 
+def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
+    data_dir = str(tmp_path / "data")
+    assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",
+                   "--set", "test_count=1", "--set", "length=13", "--out", data_dir) == 0
+    run_dir = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
+                       "--set", "lr=1e300", "--set", "epochs=3", "--set", "batch_size=1",
+                       "--out", str(run_dir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "diverged in epoch 0, batch 1: non-finite gradient of " in err
+    assert not (run_dir / "metrics.jsonl").exists()
+    assert not (run_dir / "checkpoint").exists()
+
+
 def test_missing_required_key_names_it(capsys):
     assert run_cli("train") == 1
     assert "data" in capsys.readouterr().err
@@ -360,6 +377,17 @@ def test_manifest_missing_key_exits_2(tiny_run, drop):
     code, err = _eval_copy(tiny_run, damage)
     assert code == 2
     assert "manifest.json" in err
+
+
+def test_non_finite_checkpoint_entry_exits_2_naming_the_file(tiny_run):
+    def damage(copy):
+        with open(os.path.join(copy, "run", "checkpoint", "tensors.bin"), "r+b") as f:
+            f.seek(-8, os.SEEK_END)
+            f.write(struct.pack("<d", float("nan")))
+    code, err = _eval_copy(tiny_run, damage)
+    assert code == 2
+    assert "tensors.bin" in err
+    assert "non-finite" in err
 
 
 def test_stored_config_missing_key_exits_2(tiny_run):

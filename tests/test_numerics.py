@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import struct
@@ -208,6 +209,31 @@ def test_backward_rejects_foreign_loss():
         backward(loss, tape2)
 
 
+def test_backward_rejects_untaped_loss():
+    x = Tensor(np.ones(3))  # no gradient wanted: nothing is recorded
+    with Tape() as tape:
+        loss = x.sum()
+    assert len(tape) == 0
+    with pytest.raises(ValueError, match="tape"):
+        backward(loss, tape)
+
+
+def test_dropped_tape_leaves_no_cyclic_garbage():
+    # a node holds no reference to its tape, so dropping the tape and the loss
+    # frees the whole graph by reference counting, without the cycle collector
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = (nm.tanh(x @ x) * x).sum()
+        backward(loss, tape)
+        del tape, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_tape_topological_order():
     x = Tensor(np.ones(2), requires_grad=True)
     with Tape() as tape:
@@ -304,24 +330,46 @@ def test_sample_gumbel_empirical_mean_matches_euler_mascheroni():
     assert abs(float(g.data.mean()) - 0.5772) < 0.01
 
 
-def _splitmix64_reference(seed, n):
-    # independent pure-int implementation of the documented generator
+def _splitmix64_raw(seed, n, start=0):
+    # independent pure-int implementation of the documented generator:
+    # draws start + 1 .. start + n of the stream
     mask = (1 << 64) - 1
     out = []
-    for i in range(1, n + 1):
-        z = (seed + 0x9E3779B97F4A7C15 * i) & mask
+    for i in range(start + 1, start + n + 1):
+        z = ((seed & mask) + 0x9E3779B97F4A7C15 * i) & mask
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z = z ^ (z >> 31)
-        out.append((z >> 11) / float(2**53))
+        out.append(z ^ (z >> 31))
     return out
 
 
+def _splitmix64_reference(seed, n, start=0):
+    return [(z >> 11) / float(2**53) for z in _splitmix64_raw(seed, n, start)]
+
+
+RNG_SEEDS = (0, 1, 20240501, 2**63 + 12345, 2**64 - 1, -7)
+
+
+def _rng_at(seed, offset):
+    """Rng(seed) after ``offset`` draws taken as one block."""
+    rng = Rng(seed)
+    if offset:
+        rng.uniform((offset,))
+    return rng
+
+
 def test_rng_matches_pure_python_reference():
-    seed = 20240501
-    got = Rng(seed).uniform((5,))
-    want = np.clip(_splitmix64_reference(seed, 5), 2.0**-53, 1 - 2.0**-53)
-    assert np.array_equal(got, want)
+    for seed in RNG_SEEDS:
+        for offset in (0, 1, 5, 1000):
+            want = np.clip(_splitmix64_reference(seed, 5, offset), 2.0**-53, 1 - 2.0**-53)
+            assert np.array_equal(_rng_at(seed, offset).uniform((5,)), want)
+            rng = _rng_at(seed, offset)
+            scalars = [rng.uniform() for _ in range(5)]
+            assert all(type(u) is float for u in scalars)
+            assert np.array_equal(np.array(scalars), want)
+            rng = _rng_at(seed, offset)
+            for n, z in zip((1, 2, 3, 1000, 2**40), _splitmix64_raw(seed, 5, offset)):
+                assert rng.randint(n) == (z * n) >> 64
 
 
 def test_rng_streams_identical_and_open_interval():
@@ -332,10 +380,19 @@ def test_rng_streams_identical_and_open_interval():
 
 
 def test_rng_block_vs_scalar_draws_identical():
-    block = Rng(5).uniform((6,))
-    one_at_a_time = Rng(5)
-    singles = np.array([one_at_a_time.uniform() for _ in range(6)])
-    assert np.array_equal(block, singles)
+    for seed in RNG_SEEDS:
+        block = Rng(seed).uniform((40,))
+        raw = _splitmix64_raw(seed, 40)
+        mixed = Rng(seed)
+        for i in range(40):  # scalar uniform, randint, gumbel and blocks interleaved
+            if i % 4 == 0:
+                assert mixed.uniform() == block[i]
+            elif i % 4 == 1:
+                assert mixed.randint(3 + i) == (raw[i] * (3 + i)) >> 64
+            elif i % 4 == 2:
+                assert mixed.uniform((1,))[0] == block[i]
+            else:
+                assert mixed.gumbel() == -np.log(-np.log(block[i]))
 
 
 def test_rng_spawn_streams_differ():

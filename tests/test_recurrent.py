@@ -46,8 +46,8 @@ def gru_oracle(z, h, th):
 
 def test_gru_all_zero_parameters_halve_state():
     th = zero_schema(2, 3)
-    h = Tensor([0.4, -0.8, 1.0])
-    out = gru_step(Tensor([1.0, 2.0]), h, th)
+    h = Tensor([[0.4, -0.8, 1.0]])
+    out = gru_step(Tensor([[1.0, 2.0]]), h, th)
     assert np.allclose(out.data, 0.5 * h.data, atol=1e-15)
 
 
@@ -56,9 +56,9 @@ def test_gru_zero_inputs_closed_form():
     th = init_schema(rng, 2, 4)
     for b in (th.b_u, th.b_c):
         b.data[...] = rand(rng, (4,))
-    out = gru_step(Tensor._lift(np.zeros(2)), Tensor._lift(np.zeros(4)), th)
+    out = gru_step(Tensor._lift(np.zeros((1, 2))), Tensor._lift(np.zeros((1, 4))), th)
     sig = 1.0 / (1.0 + np.exp(-th.b_u.data))
-    assert np.allclose(out.data, sig * np.tanh(th.b_c.data), atol=1e-15)
+    assert np.allclose(out.data[0], sig * np.tanh(th.b_c.data), atol=1e-15)
 
 
 def test_gru_matches_scalar_oracle():
@@ -67,7 +67,7 @@ def test_gru_matches_scalar_oracle():
     for t in th.params():
         t.data[...] = rand(rng, t.shape)
     z, h = rand(rng, (3,)), rand(rng, (4,))
-    got = gru_step(Tensor(z), Tensor(h), th).data
+    got = gru_step(Tensor(z[None]), Tensor(h[None]), th).data[0]
     want = gru_oracle(z.tolist(), h.tolist(), th)
     assert np.max(np.abs(got - np.asarray(want))) < 1e-12
 
@@ -78,8 +78,8 @@ def test_gru_bounded_state_stays_bounded():
         th = init_schema(rng, 2, 5)
         for t in th.params():
             t.data[...] = rand(rng, t.shape) * 3.0
-        h = rand(rng, (5,))  # components within [-1, 1]
-        z = rand(rng, (2,)) * 10.0
+        h = rand(rng, (1, 5))  # components within [-1, 1]
+        z = rand(rng, (1, 2)) * 10.0
         out = gru_step(Tensor(z), Tensor(h), th).data
         assert (np.abs(out) <= 1.0 + 1e-12).all()
 
@@ -94,14 +94,20 @@ def test_gru_is_slot_blind():
     stacked_h = Tensor(np.stack([h_row, h_row]))
     out = gru_step(stacked_z, stacked_h, th).data
     assert np.array_equal(out[0], out[1])
-    single = gru_step(Tensor(z_row), Tensor(h_row), th).data
+    single = gru_step(Tensor(z_row[None]), Tensor(h_row[None]), th).data[0]
     assert np.max(np.abs(out[0] - single)) < 1e-15
 
 
 def test_gru_shape_errors():
     th = zero_schema(2, 3)
-    with pytest.raises(ValueError):
-        gru_step(Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0, 0.0]), th)
+    with pytest.raises(ValueError):  # input width
+        gru_step(Tensor([[1.0, 2.0, 3.0]]), Tensor([[0.0, 0.0, 0.0]]), th)
+    with pytest.raises(ValueError):  # state width
+        gru_step(Tensor([[1.0, 2.0]]), Tensor([[0.0, 0.0]]), th)
+    with pytest.raises(ValueError):  # row counts
+        gru_step(Tensor([[1.0, 2.0]]), Tensor(np.zeros((2, 3))), th)
+    with pytest.raises(ValueError):  # rows only, no vectors
+        gru_step(Tensor([1.0, 2.0]), Tensor([0.0, 0.0, 0.0]), th)
 
 
 def test_gru_backward_is_finite_difference_clean():
@@ -109,12 +115,99 @@ def test_gru_backward_is_finite_difference_clean():
     th = init_schema(rng, 2, 3)
 
     def f(params):
-        z = Tensor._lift(np.array([0.3, -0.7]))
-        h = Tensor._lift(np.array([0.1, 0.2, -0.4]))
+        z = Tensor._lift(np.array([[0.3, -0.7]]))
+        h = Tensor._lift(np.array([[0.1, 0.2, -0.4]]))
         out = gru_step(z, h, th)
         return (out * out).sum()
 
     assert nm.grad_check(f, th.params(), eps=1e-5) < 1e-4
+
+
+def gru_chain(z, h, th):
+    """Reference: the GRU cell as a chain of elementary taped ops."""
+    r = nm.sigmoid(nm.matmul(z, th.w_r) + nm.matmul(h, th.u_r) + th.b_r)
+    u = nm.sigmoid(nm.matmul(z, th.w_u) + nm.matmul(h, th.u_u) + th.b_u)
+    c = nm.tanh(nm.matmul(z, th.w_c) + nm.matmul(r * h, th.u_c) + th.b_c)
+    return (1.0 - u) * h + u * c
+
+
+def random_cell(rng, d_in, d_h):
+    th = init_schema(rng, d_in, d_h)
+    for t in th.params():
+        t.data[...] = rand(rng, t.shape)
+    return th
+
+
+def unrolled_loss(cell, rows, h_grad):
+    """Two cells applied in a small graph that reuses z, h and each cell, so
+    that every leaf collects several contributions; returns (loss, leaves)."""
+    rng = Rng(41)
+    d_in, d_h = 3, 5
+    th_a, th_b = random_cell(rng, d_in, d_h), random_cell(rng, d_in, d_h)
+    z = Tensor(rand(rng, (rows, d_in)), requires_grad=True)
+    h0 = Tensor(rand(rng, (rows, d_h)), requires_grad=h_grad)
+    w = Tensor._lift(rand(rng, (rows, d_h)))
+    with Tape() as tape:
+        h1 = cell(z, h0, th_a)
+        h2 = cell(z, h1, th_b)
+        h3 = cell(z, h1, th_a)
+        loss = (h2 * h3).sum() + (h1 * w).sum() + (h0 * h0).sum()
+    backward(loss, tape)
+    return (h1, h2, h3, loss), [z, h0, *th_a.params(), *th_b.params()]
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("h_grad", [True, False])
+def test_fused_gru_matches_op_chain_bit_for_bit(rows, h_grad):
+    outs, leaves = unrolled_loss(gru_step, rows, h_grad)
+    ref_outs, ref_leaves = unrolled_loss(gru_chain, rows, h_grad)
+    for got, want in zip(outs, ref_outs):
+        assert np.array_equal(got.data, want.data)
+    for got, want in zip(leaves, ref_leaves):
+        if want.grad is None:
+            assert got.grad is None
+        else:
+            assert got.grad.shape == want.grad.shape
+            assert (got.grad == want.grad).all()
+
+
+def test_fused_gru_shared_input_and_state_matches_op_chain_bit_for_bit():
+    # one tensor as input and state: the order in which the fused backward
+    # adds its seven contributions decides the bits
+    grads = []
+    for cell in (gru_step, gru_chain):
+        rng = Rng(83)
+        th = random_cell(rng, 4, 4)
+        x = Tensor(rand(rng, (3, 4)), requires_grad=True)
+        with Tape() as tape:
+            out = cell(x, x, th)
+            loss = (out * out).sum()
+        backward(loss, tape)
+        grads.append(x.grad)
+    assert (grads[0] == grads[1]).all()
+
+
+def test_fused_gru_grad_check_all_parents():
+    rng = Rng(43)
+    th = random_cell(rng, 3, 4)
+    z = Tensor(rand(rng, (4, 3)), requires_grad=True)
+    h = Tensor(rand(rng, (4, 4)), requires_grad=True)
+    w = Tensor._lift(rand(rng, (4, 4)))
+
+    def f(params):
+        return (gru_step(params[0], params[1], th) * w).sum()
+
+    assert nm.grad_check(f, [z, h, *th.params()], eps=1e-5) < 1e-6
+
+
+def test_gru_step_appends_one_tape_node():
+    rng = Rng(47)
+    th = random_cell(rng, 3, 4)
+    z, h = Tensor(rand(rng, (2, 3))), Tensor(rand(rng, (2, 4)))
+    with Tape() as tape:
+        out = gru_step(z, h, th)
+    assert len(tape) == 1
+    assert tape.nodes[0] is out
 
 
 def test_init_schema_biases_zero_and_bounds():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ def test_train_adding_task():
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train_model(tiny_train_config(), [], [])
+
+
+def test_train_rejects_update_that_overflows_a_parameter():
+    # the adding task's first gradients exceed 1 in magnitude, so with the
+    # largest finite lr the one Adam step of a one-batch run overflows; the
+    # gradients it was computed from are still finite
+    data = [gen_adding(Rng(50), 8, 2)]
+    cfg = tiny_train_config(task="adding", epochs=1, batch_size=1,
+                            lr=sys.float_info.max, clip_norm=None)
+    logged = []
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+        train_model(cfg, data, data, log=logged.append)
+    assert str(err.value) == ("training diverged in epoch 0, batch 0: "
+                              "the update made enc_w1 non-finite")
+    assert logged == []
 
 
 # ------------------------------------------------------------------ evaluation
