@@ -10,8 +10,7 @@ from .numerics import (Tape, Tensor, backward, grad_check, matmul,
                        sample_gumbel, softmax)
 from .rng import Rng
 from .attention import attend, gumbel_st_select, topk_mask
-from .recurrent import SchemaBank, SchemaParams, gru_step, init_schema, \
-    recurrent_param_count
+from .recurrent import SchemaParams, gru_step, init_schema, recurrent_param_count
 from .layer import ScoffConfig, ScoffLayer, StepTrace
 from .codec import CodecConfig, FrameReadout, PositionEncoder, ScalarReadout, \
     TokenEncoder
@@ -22,8 +21,8 @@ from .training import (Adam, MetricsRecord, TrainConfig, bce_per_frame,
 
 __all__ = [
     "Tape", "Tensor", "backward", "grad_check", "matmul", "sample_gumbel",
-    "softmax", "Rng", "attend", "gumbel_st_select", "topk_mask", "SchemaBank",
-    "SchemaParams", "gru_step", "init_schema", "recurrent_param_count",
+    "softmax", "Rng", "attend", "gumbel_st_select", "topk_mask", "SchemaParams",
+    "gru_step", "init_schema", "recurrent_param_count",
     "ScoffConfig", "ScoffLayer", "StepTrace", "CodecConfig", "FrameReadout",
     "PositionEncoder", "ScalarReadout", "TokenEncoder", "GruBaseline",
     "ScoffModel", "Adam", "MetricsRecord", "TrainConfig", "bce_per_frame",

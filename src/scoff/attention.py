@@ -12,7 +12,7 @@ from .rng import Rng
 
 class AttentionProjections:
     """Per-head query/key/value maps. Head outputs are concatenated, with no
-    output mixing matrix; the concatenated value width is ``value_width``.
+    output mixing matrix.
     """
 
     def __init__(self, query: list, key: list, value: list, dropout: float = 0.0):
@@ -45,14 +45,6 @@ class AttentionProjections:
     @property
     def heads(self) -> int:
         return len(self.query)
-
-    @property
-    def key_width(self) -> int:
-        return self.query[0].shape[1]
-
-    @property
-    def value_width(self) -> int:
-        return sum(v.shape[1] for v in self.value)
 
     def named(self, prefix: str) -> dict:
         """{prefix}q{h}, {prefix}k{h}, {prefix}v{h}, head by head."""

@@ -43,14 +43,11 @@ def _field_keys(cls, derived=()) -> dict:
 
 # key -> (type, default). Model, codec and training keys come from the config
 # dataclasses; the literal entries are what no field holds. None defaults are
-# filled per task after merging; a 0 for n_sel or baseline_width means "all
-# slots active" and "n_f * d_h".
+# filled per task after merging.
 _KEYS = {
     **_field_keys(TrainConfig),
     **_field_keys(ScoffConfig, derived=("d_in",)),  # d_in is the encoder width
     **_field_keys(CodecConfig),
-    "n_sel": (int, 0),
-    "baseline_width": (int, 0),
     "lr": (float, None),
     "burn_in": (int, None),
     "horizon": (int, None),
@@ -152,9 +149,8 @@ def _from_fields(cls, r: dict, **given):
 
 def to_train_config(r: dict) -> TrainConfig:
     codec = _from_fields(CodecConfig, r)
-    scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a, n_sel=r["n_sel"] or None)
-    return _from_fields(TrainConfig, r, scoff=scoff, codec=codec,
-                        baseline_width=r["baseline_width"] or None)
+    scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a)
+    return _from_fields(TrainConfig, r, scoff=scoff, codec=codec)
 
 
 def _write_snapshot(out_dir: str, resolved: dict) -> None:
@@ -280,7 +276,7 @@ def cmd_trace(run: RunConfig, resolved: dict) -> int:
     traces, _ = collect_traces(model, subset)
     os.makedirs(run.out_dir, exist_ok=True)
     with open(os.path.join(run.out_dir, "traces.jsonl"), "w") as f:
-        write_traces(f, traces[0])
+        write_traces(f, traces)
     flat = [t for seq in traces for t in seq]
     usage = schema_usage(flat, cfg.scoff.n_s)
     with open(os.path.join(run.out_dir, "schema_usage.csv"), "w") as f:

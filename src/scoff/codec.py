@@ -33,16 +33,31 @@ class CodecConfig:
         return self.d_c + self.d_pos
 
 
+class Perceptron:
+    """Row-wise tanh(x·w1 + b1)·w2 + b2, its parameters named by ``prefix``."""
+
+    def __init__(self, rng: Rng, n_in: int, n_hidden: int, n_out: int, prefix: str):
+        self.prefix = prefix
+        self.w1 = nm.glorot(rng, n_in, n_hidden)
+        self.b1 = nm.zeros(n_hidden, requires_grad=True)
+        self.w2 = nm.glorot(rng, n_hidden, n_out)
+        self.b2 = nm.zeros(n_out, requires_grad=True)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return nm.matmul(nm.tanh(nm.matmul(x, self.w1) + self.b1), self.w2) + self.b2
+
+    def params(self) -> dict:
+        p = self.prefix
+        return {p + "w1": self.w1, p + "b1": self.b1, p + "w2": self.w2, p + "b2": self.b2}
+
+
 class EncoderBase:
     """Shared two-layer input perceptron plus one learned embedding per position."""
 
     def __init__(self, rng: Rng, n_in: int, positions: int, cfg: CodecConfig):
         self.cfg = cfg
         self.positions = positions
-        self.w1 = nm.glorot(rng, n_in, cfg.enc_hidden)
-        self.b1 = nm.zeros(cfg.enc_hidden, requires_grad=True)
-        self.w2 = nm.glorot(rng, cfg.enc_hidden, cfg.d_c)
-        self.b2 = nm.zeros(cfg.d_c, requires_grad=True)
+        self.mlp = Perceptron(rng, n_in, cfg.enc_hidden, cfg.d_c, "enc_")
         self.pos_table = nm.glorot(rng, positions, cfg.d_pos)
 
     @property
@@ -51,12 +66,10 @@ class EncoderBase:
 
     def _encode_rows(self, x: Tensor) -> Tensor:
         """[positions, d_a]: each input row's encoding with its position embedding."""
-        c = nm.matmul(nm.tanh(nm.matmul(x, self.w1) + self.b1), self.w2) + self.b2
-        return nm.concat([c, self.pos_table], axis=1)
+        return nm.concat([self.mlp(x), self.pos_table], axis=1)
 
     def params(self) -> dict:
-        return {"enc_w1": self.w1, "enc_b1": self.b1, "enc_w2": self.w2,
-                "enc_b2": self.b2, "enc_pos": self.pos_table}
+        return {**self.mlp.params(), "enc_pos": self.pos_table}
 
 
 class PositionEncoder(EncoderBase):
@@ -87,7 +100,7 @@ class PositionEncoder(EncoderBase):
             raise ValueError(f"expected {self.height}x{self.width} frame, got {frame.shape}")
         if frame.min() < 0.0 or frame.max() > 1.0:
             raise ValueError("frame values must lie in [0, 1]")
-        return self._encode_rows(Tensor._lift(self.patch_rows(frame)))
+        return self._encode_rows(nm.record(self.patch_rows(frame), (), None))
 
 
 class TokenEncoder(EncoderBase):
@@ -109,21 +122,17 @@ class ReadoutBase:
 
     def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig):
         self.cfg = cfg
-        self.w1 = nm.glorot(rng, d_h, cfg.readout_hidden)
-        self.b1 = nm.zeros(cfg.readout_hidden, requires_grad=True)
-        self.w2 = nm.glorot(rng, cfg.readout_hidden, cfg.readout_width)
-        self.b2 = nm.zeros(cfg.readout_width, requires_grad=True)
+        self.mlp = Perceptron(rng, d_h, cfg.readout_hidden, cfg.readout_width, "ro_")
         self.pool_q = nm.glorot(rng, cfg.readout_width, 1)
 
     def pooled(self, state: Tensor) -> Tensor:
         """[1, readout_width]: transform rows, pool with the learned query."""
-        rows = nm.matmul(nm.tanh(nm.matmul(state, self.w1) + self.b1), self.w2) + self.b2
+        rows = self.mlp(state)
         w = nm.softmax(nm.matmul(rows, self.pool_q), axis=0)
         return nm.matmul(nm.transpose(w), rows)
 
     def params(self) -> dict:
-        return {"ro_w1": self.w1, "ro_b1": self.b1, "ro_w2": self.w2,
-                "ro_b2": self.b2, "ro_pool": self.pool_q}
+        return {**self.mlp.params(), "ro_pool": self.pool_q}
 
 
 class FrameReadout(ReadoutBase):
@@ -139,32 +148,23 @@ class FrameReadout(ReadoutBase):
     def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig, encoder: PositionEncoder):
         super().__init__(rng, d_h, cfg)
         self.encoder = encoder
-        s = cfg.patch
-        self.w_dec1 = nm.glorot(rng, cfg.readout_width + cfg.d_pos, cfg.dec_hidden)
-        self.b_dec1 = nm.zeros(cfg.dec_hidden, requires_grad=True)
-        self.w_dec2 = nm.glorot(rng, cfg.dec_hidden, s * s)
-        self.b_dec2 = nm.zeros(s * s, requires_grad=True)
-        self._ones = Tensor._lift(np.ones((encoder.positions, 1)))
+        self.decoder = Perceptron(rng, cfg.readout_width + cfg.d_pos, cfg.dec_hidden,
+                                  cfg.patch * cfg.patch, "ro_dec_")
+        self._ones = nm.record(np.ones((encoder.positions, 1)), (), None)
 
     def readout(self, state: Tensor) -> Tensor:
         """[H, W] logits."""
         pooled = self.pooled(state)
         rows = nm.matmul(self._ones, pooled)  # broadcast pooled to every position
         rows = nm.concat([rows, self.encoder.pos_table], axis=1)
-        hidden = nm.tanh(nm.matmul(rows, self.w_dec1) + self.b_dec1)
-        patches = nm.matmul(hidden, self.w_dec2) + self.b_dec2
+        patches = self.decoder(rows)
         gh, gw = self.encoder.grid
         s = self.cfg.patch
         img = nm.transpose(nm.reshape(patches, (gh, gw, s, s)), (0, 2, 1, 3))
         return nm.reshape(img, (self.encoder.height, self.encoder.width))
 
     def params(self) -> dict:
-        out = super().params()
-        out["ro_dec_w1"] = self.w_dec1
-        out["ro_dec_b1"] = self.b_dec1
-        out["ro_dec_w2"] = self.w_dec2
-        out["ro_dec_b2"] = self.b_dec2
-        return out
+        return {**super().params(), **self.decoder.params()}
 
 
 class ScalarReadout(ReadoutBase):

@@ -15,7 +15,7 @@ from . import numerics as nm
 from .attention import (AttentionProjections, attend, gumbel_st_select,
                         topk_mask)
 from .numerics import Tensor
-from .recurrent import SchemaBank, gru_step, init_schema
+from .recurrent import gru_step, init_schema
 from .rng import Rng
 
 
@@ -40,14 +40,12 @@ class ScoffConfig:
     comm_heads: int = 2
     comm_keys: int = 16
     comm_dropout: float = 0.1
-    n_sel: "int | None" = None
+    n_sel: int = 0  # slots updated per step; 0: all of them
     tau: float = 1.0
     hard_selection: bool = True
     comm_sparse: bool = False
 
     def __post_init__(self):
-        if self.n_sel is None:
-            self.n_sel = self.n_f
         self.validate()
 
     def validate(self) -> None:
@@ -55,8 +53,8 @@ class ScoffConfig:
                      "inp_values", "sel_keys", "comm_heads", "comm_keys"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 1 <= self.n_sel <= self.n_f:
-            raise ValueError(f"n_sel must lie in [1, {self.n_f}], got {self.n_sel}")
+        if not 0 <= self.n_sel <= self.n_f:
+            raise ValueError(f"n_sel must lie in [0, {self.n_f}], got {self.n_sel}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.inp_values % self.inp_heads:
@@ -103,11 +101,10 @@ class ScoffLayer:
         self.comm_proj = AttentionProjections.build(
             rng, c.d_h, c.d_h, c.d_h, c.comm_heads, c.comm_keys, c.d_h,
             c.comm_dropout)
-        self.bank = SchemaBank(
-            [init_schema(rng, c.inp_values, c.d_h) for _ in range(c.n_s)])
+        self.bank = [init_schema(rng, c.inp_values, c.d_h) for _ in range(c.n_s)]
 
     def init_state(self) -> Tensor:
-        return Tensor._lift(np.zeros((self.config.n_f, self.config.d_h)))
+        return nm.record(np.zeros((self.config.n_f, self.config.d_h)), (), None)
 
     # ---- step 2: competition over input positions ----------------------
 
@@ -139,7 +136,7 @@ class ScoffLayer:
         Returns (new rows [n_f, d_h], indices [n_f], soft scores [n_f, n_s]).
         """
         c = self.config
-        hyps = [gru_step(z, state, self.bank[j]) for j in range(c.n_s)]
+        hyps = [gru_step(z, state, theta) for theta in self.bank]
         hstack = nm.stack(hyps, axis=1)  # [n_f, n_s, d_h]
         keys = nm.reshape(
             nm.matmul(nm.reshape(hstack, (c.n_f * c.n_s, c.d_h)), self.sel_key),
@@ -167,7 +164,8 @@ class ScoffLayer:
         update, mean_w = _heads(self.comm_proj, state_prev, state_new, "candidates",
                                 1.0 / math.sqrt(self.config.comm_keys), rng, training)
         if receive_mask is not None:
-            update = update * Tensor._lift(receive_mask.astype(np.float64).reshape(-1, 1))
+            update = update * nm.record(receive_mask.astype(np.float64).reshape(-1, 1),
+                                       (), None)
         return state_new + update, mean_w
 
     # ---- one full step ----------------------------------------------------
@@ -177,7 +175,7 @@ class ScoffLayer:
         """Read, select-and-update the most relevant slots, communicate."""
         c = self.config
         z, w_in, relevance = self.input_read(features, state, rng, training)
-        if c.n_sel < c.n_f:
+        if 0 < c.n_sel < c.n_f:
             active = topk_mask(relevance, c.n_sel)
         else:
             active = np.ones(c.n_f, dtype=bool)
@@ -186,7 +184,7 @@ class ScoffLayer:
             h_mid = h_upd
         else:
             mask = active.astype(np.float64).reshape(-1, 1)
-            h_mid = h_upd * Tensor._lift(mask) + state * Tensor._lift(1.0 - mask)
+            h_mid = h_upd * nm.record(mask, (), None) + state * nm.record(1.0 - mask, (), None)
             indices = np.where(active, indices, -1)
             soft = soft * active.reshape(-1, 1)
         recv = active if (c.comm_sparse and not active.all()) else None
@@ -194,19 +192,6 @@ class ScoffLayer:
         trace = StepTrace(input_weights=w_in, active=active, schema=indices,
                           schema_scores=soft, comm_weights=w_comm)
         return state_out, trace
-
-    def rollout(self, feature_seq: list, initial: "Tensor | None" = None,
-                rng: "Rng | None" = None, training: bool = False):
-        """Fold :meth:`step` over the sequence; returns (states, traces)."""
-        if not feature_seq:
-            raise ValueError("rollout needs a non-empty feature sequence")
-        state = self.init_state() if initial is None else initial
-        states, traces = [], []
-        for features in feature_seq:
-            state, trace = self.step(features, state, rng, training)
-            states.append(state)
-            traces.append(trace)
-        return states, traces
 
     def parameters(self) -> dict:
         out = {**self.input_proj.named("inp_"), "sel_q": self.sel_query,
@@ -235,10 +220,12 @@ def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,
 
 
 def write_traces(f, traces: list) -> None:
-    """JSON-lines trace stream, one record per timestep."""
-    for t, trace in enumerate(traces):
-        f.write(json.dumps(trace.to_record(t), sort_keys=True))
-        f.write("\n")
+    """JSON-lines trace stream, one record per timestep of each sequence in
+    ``traces`` (one list of step traces per sequence)."""
+    for seq, steps in enumerate(traces):
+        for t, trace in enumerate(steps):
+            f.write(json.dumps({"seq": seq, **trace.to_record(t)}, sort_keys=True))
+            f.write("\n")
 
 
 def schema_usage(traces: list, n_s: int) -> np.ndarray:

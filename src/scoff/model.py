@@ -16,7 +16,7 @@ import numpy as np
 from .codec import (CodecConfig, FrameReadout, PositionEncoder, ScalarReadout,
                     TokenEncoder)
 from .layer import ScoffConfig, ScoffLayer
-from .numerics import Tensor
+from .numerics import Tensor, record
 from .recurrent import gru_step, init_schema
 from .rng import Rng
 from .tasks import GRID
@@ -69,7 +69,7 @@ class ScoffModel(SequenceModel):
                 f"layer d_in {scoff_cfg.d_in} must equal encoder width {codec_cfg.d_a}")
         self.config = scoff_cfg
         super().__init__(task, scoff_cfg.d_h, codec_cfg, rng)
-        self._zero_noise = Tensor._lift(np.zeros((scoff_cfg.n_f, scoff_cfg.n_s)))
+        self._zero_noise = record(np.zeros((scoff_cfg.n_f, scoff_cfg.n_s)), (), None)
 
     def _build_core(self, rng: Rng) -> None:
         self.layer = ScoffLayer(self.config, rng)
@@ -102,7 +102,7 @@ class GruBaseline(SequenceModel):
         return self.cell.named("cell.")
 
     def init_state(self) -> Tensor:
-        return Tensor._lift(np.zeros((1, self.width)))
+        return record(np.zeros((1, self.width)), (), None)
 
     def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None,
              training: bool = False):

@@ -62,9 +62,6 @@ class Tape:
         _TLS.stack.pop()
         return False
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 class Tensor:
     """Row-major float64 array, the sole numeric carrier and autodiff node.
@@ -87,17 +84,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-
-    @staticmethod
-    def _lift(arr: np.ndarray) -> "Tensor":
-        # trusted float64 constant, skips validation
-        t = Tensor.__new__(Tensor)
-        t.data = arr
-        t.requires_grad = False
-        t.grad = None
-        t._parents = ()
-        t._backward = None
-        return t
 
     @property
     def shape(self) -> tuple:
@@ -128,17 +114,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division by a tensor is not supported; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis, keepdims)
@@ -346,11 +321,9 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
-        if axis is None:
-            accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        accum(a, np.broadcast_to(g, a.data.shape).copy())
 
     return record(np.asarray(out), (a,), back)
 
@@ -432,7 +405,7 @@ def logistic_loss_mean(logits, targets) -> Tensor:
 
 def sample_gumbel(rng: Rng, shape) -> Tensor:
     """Gumbel(0,1) noise, -log(-log(u)); deterministic given the rng state."""
-    return Tensor._lift(np.asarray(rng.gumbel(shape), dtype=np.float64))
+    return record(np.asarray(rng.gumbel(shape), dtype=np.float64), (), None)
 
 
 # ---- backward engine ------------------------------------------------------

@@ -1,5 +1,5 @@
-"""GRU cell whose parameters arrive per call, plus the bank of such parameter
-blocks and the recurrent parameter accounting.
+"""GRU cell whose parameters arrive per call, the parameter block it takes,
+and the recurrent parameter accounting.
 
 A schema is exactly one :class:`SchemaParams`: the cell itself holds no
 weights, which is what lets any slot borrow any schema.
@@ -59,28 +59,6 @@ class SchemaParams:
 
     def named(self, prefix: str) -> dict:
         return {prefix + name: getattr(self, name) for name in self._FIELDS}
-
-
-class SchemaBank:
-    """Ordered schemata sharing d_in and d_h."""
-
-    def __init__(self, schemas: list):
-        if not schemas:
-            raise ValueError("a schema bank needs at least one schema")
-        d_in, d_h = schemas[0].d_in, schemas[0].d_h
-        for s in schemas:
-            if (s.d_in, s.d_h) != (d_in, d_h):
-                raise ValueError("all schemata must share dimensions")
-        self.schemas = list(schemas)
-
-    def __len__(self) -> int:
-        return len(self.schemas)
-
-    def __getitem__(self, j: int) -> SchemaParams:
-        return self.schemas[j]
-
-    def __iter__(self):
-        return iter(self.schemas)
 
 
 def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:

@@ -49,17 +49,6 @@ class FrameSequence:
     def length(self) -> int:
         return self.frames.shape[0]
 
-    def rerender(self) -> np.ndarray:
-        """Frames recomputed from the recorded ball states."""
-        if self.positions is None:
-            raise ValueError("sequence carries no ball states")
-        out = np.zeros_like(self.frames)
-        for t in range(self.length):
-            mode = int(self.labels[t]) if self.indicators else None
-            out[t] = render_frame(self.positions[t], indicator_mode=mode,
-                                  occluder=self.occluder)
-        return out
-
 
 @dataclass
 class AddingSequence:

@@ -10,7 +10,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -30,7 +30,7 @@ class TrainConfig:
     model: str = "scoff"  # "scoff" or "gru"
     scoff: ScoffConfig = field(default_factory=ScoffConfig)
     codec: CodecConfig = field(default_factory=CodecConfig)
-    baseline_width: "int | None" = None  # default: n_f * d_h, matched hidden size
+    baseline_width: int = 0  # 0: n_f * d_h, the matched hidden size
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
@@ -44,9 +44,7 @@ class TrainConfig:
     eval_subset: int = 32
 
     def resolved_baseline_width(self) -> int:
-        if self.baseline_width is not None:
-            return self.baseline_width
-        return self.scoff.n_f * self.scoff.d_h
+        return self.baseline_width or self.scoff.n_f * self.scoff.d_h
 
 
 @dataclass
@@ -63,15 +61,8 @@ class MetricsRecord:
     def to_json(self) -> str:
         # wall-clock is intentionally left out so metrics files are
         # reproducible byte for byte from (seed, config)
-        rec = {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "eval_losses": self.eval_losses,
-            "eval_teacher": self.eval_teacher,
-            "schema_usage": self.schema_usage,
-            "alignment_purity": self.alignment_purity,
-            "dead_schemata": self.dead_schemata,
-        }
+        rec = asdict(self)
+        del rec["wall_seconds"]
         return json.dumps(rec, sort_keys=True)
 
 
@@ -264,18 +255,17 @@ def schema_alignment_purity(traces: list, labels: list) -> float:
             j = int(trace.schema[k])
             if j >= 0:
                 counts[j, mode] += 1.0
-    if counts.sum() == 0:
+    total = counts.sum()
+    if total == 0:
         raise ValueError("no selections to score")
-    n_s, n_m = counts.shape
-    if min(n_s, n_m) > 8:
+    if counts.shape[1] > counts.shape[0]:
+        counts = counts.T  # search over the narrower side: rows >= columns
+    rows, cols = counts.shape
+    if cols > 8:
         raise ValueError("assignment enumeration capped at 8 on the smaller side")
-    if n_m <= n_s:
-        best = max(sum(counts[p[i], i] for i in range(n_m))
-                   for p in permutations(range(n_s), n_m))
-    else:
-        best = max(sum(counts[j, p[j]] for j in range(n_s))
-                   for p in permutations(range(n_m), n_s))
-    return float(best / counts.sum())
+    best = max(sum(counts[p[i], i] for i in range(cols))
+               for p in permutations(range(rows), cols))
+    return float(best / total)
 
 
 # ---- the training loop -------------------------------------------------------
@@ -308,6 +298,8 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                                                  training=True)
                 backward(loss, tape)
                 epoch_loss += loss.item()
+                # free this graph before the next sequence's forward pass
+                del loss, tape
                 for trace in traces:
                     if trace is None:
                         continue

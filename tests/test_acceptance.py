@@ -120,13 +120,13 @@ def test_criterion_2_exchangeability_suite():
         noise_np = np.asarray(rng.gumbel((n_f, n_s)))
 
         out, trace = layer.step(feats, Tensor(state_np),
-                                noise=Tensor._lift(noise_np))
+                                noise=Tensor(noise_np))
 
         # slot permutation equivariance with matched noise
         perm = list(range(n_f))
         rng.shuffle(perm)
         out_p, trace_p = layer.step(feats, Tensor(state_np[perm]),
-                                    noise=Tensor._lift(noise_np[perm]))
+                                    noise=Tensor(noise_np[perm]))
         delta = float(np.max(np.abs(out_p.data - out.data[perm])))
         worst_slot = max(worst_slot, delta)
         assert delta < 1e-12
@@ -135,11 +135,11 @@ def test_criterion_2_exchangeability_suite():
         # schema permutation invariance with matched noise
         sperm = list(range(n_s))
         rng.shuffle(sperm)
-        old = list(layer.bank.schemas)
-        layer.bank.schemas = [old[j] for j in sperm]
+        old = layer.bank
+        layer.bank = [old[j] for j in sperm]
         out_s, trace_s = layer.step(feats, Tensor(state_np),
-                                    noise=Tensor._lift(noise_np[:, sperm]))
-        layer.bank.schemas = old
+                                    noise=Tensor(noise_np[:, sperm]))
+        layer.bank = old
         delta = float(np.max(np.abs(out_s.data - out.data)))
         worst_schema = max(worst_schema, delta)
         assert delta < 1e-12

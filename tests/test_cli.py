@@ -62,7 +62,8 @@ def test_empty_file_plus_task_gives_full_defaults(tmp_path):
         cfg = to_train_config(resolved)
         assert cfg.task == task and cfg.lr == expected["lr"]
         assert cfg.scoff.n_f == 6 and cfg.scoff.n_s == 4
-        assert cfg.scoff.n_sel == 6 and cfg.baseline_width is None
+        assert cfg.scoff.n_sel == 0 and cfg.baseline_width == 0
+        assert cfg.resolved_baseline_width() == 6 * 32
         assert cfg.scoff.d_in == cfg.codec.d_a == 24
 
 
@@ -93,7 +94,8 @@ def test_comm_values_must_match_d_h():
     from scoff.rng import Rng
     for d_h in (8, 32):
         cfg = to_train_config(parse_config(None, ["task=switching", f"d_h={d_h}"]))
-        assert ScoffLayer(cfg.scoff, Rng(0)).comm_proj.value_width == d_h
+        values = ScoffLayer(cfg.scoff, Rng(0)).comm_proj.value
+        assert sum(v.shape[1] for v in values) == d_h
 
 
 def test_file_error_carries_line_number(tmp_path):
@@ -214,9 +216,12 @@ def test_train_eval_trace_pipeline(tmp_path, capsys):
                    "--set", f"checkpoint={os.path.join(run_dir, 'checkpoint')}",
                    "--out", trace_dir) == 0
     trace_lines = open(os.path.join(trace_dir, "traces.jsonl")).read().splitlines()
-    assert len(trace_lines) == 12  # length 13 sequence -> 12 prediction steps
-    rec = json.loads(trace_lines[0])
-    assert set(rec) == {"t", "active", "schema", "input_weights", "comm_weights"}
+    # every traced sequence (2), each of length 13 -> 12 prediction steps
+    assert len(trace_lines) == 2 * 12
+    recs = [json.loads(line) for line in trace_lines]
+    assert [(r["seq"], r["t"]) for r in recs] == [(s, t) for s in range(2) for t in range(12)]
+    rec = recs[0]
+    assert set(rec) == {"seq", "t", "active", "schema", "input_weights", "comm_weights"}
     assert len(rec["active"]) == 2
     assert len(rec["input_weights"]) == 2      # n_f rows
     assert len(rec["input_weights"][0]) == 16  # P columns

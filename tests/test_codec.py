@@ -93,8 +93,8 @@ def test_token_encoder_single_row():
 # -------------------------------------------------------------------- readout
 
 def pooled_oracle(head, state):
-    w1, b1 = head.w1.data, head.b1.data
-    w2, b2 = head.w2.data, head.b2.data
+    w1, b1 = head.mlp.w1.data, head.mlp.b1.data
+    w2, b2 = head.mlp.w2.data, head.mlp.b2.data
     n, width = state.shape[0], w2.shape[1]
     rows = np.zeros((n, width))
     for i in range(n):
@@ -151,10 +151,10 @@ def test_frame_readout_patch_assembly_orientation():
     # each 4x4 patch of the assembled image must carry that ramp
     enc = PositionEncoder(Rng(20), 16, 16, small_codec())
     head = FrameReadout(Rng(21), 6, small_codec(), enc)
-    head.w_dec1.data[...] = 0.0
-    head.b_dec1.data[...] = 0.0
-    head.w_dec2.data[...] = 0.0
-    head.b_dec2.data[...] = np.arange(16.0)
+    head.decoder.w1.data[...] = 0.0
+    head.decoder.b1.data[...] = 0.0
+    head.decoder.w2.data[...] = 0.0
+    head.decoder.b2.data[...] = np.arange(16.0)
     out = head.readout(Tensor(np.zeros((2, 6)))).data
     ramp = np.arange(16.0).reshape(4, 4)
     for gi in range(4):

@@ -1,0 +1,102 @@
+"""Golden artifacts: a fixed recipe run through the CLI must reproduce known
+bytes, so a refactor that claims to keep every artifact byte-identical is
+checked by the unit suite rather than by hand.
+
+The recipe runs, in this process, ``gen-data`` (8 train / 4 test sequences),
+``train`` (2 epochs, batch 4, eval subset 2), ``eval`` and, for scoff
+checkpoints, ``trace`` on ``switching_mini``, ``bouncing_mini`` (scoff and
+``model=gru``) and ``adding_mini``, then ``check-grad``. Each artifact is
+compared by SHA-256. ``resolved_config.cfg`` and the ``config`` part of
+``manifest.json`` embed the data path and are left out; of the manifest only
+its ``tensors`` list is hashed.
+
+The digests were taken with Python 3.11.7 and numpy 2.4.6 linked against
+scipy-openblas 0.3.31 (x86-64). Float results can differ in the last bit
+under another BLAS build or CPU kernel; if they do, this test fails on that
+build, and the digests must be retaken there from a commit known to be good.
+"""
+
+import hashlib
+import json
+import os
+
+from scoff.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+
+RUNS = (("switching", "switching_mini", ()),
+        ("bouncing", "bouncing_mini", ()),
+        ("bouncing_gru", "bouncing_mini", ("--set", "model=gru")),
+        ("adding", "adding_mini", ()))
+
+# SHA-256 prefixes (12 hex digits) by artifact; "file:key" hashes one key
+# of a JSON file, re-serialized with sorted keys
+GOLDEN = {
+    "switching/data/train.scfd": "80ad636a71bc",
+    "switching/data/test.scfd": "fa336d04675e",
+    "switching/train/metrics.jsonl": "1abc85c3a540",
+    "switching/train/checkpoint/tensors.bin": "493b866d686b",
+    "switching/train/checkpoint/manifest.json:tensors": "46db5a9bc8f1",
+    "switching/eval/rollout_curve.csv": "b56e68b420af",
+    "switching/trace/schema_usage.csv": "f19a02de582b",
+    "switching/trace/traces.jsonl": "54a2c4d3f275",
+    "bouncing/data/train.scfd": "677a533d3700",
+    "bouncing/data/test.scfd": "ff0731ea192d",
+    "bouncing/train/metrics.jsonl": "b9564382b80b",
+    "bouncing/train/checkpoint/tensors.bin": "bfceba1ac687",
+    "bouncing/train/checkpoint/manifest.json:tensors": "89b2f2fd7877",
+    "bouncing/eval/rollout_curve.csv": "4ef58686139f",
+    "bouncing/trace/schema_usage.csv": "d0dcd9ae7dff",
+    "bouncing/trace/traces.jsonl": "67da78b79d56",
+    "bouncing_gru/data/train.scfd": "677a533d3700",
+    "bouncing_gru/data/test.scfd": "ff0731ea192d",
+    "bouncing_gru/train/metrics.jsonl": "5215c76de89b",
+    "bouncing_gru/train/checkpoint/tensors.bin": "a3a829156add",
+    "bouncing_gru/train/checkpoint/manifest.json:tensors": "e96e4613136f",
+    "bouncing_gru/eval/rollout_curve.csv": "d4a981002b08",
+    "adding/data/train.scfd": "859e755d4f0e",
+    "adding/data/test.scfd": "4ab84a03c646",
+    "adding/train/metrics.jsonl": "78bca8ccbcce",
+    "adding/train/checkpoint/tensors.bin": "91b019141be0",
+    "adding/train/checkpoint/manifest.json:tensors": "276c0dda051d",
+    "adding/eval/rollout_curve.csv": "1c09ac04e27e",
+    "adding/trace/schema_usage.csv": "c1733e2643e2",
+    "adding/trace/traces.jsonl": "7432cb8d93b4",
+    "check-grad:stdout": "bbe1a0f63cbd",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+def _run(*argv) -> None:
+    assert main(list(argv)) == 0, argv
+
+
+def test_recipe_artifacts_match_golden_digests(tmp_path, capsys):
+    for name, cfg, extra in RUNS:
+        config = os.path.join(CONFIGS, f"{cfg}.cfg")
+        out = tmp_path / name
+        data, ckpt = str(out / "data"), str(out / "train" / "checkpoint")
+        _run("gen-data", "--config", config, "--set", "train_count=8",
+             "--set", "test_count=4", "--out", data)
+        _run("train", "--config", config, *extra, "--set", f"data={data}",
+             "--set", "epochs=2", "--set", "batch_size=4", "--set", "eval_subset=2",
+             "--out", str(out / "train"))
+        for command in ("eval", "trace") if not extra else ("eval",):
+            _run(command, "--config", config, "--set", f"checkpoint={ckpt}",
+                 "--set", f"data={data}", "--out", str(out / command))
+    capsys.readouterr()
+    _run("check-grad")
+    digests = {"check-grad:stdout": _sha(capsys.readouterr().out.encode())}
+    for key in GOLDEN:
+        path, _, part = key.partition(":")
+        if path == "check-grad":
+            continue
+        raw = (tmp_path / path).read_bytes()
+        if part:
+            raw = json.dumps(json.loads(raw)[part], sort_keys=True).encode()
+        digests[key] = _sha(raw)
+    assert digests == GOLDEN

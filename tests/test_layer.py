@@ -106,7 +106,7 @@ def test_single_schema_reduces_to_plain_gru():
     state = Tensor(rand(rng, (3, 8)))
     z = Tensor(rand(rng, (3, 8)))
     h_new, idx, soft = layer.schema_select_update(
-        z, state, noise=Tensor._lift(np.zeros((3, 1))))
+        z, state, noise=Tensor(np.zeros((3, 1))))
     assert (idx == 0).all()
     assert np.allclose(soft, 1.0)
     plain = gru_step(z, state, layer.bank[0])
@@ -121,8 +121,8 @@ def test_identical_schemata_give_identical_updates():
     rng = Rng(11)
     state = Tensor(rand(rng, (3, 8)))
     z = Tensor(rand(rng, (3, 8)))
-    noise_a = Tensor._lift(np.column_stack([np.ones(3), np.zeros(3)]))
-    noise_b = Tensor._lift(np.column_stack([np.zeros(3), np.ones(3)]))
+    noise_a = Tensor(np.column_stack([np.ones(3), np.zeros(3)]))
+    noise_b = Tensor(np.column_stack([np.zeros(3), np.ones(3)]))
     h_a, idx_a, _ = layer.schema_select_update(z, state, noise=noise_a)
     h_b, idx_b, _ = layer.schema_select_update(z, state, noise=noise_b)
     assert (idx_a == 0).all() and (idx_b == 1).all()
@@ -135,7 +135,7 @@ def test_selection_frequencies_follow_categorical_law():
     state = Tensor(rand(rng, (1, 8)))
     z = Tensor(rand(rng, (1, 8)))
     _, _, soft = layer.schema_select_update(
-        z, state, noise=Tensor._lift(np.zeros((1, 2))))
+        z, state, noise=Tensor(np.zeros((1, 2))))
     law = soft[0]  # softmax of the actual logits at tau=1
 
     noise_rng = Rng(14)
@@ -222,7 +222,7 @@ def test_step_full_degenerate_is_one_gru_step():
     feats_np = rand(rng, (5, 6))
     state = Tensor(rand(rng, (1, 8)))
     out, trace = layer.step(Tensor(feats_np), state,
-                            noise=Tensor._lift(np.zeros((1, 1))))
+                            noise=Tensor(np.zeros((1, 1))))
     v = feats_np @ layer.input_proj.value[0].data
     z = Tensor(v.sum(axis=0).reshape(1, -1))
     expect = gru_step(z, state, layer.bank[0])
@@ -231,12 +231,26 @@ def test_step_full_degenerate_is_one_gru_step():
 
 
 def test_step_dense_mode_all_active():
-    layer = make_layer(seed=23)  # n_sel defaults to n_f
+    layer = make_layer(seed=23)  # n_sel defaults to 0, every slot
     rng = Rng(24)
     out, trace = layer.step(Tensor(rand(rng, (5, 6))), layer.init_state(),
                             rng=rng)
     assert trace.active.all()
     assert (trace.schema >= 0).all()
+
+
+def test_n_sel_zero_is_every_slot_and_range_is_checked():
+    feats = Tensor(rand(Rng(30), (5, 6)))
+    runs = []
+    for n_sel in (0, 3):  # n_f = 3
+        layer = make_layer(seed=31, n_sel=n_sel)
+        runs.append(layer.step(feats, layer.init_state(), rng=Rng(32)))
+    (out_0, trace_0), (out_all, trace_all) = runs
+    assert np.array_equal(out_0.data, out_all.data)
+    assert np.array_equal(trace_0.schema, trace_all.schema)
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="n_sel"):
+            tiny_config(n_sel=bad)
 
 
 def test_sparse_mode_inactive_slots_keep_state_exactly():
@@ -293,9 +307,9 @@ def test_slot_permutation_equivariance():
         noise_np = np.asarray(rng.gumbel((4, 3)))
         perm = [3, 1, 0, 2]
         out, trace = layer.step(feats, Tensor(state_np),
-                                noise=Tensor._lift(noise_np))
+                                noise=Tensor(noise_np))
         out_p, trace_p = layer.step(feats, Tensor(state_np[perm]),
-                                    noise=Tensor._lift(noise_np[perm]))
+                                    noise=Tensor(noise_np[perm]))
         assert np.max(np.abs(out_p.data - out.data[perm])) < 1e-12
         assert (trace_p.schema == trace.schema[perm]).all()
 
@@ -307,14 +321,14 @@ def test_schema_permutation_invariance():
         state = Tensor(rand(rng, (3, 8)))
         feats = Tensor(rand(rng, (5, 6)))
         noise_np = np.asarray(rng.gumbel((3, 3)))
-        out, trace = layer.step(feats, state, noise=Tensor._lift(noise_np))
+        out, trace = layer.step(feats, state, noise=Tensor(noise_np))
 
         perm = [2, 0, 1]  # new bank slot j holds old schema perm[j]
-        old = list(layer.bank.schemas)
-        layer.bank.schemas = [old[j] for j in perm]
+        old = layer.bank
+        layer.bank = [old[j] for j in perm]
         out_p, trace_p = layer.step(feats, state,
-                                    noise=Tensor._lift(noise_np[:, perm]))
-        layer.bank.schemas = old
+                                    noise=Tensor(noise_np[:, perm]))
+        layer.bank = old
         assert np.max(np.abs(out_p.data - out.data)) < 1e-12
         # selected identities map through the permutation
         assert ([perm[j] for j in trace_p.schema] == trace.schema.tolist())
@@ -328,38 +342,9 @@ def test_systematicity_equal_slots_update_equally():
     feats = Tensor(rand(rng, (5, 6)))
     noise_row = np.asarray(rng.gumbel((2,)))
     noise = np.stack([noise_row, noise_row, np.asarray(rng.gumbel((2,)))])
-    out, trace = layer.step(feats, state, noise=Tensor._lift(noise))
+    out, trace = layer.step(feats, state, noise=Tensor(noise))
     assert trace.schema[0] == trace.schema[1]
     assert np.max(np.abs(out.data[0] - out.data[1])) < 1e-12
-
-
-# ------------------------------------------------------------------- rollouts
-
-def test_rollout_length_one_equals_single_step():
-    layer = make_layer(seed=50)
-    feats = Tensor(rand(Rng(51), (5, 6)))
-    states, traces = layer.rollout([feats], rng=Rng(52))
-    single, trace = layer.step(feats, layer.init_state(), rng=Rng(52))
-    assert np.array_equal(states[0].data, single.data)
-    assert len(traces) == 1
-
-
-def test_rollout_equals_manual_threaded_steps():
-    layer = make_layer(seed=53)
-    rng_feats = Rng(54)
-    seq = [Tensor(rand(rng_feats, (5, 6))) for _ in range(4)]
-    states, _ = layer.rollout(seq, rng=Rng(55))
-    state = layer.init_state()
-    manual_rng = Rng(55)
-    for t in range(4):
-        state, _ = layer.step(seq[t], state, rng=manual_rng)
-        assert np.array_equal(states[t].data, state.data)
-
-
-def test_rollout_rejects_empty_sequence():
-    layer = make_layer()
-    with pytest.raises(ValueError):
-        layer.rollout([], rng=Rng(0))
 
 
 # ---------------------------------------------------------------- gradients
@@ -386,7 +371,7 @@ def test_hard_selection_forward_onehot_soft_backward():
     rng = Rng(62)
     state = Tensor(rand(rng, (2, 8)))
     z = Tensor(rand(rng, (2, 8)))
-    noise = Tensor._lift(np.asarray(rng.gumbel((2, 3))))
+    noise = Tensor(np.asarray(rng.gumbel((2, 3))))
     with Tape() as tape:
         h_new, idx, soft = layer.schema_select_update(z, state, noise=noise)
         loss = (h_new * h_new).sum()

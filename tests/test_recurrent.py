@@ -5,8 +5,7 @@ import pytest
 
 import scoff.numerics as nm
 from scoff.numerics import Tape, Tensor, backward
-from scoff.recurrent import (SchemaBank, SchemaParams, gru_step, init_schema,
-                             recurrent_param_count)
+from scoff.recurrent import SchemaParams, gru_step, init_schema, recurrent_param_count
 from scoff.rng import Rng
 
 
@@ -56,7 +55,7 @@ def test_gru_zero_inputs_closed_form():
     th = init_schema(rng, 2, 4)
     for b in (th.b_u, th.b_c):
         b.data[...] = rand(rng, (4,))
-    out = gru_step(Tensor._lift(np.zeros((1, 2))), Tensor._lift(np.zeros((1, 4))), th)
+    out = gru_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 4))), th)
     sig = 1.0 / (1.0 + np.exp(-th.b_u.data))
     assert np.allclose(out.data[0], sig * np.tanh(th.b_c.data), atol=1e-15)
 
@@ -115,8 +114,8 @@ def test_gru_backward_is_finite_difference_clean():
     th = init_schema(rng, 2, 3)
 
     def f(params):
-        z = Tensor._lift(np.array([[0.3, -0.7]]))
-        h = Tensor._lift(np.array([[0.1, 0.2, -0.4]]))
+        z = Tensor(np.array([[0.3, -0.7]]))
+        h = Tensor(np.array([[0.1, 0.2, -0.4]]))
         out = gru_step(z, h, th)
         return (out * out).sum()
 
@@ -146,7 +145,7 @@ def unrolled_loss(cell, rows, h_grad):
     th_a, th_b = random_cell(rng, d_in, d_h), random_cell(rng, d_in, d_h)
     z = Tensor(rand(rng, (rows, d_in)), requires_grad=True)
     h0 = Tensor(rand(rng, (rows, d_h)), requires_grad=h_grad)
-    w = Tensor._lift(rand(rng, (rows, d_h)))
+    w = Tensor(rand(rng, (rows, d_h)))
     with Tape() as tape:
         h1 = cell(z, h0, th_a)
         h2 = cell(z, h1, th_b)
@@ -192,7 +191,7 @@ def test_fused_gru_grad_check_all_parents():
     th = random_cell(rng, 3, 4)
     z = Tensor(rand(rng, (4, 3)), requires_grad=True)
     h = Tensor(rand(rng, (4, 4)), requires_grad=True)
-    w = Tensor._lift(rand(rng, (4, 4)))
+    w = Tensor(rand(rng, (4, 4)))
 
     def f(params):
         return (gru_step(params[0], params[1], th) * w).sum()
@@ -206,7 +205,7 @@ def test_gru_step_appends_one_tape_node():
     z, h = Tensor(rand(rng, (2, 3))), Tensor(rand(rng, (2, 4)))
     with Tape() as tape:
         out = gru_step(z, h, th)
-    assert len(tape) == 1
+    assert len(tape.nodes) == 1
     assert tape.nodes[0] is out
 
 
@@ -263,10 +262,3 @@ def test_param_count_linear_in_bank_size_independent_of_slots():
     b, _ = recurrent_param_count(9, 3, 7, 5)
     assert a == b
 
-
-def test_bank_validation():
-    rng = Rng(2)
-    with pytest.raises(ValueError):
-        SchemaBank([])
-    with pytest.raises(ValueError):
-        SchemaBank([init_schema(rng, 2, 3), init_schema(rng, 2, 4)])

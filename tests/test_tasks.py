@@ -1,11 +1,15 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scoff.rng import Rng
-from scoff.tasks import (GRID, OCCLUDER, OSC_HI, OSC_LO, AddingSequence,
-                         FrameSequence, gen_adding, gen_bouncing_mini,
+from scoff.tasks import (GRID, OCCLUDER, OSC_HI, OSC_LO, SINGLE_MODES,
+                         AddingSequence, FrameSequence, gen_adding, gen_bouncing_mini,
                          gen_single_dynamics, gen_switching_dynamics,
                          read_dataset, render_frame, write_dataset)
 
@@ -221,12 +225,22 @@ def test_generators_bit_deterministic():
     assert x.target == y.target
 
 
+def rerender(seq: FrameSequence) -> np.ndarray:
+    """Frames recomputed from the recorded ball states."""
+    out = np.zeros_like(seq.frames)
+    for t in range(seq.length):
+        mode = int(seq.labels[t]) if seq.indicators else None
+        out[t] = render_frame(seq.positions[t], indicator_mode=mode,
+                              occluder=seq.occluder)
+    return out
+
+
 def test_frames_are_binary_and_rerender_exactly():
     for seq in (gen_single_dynamics(Rng(3), 10, "accelerate"),
                 gen_switching_dynamics(Rng(4), 15),
                 gen_bouncing_mini(Rng(5), 15, 3, occluder=OCCLUDER)):
         assert set(np.unique(seq.frames)).issubset({0, 1})
-        assert np.array_equal(seq.rerender(), seq.frames)
+        assert np.array_equal(rerender(seq), seq.frames)
 
 
 # ------------------------------------------------------------------- file I/O
@@ -254,6 +268,48 @@ def test_adding_dataset_roundtrip(tmp_path):
         assert np.array_equal(a.indicators, b.indicators)
         assert a.target == b.target
         assert a.n_operands == b.n_operands
+
+
+@st.composite
+def datasets(draw):
+    """A list of generated sequences of one task, sharing one length."""
+    task = draw(st.sampled_from(("single", "switching", "bouncing", "adding")))
+    count = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32))
+    rngs = [Rng(seed).spawn(i) for i in range(count)]
+    if task == "single":
+        length = draw(st.integers(2, 24))
+        return [gen_single_dynamics(r, length, draw(st.sampled_from(SINGLE_MODES)))
+                for r in rngs]
+    if task == "switching":
+        length = 2 * draw(st.integers(5, 12)) + 1
+        return [gen_switching_dynamics(r, length) for r in rngs]
+    if task == "bouncing":
+        length, n_balls = draw(st.integers(2, 24)), draw(st.integers(1, 4))
+        occluder = OCCLUDER if draw(st.booleans()) else None
+        return [gen_bouncing_mini(r, length, n_balls, occluder) for r in rngs]
+    length = draw(st.integers(1, 40))
+    return [gen_adding(r, length, draw(st.integers(1, length))) for r in rngs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seqs=datasets())
+def test_dataset_roundtrip_any_task_count_and_length(seqs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.scfd")
+        write_dataset(path, seqs)
+        back = read_dataset(path)
+    assert len(back) == len(seqs)
+    for a, b in zip(seqs, back):
+        assert type(a) is type(b) and a.length == b.length
+        if isinstance(a, AddingSequence):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert np.array_equal(a.indicators, b.indicators)
+            assert a.target == b.target and a.n_operands == b.n_operands
+        else:
+            assert (a.task, a.indicators) == (b.task, b.indicators)
+            assert np.array_equal(a.frames, b.frames)
+            assert np.array_equal(a.labels, b.labels)
 
 
 def test_dataset_write_is_byte_deterministic(tmp_path):

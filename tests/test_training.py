@@ -1,10 +1,18 @@
+import itertools
 import math
+import os
 import sys
+import tempfile
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scoff.numerics as nm
+import scoff.training as training
 from scoff.codec import CodecConfig
 from scoff.layer import ScoffConfig, StepTrace
 from scoff.numerics import Tape, Tensor, backward
@@ -201,6 +209,20 @@ def test_purity_invariant_to_relabeling():
     assert schema_alignment_purity([seq], [1 - lab]) == pytest.approx(base)
 
 
+def test_purity_more_modes_than_schemata_matches_brute_force():
+    # n_m > n_s: the best injective map from schemata to modes
+    rng = Rng(7)
+    for n_s, n_m in ((1, 2), (2, 3), (2, 5), (3, 4)):
+        seq = [fake_trace([rng.randint(n_s)], n_s) for _ in range(60)]
+        lab = np.asarray([rng.randint(n_m) for _ in range(60)])
+        counts = np.zeros((n_s, n_m))
+        for trace, mode in zip(seq, lab):
+            counts[trace.schema[0], mode] += 1
+        best = max(sum(counts[j, p[j]] for j in range(n_s))
+                   for p in itertools.permutations(range(n_m), n_s))
+        assert schema_alignment_purity([seq], [lab]) == best / 60
+
+
 def test_purity_rejects_empty():
     with pytest.raises(ValueError):
         schema_alignment_purity([], [])
@@ -221,6 +243,31 @@ def test_train_smoke_single_epoch_finite_loss():
     assert metrics[0].train_loss >= 0.0
     assert len(metrics[0].eval_losses) == cfg.horizon
     assert len(metrics[0].schema_usage) == 2
+
+
+def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
+    # a weak reference to an array held only by each finished training graph:
+    # no earlier graph may be alive when the next sequence's forward pass starts
+    graphs, alive = [], []
+
+    class ProbeTape(Tape):
+        def __exit__(self, *exc):
+            graphs.append(weakref.ref(self.nodes[0].data))
+            return super().__exit__(*exc)
+
+    def probed_sequence_loss(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in graphs))
+        return sequence_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "Tape", ProbeTape)
+    monkeypatch.setattr(training, "sequence_loss", probed_sequence_loss)
+    for model in ("scoff", "gru"):
+        graphs.clear()
+        alive.clear()
+        train_model(tiny_train_config(model=model, epochs=2, batch_size=2),
+                    make_switching_data(3))
+        assert alive == [0] * 6, model
+        assert len(graphs) == 6
 
 
 def test_train_is_bit_deterministic():
@@ -358,6 +405,31 @@ def test_checkpoint_roundtrip(tmp_path):
     a, _ = sequence_loss(model, data[0])
     b, _ = sequence_loss(fresh, data[0])
     assert a.item() == b.item()
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.text(max_size=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.dictionaries(
+           st.text(alphabet="abcxyz_.0123456789", min_size=1, max_size=10),
+           hnp.arrays(np.float64,
+                      hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=3),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)),
+           min_size=1, max_size=5),
+       config=st.dictionaries(st.text(max_size=8), _JSON_SCALARS, max_size=6))
+def test_checkpoint_roundtrip_any_tensors_and_config(params, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = os.path.join(tmp, "ck")
+        save_checkpoint(directory, {n: Tensor(a) for n, a in params.items()}, config)
+        tensors, stored = load_checkpoint(directory)
+    assert stored == config
+    assert set(tensors) == set(params)
+    for name, arr in params.items():
+        assert tensors[name].shape == arr.shape
+        assert tensors[name].data.tobytes() == arr.tobytes()
 
 
 def test_restore_rejects_missing_params(tmp_path):
