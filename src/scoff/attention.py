@@ -102,12 +102,15 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
 
 def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
                      hard: bool = True):
-    """Gumbel selection along the last axis, for logits of any rank >= 1.
+    """Gumbel selection along the last axis, for logits of any rank >= 1, as
+    one fused tape op.
 
     index = argmax(logits + noise) per row, ties to the lowest index, and
     soft = softmax((logits + noise) / tau). With ``hard`` the returned
     selection is exactly one-hot in value but carries the gradient of soft;
-    without it the selection is soft itself. Returns (selection, soft, index).
+    without it the selection is soft itself. Returns (selection, soft as a
+    detached Tensor, index). Values and gradients are bit-identical to the
+    same chain of elementary ops (see the numerics module docstring).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -116,14 +119,22 @@ def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
     if logits.data.ndim < 1 or logits.shape != noise.shape:
         raise ValueError(f"logits and noise must share a shape of rank >= 1, "
                          f"got {logits.shape} and {noise.shape}")
-    scores = logits + noise
-    index = np.argmax(scores.data, axis=-1)
-    soft = nm.softmax(scores * (1.0 / tau), axis=-1)
-    if not hard:
-        return soft, soft, index
-    onehot = np.zeros(logits.shape)
-    np.put_along_axis(onehot, index[..., None], 1.0, axis=-1)
-    return nm.straight_through(soft, onehot), soft, index
+    scores = logits.data + noise.data
+    index = np.argmax(scores, axis=-1)
+    inv_tau = 1.0 / tau
+    soft = nm.stable_softmax(scores * inv_tau, -1)
+    if hard:
+        out = np.zeros(logits.shape)
+        np.put_along_axis(out, index[..., None], 1.0, axis=-1)
+    else:
+        out = soft
+
+    def back(g):
+        g_s = soft * (g - (g * soft).sum(axis=-1, keepdims=True)) * inv_tau
+        nm.accum(logits, g_s)
+        nm.accum(noise, g_s)
+
+    return (nm.record(out, (logits, noise), back), nm.record(soft, (), None), index)
 
 
 def topk_mask(scores, k: int) -> np.ndarray:

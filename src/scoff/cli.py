@@ -96,7 +96,8 @@ def _coerce(key: str, raw: str, where: str):
 
 
 def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) -> dict:
-    """Defaults, then file values, then overrides; unknown keys are errors."""
+    """Defaults, then file values, then overrides; unknown keys and values
+    out of range (as the config dataclasses check them) are errors."""
     resolved = {k: d for k, (_, d) in _KEYS.items()}
     if path:
         if not os.path.exists(path):
@@ -139,6 +140,10 @@ def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) ->
         resolved["burn_in"] = 10 if task == "bouncing" else 5
     if resolved["horizon"] is None:
         resolved["horizon"] = 15 if task == "bouncing" else 10
+    try:  # range checks live in the config dataclasses
+        to_train_config(resolved)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return resolved
 
 
@@ -272,7 +277,7 @@ def cmd_trace(run: RunConfig, resolved: dict) -> int:
     if model.kind != "scoff":
         raise ValueError("trace requires a scoff checkpoint")
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"))
-    subset = test[:max(1, cfg.eval_subset)]
+    subset = test[:cfg.eval_subset]
     traces, _ = collect_traces(model, subset)
     os.makedirs(run.out_dir, exist_ok=True)
     with open(os.path.join(run.out_dir, "traces.jsonl"), "w") as f:

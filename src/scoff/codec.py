@@ -44,7 +44,25 @@ class Perceptron:
         self.b2 = nm.zeros(n_out, requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return nm.matmul(nm.tanh(nm.matmul(x, self.w1) + self.b1), self.w2) + self.b2
+        """One fused tape op over the rows of x [n, n_in]."""
+        xd = x.data
+        if xd.ndim != 2 or xd.shape[1] != self.w1.shape[0]:
+            raise ValueError(f"perceptron {self.prefix!r} takes [n, {self.w1.shape[0]}] "
+                             f"rows, got {x.shape}")
+        hid = np.tanh(xd @ self.w1.data + self.b1.data)
+
+        def back(g):
+            # each parent's contributions in the order of the chain's reverse scan
+            nm.accum(self.b2, g.sum(axis=0))
+            nm.accum(self.w2, hid.T @ g)
+            g_a = (g @ self.w2.data.T) * (1.0 - hid * hid)
+            nm.accum(self.b1, g_a.sum(axis=0))
+            if x.requires_grad:
+                nm.accum(x, g_a @ self.w1.data.T)
+            nm.accum(self.w1, xd.T @ g_a)
+
+        return nm.record(hid @ self.w2.data + self.b2.data,
+                         (x, self.w1, self.b1, self.w2, self.b2), back)
 
     def params(self) -> dict:
         p = self.prefix
@@ -126,10 +144,20 @@ class ReadoutBase:
         self.pool_q = nm.glorot(rng, cfg.readout_width, 1)
 
     def pooled(self, state: Tensor) -> Tensor:
-        """[1, readout_width]: transform rows, pool with the learned query."""
+        """[1, readout_width]: transform rows, pool with the learned query
+        (softmax over rows); the pooling is one fused tape op."""
         rows = self.mlp(state)
-        w = nm.softmax(nm.matmul(rows, self.pool_q), axis=0)
-        return nm.matmul(nm.transpose(w), rows)
+        rd, qd = rows.data, self.pool_q.data
+        w = nm.stable_softmax(rd @ qd, 0)
+
+        def back(g):
+            nm.accum(rows, w @ g)
+            g_s = (g @ rd.T).T
+            g_s = w * (g_s - (g_s * w).sum(axis=0, keepdims=True))
+            nm.accum(rows, g_s @ qd.T)
+            nm.accum(self.pool_q, rd.T @ g_s)
+
+        return nm.record(w.T @ rd, (rows, self.pool_q), back)
 
     def params(self) -> dict:
         return {**self.mlp.params(), "ro_pool": self.pool_q}
@@ -150,18 +178,41 @@ class FrameReadout(ReadoutBase):
         self.encoder = encoder
         self.decoder = Perceptron(rng, cfg.readout_width + cfg.d_pos, cfg.dec_hidden,
                                   cfg.patch * cfg.patch, "ro_dec_")
-        self._ones = nm.record(np.ones((encoder.positions, 1)), (), None)
+        self._ones = np.ones((encoder.positions, 1))
 
     def readout(self, state: Tensor) -> Tensor:
         """[H, W] logits."""
-        pooled = self.pooled(state)
-        rows = nm.matmul(self._ones, pooled)  # broadcast pooled to every position
-        rows = nm.concat([rows, self.encoder.pos_table], axis=1)
-        patches = self.decoder(rows)
+        patches = self.decoder(self._decoder_input(self.pooled(state)))
+        return self._unpatch(patches)
+
+    def _decoder_input(self, pooled: Tensor) -> Tensor:
+        """[P, readout_width + d_pos]: the pooled vector at every position
+        beside that position's embedding, as one fused tape op."""
+        pos = self.encoder.pos_table
+        width = pooled.shape[1]
+
+        def back(g):
+            nm.accum(pos, g[:, width:])
+            # the ones-matrix product, not a sum over rows: the same bits as the
+            # matmul that broadcasts pooled in the forward pass
+            nm.accum(pooled, self._ones.T @ g[:, :width])
+
+        out = np.concatenate([self._ones @ pooled.data, pos.data], axis=1)
+        return nm.record(out, (pooled, pos), back)
+
+    def _unpatch(self, patches: Tensor) -> Tensor:
+        """[P, s·s] patch rows laid back out as the [H, W] frame, as one fused
+        tape op."""
         gh, gw = self.encoder.grid
         s = self.cfg.patch
-        img = nm.transpose(nm.reshape(patches, (gh, gw, s, s)), (0, 2, 1, 3))
-        return nm.reshape(img, (self.encoder.height, self.encoder.width))
+        shape = patches.shape
+
+        def back(g):
+            nm.accum(patches, g.reshape(gh, s, gw, s).transpose(0, 2, 1, 3).reshape(shape))
+
+        img = patches.data.reshape(gh, gw, s, s).transpose(0, 2, 1, 3)
+        return nm.record(img.reshape(self.encoder.height, self.encoder.width),
+                         (patches,), back)
 
     def params(self) -> dict:
         return {**super().params(), **self.decoder.params()}

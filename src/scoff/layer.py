@@ -137,12 +137,8 @@ class ScoffLayer:
         """
         c = self.config
         hyps = [gru_step(z, state, theta) for theta in self.bank]
-        hstack = nm.stack(hyps, axis=1)  # [n_f, n_s, d_h]
-        keys = nm.reshape(
-            nm.matmul(nm.reshape(hstack, (c.n_f * c.n_s, c.d_h)), self.sel_key),
-            (c.n_f, c.n_s, c.sel_keys))
-        q = nm.reshape(nm.matmul(state, self.sel_query), (c.n_f, 1, c.sel_keys))
-        logits = (q * keys).sum(axis=2)  # [n_f, n_s]
+        hstack = np.stack([h.data for h in hyps], axis=1)  # [n_f, n_s, d_h]
+        logits = _selection_logits(hyps, hstack, state, self.sel_query, self.sel_key)
         if noise is None:
             if rng is None:
                 raise ValueError("schema selection needs either an rng or explicit noise")
@@ -150,8 +146,7 @@ class ScoffLayer:
         if noise.shape != (c.n_f, c.n_s):
             raise ValueError(f"noise must be [{c.n_f}, {c.n_s}], got {noise.shape}")
         sel, soft, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
-        h_new = (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1)
-        return h_new, indices, soft.data.copy()
+        return _mix(sel, hyps, hstack), indices, soft.data.copy()
 
     # ---- step 4: communication ------------------------------------------
 
@@ -199,6 +194,47 @@ class ScoffLayer:
         for j, schema in enumerate(self.bank):
             out.update(schema.named(f"schema{j}."))
         return out
+
+
+def _selection_logits(hyps: list, hstack: np.ndarray, state: Tensor,
+                      sel_query: Tensor, sel_key: Tensor) -> Tensor:
+    """[n_f, n_s] raw dots of each slot's query with the key of each of its
+    hypotheses ``hyps`` (stacked in ``hstack`` [n_f, n_s, d_h]), as one fused
+    tape op."""
+    n_f, n_s, d_h = hstack.shape
+    flat = hstack.reshape(n_f * n_s, d_h)
+    keys = (flat @ sel_key.data).reshape(n_f, n_s, -1)
+    q = (state.data @ sel_query.data).reshape(n_f, 1, -1)
+
+    def back(g):
+        # each parent's contributions in the order of the chain's reverse scan
+        g = np.expand_dims(g, 2)
+        g_q = (g * keys).sum(axis=1)
+        nm.accum(state, g_q @ sel_query.data.T)
+        nm.accum(sel_query, state.data.T @ g_q)
+        g_k = (g * q).reshape(n_f * n_s, -1)
+        nm.accum(sel_key, flat.T @ g_k)
+        g_h = (g_k @ sel_key.data.T).reshape(n_f, n_s, d_h)
+        for j, h in enumerate(hyps):
+            nm.accum(h, g_h[:, j])
+
+    return nm.record((q * keys).sum(axis=2), (*hyps, state, sel_query, sel_key), back)
+
+
+def _mix(sel: Tensor, hyps: list, hstack: np.ndarray) -> Tensor:
+    """[n_f, d_h]: each slot's hypotheses ``hyps`` (stacked in ``hstack``)
+    weighted by its selection row and summed, as one fused tape op."""
+    n_f, n_s, _ = hstack.shape
+    sel3 = sel.data.reshape(n_f, n_s, 1)
+
+    def back(g):
+        g = np.expand_dims(g, 1)
+        nm.accum(sel, (g * hstack).sum(axis=2))
+        g_h = g * sel3
+        for j, h in enumerate(hyps):
+            nm.accum(h, g_h[:, j])
+
+    return nm.record((sel3 * hstack).sum(axis=1), (sel, *hyps), back)
 
 
 def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,

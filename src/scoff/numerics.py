@@ -10,9 +10,22 @@ Every op, built-in or defined elsewhere, takes the same path: it computes its
 output array, and :func:`record` wraps it in a Tensor and appends it to the
 active tape when any parent requires a gradient. The backward closure passed
 to ``record`` hands each parent its gradient contribution through
-:func:`accum`. A fused op (``recurrent.gru_step``, ``attention.attend``) is
-one such op whose forward and backward are written out by hand for a whole
-chain of elementary ops, so the chain costs one node instead of one per op.
+:func:`accum`. A fused op is one such op whose forward and backward are
+written out by hand for a whole chain of elementary ops, so the chain costs
+one node instead of one per op. The fused ops are:
+
+- ``tensor_mean`` (sum, then scale by 1/n);
+- ``recurrent.gru_step`` (one GRU cell over rows);
+- ``attention.attend`` (one attention head) and ``attention.gumbel_st_select``
+  (noise, temperature, softmax and the straight-through one-hot);
+- ``codec.Perceptron.__call__`` (the two-layer tanh perceptron),
+  ``ReadoutBase.pooled``'s attention pooling over slot rows, and
+  ``FrameReadout``'s decoder input (the pooled vector at every position beside
+  the position table) and unpatching (patch rows back to the frame);
+- in ``layer.ScoffLayer.schema_select_update``, the scoring of the stacked
+  schema hypotheses (key and query projections, logits) and their mixing by
+  the selection.
+
 A fused op must give the same bits as the chain it replaces: its forward
 evaluates the same numpy expressions in the same order, and its backward
 calls ``accum`` on each parent in the order in which the chain's reverse scan
@@ -329,9 +342,18 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """The sum times 1/n, as one op: the same bits as the sum-then-scale chain."""
     a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis, keepdims), 1.0 / n)
+    scale = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+    out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims) * scale)
+
+    def back(g):
+        g = g * scale
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        accum(a, np.broadcast_to(g, a.data.shape).copy())
+
+    return record(out, (a,), back)
 
 
 # ---- core contracted ops -------------------------------------------------

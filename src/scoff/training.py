@@ -43,6 +43,11 @@ class TrainConfig:
     clip_norm: float = 1.0
     eval_subset: int = 32
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "eval_subset"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def resolved_baseline_width(self) -> int:
         return self.baseline_width or self.scoff.n_f * self.scoff.d_h
 

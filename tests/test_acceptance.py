@@ -48,7 +48,7 @@ def switching_config(n_s, seed, epochs, d_h=16):
     return TrainConfig(task="switching", model="scoff", scoff=scoff,
                        codec=codec, lr=2e-3, batch_size=8, epochs=epochs,
                        seed=seed, burn_in=SWITCHING_BURN_IN, horizon=10,
-                       eval_subset=0)
+                       eval_subset=1)
 
 ADDING_TRAIN_COUNT = 2000
 ADDING_TEST_PER_N = 100

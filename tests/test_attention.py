@@ -325,6 +325,76 @@ def test_gumbel_straight_through_gradient_matches_soft_path():
         assert rel < 1e-4
 
 
+def gumbel_chain(logits, noise, tau=1.0, hard=True):
+    """Reference: Gumbel selection as a chain of elementary taped ops."""
+    scores = logits + noise
+    index = np.argmax(scores.data, axis=-1)
+    soft = nm.softmax(scores * (1.0 / tau), axis=-1)
+    if not hard:
+        return soft, soft, index
+    onehot = np.zeros(logits.shape)
+    np.put_along_axis(onehot, index[..., None], 1.0, axis=-1)
+    return nm.straight_through(soft, onehot), soft, index
+
+
+def projected_selection(select, shape, tau, hard):
+    """Selection over projected logits, the selection used twice and the
+    logits once more besides, so that every leaf collects several
+    contributions. Returns (selection, soft, index, loss, leaves)."""
+    rng = Rng(89)
+    x = Tensor(rand(rng, (*shape[:-1], 3)), requires_grad=True)
+    proj = Tensor(rand(rng, (3, shape[-1])), requires_grad=True)
+    noise = Tensor(np.asarray(rng.gumbel(shape)))
+    w = Tensor(rand(rng, shape))
+    with Tape() as tape:
+        flat = x if x.data.ndim == 2 else nm.reshape(x, (1, 3))
+        logits = nm.reshape(nm.matmul(flat, proj), shape)
+        sel, soft, index = select(logits, noise, tau, hard)
+        loss = (sel * w).sum() + (sel * logits).sum() + (logits * logits).sum()
+    backward(loss, tape)
+    return sel, soft, index, loss, [x, proj]
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3)])
+@pytest.mark.parametrize("tau", [1.0, 0.6])
+@pytest.mark.parametrize("hard", [True, False])
+def test_fused_gumbel_matches_op_chain_bit_for_bit(shape, tau, hard):
+    sel, soft, index, loss, leaves = projected_selection(gumbel_st_select, shape, tau, hard)
+    ref = projected_selection(gumbel_chain, shape, tau, hard)
+    assert np.array_equal(index, ref[2])
+    for got, want in zip((sel, soft, loss), (ref[0], ref[1], ref[3])):
+        assert np.array_equal(got.data, want.data)
+    for got, want in zip(leaves, ref[4]):
+        assert got.grad.shape == want.grad.shape
+        assert (got.grad == want.grad).all()
+    assert not soft.requires_grad
+
+
+def test_fused_gumbel_grad_check_soft_mode():
+    # the hard forward is piecewise constant, so finite differences can only
+    # check the soft mode; the straight-through contract is tested above and
+    # by criterion 4
+    rng = Rng(97)
+    logits = Tensor(rand(rng, (3, 4)), requires_grad=True)
+    noise = Tensor(np.asarray(rng.gumbel((3, 4))), requires_grad=True)
+    w = Tensor(rand(rng, (3, 4)))
+
+    def f(params):
+        sel, _, _ = gumbel_st_select(params[0], params[1], tau=0.6, hard=False)
+        return (sel * w).sum()
+
+    assert grad_check(f, [logits, noise], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("hard", [True, False])
+def test_gumbel_select_appends_one_tape_node(hard):
+    logits = Tensor(rand(Rng(99), (2, 3)), requires_grad=True)
+    with Tape() as tape:
+        sel, _, _ = gumbel_st_select(logits, Tensor(np.zeros((2, 3))), 0.5, hard)
+    assert len(tape.nodes) == 1
+    assert tape.nodes[0] is sel
+
+
 # ------------------------------------------------------------------- topk mask
 
 def test_topk_basic():

@@ -270,6 +270,25 @@ def test_non_finite_lr_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not (run_dir / "checkpoint").exists()
 
 
+@pytest.mark.parametrize("override", ["epochs=0", "batch_size=0", "eval_subset=0",
+                                      "n_sel=9"])
+def test_out_of_range_value_exits_1_before_reading_data(tmp_path, capsys, override):
+    data_dir = str(tmp_path / "data")
+    assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",
+                   "--set", "test_count=1", "--set", "length=13", "--out", data_dir) == 0
+    key = override.split("=")[0]
+    # a dataset that is there, and one that is not: a read would exit 2
+    for data in (data_dir, str(tmp_path / "missing")):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--set", "task=switching", "--set", "n_f=4",
+                       "--set", f"data={data}", "--set", override,
+                       "--out", str(run_dir)) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and key in err
+        assert not (run_dir / "metrics.jsonl").exists()
+        assert not (run_dir / "checkpoint").exists()
+
+
 def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
     data_dir = str(tmp_path / "data")
     assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import scoff.numerics as nm
-from scoff.codec import (CodecConfig, FrameReadout, PositionEncoder,
+from scoff.codec import (CodecConfig, FrameReadout, Perceptron, PositionEncoder,
                          ScalarReadout, TokenEncoder)
 from scoff.layer import ScoffConfig, ScoffLayer
-from scoff.numerics import Tensor, grad_check
+from scoff.numerics import Tape, Tensor, backward, grad_check
 from scoff.rng import Rng
 
 
@@ -207,3 +207,151 @@ def test_encode_rollout_readout_gradcheck_soft_selection():
         return nm.logistic_loss_mean(logits, frames[2])
 
     assert grad_check(f, list(params.values()), eps=1e-5) < 1e-4
+
+
+# ---------------------------------------------- fused ops against op chains
+
+def perceptron_chain(mlp, x):
+    """Reference: the perceptron as a chain of elementary taped ops."""
+    return nm.matmul(nm.tanh(nm.matmul(x, mlp.w1) + mlp.b1), mlp.w2) + mlp.b2
+
+
+def pooled_chain(head, state):
+    """Reference: the attention pooling as a chain of elementary taped ops."""
+    rows = perceptron_chain(head.mlp, state)
+    w = nm.softmax(nm.matmul(rows, head.pool_q), axis=0)
+    return nm.matmul(nm.transpose(w), rows)
+
+
+def frame_readout_chain(head, state):
+    """Reference: the frame readout as a chain of elementary taped ops."""
+    rows = nm.matmul(Tensor(head._ones), pooled_chain(head, state))
+    rows = nm.concat([rows, head.encoder.pos_table], axis=1)
+    patches = perceptron_chain(head.decoder, rows)
+    gh, gw = head.encoder.grid
+    s = head.cfg.patch
+    img = nm.transpose(nm.reshape(patches, (gh, gw, s, s)), (0, 2, 1, 3))
+    return nm.reshape(img, (head.encoder.height, head.encoder.width))
+
+
+def randomize(rng, tensors):
+    """Non-zero values for every tensor, biases included, so that no
+    gradient term vanishes."""
+    for t in tensors:
+        t.data[...] = rand(rng, t.shape)
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape
+            assert (a == b).all()
+
+
+def stacked_perceptrons(call, x_grad):
+    """Two perceptrons, the second applied twice and the first's output used
+    twice, so that x and every parameter collect several contributions.
+    Returns (outputs, leaves)."""
+    rng = Rng(101)
+    a = Perceptron(rng, 3, 5, 4, "a_")
+    b = Perceptron(rng, 4, 6, 4, "b_")
+    randomize(rng, [*a.params().values(), *b.params().values()])
+    x = Tensor(rand(rng, (5, 3)), requires_grad=x_grad)
+    w = Tensor(rand(rng, (5, 4)))
+    with Tape() as tape:
+        y1 = call(a, x)
+        y2 = call(b, y1)
+        y3 = call(b, y2)
+        loss = (y3 * w).sum() + (y1 * y1).sum()
+    backward(loss, tape)
+    return [y1, y2, y3, loss], [x, *a.params().values(), *b.params().values()]
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_fused_perceptron_matches_op_chain_bit_for_bit(x_grad):
+    outs, leaves = stacked_perceptrons(Perceptron.__call__, x_grad)
+    ref_outs, ref_leaves = stacked_perceptrons(perceptron_chain, x_grad)
+    assert_same_bits([o.data for o in outs], [o.data for o in ref_outs])
+    assert_same_bits([t.grad for t in leaves], [t.grad for t in ref_leaves])
+    assert (leaves[0].grad is None) == (not x_grad)
+
+
+def codec_graph(fused: bool):
+    """Encode a frame, mix its rows into a slot state, read the state out as
+    a frame and score it. The position table feeds both the encoder and the
+    readout. Returns (outputs, leaves)."""
+    cfg = small_codec()
+    rng = Rng(103)
+    enc = PositionEncoder(rng, 16, 16, cfg)
+    head = FrameReadout(rng, 6, cfg, enc)
+    params = [*enc.params().values(), *head.params().values()]
+    randomize(rng, params)
+    frame = np.asarray(rng.uniform((16, 16)))
+    target = (np.asarray(rng.uniform((16, 16))) > 0.5).astype(float)
+    mix = Tensor(rand(rng, (3, enc.positions)))
+    proj = Tensor(rand(rng, (cfg.d_a, 6)), requires_grad=True)
+    with Tape() as tape:
+        if fused:
+            feats = enc.encode_frame(frame)
+        else:
+            patches = nm.record(enc.patch_rows(frame), (), None)
+            feats = nm.concat([perceptron_chain(enc.mlp, patches), enc.pos_table], axis=1)
+        state = nm.matmul(nm.matmul(mix, feats), proj)
+        logits = head.readout(state) if fused else frame_readout_chain(head, state)
+        loss = nm.logistic_loss_mean(logits, target)
+    backward(loss, tape)
+    return [feats, state, logits, loss], [proj, *params]
+
+
+def test_fused_codec_matches_op_chain_bit_for_bit():
+    outs, leaves = codec_graph(fused=True)
+    ref_outs, ref_leaves = codec_graph(fused=False)
+    assert_same_bits([o.data for o in outs], [o.data for o in ref_outs])
+    assert_same_bits([t.grad for t in leaves], [t.grad for t in ref_leaves])
+
+
+def test_fused_codec_ops_grad_check():
+    cfg = small_codec()
+    rng = Rng(107)
+    enc = PositionEncoder(rng, 16, 16, cfg)
+    head = FrameReadout(rng, 6, cfg, enc)
+    randomize(rng, [*enc.params().values(), *head.params().values()])
+    x = Tensor(rand(rng, (3, 6)), requires_grad=True)
+    pooled = Tensor(rand(rng, (1, cfg.readout_width)), requires_grad=True)
+    patches = Tensor(rand(rng, (enc.positions, cfg.patch * cfg.patch)), requires_grad=True)
+
+    def weighted(t):
+        return (t * Tensor(np.linspace(-1.0, 1.0, t.data.size).reshape(t.shape))).sum()
+
+    cases = [
+        (lambda p: weighted(head.mlp(p[0])), [x, *head.mlp.params().values()]),
+        (lambda p: weighted(head.pooled(p[0])), [x, head.pool_q]),
+        (lambda p: weighted(head._decoder_input(p[0])), [pooled, enc.pos_table]),
+        (lambda p: weighted(head._unpatch(p[0])), [patches]),
+    ]
+    for f, params in cases:
+        assert grad_check(f, params, eps=1e-5) < 1e-6
+
+
+def test_each_fused_codec_op_appends_one_tape_node():
+    cfg = small_codec()
+    rng = Rng(109)
+    enc = PositionEncoder(rng, 16, 16, cfg)
+    head = FrameReadout(rng, 6, cfg, enc)
+    state = Tensor(rand(rng, (3, 6)))
+    with Tape() as tape:
+        head.readout(state)
+    # slot perceptron, pooling, decoder input, decoder, unpatching
+    assert len(tape.nodes) == 5
+    with Tape() as tape:
+        enc.encode_frame(np.zeros((16, 16)))
+    assert len(tape.nodes) == 2  # perceptron, concat with the position table
+
+
+def test_perceptron_rejects_wrong_width():
+    mlp = Perceptron(Rng(113), 3, 4, 2, "p_")
+    with pytest.raises(ValueError, match="p_"):
+        mlp(Tensor(np.zeros((2, 4))))

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import scoff.numerics as nm
-from scoff.layer import ScoffConfig, ScoffLayer, schema_usage
+from scoff.attention import gumbel_st_select
+from scoff.layer import (ScoffConfig, ScoffLayer, _mix, _selection_logits,
+                         schema_usage)
 from scoff.numerics import Tape, Tensor, backward, grad_check
+from scoff.recurrent import gru_step
 from scoff.rng import Rng
 
 
@@ -381,6 +384,96 @@ def test_hard_selection_forward_onehot_soft_backward():
         any_grad = any(t.grad is not None and np.abs(t.grad).sum() > 0
                        for t in layer.bank[j].params())
         assert any_grad, f"schema {j} got no gradient"
+
+
+def select_update_chain(layer, z, state, rng):
+    """Reference: schema selection and update with its scoring and mixing as
+    chains of elementary taped ops (the selection itself is the fused
+    ``gumbel_st_select``, checked against its own chain in test_attention)."""
+    c = layer.config
+    hyps = [gru_step(z, state, theta) for theta in layer.bank]
+    hstack = nm.stack(hyps, axis=1)
+    keys = nm.reshape(
+        nm.matmul(nm.reshape(hstack, (c.n_f * c.n_s, c.d_h)), layer.sel_key),
+        (c.n_f, c.n_s, c.sel_keys))
+    q = nm.reshape(nm.matmul(state, layer.sel_query), (c.n_f, 1, c.sel_keys))
+    logits = (q * keys).sum(axis=2)
+    noise = nm.sample_gumbel(rng, (c.n_f, c.n_s))
+    sel, soft, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
+    h_new = (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1)
+    return h_new, indices, soft.data.copy()
+
+
+def selection_graph(select_update, n_s, tau, hard):
+    """Two selection steps that share z and the bank, with the state also
+    used by the loss, so that every leaf collects several contributions.
+    Returns (outputs, next rng draw, leaves)."""
+    rng = Rng(65)
+    layer = ScoffLayer(tiny_config(n_s=n_s, tau=tau, hard_selection=hard), rng)
+    for t in layer.parameters().values():
+        t.data[...] = rand(rng, t.shape)
+    z = Tensor(rand(rng, (3, 8)), requires_grad=True)
+    state = Tensor(rand(rng, (3, 8)), requires_grad=True)
+    w = Tensor(rand(rng, (3, 8)))
+    noise_rng = Rng(66)
+    with Tape() as tape:
+        h1, idx1, soft1 = select_update(layer, z, state, noise_rng)
+        h2, idx2, soft2 = select_update(layer, z, h1, noise_rng)
+        loss = (h2 * w).sum() + (h1 * state).sum()
+    backward(loss, tape)
+    outs = [h1.data, h2.data, idx1, idx2, soft1, soft2, loss.data]
+    leaves = [z, state, *layer.parameters().values()]
+    return outs, noise_rng.uniform(), leaves
+
+
+@pytest.mark.parametrize("n_s", [1, 3])
+@pytest.mark.parametrize("tau", [1.0, 0.7])
+@pytest.mark.parametrize("hard", [True, False])
+def test_fused_selection_matches_op_chain_bit_for_bit(n_s, tau, hard):
+    def fused(layer, z, state, rng):
+        return layer.schema_select_update(z, state, rng=rng)
+
+    outs, draw, leaves = selection_graph(fused, n_s, tau, hard)
+    ref_outs, ref_draw, ref_leaves = selection_graph(select_update_chain, n_s, tau, hard)
+    for got, want in zip(outs, ref_outs):
+        assert np.array_equal(got, want)
+    assert draw == ref_draw  # the Gumbel draws took the same share of the stream
+    for got, want in zip(leaves, ref_leaves):
+        if want.grad is None:  # the input and communication projections
+            assert got.grad is None
+        else:
+            assert got.grad.shape == want.grad.shape
+            assert (got.grad == want.grad).all()
+
+
+def test_fused_selection_ops_grad_check():
+    rng = Rng(67)
+    layer = make_layer(seed=68, n_f=3, n_s=2)
+    hyps = [Tensor(rand(rng, (3, 8)), requires_grad=True) for _ in range(2)]
+    state = Tensor(rand(rng, (3, 8)), requires_grad=True)
+    sel = Tensor(rand(rng, (3, 2)), requires_grad=True)
+    w_logits, w_mix = Tensor(rand(rng, (3, 2))), Tensor(rand(rng, (3, 8)))
+
+    def scoring(p):
+        hstack = np.stack([h.data for h in p[:2]], axis=1)
+        return (_selection_logits(p[:2], hstack, p[2], p[3], p[4]) * w_logits).sum()
+
+    def mixing(p):
+        hstack = np.stack([h.data for h in p[1:]], axis=1)
+        return (_mix(p[0], p[1:], hstack) * w_mix).sum()
+
+    assert grad_check(scoring, [*hyps, state, layer.sel_query, layer.sel_key]) < 1e-6
+    assert grad_check(mixing, [sel, *hyps]) < 1e-6
+
+
+def test_schema_select_update_appends_one_node_per_op():
+    layer = make_layer(seed=69, n_f=3, n_s=2)
+    rng = Rng(70)
+    z, state = Tensor(rand(rng, (3, 8))), Tensor(rand(rng, (3, 8)))
+    with Tape() as tape:
+        layer.schema_select_update(z, state, rng=rng)
+    # n_s GRU cells, scoring, selection, mixing
+    assert len(tape.nodes) == 2 + 3
 
 
 def test_schema_usage_matrix_shape():

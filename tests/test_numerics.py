@@ -192,6 +192,46 @@ def test_backward_diamond_reuse_accumulates():
     assert np.allclose(x.grad, [2 * 2.0 + 1.0])
 
 
+def mean_chain(a, axis=None, keepdims=False):
+    """Reference: the mean as a sum followed by a scaling op."""
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return nm.tensor_sum(a, axis, keepdims) * (1.0 / n)
+
+
+@pytest.mark.parametrize("axis,keepdims", [(None, False), (0, True), (0, False),
+                                           (1, False), (-1, True)])
+def test_fused_mean_matches_op_chain_bit_for_bit(axis, keepdims):
+    results = []
+    for mean in (nm.tensor_mean, mean_chain):
+        rng = Rng(91)
+        x = Tensor(rand(rng, (3, 7)), requires_grad=True)
+        w = Tensor(rand(rng, (3, 7)))
+        with Tape() as tape:
+            m = mean(x, axis, keepdims)
+            # x also feeds the loss directly, so its gradient sums two terms
+            loss = (m * m).sum() + (x * w).sum()
+        backward(loss, tape)
+        results.append((m.data, loss.data, x.grad))
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_fused_mean_grad_check_and_one_node(axis):
+    rng = Rng(93)
+    x = Tensor(rand(rng, (4, 3)), requires_grad=True)
+    w = rand(rng, (4, 3)).mean(axis=axis, keepdims=True)
+
+    def f(params):
+        return (params[0].mean(axis=axis, keepdims=True) * Tensor(w)).sum()
+
+    assert grad_check(f, [x], eps=1e-5) < 1e-6
+    with Tape() as tape:
+        x.mean(axis=axis)
+    assert len(tape.nodes) == 1
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:

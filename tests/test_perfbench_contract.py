@@ -1,12 +1,17 @@
 """The benchmark's tracer patches scoff functions and import sites by name.
 
 A rename or merge in ``src/scoff`` that drops one of those names breaks the
-traced benchmark; this check makes it fail in the unit suite too.
+traced benchmark; this check makes it fail in the unit suite too. So does a
+fusion that swallows a traced call: one tiny bouncing sequence trained under
+the tracer must give the per-step counts that ``perfbench/selftest.py`` pins.
 """
 
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -18,3 +23,41 @@ def test_tracer_installs_on_current_sources():
                           env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+TRAIN_ONE_SEQUENCE = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer, layer_metrics
+tracer = Tracer()
+tracer.install()
+from scoff.cli import parse_config, to_train_config
+from scoff.rng import Rng
+from scoff.tasks import gen_bouncing_mini
+from scoff.training import train_model
+resolved = parse_config("configs/bouncing_mini.cfg",
+                        ["model=" + sys.argv[1], "epochs=1", "batch_size=1"])
+seq = gen_bouncing_mini(Rng(0), 6, resolved["n_balls"])
+train_model(to_train_config(resolved), [seq])
+print(json.dumps({"resolved": resolved,
+                  "metrics": layer_metrics([("train", tracer.dump())])}))
+"""
+
+
+@pytest.mark.parametrize("model", ["scoff", "gru"])
+def test_traced_training_counts_follow_from_the_config(model):
+    proc = subprocess.run([sys.executable, "-c", TRAIN_ONE_SEQUENCE, model], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    cfg, m = out["resolved"], out["metrics"]
+    if model == "scoff":
+        assert m["recurrent.gru_step_calls_per_step"] == cfg["n_s"]
+        assert m["attention.attend_calls_per_step"] == cfg["inp_heads"] + cfg["comm_heads"]
+        assert m["layer.schema_hypotheses_per_step"] == cfg["n_f"] * cfg["n_s"]
+    else:
+        assert m["recurrent.gru_step_calls_per_step"] == 1
+        assert m["attention.attend_calls_per_step"] == 0
+        assert m["layer.schema_hypotheses_per_step"] == 0
+    assert m["numerics.tape_nodes_per_seq"] > 0

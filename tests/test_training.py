@@ -16,8 +16,9 @@ import scoff.training as training
 from scoff.codec import CodecConfig
 from scoff.layer import ScoffConfig, StepTrace
 from scoff.numerics import Tape, Tensor, backward
+from scoff.cli import parse_config, to_train_config
 from scoff.rng import Rng
-from scoff.tasks import gen_adding, gen_switching_dynamics
+from scoff.tasks import gen_adding, gen_bouncing_mini, gen_switching_dynamics
 from scoff.training import (Adam, TrainConfig, bce_per_frame,
                             build_model, collect_traces, eval_adding,
                             eval_rollout, load_checkpoint, mse_scalar,
@@ -268,6 +269,27 @@ def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
                     make_switching_data(3))
         assert alive == [0] * 6, model
         assert len(graphs) == 6
+
+
+@pytest.mark.parametrize("kind,nodes", [("scoff", 725), ("gru", 319)])
+def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
+    # 29 steps of 24 (scoff) or 10 (gru) fused ops, plus the 29 ops that
+    # average the step losses: an op chain that creeps back into a step, or a
+    # fusion that drops an op, changes the count
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "bouncing_mini.cfg")
+    resolved = parse_config(config, [f"model={kind}"])
+    model = build_model(to_train_config(resolved), Rng(0))
+    seq = gen_bouncing_mini(Rng(1), resolved["length"], resolved["n_balls"])
+    with Tape() as tape:
+        sequence_loss(model, seq, Rng(2), training=True)
+    assert len(tape.nodes) == nodes
+
+
+@pytest.mark.parametrize("key", ["epochs", "batch_size", "eval_subset"])
+def test_train_config_counts_must_be_positive(key):
+    with pytest.raises(ValueError, match=key):
+        tiny_train_config(**{key: 0})
 
 
 def test_train_is_bit_deterministic():
