@@ -90,7 +90,7 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
     def back(g):
         # each parent's contributions in the order of the chain's reverse scan
         g_w = g @ vd.T
-        nm.accum(values, used.T @ g)
+        nm.accum_xtg(values, used, g)
         if mask is not None:
             g_w = g_w * mask
         g_s = weights * (g_w - (g_w * weights).sum(axis=axis, keepdims=True)) * scale

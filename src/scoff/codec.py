@@ -28,6 +28,12 @@ class CodecConfig:
     readout_hidden: int = 32
     readout_width: int = 32
 
+    def __post_init__(self):
+        for name in ("patch", "d_c", "d_pos", "enc_hidden", "dec_hidden",
+                     "readout_hidden", "readout_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     @property
     def d_a(self) -> int:
         return self.d_c + self.d_pos
@@ -54,12 +60,12 @@ class Perceptron:
         def back(g):
             # each parent's contributions in the order of the chain's reverse scan
             nm.accum(self.b2, g.sum(axis=0))
-            nm.accum(self.w2, hid.T @ g)
+            nm.accum_xtg(self.w2, hid, g)
             g_a = (g @ self.w2.data.T) * (1.0 - hid * hid)
             nm.accum(self.b1, g_a.sum(axis=0))
             if x.requires_grad:
                 nm.accum(x, g_a @ self.w1.data.T)
-            nm.accum(self.w1, xd.T @ g_a)
+            nm.accum_xtg(self.w1, xd, g_a)
 
         return nm.record(hid @ self.w2.data + self.b2.data,
                          (x, self.w1, self.b1, self.w2, self.b2), back)
@@ -155,7 +161,7 @@ class ReadoutBase:
             g_s = (g @ rd.T).T
             g_s = w * (g_s - (g_s * w).sum(axis=0, keepdims=True))
             nm.accum(rows, g_s @ qd.T)
-            nm.accum(self.pool_q, rd.T @ g_s)
+            nm.accum_xtg(self.pool_q, rd, g_s)
 
         return nm.record(w.T @ rd, (rows, self.pool_q), back)
 

@@ -211,9 +211,9 @@ def _selection_logits(hyps: list, hstack: np.ndarray, state: Tensor,
         g = np.expand_dims(g, 2)
         g_q = (g * keys).sum(axis=1)
         nm.accum(state, g_q @ sel_query.data.T)
-        nm.accum(sel_query, state.data.T @ g_q)
+        nm.accum_xtg(sel_query, state.data, g_q)
         g_k = (g * q).reshape(n_f * n_s, -1)
-        nm.accum(sel_key, flat.T @ g_k)
+        nm.accum_xtg(sel_key, flat, g_k)
         g_h = (g_k @ sel_key.data.T).reshape(n_f, n_s, d_h)
         for j, h in enumerate(hyps):
             nm.accum(h, g_h[:, j])

@@ -32,6 +32,17 @@ calls ``accum`` on each parent in the order in which the chain's reverse scan
 would have added the contributions, since floating-point addition does not
 associate.
 
+A weight's product ``x.T @ g`` (the right operand of ``matmul``, and the
+matching weights of the fused ops) goes through :func:`accum_xtg` instead.
+During ``backward`` a leaf's pairs are queued, and when the reverse scan ends
+each leaf gets one product over all its stacked rows, so a weight used at
+every step of a sequence costs one matrix product per backward pass rather
+than one per step. Non-leaves and calls outside ``backward`` take the product
+at once. Every other contribution, biases included, is added immediately in
+scan order. A fused op and its chain queue the same pairs in the same order,
+so fused-op versus chain bit identity still holds; against adding each
+product per step, the sum over steps is reassociated (about 1e-15 relative).
+
 Interior op results skip the finiteness check for speed; enable
 ``strict_checks`` to validate every op output. Tensors built from external
 data are always validated.
@@ -48,10 +59,13 @@ from .rng import Rng
 
 class _TapeStacks(threading.local):
     """Per-thread active-tape stacks: independent passes may run concurrently
-    as long as each owns its Tape and Rng."""
+    as long as each owns its Tape and Rng. ``deferred`` maps each leaf to the
+    (x, g) pairs queued by :func:`accum_xtg` while :func:`backward` runs, and
+    is None otherwise."""
 
     def __init__(self):
         self.stack = []
+        self.deferred = None
 
 
 _TLS = _TapeStacks()
@@ -174,6 +188,28 @@ def accum(t: Tensor, g: np.ndarray) -> None:
     """Add the contribution ``g`` to the gradient of ``t``, if it takes one."""
     if t.requires_grad:
         t.grad = g if t.grad is None else t.grad + g
+
+
+def accum_xtg(t: Tensor, x: np.ndarray, g: np.ndarray) -> None:
+    """Add ``x.T @ g`` to the gradient of ``t``, if it takes one.
+
+    Inside :func:`backward`, a leaf's pair is queued instead, and all pairs of
+    that leaf become one product over the stacked rows once the reverse scan
+    ends. A non-leaf's gradient must be complete before its own backward runs,
+    so it gets the product at once, as does any call outside ``backward``.
+    """
+    if not t.requires_grad:
+        return
+    deferred = _TLS.deferred
+    if deferred is None or t._backward is not None:
+        accum(t, x.T @ g)
+        return
+    pairs = deferred.get(t)
+    if pairs is None:
+        deferred[t] = ([x], [g])
+    else:
+        pairs[0].append(x)
+        pairs[1].append(g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -368,7 +404,7 @@ def matmul(a, b) -> Tensor:
 
     def back(g):
         accum(a, g @ b.data.T)
-        accum(b, a.data.T @ g)
+        accum_xtg(b, a.data, g)
 
     return record(out, (a, b), back)
 
@@ -442,10 +478,17 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if not any(node is loss for node in reversed(tape.nodes)):
         raise ValueError("loss was not recorded on this tape")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        if node.grad is None:
-            continue
-        node._backward(node.grad)
+    _TLS.deferred = deferred = {}
+    try:
+        for node in reversed(tape.nodes):
+            if node.grad is None:
+                continue
+            node._backward(node.grad)
+        # one product per leaf, in the order the leaves were first queued
+        for t, (xs, gs) in deferred.items():
+            accum(t, np.concatenate(xs).T @ np.concatenate(gs))
+    finally:
+        _TLS.deferred = None
 
 
 def grad_check(f, params: list, eps: float = 1e-5) -> float:

@@ -96,23 +96,23 @@ def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
         g_ac = (g * u) * (1.0 - c * c)
         nm.accum(theta.b_c, g_ac.sum(axis=0))
         g_rh = g_ac @ theta.u_c.data.T
-        nm.accum(theta.u_c, rh.T @ g_ac)
+        nm.accum_xtg(theta.u_c, rh, g_ac)
         g_r = g_rh * hd
         nm.accum(h, g_rh * r)
         nm.accum(z, g_ac @ theta.w_c.data.T)
-        nm.accum(theta.w_c, zd.T @ g_ac)
+        nm.accum_xtg(theta.w_c, zd, g_ac)
         g_au = g_u * u * (1.0 - u)
         nm.accum(theta.b_u, g_au.sum(axis=0))
         nm.accum(h, g_au @ theta.u_u.data.T)
-        nm.accum(theta.u_u, hd.T @ g_au)
+        nm.accum_xtg(theta.u_u, hd, g_au)
         nm.accum(z, g_au @ theta.w_u.data.T)
-        nm.accum(theta.w_u, zd.T @ g_au)
+        nm.accum_xtg(theta.w_u, zd, g_au)
         g_ar = g_r * r * (1.0 - r)
         nm.accum(theta.b_r, g_ar.sum(axis=0))
         nm.accum(h, g_ar @ theta.u_r.data.T)
-        nm.accum(theta.u_r, hd.T @ g_ar)
+        nm.accum_xtg(theta.u_r, hd, g_ar)
         nm.accum(z, g_ar @ theta.w_r.data.T)
-        nm.accum(theta.w_r, zd.T @ g_ar)
+        nm.accum_xtg(theta.w_r, zd, g_ar)
 
     return nm.record(out, (z, h, *theta.params()), back)
 

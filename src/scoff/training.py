@@ -21,7 +21,7 @@ from .layer import ScoffConfig
 from .model import FRAME_TASKS, GruBaseline, ScoffModel
 from .numerics import Tape, Tensor, backward
 from .rng import Rng
-from .tasks import AddingSequence
+from .tasks import GRID, AddingSequence
 
 
 @dataclass
@@ -44,9 +44,12 @@ class TrainConfig:
     eval_subset: int = 32
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "eval_subset"):
+        for name in ("epochs", "batch_size", "eval_subset", "burn_in", "horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.task in FRAME_TASKS and GRID % self.codec.patch:
+            raise ValueError(f"patch {self.codec.patch} must divide the "
+                             f"{GRID}x{GRID} frame")
 
     def resolved_baseline_width(self) -> int:
         return self.baseline_width or self.scoff.n_f * self.scoff.d_h
@@ -182,11 +185,7 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     """
     if not sequences:
         raise ValueError("no sequences to evaluate")
-    T = sequences[0].frames.shape[0]
-    if burn_in < 1 or horizon < 1 or burn_in + horizon > T:
-        raise ValueError(
-            f"need 1 <= burn_in and burn_in + horizon <= {T}, "
-            f"got burn_in={burn_in}, horizon={horizon}")
+    _check_rollout_window(sequences, burn_in, horizon)
     teacher = np.zeros(horizon)
     self_fed = np.zeros(horizon)
     for seq in sequences:
@@ -209,6 +208,14 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     teacher /= len(sequences)
     self_fed /= len(sequences)
     return teacher.tolist(), self_fed.tolist()
+
+
+def _check_rollout_window(sequences: list, burn_in: int, horizon: int) -> None:
+    T = sequences[0].frames.shape[0]
+    if burn_in < 1 or horizon < 1 or burn_in + horizon > T:
+        raise ValueError(
+            f"need 1 <= burn_in and burn_in + horizon <= {T}, the eval sequence "
+            f"length, got burn_in={burn_in}, horizon={horizon}")
 
 
 def eval_adding(model, sequences: list) -> float:
@@ -281,6 +288,9 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
     """Returns (metrics records, trained model); bit-deterministic per (seed, config)."""
     if not train_data:
         raise ValueError("empty training dataset")
+    if eval_data and cfg.task in FRAME_TASKS:
+        # the rollout window of every epoch's eval, checked before epoch 0
+        _check_rollout_window(eval_data, cfg.burn_in, cfg.horizon)
     root = Rng(cfg.seed)
     model = build_model(cfg, root.spawn(0))
     run_rng = root.spawn(1)

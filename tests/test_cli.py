@@ -271,7 +271,8 @@ def test_non_finite_lr_exits_1_and_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["epochs=0", "batch_size=0", "eval_subset=0",
-                                      "n_sel=9"])
+                                      "n_sel=9", "burn_in=0", "horizon=0",
+                                      "patch=3", "d_c=0", "readout_width=0"])
 def test_out_of_range_value_exits_1_before_reading_data(tmp_path, capsys, override):
     data_dir = str(tmp_path / "data")
     assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",
@@ -297,10 +298,26 @@ def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
                        "--set", "lr=1e300", "--set", "epochs=3", "--set", "batch_size=1",
-                       "--out", str(run_dir))
+                       "--set", "horizon=8", "--out", str(run_dir))
     assert code == 2
     err = capsys.readouterr().err
     assert "diverged in epoch 0, batch 1: non-finite gradient of " in err
+    assert not (run_dir / "metrics.jsonl").exists()
+    assert not (run_dir / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("window", [("burn_in=5", "horizon=50"), ("burn_in=13", "horizon=1")])
+def test_rollout_window_past_eval_length_exits_2_before_training(tmp_path, capsys, window):
+    data_dir = str(tmp_path / "data")
+    assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",
+                   "--set", "test_count=1", "--set", "length=13", "--out", data_dir) == 0
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
+                   "--set", window[0], "--set", window[1], "--out", str(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert window[0] in err and window[1] in err and "13" in err
+    assert "epoch 0" not in err  # nothing trained
     assert not (run_dir / "metrics.jsonl").exists()
     assert not (run_dir / "checkpoint").exists()
 

@@ -35,34 +35,34 @@ RUNS = (("switching", "switching_mini", ()),
 GOLDEN = {
     "switching/data/train.scfd": "80ad636a71bc",
     "switching/data/test.scfd": "fa336d04675e",
-    "switching/train/metrics.jsonl": "1abc85c3a540",
-    "switching/train/checkpoint/tensors.bin": "493b866d686b",
+    "switching/train/metrics.jsonl": "584ec099e167",
+    "switching/train/checkpoint/tensors.bin": "c3475639f708",
     "switching/train/checkpoint/manifest.json:tensors": "46db5a9bc8f1",
-    "switching/eval/rollout_curve.csv": "b56e68b420af",
+    "switching/eval/rollout_curve.csv": "637ba8dff8eb",
     "switching/trace/schema_usage.csv": "f19a02de582b",
     "switching/trace/traces.jsonl": "54a2c4d3f275",
     "bouncing/data/train.scfd": "677a533d3700",
     "bouncing/data/test.scfd": "ff0731ea192d",
-    "bouncing/train/metrics.jsonl": "b9564382b80b",
-    "bouncing/train/checkpoint/tensors.bin": "bfceba1ac687",
+    "bouncing/train/metrics.jsonl": "2b2795c688d4",
+    "bouncing/train/checkpoint/tensors.bin": "d69aeb1615ac",
     "bouncing/train/checkpoint/manifest.json:tensors": "89b2f2fd7877",
-    "bouncing/eval/rollout_curve.csv": "4ef58686139f",
-    "bouncing/trace/schema_usage.csv": "d0dcd9ae7dff",
-    "bouncing/trace/traces.jsonl": "67da78b79d56",
+    "bouncing/eval/rollout_curve.csv": "ae10316ec36d",
+    "bouncing/trace/schema_usage.csv": "4dd838610e90",
+    "bouncing/trace/traces.jsonl": "2e51e170173b",
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
-    "bouncing_gru/train/metrics.jsonl": "5215c76de89b",
-    "bouncing_gru/train/checkpoint/tensors.bin": "a3a829156add",
+    "bouncing_gru/train/metrics.jsonl": "c21934f75810",
+    "bouncing_gru/train/checkpoint/tensors.bin": "0958bfdbe26d",
     "bouncing_gru/train/checkpoint/manifest.json:tensors": "e96e4613136f",
-    "bouncing_gru/eval/rollout_curve.csv": "d4a981002b08",
+    "bouncing_gru/eval/rollout_curve.csv": "1971e8df20d9",
     "adding/data/train.scfd": "859e755d4f0e",
     "adding/data/test.scfd": "4ab84a03c646",
     "adding/train/metrics.jsonl": "78bca8ccbcce",
-    "adding/train/checkpoint/tensors.bin": "91b019141be0",
+    "adding/train/checkpoint/tensors.bin": "2cfd952330a8",
     "adding/train/checkpoint/manifest.json:tensors": "276c0dda051d",
     "adding/eval/rollout_curve.csv": "1c09ac04e27e",
     "adding/trace/schema_usage.csv": "c1733e2643e2",
-    "adding/trace/traces.jsonl": "7432cb8d93b4",
+    "adding/trace/traces.jsonl": "30690a6e0245",
     "check-grad:stdout": "bbe1a0f63cbd",
 }
 

@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import os
 import struct
 
 import numpy as np
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import scoff.numerics as nm
+from scoff.cli import parse_config, to_train_config
 from scoff.numerics import (Tape, Tensor, backward, grad_check, matmul,
                             sample_gumbel, softmax)
 from scoff.rng import Rng
+from scoff.tasks import gen_adding, gen_bouncing_mini
+from scoff.training import build_model, sequence_loss
 
 
 def rand(rng, shape):
@@ -311,6 +315,138 @@ def test_backward_composite_attention_gru_graph_matches_finite_differences():
 
     err = grad_check(f, [w_q, w_k, w_v, u, b], eps=1e-5)
     assert err < 1e-4
+
+
+# ------------------------------------------------------ deferred weight products
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
+
+
+def per_step_backward(loss, tape):
+    """Reference for ``backward``: the same reverse scan, but every closure
+    runs outside ``backward``, so each ``accum_xtg`` product is added at
+    once, step by step."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape.nodes):
+        if node.grad is not None:
+            node._backward(node.grad)
+
+
+def _batch_grads(cfg, sequences, run_backward):
+    """Leaf gradients of a freshly built model summed over ``sequences``,
+    each trained with the same noise stream."""
+    model = build_model(cfg, Rng(cfg.seed).spawn(0))
+    run_rng = Rng(cfg.seed).spawn(1)
+    for seq in sequences:
+        with Tape() as tape:
+            loss, _ = sequence_loss(model, seq, run_rng, training=True)
+        run_backward(loss, tape)
+    return {name: p.grad for name, p in model.parameters().items()}
+
+
+@pytest.mark.parametrize("config,model", [("bouncing_mini", "scoff"),
+                                          ("bouncing_mini", "gru"),
+                                          ("adding_mini", "scoff")])
+def test_deferred_leaf_products_match_per_step_reference(config, model):
+    resolved = parse_config(os.path.join(CONFIGS, f"{config}.cfg"), [f"model={model}"])
+    cfg = to_train_config(resolved)
+    if cfg.task == "adding":
+        sequences = [gen_adding(Rng(i), resolved["length"], n)
+                     for i, n in enumerate((2, 4))]
+    else:
+        sequences = [gen_bouncing_mini(Rng(i), resolved["length"], resolved["n_balls"])
+                     for i in range(2)]
+    got = _batch_grads(cfg, sequences, backward)
+    want = _batch_grads(cfg, sequences, per_step_backward)
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        assert g is not None and g.shape == want[name].shape, name
+        scale = max(np.abs(want[name]).max(), 1e-300)
+        assert np.abs(g - want[name]).max() <= 1e-12 * scale, name
+
+
+def test_deferred_product_is_one_product_over_stacked_rows():
+    rng = Rng(61)
+    w = Tensor(rand(rng, (3, 2)), requires_grad=True)
+    xs = [Tensor(rand(rng, (n, 3))) for n in (1, 2, 4)]
+    ws = [Tensor(rand(rng, (n, 2))) for n in (1, 2, 4)]
+    with Tape() as tape:
+        loss = sum((matmul(x, w) * c).sum() for x, c in zip(xs, ws))
+    backward(loss, tape)
+    # the reverse scan queues the last use first
+    want = (np.concatenate([x.data for x in reversed(xs)]).T
+            @ np.concatenate([c.data for c in reversed(ws)]))
+    assert (w.grad == want).all()
+
+
+def test_non_leaf_right_operand_is_complete_before_its_backward():
+    rng = Rng(62)
+    w = Tensor(rand(rng, (3, 2)), requires_grad=True)
+    x1, x2 = Tensor(rand(rng, (2, 3))), Tensor(rand(rng, (4, 3)))
+    results = []
+    for run_backward in (backward, per_step_backward):
+        w.zero_grad()
+        with Tape() as tape:
+            v = w * 2.0  # a non-leaf right operand, used twice
+            loss = matmul(x1, v).sum() + nm.tanh(matmul(x2, v)).sum()
+        run_backward(loss, tape)
+        assert v.grad is not None
+        results.append((v.grad, w.grad))
+    (v_got, w_got), (v_want, w_want) = results
+    assert (v_got == v_want).all() and (w_got == w_want).all()
+    g1 = x1.data.T @ np.ones((2, 2))
+    g2 = x2.data.T @ (1.0 - np.tanh(x2.data @ (2.0 * w.data)) ** 2)
+    assert np.allclose(w_got, 2.0 * (g1 + g2), rtol=1e-13, atol=0.0)
+
+
+def test_leaf_as_left_and_right_operand_sums_both():
+    rng = Rng(63)
+    w = Tensor(rand(rng, (3, 3)), requires_grad=True)
+    results = []
+    for run_backward in (backward, per_step_backward):
+        w.zero_grad()
+        with Tape() as tape:
+            loss = matmul(matmul(w, w), w).sum()
+        run_backward(loss, tape)
+        results.append(w.grad)
+    got, want = results
+    wd, ones = w.data, np.ones((3, 3))
+    # d/dW of sum(W·W·W): three placements of W, each left- or right-operand
+    analytic = ones @ (wd @ wd).T + wd.T @ ones @ wd.T + (wd @ wd).T @ ones
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.allclose(got, analytic, rtol=1e-12, atol=0.0)
+
+
+def test_weight_reused_over_five_steps_grad_check():
+    rng = Rng(64)
+    w = Tensor(rand(rng, (3, 3)) * 0.5, requires_grad=True)
+    u = Tensor(rand(rng, (2, 3)), requires_grad=True)
+    xs = [Tensor(rand(rng, (2, 2))) for _ in range(5)]
+
+    def f(params):
+        w_, u_ = params
+        h = Tensor(np.zeros((2, 3)))
+        for x in xs:
+            h = nm.tanh(matmul(h, w_) + matmul(x, u_))
+        return (h * h).sum()
+
+    assert grad_check(f, [w, u], eps=1e-5) < 1e-7
+
+
+def test_failed_backward_leaves_no_queue_behind():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+
+    def fail(g):
+        raise RuntimeError("backward closure failed")
+
+    with Tape() as tape:
+        loss = nm.record(np.asarray(1.0), (w,), fail)
+    with pytest.raises(RuntimeError):
+        backward(loss, tape)
+    # outside backward the product is added at once
+    nm.accum_xtg(w, np.ones((1, 2)), np.ones((1, 2)))
+    assert (w.grad == np.ones((2, 2))).all()
 
 
 # ------------------------------------------------------------------- grad_check

@@ -473,3 +473,11 @@ def test_restore_rejects_unexpected_params(tmp_path):
     tensors, _ = load_checkpoint(tmp_path / "ck")
     with pytest.raises(ValueError, match="extra"):
         restore_model(model, tensors)
+
+
+def test_patch_must_divide_the_frame_only_on_frame_tasks():
+    with pytest.raises(ValueError, match="patch 3 must divide the 16x16 frame"):
+        TrainConfig(task="bouncing", codec=CodecConfig(patch=3))
+    TrainConfig(task="adding", codec=CodecConfig(patch=3))  # tokens have no patches
+    with pytest.raises(ValueError, match="dec_hidden must be >= 1"):
+        CodecConfig(dec_hidden=0)
