@@ -142,7 +142,12 @@ class TokenEncoder(EncoderBase):
 
 
 class ReadoutBase:
-    """Shared slot transform and attention pooling over slot rows."""
+    """Shared slot transform and attention pooling over slot rows.
+
+    ``pool_q``, the pooling query, does nothing for a one-row state (the GRU
+    baseline, or a single slot), which is its own pool; it stays a parameter
+    so that the parameters and init draws do not depend on the row count.
+    """
 
     def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig):
         self.cfg = cfg
@@ -151,8 +156,11 @@ class ReadoutBase:
 
     def pooled(self, state: Tensor) -> Tensor:
         """[1, readout_width]: transform rows, pool with the learned query
-        (softmax over rows); the pooling is one fused tape op."""
+        (softmax over rows); the pooling is one fused tape op. One row is
+        returned as it is: its softmax weight is exactly 1."""
         rows = self.mlp(state)
+        if rows.shape[0] == 1:
+            return rows
         rd, qd = rows.data, self.pool_q.data
         w = nm.stable_softmax(rd @ qd, 0)
 

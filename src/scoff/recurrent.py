@@ -16,43 +16,32 @@ from .rng import Rng
 
 @dataclass
 class SchemaParams:
-    """One complete GRU parameterization.
+    """One complete GRU parameterization, its gates stacked column-wise in
+    the order reset, update, candidate.
 
-    w_* are input-to-hidden [d_in, d_h], u_* hidden-to-hidden [d_h, d_h],
-    b_* biases [d_h], for the reset / update / candidate gates.
+    ``w`` [d_in, 3·d_h] holds the input weights of all three gates, ``u_ru``
+    [d_h, 2·d_h] the recurrent weights of the reset and update gates, ``u_c``
+    [d_h, d_h] the candidate's recurrent weights and ``b`` [3·d_h] the biases.
+    ``u_c`` stays apart because it multiplies r ⊙ h rather than h. A step is
+    then three matrix products and one sigmoid, and each weight takes one
+    product per step, forward and backward.
     """
 
-    w_r: Tensor
-    w_u: Tensor
-    w_c: Tensor
-    u_r: Tensor
-    u_u: Tensor
+    w: Tensor
+    u_ru: Tensor
     u_c: Tensor
-    b_r: Tensor
-    b_u: Tensor
-    b_c: Tensor
+    b: Tensor
+
+    _FIELDS = ("w", "u_ru", "u_c", "b")
 
     def __post_init__(self):
-        d_in, d_h = self.w_r.shape
-        for name in ("w_r", "w_u", "w_c"):
-            if getattr(self, name).shape != (d_in, d_h):
-                raise ValueError(f"{name} must be [{d_in}, {d_h}]")
-        for name in ("u_r", "u_u", "u_c"):
-            if getattr(self, name).shape != (d_h, d_h):
-                raise ValueError(f"{name} must be [{d_h}, {d_h}]")
-        for name in ("b_r", "b_u", "b_c"):
-            if getattr(self, name).shape != (d_h,):
-                raise ValueError(f"{name} must be [{d_h}]")
-
-    @property
-    def d_in(self) -> int:
-        return self.w_r.shape[0]
-
-    @property
-    def d_h(self) -> int:
-        return self.w_r.shape[1]
-
-    _FIELDS = ("w_r", "w_u", "w_c", "u_r", "u_u", "u_c", "b_r", "b_u", "b_c")
+        d_in, d_h = self.w.shape[0], self.u_c.shape[0]
+        shapes = {"w": (d_in, 3 * d_h), "u_ru": (d_h, 2 * d_h), "u_c": (d_h, d_h),
+                  "b": (3 * d_h,)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must be {list(shape)}, "
+                                 f"got {list(getattr(self, name).shape)}")
 
     def params(self) -> list:
         return [getattr(self, name) for name in self._FIELDS]
@@ -65,72 +54,67 @@ def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
     """One GRU update of the rows z [n, d_in], h [n, d_h] with externally
     supplied parameters, as one fused tape op.
 
-    r = σ(W_r z + U_r h + b_r)
-    u = σ(W_u z + U_u h + b_u)
-    c = tanh(W_c z + U_c (r ⊙ h) + b_c)
+    a = z·w + b                         (all three gates' input terms)
+    [r, u] = σ(a[:, :2·d_h] + h·u_ru)   (one sigmoid over both gates)
+    c = tanh(a[:, 2·d_h:] + (r ⊙ h)·u_c)
     h' = (1 - u) ⊙ h + u ⊙ c
 
     The update is applied row by row, so which slot invokes it cannot matter.
-    Values and gradients are bit-identical to the same chain of elementary
-    ops (see the numerics module docstring).
+    The backward pass forms the [n, 3·d_h] gradient of the pre-activations
+    once, so z and h each take one contribution, each weight one product and
+    the bias one sum. Values and gradients are bit-identical to the same chain
+    of elementary ops with column slices, h entering it through one node (see
+    the numerics module docstring).
     """
-    if z.data.ndim != 2 or h.data.ndim != 2 or z.shape[1] != theta.d_in \
-            or h.shape[1] != theta.d_h or z.shape[0] != h.shape[0]:
+    zd, hd = z.data, h.data
+    d_in, d_h = theta.w.data.shape[0], theta.u_c.data.shape[0]
+    if zd.ndim != 2 or hd.ndim != 2 or zd.shape[1] != d_in \
+            or hd.shape != (zd.shape[0], d_h):
         raise ValueError(
             f"gru_step shapes z={z.shape} h={h.shape} do not fit cell "
-            f"d_in={theta.d_in} d_h={theta.d_h}"
+            f"d_in={d_in} d_h={d_h}"
         )
-    zd, hd = z.data, h.data
-    r = nm.stable_sigmoid(zd @ theta.w_r.data + hd @ theta.u_r.data + theta.b_r.data)
-    u = nm.stable_sigmoid(zd @ theta.w_u.data + hd @ theta.u_u.data + theta.b_u.data)
+    a = zd @ theta.w.data + theta.b.data
+    ru = nm.stable_sigmoid(a[:, :2 * d_h] + hd @ theta.u_ru.data)
+    r, u = ru[:, :d_h], ru[:, d_h:]
     rh = r * hd
-    c = np.tanh(zd @ theta.w_c.data + rh @ theta.u_c.data + theta.b_c.data)
+    c = np.tanh(a[:, 2 * d_h:] + rh @ theta.u_c.data)
     keep = 1.0 - u
     out = keep * hd + u * c
 
     def back(g):
-        # each parent's contributions in the order of the chain's reverse scan;
-        # g_a* are the gradients of the gates' pre-activations
-        nm.accum(h, g * keep)
-        g_u = g * c + -(g * hd)
-        g_ac = (g * u) * (1.0 - c * c)
-        nm.accum(theta.b_c, g_ac.sum(axis=0))
-        g_rh = g_ac @ theta.u_c.data.T
-        nm.accum_xtg(theta.u_c, rh, g_ac)
-        g_r = g_rh * hd
-        nm.accum(h, g_rh * r)
-        nm.accum(z, g_ac @ theta.w_c.data.T)
-        nm.accum_xtg(theta.w_c, zd, g_ac)
-        g_au = g_u * u * (1.0 - u)
-        nm.accum(theta.b_u, g_au.sum(axis=0))
-        nm.accum(h, g_au @ theta.u_u.data.T)
-        nm.accum_xtg(theta.u_u, hd, g_au)
-        nm.accum(z, g_au @ theta.w_u.data.T)
-        nm.accum_xtg(theta.w_u, zd, g_au)
-        g_ar = g_r * r * (1.0 - r)
-        nm.accum(theta.b_r, g_ar.sum(axis=0))
-        nm.accum(h, g_ar @ theta.u_r.data.T)
-        nm.accum_xtg(theta.u_r, hd, g_ar)
-        nm.accum(z, g_ar @ theta.w_r.data.T)
-        nm.accum_xtg(theta.w_r, zd, g_ar)
+        # g_c, g_ru and g_a are gradients of the gates' pre-activations; each
+        # expression is the one the chain's reverse scan evaluates
+        g_c = (g * u) * (1.0 - c * c)
+        g_rh = g_c @ theta.u_c.data.T
+        nm.accum_xtg(theta.u_c, rh, g_c)
+        g_ru = np.concatenate((g_rh * hd, g * c - g * hd), axis=1)
+        g_ru = g_ru * ru * (1.0 - ru)
+        nm.accum_xtg(theta.u_ru, hd, g_ru)
+        g_a = np.concatenate((g_ru, g_c), axis=1)
+        nm.accum(theta.b, g_a.sum(axis=0))
+        if z.requires_grad:
+            nm.accum(z, g_a @ theta.w.data.T)
+        nm.accum_xtg(theta.w, zd, g_a)
+        if h.requires_grad:
+            nm.accum(h, g * keep + g_rh * r + g_ru @ theta.u_ru.data.T)
 
     return nm.record(out, (z, h, *theta.params()), back)
 
 
 def init_schema(rng: Rng, d_in: int, d_h: int) -> SchemaParams:
-    """Glorot-uniform matrices, zero biases."""
+    """Glorot-uniform matrices drawn gate by gate (input weights of the
+    reset, update and candidate gates, then their recurrent weights) and
+    stacked; zero biases."""
     if d_in < 1 or d_h < 1:
         raise ValueError(f"dimensions must be positive, got d_in={d_in}, d_h={d_h}")
+    w = [nm.glorot(rng, d_in, d_h).data for _ in range(3)]
+    u = [nm.glorot(rng, d_h, d_h).data for _ in range(3)]
     return SchemaParams(
-        w_r=nm.glorot(rng, d_in, d_h),
-        w_u=nm.glorot(rng, d_in, d_h),
-        w_c=nm.glorot(rng, d_in, d_h),
-        u_r=nm.glorot(rng, d_h, d_h),
-        u_u=nm.glorot(rng, d_h, d_h),
-        u_c=nm.glorot(rng, d_h, d_h),
-        b_r=nm.zeros(d_h, requires_grad=True),
-        b_u=nm.zeros(d_h, requires_grad=True),
-        b_c=nm.zeros(d_h, requires_grad=True),
+        w=Tensor(np.concatenate(w, axis=1), requires_grad=True),
+        u_ru=Tensor(np.concatenate(u[:2], axis=1), requires_grad=True),
+        u_c=Tensor(u[2], requires_grad=True),
+        b=nm.zeros(3 * d_h, requires_grad=True),
     )
 
 

@@ -181,7 +181,8 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     """Per-step BCE curves for teacher-forced and self-fed prediction.
 
     Step i predicts frame burn_in + i. The self-fed mode thresholds each
-    predicted frame at probability 0.5 before re-encoding it.
+    predicted frame at probability 0.5 before re-encoding it. The readout
+    runs only where its logits are scored, from frame burn_in on.
     """
     if not sequences:
         raise ValueError("no sequences to evaluate")
@@ -193,15 +194,14 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
         for mode, acc in (("teacher", teacher), ("self", self_fed)):
             state = model.init_state()
             feed = frames[0]
-            for t in range(burn_in + horizon - 1):
-                feats = model.encode(feed)
-                state, _ = model.step(feats, state)
+            for target_idx in range(1, burn_in + horizon):
+                state, _ = model.step(model.encode(feed), state)
+                if target_idx < burn_in:
+                    feed = frames[target_idx]
+                    continue
                 logits = model.readout(state)
-                target_idx = t + 1
-                if target_idx >= burn_in:
-                    i = target_idx - burn_in
-                    acc[i] += bce_per_frame(logits, frames[target_idx]).item()
-                if mode == "teacher" or target_idx < burn_in:
+                acc[target_idx - burn_in] += bce_per_frame(logits, frames[target_idx]).item()
+                if mode == "teacher":
                     feed = frames[target_idx]
                 else:
                     feed = (logits.data > 0.0).astype(np.float64)

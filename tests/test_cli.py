@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scoff.cli import ConfigError, main, parse_config, to_train_config
+from scoff.numerics import Tensor
+from scoff.training import load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -429,6 +431,32 @@ def test_non_finite_checkpoint_entry_exits_2_naming_the_file(tiny_run):
     assert code == 2
     assert "tensors.bin" in err
     assert "non-finite" in err
+
+
+def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run, tmp_path,
+                                                                     capsys):
+    # the layout from before the gates were stacked: nine tensors per schema
+    copy = tmp_path / "copy"
+    shutil.copytree(str(tiny_run), str(copy))
+    ckpt = str(copy / "run" / "checkpoint")
+    tensors, config = load_checkpoint(ckpt)
+    old = {}
+    for name, t in tensors.items():
+        prefix, _, field = name.rpartition(".")
+        if not prefix.startswith("layer.schema"):
+            old[name] = t
+            continue
+        parts = {"w": ("w_r", "w_u", "w_c"), "u_ru": ("u_r", "u_u"), "u_c": ("u_c",),
+                 "b": ("b_r", "b_u", "b_c")}[field]
+        for piece, part in zip(np.split(t.data, len(parts), axis=-1), parts):
+            old[f"{prefix}.{part}"] = Tensor(piece)
+    save_checkpoint(ckpt, old, config)
+    out = tmp_path / "eval"
+    code = run_cli("eval", "--set", f"data={copy / 'data'}", "--set", f"checkpoint={ckpt}",
+                   "--out", str(out))
+    assert code == 2
+    assert "layer.schema0.w'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stored_config_missing_key_exits_2(tiny_run):

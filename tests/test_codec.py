@@ -1,14 +1,21 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import scoff.numerics as nm
+from scoff.cli import parse_config, to_train_config
 from scoff.codec import (CodecConfig, FrameReadout, Perceptron, PositionEncoder,
                          ScalarReadout, TokenEncoder)
 from scoff.layer import ScoffConfig, ScoffLayer
 from scoff.numerics import Tape, Tensor, backward, grad_check
 from scoff.rng import Rng
+from scoff.tasks import gen_bouncing_mini
+from scoff.training import build_model, sequence_loss
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def rand(rng, shape):
@@ -311,6 +318,37 @@ def test_fused_codec_matches_op_chain_bit_for_bit():
     ref_outs, ref_leaves = codec_graph(fused=False)
     assert_same_bits([o.data for o in outs], [o.data for o in ref_outs])
     assert_same_bits([t.grad for t in leaves], [t.grad for t in ref_leaves])
+
+
+def test_one_row_readout_returns_its_row_with_the_pooled_bits(monkeypatch):
+    # the GRU baseline's state is one row, whose softmax weight is exactly 1:
+    # skipping the pooling changes no value and no gradient, and leaves the
+    # pooling query, whose gradient was exactly zero, without one
+    resolved = parse_config(os.path.join(CONFIGS, "bouncing_mini.cfg"), ["model=gru"])
+    cfg = to_train_config(resolved)
+    seqs = [gen_bouncing_mini(Rng(i), resolved["length"], resolved["n_balls"])
+            for i in range(3)]
+
+    def batch(pool):
+        model = build_model(cfg, Rng(5))
+        if pool:
+            monkeypatch.setattr(model.head, "pooled",
+                                lambda state: pooled_chain(model.head, state))
+        rng, losses = Rng(6), []
+        for seq in seqs:
+            with Tape() as tape:
+                loss, _ = sequence_loss(model, seq, rng, training=True)
+            backward(loss, tape)
+            losses.append(loss.data)
+        return losses, {name: p.grad for name, p in model.parameters().items()}
+
+    losses, grads = batch(pool=False)
+    ref_losses, ref_grads = batch(pool=True)
+    assert losses == ref_losses
+    assert grads.keys() == ref_grads.keys()
+    assert grads.pop("ro_pool") is None
+    assert (ref_grads.pop("ro_pool") == 0.0).all()
+    assert_same_bits(list(grads.values()), list(ref_grads.values()))
 
 
 def test_fused_codec_ops_grad_check():

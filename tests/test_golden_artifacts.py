@@ -35,35 +35,35 @@ RUNS = (("switching", "switching_mini", ()),
 GOLDEN = {
     "switching/data/train.scfd": "80ad636a71bc",
     "switching/data/test.scfd": "fa336d04675e",
-    "switching/train/metrics.jsonl": "584ec099e167",
-    "switching/train/checkpoint/tensors.bin": "c3475639f708",
-    "switching/train/checkpoint/manifest.json:tensors": "46db5a9bc8f1",
-    "switching/eval/rollout_curve.csv": "637ba8dff8eb",
+    "switching/train/metrics.jsonl": "427c0608c7e4",
+    "switching/train/checkpoint/tensors.bin": "fae883470897",
+    "switching/train/checkpoint/manifest.json:tensors": "2643d619f217",
+    "switching/eval/rollout_curve.csv": "edc9faeeb97c",
     "switching/trace/schema_usage.csv": "f19a02de582b",
     "switching/trace/traces.jsonl": "54a2c4d3f275",
     "bouncing/data/train.scfd": "677a533d3700",
     "bouncing/data/test.scfd": "ff0731ea192d",
-    "bouncing/train/metrics.jsonl": "2b2795c688d4",
-    "bouncing/train/checkpoint/tensors.bin": "d69aeb1615ac",
-    "bouncing/train/checkpoint/manifest.json:tensors": "89b2f2fd7877",
-    "bouncing/eval/rollout_curve.csv": "ae10316ec36d",
-    "bouncing/trace/schema_usage.csv": "4dd838610e90",
-    "bouncing/trace/traces.jsonl": "2e51e170173b",
+    "bouncing/train/metrics.jsonl": "9b2d5fa2fd14",
+    "bouncing/train/checkpoint/tensors.bin": "de381928168f",
+    "bouncing/train/checkpoint/manifest.json:tensors": "783cbb200c62",
+    "bouncing/eval/rollout_curve.csv": "224d7dc1675e",
+    "bouncing/trace/schema_usage.csv": "23a56d3b073d",
+    "bouncing/trace/traces.jsonl": "44957d46638f",
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
-    "bouncing_gru/train/metrics.jsonl": "c21934f75810",
-    "bouncing_gru/train/checkpoint/tensors.bin": "0958bfdbe26d",
-    "bouncing_gru/train/checkpoint/manifest.json:tensors": "e96e4613136f",
-    "bouncing_gru/eval/rollout_curve.csv": "1971e8df20d9",
+    "bouncing_gru/train/metrics.jsonl": "38336a063946",
+    "bouncing_gru/train/checkpoint/tensors.bin": "8baf482415d7",
+    "bouncing_gru/train/checkpoint/manifest.json:tensors": "3086246e7000",
+    "bouncing_gru/eval/rollout_curve.csv": "646bd5d96517",
     "adding/data/train.scfd": "859e755d4f0e",
     "adding/data/test.scfd": "4ab84a03c646",
-    "adding/train/metrics.jsonl": "78bca8ccbcce",
-    "adding/train/checkpoint/tensors.bin": "2cfd952330a8",
-    "adding/train/checkpoint/manifest.json:tensors": "276c0dda051d",
-    "adding/eval/rollout_curve.csv": "1c09ac04e27e",
+    "adding/train/metrics.jsonl": "2203c0f19ae5",
+    "adding/train/checkpoint/tensors.bin": "77fdefd7ca0a",
+    "adding/train/checkpoint/manifest.json:tensors": "9539d31bad95",
+    "adding/eval/rollout_curve.csv": "dc1db2274018",
     "adding/trace/schema_usage.csv": "c1733e2643e2",
-    "adding/trace/traces.jsonl": "30690a6e0245",
-    "check-grad:stdout": "bbe1a0f63cbd",
+    "adding/trace/traces.jsonl": "3300e383d46e",
+    "check-grad:stdout": "626cc580d817",
 }
 
 

@@ -15,15 +15,23 @@ def rand(rng, shape):
 
 def zero_schema(d_in, d_h):
     z = lambda *s: Tensor(np.zeros(s))
-    return SchemaParams(z(d_in, d_h), z(d_in, d_h), z(d_in, d_h),
-                        z(d_h, d_h), z(d_h, d_h), z(d_h, d_h),
-                        z(d_h), z(d_h), z(d_h))
+    return SchemaParams(z(d_in, 3 * d_h), z(d_h, 2 * d_h), z(d_h, d_h), z(3 * d_h))
+
+
+def gates(th):
+    """The nine per-gate arrays of a stacked schema, as views:
+    (w_r, w_u, w_c, u_r, u_u, u_c, b_r, b_u, b_c)."""
+    d = th.u_c.shape[0]
+    w, u_ru, b = th.w.data, th.u_ru.data, th.b.data
+    return (w[:, :d], w[:, d:2 * d], w[:, 2 * d:], u_ru[:, :d], u_ru[:, d:],
+            th.u_c.data, b[:d], b[d:2 * d], b[2 * d:])
 
 
 def gru_oracle(z, h, th):
     """Elementwise scalar-loop reference for one GRU row."""
     d_in, d_h = len(z), len(h)
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
+    w_r, w_u, w_c, u_r, u_u, u_c, b_r, b_u, b_c = gates(th)
 
     def affine(w, u, b, hvec):
         out = []
@@ -36,10 +44,10 @@ def gru_oracle(z, h, th):
             out.append(acc)
         return out
 
-    r = [sig(v) for v in affine(th.w_r.data, th.u_r.data, th.b_r.data, h)]
-    u = [sig(v) for v in affine(th.w_u.data, th.u_u.data, th.b_u.data, h)]
+    r = [sig(v) for v in affine(w_r, u_r, b_r, h)]
+    u = [sig(v) for v in affine(w_u, u_u, b_u, h)]
     rh = [r[i] * h[i] for i in range(d_h)]
-    c = [math.tanh(v) for v in affine(th.w_c.data, th.u_c.data, th.b_c.data, rh)]
+    c = [math.tanh(v) for v in affine(w_c, u_c, b_c, rh)]
     return [(1.0 - u[i]) * h[i] + u[i] * c[i] for i in range(d_h)]
 
 
@@ -53,11 +61,11 @@ def test_gru_all_zero_parameters_halve_state():
 def test_gru_zero_inputs_closed_form():
     rng = Rng(3)
     th = init_schema(rng, 2, 4)
-    for b in (th.b_u, th.b_c):
-        b.data[...] = rand(rng, (4,))
+    th.b.data[4:] = rand(rng, (8,))
     out = gru_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 4))), th)
-    sig = 1.0 / (1.0 + np.exp(-th.b_u.data))
-    assert np.allclose(out.data[0], sig * np.tanh(th.b_c.data), atol=1e-15)
+    b_u, b_c = gates(th)[7:]
+    sig = 1.0 / (1.0 + np.exp(-b_u))
+    assert np.allclose(out.data[0], sig * np.tanh(b_c), atol=1e-15)
 
 
 def test_gru_matches_scalar_oracle():
@@ -109,6 +117,16 @@ def test_gru_shape_errors():
         gru_step(Tensor([1.0, 2.0]), Tensor([0.0, 0.0, 0.0]), th)
 
 
+@pytest.mark.parametrize("field,shape", [("w", (2, 6)), ("u_ru", (3, 3)),
+                                         ("u_c", (3, 6)), ("b", (3,))])
+def test_schema_params_reject_unstacked_shapes(field, shape):
+    th = zero_schema(2, 3)
+    parts = {name: getattr(th, name) for name in ("w", "u_ru", "u_c", "b")}
+    parts[field] = Tensor(np.zeros(shape))
+    with pytest.raises(ValueError, match=field):
+        SchemaParams(**parts)
+
+
 def test_gru_backward_is_finite_difference_clean():
     rng = Rng(31)
     th = init_schema(rng, 2, 3)
@@ -122,11 +140,40 @@ def test_gru_backward_is_finite_difference_clean():
     assert nm.grad_check(f, th.params(), eps=1e-5) < 1e-4
 
 
+def cols(t, lo, hi):
+    """Test-local op: the slice lo:hi of the last axis of t."""
+
+    def back(g):
+        full = np.zeros_like(t.data)
+        full[..., lo:hi] = g
+        nm.accum(t, full)
+
+    return nm.record(t.data[..., lo:hi].copy(), (t,), back)
+
+
 def gru_chain(z, h, th):
-    """Reference: the GRU cell as a chain of elementary taped ops."""
-    r = nm.sigmoid(nm.matmul(z, th.w_r) + nm.matmul(h, th.u_r) + th.b_r)
-    u = nm.sigmoid(nm.matmul(z, th.w_u) + nm.matmul(h, th.u_u) + th.b_u)
-    c = nm.tanh(nm.matmul(z, th.w_c) + nm.matmul(r * h, th.u_c) + th.b_c)
+    """Reference: the stacked GRU cell as a chain of elementary taped ops.
+    h enters through one full-width slice, so that its three contributions
+    are summed before they reach h, as the fused backward sums them."""
+    d = th.u_c.shape[0]
+    h = cols(h, 0, d)
+    a = nm.matmul(z, th.w) + th.b
+    ru = nm.sigmoid(cols(a, 0, 2 * d) + nm.matmul(h, th.u_ru))
+    r, u = cols(ru, 0, d), cols(ru, d, 2 * d)
+    c = nm.tanh(cols(a, 2 * d, 3 * d) + nm.matmul(r * h, th.u_c))
+    return (1.0 - u) * h + u * c
+
+
+def nine_matrix_chain(z, h, th):
+    """Reference: the cell as three separate gates with nine parameter
+    tensors, each a slice of the stacked ones."""
+    d = th.u_c.shape[0]
+    w_r, w_u, w_c = (cols(th.w, i * d, (i + 1) * d) for i in range(3))
+    u_r, u_u = (cols(th.u_ru, i * d, (i + 1) * d) for i in range(2))
+    b_r, b_u, b_c = (cols(th.b, i * d, (i + 1) * d) for i in range(3))
+    r = nm.sigmoid(nm.matmul(z, w_r) + nm.matmul(h, u_r) + b_r)
+    u = nm.sigmoid(nm.matmul(z, w_u) + nm.matmul(h, u_u) + b_u)
+    c = nm.tanh(nm.matmul(z, w_c) + nm.matmul(r * h, th.u_c) + b_c)
     return (1.0 - u) * h + u * c
 
 
@@ -170,9 +217,26 @@ def test_fused_gru_matches_op_chain_bit_for_bit(rows, h_grad):
             assert (got.grad == want.grad).all()
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("h_grad", [True, False])
+def test_stacked_gru_matches_nine_matrix_formula(rows, h_grad):
+    # stacking reassociates the gate sums (z·w + b, then + h·u), so the two
+    # forms agree to rounding, not to the bit
+    outs, leaves = unrolled_loss(gru_step, rows, h_grad)
+    ref_outs, ref_leaves = unrolled_loss(nine_matrix_chain, rows, h_grad)
+    for got, want in zip(outs, ref_outs):
+        assert np.abs(got.data - want.data).max() <= 1e-13 * max(np.abs(want.data).max(), 1.0)
+    for got, want in zip(leaves, ref_leaves):
+        if want.grad is None:
+            assert got.grad is None
+            continue
+        assert got.grad.shape == want.grad.shape
+        assert np.abs(got.grad - want.grad).max() <= 1e-12 * np.abs(want.grad).max()
+
+
 def test_fused_gru_shared_input_and_state_matches_op_chain_bit_for_bit():
     # one tensor as input and state: the order in which the fused backward
-    # adds its seven contributions decides the bits
+    # adds its two contributions decides the bits
     grads = []
     for cell in (gru_step, gru_chain):
         rng = Rng(83)
@@ -199,6 +263,20 @@ def test_fused_gru_grad_check_all_parents():
     assert nm.grad_check(f, [z, h, *th.params()], eps=1e-5) < 1e-6
 
 
+def test_fused_gru_grad_check_two_steps_one_schema():
+    # the schema's weights queue two pairs and its bias takes two sums
+    rng = Rng(45)
+    th = random_cell(rng, 3, 4)
+    z = Tensor(rand(rng, (2, 3)), requires_grad=True)
+    h = Tensor(rand(rng, (2, 4)), requires_grad=True)
+    w = Tensor(rand(rng, (2, 4)))
+
+    def f(params):
+        return (gru_step(params[0], gru_step(params[0], params[1], th), th) * w).sum()
+
+    assert nm.grad_check(f, [z, h, *th.params()], eps=1e-5) < 1e-6
+
+
 def test_gru_step_appends_one_tape_node():
     rng = Rng(47)
     th = random_cell(rng, 3, 4)
@@ -212,11 +290,24 @@ def test_gru_step_appends_one_tape_node():
 def test_init_schema_biases_zero_and_bounds():
     rng = Rng(5)
     th = init_schema(rng, 3, 4)
-    assert np.array_equal(th.b_r.data, np.zeros(4))
-    assert np.array_equal(th.b_u.data, np.zeros(4))
-    assert np.array_equal(th.b_c.data, np.zeros(4))
-    bound = math.sqrt(6.0 / (4 + 4))
-    assert (np.abs(th.u_r.data) <= bound).all()
+    assert np.array_equal(th.b.data, np.zeros(12))
+    assert (np.abs(th.w.data) <= math.sqrt(6.0 / (3 + 4))).all()
+    assert (np.abs(th.u_ru.data) <= math.sqrt(6.0 / (4 + 4))).all()
+    assert all(t.requires_grad for t in th.params())
+
+
+def test_init_schema_equals_six_gate_draws_bit_for_bit():
+    # each gate drawn on its own, input weights first, as before the stacking,
+    # so the stacked cell starts from the same values and leaves the stream
+    # where the per-gate draws left it
+    got_rng, want_rng = Rng(9), Rng(9)
+    th = init_schema(got_rng, 3, 4)
+    w = [nm.glorot(want_rng, 3, 4).data for _ in range(3)]
+    u = [nm.glorot(want_rng, 4, 4).data for _ in range(3)]
+    assert np.array_equal(th.w.data, np.concatenate(w, axis=1))
+    assert np.array_equal(th.u_ru.data, np.concatenate(u[:2], axis=1))
+    assert np.array_equal(th.u_c.data, u[2])
+    assert np.array_equal(got_rng.uniform((4,)), want_rng.uniform((4,)))
 
 
 def test_init_schema_deterministic():

@@ -271,9 +271,9 @@ def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
         assert len(graphs) == 6
 
 
-@pytest.mark.parametrize("kind,nodes", [("scoff", 725), ("gru", 319)])
+@pytest.mark.parametrize("kind,nodes", [("scoff", 725), ("gru", 290)])
 def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
-    # 29 steps of 24 (scoff) or 10 (gru) fused ops, plus the 29 ops that
+    # 29 steps of 24 (scoff) or 9 (gru) fused ops, plus the 29 ops that
     # average the step losses: an op chain that creeps back into a step, or a
     # fusion that drops an op, changes the count
     config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -390,6 +390,43 @@ def test_eval_rollout_modes_agree_before_and_diverge_after_burn_in():
     # the first predicted frame uses only ground-truth inputs in both modes
     assert teacher[0] == pytest.approx(self_fed[0])
     assert any(abs(a - b) > 1e-12 for a, b in zip(teacher[1:], self_fed[1:]))
+
+
+def rollout_every_step(model, sequences, burn_in, horizon):
+    """Reference for ``eval_rollout``: the loop that reads out after every
+    step, burn-in included, and scores only the steps from burn_in on."""
+    teacher, self_fed = np.zeros(horizon), np.zeros(horizon)
+    for seq in sequences:
+        frames = seq.frames
+        for mode, acc in (("teacher", teacher), ("self", self_fed)):
+            state = model.init_state()
+            feed = frames[0]
+            for t in range(burn_in + horizon - 1):
+                state, _ = model.step(model.encode(feed), state)
+                logits = model.readout(state)
+                target_idx = t + 1
+                if target_idx >= burn_in:
+                    acc[target_idx - burn_in] += bce_per_frame(
+                        logits, frames[target_idx]).item()
+                if mode == "teacher" or target_idx < burn_in:
+                    feed = frames[target_idx]
+                else:
+                    feed = (logits.data > 0.0).astype(np.float64)
+    return (teacher / len(sequences)).tolist(), (self_fed / len(sequences)).tolist()
+
+
+@pytest.mark.parametrize("kind", ["scoff", "gru"])
+def test_eval_rollout_reads_out_only_scored_steps(kind, monkeypatch):
+    data = make_switching_data(2, length=13)
+    cfg = tiny_train_config(model=kind)
+    model = build_model(cfg, Rng(cfg.seed))
+    want = rollout_every_step(model, data, burn_in=4, horizon=6)
+    calls = []
+    readout = model.readout
+    monkeypatch.setattr(model, "readout", lambda state: calls.append(1) or readout(state))
+    got = eval_rollout(model, data, burn_in=4, horizon=6)
+    assert len(calls) == 2 * 6 * len(data)
+    assert got == want
 
 
 def test_eval_rollout_window_validation():
