@@ -7,6 +7,10 @@ same perceptron route as a single position. Readout transforms every slot row
 with one shared perceptron, pools the rows with a learned attention query
 (so slot order cannot matter), and projects the pooled vector to the task
 output.
+
+Both sides take a leading time axis, so that a sequence pass encodes all its
+known inputs and reads out all its scored states in one call each; a single
+step is the n = 1 case of the same call.
 """
 
 from dataclasses import dataclass
@@ -76,7 +80,12 @@ class Perceptron:
 
 
 class EncoderBase:
-    """Shared two-layer input perceptron plus one learned embedding per position."""
+    """Shared two-layer input perceptron plus one learned embedding per position.
+
+    Inputs come with a leading time axis: every input known before a pass is
+    encoded at once, one perceptron over the rows of all steps, and split into
+    per-step [positions, d_a] feature Tensors. A single step is the n = 1 case.
+    """
 
     def __init__(self, rng: Rng, n_in: int, positions: int, cfg: CodecConfig):
         self.cfg = cfg
@@ -88,9 +97,34 @@ class EncoderBase:
     def d_a(self) -> int:
         return self.cfg.d_a
 
-    def _encode_rows(self, x: Tensor) -> Tensor:
-        """[positions, d_a]: each input row's encoding with its position embedding."""
-        return nm.concat([self.mlp(x), self.pos_table], axis=1)
+    def _encode_rows(self, x: Tensor, n: int) -> list:
+        """n feature Tensors [positions, d_a] from the input rows x
+        [n·positions, n_in]: each row's encoding beside its position's
+        embedding."""
+        return nm.split_rows(self.beside_positions(self.mlp(x)), n)
+
+    def beside_positions(self, left: Tensor) -> Tensor:
+        """[n·P, w + d_pos]: each step's P rows of left [n·P, w] beside the
+        position table, as one fused tape op."""
+        w = left.shape[1]
+
+        def back(g):
+            nm.accum(left, g[:, :w])
+            self.accum_positions(g[:, w:])
+
+        steps = left.shape[0] // self.positions
+        return nm.record(np.concatenate([left.data, self.tiled_positions(steps)], axis=1),
+                         (left, self.pos_table), back)
+
+    def tiled_positions(self, n: int) -> np.ndarray:
+        """[n·P, d_pos]: the position table once per step, for n steps."""
+        return np.tile(self.pos_table.data, (n, 1))
+
+    def accum_positions(self, g: np.ndarray) -> None:
+        """Hand the position table the gradient g [n·P, d_pos] of its tiled
+        copies, summed over the n steps."""
+        n = g.shape[0] // self.positions
+        nm.accum(self.pos_table, g.reshape(n, self.positions, -1).sum(axis=0))
 
     def params(self) -> dict:
         return {**self.mlp.params(), "enc_pos": self.pos_table}
@@ -109,44 +143,53 @@ class PositionEncoder(EncoderBase):
         self.grid = (height // s, width // s)
         super().__init__(rng, s * s, self.grid[0] * self.grid[1], cfg)
 
-    def patch_rows(self, frame: np.ndarray) -> np.ndarray:
+    def patch_rows(self, frames: np.ndarray) -> np.ndarray:
+        """[n·P, s·s]: the patches of frames [n, H, W], frame by frame."""
         s = self.cfg.patch
         gh, gw = self.grid
-        return (np.asarray(frame, dtype=np.float64)
-                .reshape(gh, s, gw, s)
-                .transpose(0, 2, 1, 3)
-                .reshape(self.positions, s * s))
+        frames = np.asarray(frames, dtype=np.float64)
+        return (frames.reshape(-1, gh, s, gw, s)
+                .transpose(0, 1, 3, 2, 4)
+                .reshape(-1, s * s))
 
-    def encode_frame(self, frame: np.ndarray) -> Tensor:
-        """[P, d_a] rows, each patch encoding with its position embedding."""
-        frame = np.asarray(frame, dtype=np.float64)
-        if frame.shape != (self.height, self.width):
-            raise ValueError(f"expected {self.height}x{self.width} frame, got {frame.shape}")
-        if frame.min() < 0.0 or frame.max() > 1.0:
+    def encode_frame(self, frames: np.ndarray) -> list:
+        """One [P, d_a] feature Tensor per frame of frames [n, H, W]: each
+        patch encoding with its position embedding."""
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 3 or not len(frames) or frames.shape[1:] != (self.height,
+                                                                        self.width):
+            raise ValueError(f"expected [n, {self.height}, {self.width}] frames, "
+                             f"got {frames.shape}")
+        if frames.min() < 0.0 or frames.max() > 1.0:
             raise ValueError("frame values must lie in [0, 1]")
-        return self._encode_rows(nm.record(self.patch_rows(frame), (), None))
+        return self._encode_rows(nm.record(self.patch_rows(frames), (), None), len(frames))
 
 
 class TokenEncoder(EncoderBase):
-    """Lifts one input token to a single feature row (P = 1)."""
+    """Lifts each input token to a single feature row (P = 1)."""
 
     def __init__(self, rng: Rng, n_features: int, cfg: CodecConfig):
         self.n_features = n_features
         super().__init__(rng, n_features, 1, cfg)
 
-    def encode_token(self, token: np.ndarray) -> Tensor:
-        token = np.asarray(token, dtype=np.float64)
-        if token.shape != (self.n_features,):
-            raise ValueError(f"expected {self.n_features}-feature token, got {token.shape}")
-        return self._encode_rows(Tensor(token.reshape(1, self.n_features)))
+    def encode_token(self, tokens: np.ndarray) -> list:
+        """One [1, d_a] feature Tensor per token of tokens [n, n_features]."""
+        tokens = np.asarray(tokens, dtype=np.float64)
+        if tokens.ndim != 2 or not len(tokens) or tokens.shape[1] != self.n_features:
+            raise ValueError(f"expected [n, {self.n_features}] tokens, got {tokens.shape}")
+        return self._encode_rows(Tensor(tokens), len(tokens))
 
 
 class ReadoutBase:
     """Shared slot transform and attention pooling over slot rows.
 
-    ``pool_q``, the pooling query, does nothing for a one-row state (the GRU
-    baseline, or a single slot), which is its own pool; it stays a parameter
-    so that the parameters and init draws do not depend on the row count.
+    A readout takes a list of n states, each [R, d_h], and reads them all out
+    at once: one perceptron over the rows of every state and one pooling op.
+    A single state is the n = 1 case.
+
+    ``pool_q``, the pooling query, does nothing for one-row states (the GRU
+    baseline, or a single slot), each its own pool; it stays a parameter so
+    that the parameters and init draws do not depend on the row count.
     """
 
     def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig):
@@ -154,24 +197,32 @@ class ReadoutBase:
         self.mlp = Perceptron(rng, d_h, cfg.readout_hidden, cfg.readout_width, "ro_")
         self.pool_q = nm.glorot(rng, cfg.readout_width, 1)
 
-    def pooled(self, state: Tensor) -> Tensor:
-        """[1, readout_width]: transform rows, pool with the learned query
-        (softmax over rows); the pooling is one fused tape op. One row is
-        returned as it is: its softmax weight is exactly 1."""
-        rows = self.mlp(state)
-        if rows.shape[0] == 1:
-            return rows
+    def pooled(self, states: list) -> Tensor:
+        """[n, readout_width]: the rows of every state through the slot
+        perceptron, then each state's rows pooled. One-row states are returned
+        as they are: the softmax weight of one row is exactly 1."""
+        n = len(states)
+        rows = self.mlp(states[0] if n == 1 else nm.concat(states, axis=0))
+        return rows if rows.shape[0] == n else self._pool(rows, n)
+
+    def _pool(self, rows: Tensor, n: int) -> Tensor:
+        """[n, readout_width]: each of the n equal blocks of rows pooled with
+        the learned query (softmax over the block's rows), as one fused tape
+        op."""
         rd, qd = rows.data, self.pool_q.data
-        w = nm.stable_softmax(rd @ qd, 0)
+        rd3 = rd.reshape(n, -1, rd.shape[1])
+        w = nm.stable_softmax(rd3 @ qd, 1)
 
         def back(g):
-            nm.accum(rows, w @ g)
-            g_s = (g @ rd.T).T
-            g_s = w * (g_s - (g_s * w).sum(axis=0, keepdims=True))
+            g3 = g[:, None, :]
+            nm.accum(rows, (w @ g3).reshape(rd.shape))
+            g_s = (g3 @ rd3.transpose(0, 2, 1)).transpose(0, 2, 1)
+            g_s = (w * (g_s - (g_s * w).sum(axis=1, keepdims=True))).reshape(-1, 1)
             nm.accum(rows, g_s @ qd.T)
             nm.accum_xtg(self.pool_q, rd, g_s)
 
-        return nm.record(w.T @ rd, (rows, self.pool_q), back)
+        return nm.record((w.transpose(0, 2, 1) @ rd3).reshape(n, -1),
+                         (rows, self.pool_q), back)
 
     def params(self) -> dict:
         return {**self.mlp.params(), "ro_pool": self.pool_q}
@@ -194,38 +245,42 @@ class FrameReadout(ReadoutBase):
                                   cfg.patch * cfg.patch, "ro_dec_")
         self._ones = np.ones((encoder.positions, 1))
 
-    def readout(self, state: Tensor) -> Tensor:
-        """[H, W] logits."""
-        patches = self.decoder(self._decoder_input(self.pooled(state)))
+    def readout(self, states: list) -> Tensor:
+        """[n, H, W] logits, one frame per state."""
+        patches = self.decoder(self._decoder_input(self.pooled(states)))
         return self._unpatch(patches)
 
     def _decoder_input(self, pooled: Tensor) -> Tensor:
-        """[P, readout_width + d_pos]: the pooled vector at every position
+        """[n·P, readout_width + d_pos]: each pooled row at every position
         beside that position's embedding, as one fused tape op."""
-        pos = self.encoder.pos_table
-        width = pooled.shape[1]
+        n, width = pooled.shape
+        enc = self.encoder
 
         def back(g):
-            nm.accum(pos, g[:, width:])
-            # the ones-matrix product, not a sum over rows: the same bits as the
-            # matmul that broadcasts pooled in the forward pass
-            nm.accum(pooled, self._ones.T @ g[:, :width])
+            enc.accum_positions(g[:, width:])
+            # the ones-matrix product per step, not a sum over rows: the bits
+            # of the chain, whose forward broadcasts pooled by that matmul
+            g_p = self._ones.T @ g[:, :width].reshape(n, enc.positions, width)
+            nm.accum(pooled, g_p.reshape(n, width))
 
-        out = np.concatenate([self._ones @ pooled.data, pos.data], axis=1)
-        return nm.record(out, (pooled, pos), back)
+        out = np.concatenate([np.repeat(pooled.data, enc.positions, axis=0),
+                              enc.tiled_positions(n)], axis=1)
+        return nm.record(out, (pooled, enc.pos_table), back)
 
     def _unpatch(self, patches: Tensor) -> Tensor:
-        """[P, s·s] patch rows laid back out as the [H, W] frame, as one fused
-        tape op."""
+        """[n·P, s·s] patch rows laid back out as n [H, W] frames, as one
+        fused tape op."""
         gh, gw = self.encoder.grid
         s = self.cfg.patch
         shape = patches.shape
+        n = shape[0] // self.encoder.positions
 
         def back(g):
-            nm.accum(patches, g.reshape(gh, s, gw, s).transpose(0, 2, 1, 3).reshape(shape))
+            nm.accum(patches, g.reshape(n, gh, s, gw, s).transpose(0, 1, 3, 2, 4)
+                     .reshape(shape))
 
-        img = patches.data.reshape(gh, gw, s, s).transpose(0, 2, 1, 3)
-        return nm.record(img.reshape(self.encoder.height, self.encoder.width),
+        img = patches.data.reshape(n, gh, gw, s, s).transpose(0, 1, 3, 2, 4)
+        return nm.record(img.reshape(n, self.encoder.height, self.encoder.width),
                          (patches,), back)
 
     def params(self) -> dict:
@@ -240,9 +295,10 @@ class ScalarReadout(ReadoutBase):
         self.w_out = nm.glorot(rng, cfg.readout_width, 1)
         self.b_out = nm.zeros(1, requires_grad=True)
 
-    def readout(self, state: Tensor) -> Tensor:
-        pooled = self.pooled(state)
-        return nm.reshape(nm.matmul(pooled, self.w_out) + self.b_out, ())
+    def readout(self, states: list) -> Tensor:
+        """[n] predictions, one per state."""
+        pooled = self.pooled(states)
+        return nm.reshape(nm.matmul(pooled, self.w_out) + self.b_out, (len(states),))
 
     def params(self) -> dict:
         out = super().params()

@@ -6,6 +6,10 @@ the readout head and the parameter naming, and differ only in the recurrent
 core: the scoff layer, or for the baseline a single monolithic GRU cell over
 mean-pooled features.
 
+``encode`` and ``readout`` work on whole time spans: every input known before
+a pass is encoded at once, and every scored state read out at once. Only
+``step`` runs once per time step.
+
 When ``step`` is called without an rng the schema choice is greedy (zero
 selection noise) and dropout is off, which is the deterministic evaluation
 mode.
@@ -46,14 +50,16 @@ class SequenceModel:
         else:
             self.head = ScalarReadout(rng, width, codec_cfg)
 
-    def encode(self, x) -> Tensor:
-        x = np.asarray(x, dtype=np.float64)
+    def encode(self, xs) -> list:
+        """One feature Tensor per input of xs, whose leading axis is time."""
+        xs = np.asarray(xs, dtype=np.float64)
         if self.task in FRAME_TASKS:
-            return self.encoder.encode_frame(x)
-        return self.encoder.encode_token(x)
+            return self.encoder.encode_frame(xs)
+        return self.encoder.encode_token(xs)
 
-    def readout(self, state: Tensor) -> Tensor:
-        return self.head.readout(state)
+    def readout(self, states: list) -> Tensor:
+        """The outputs for a list of states, with a leading axis over them."""
+        return self.head.readout(states)
 
     def parameters(self) -> dict:
         return {**self.encoder.params(), **self._core_parameters(), **self.head.params()}

@@ -19,9 +19,10 @@ one node instead of one per op. The fused ops are:
 - ``attention.attend`` (one attention head) and ``attention.gumbel_st_select``
   (noise, temperature, softmax and the straight-through one-hot);
 - ``codec.Perceptron.__call__`` (the two-layer tanh perceptron),
-  ``ReadoutBase.pooled``'s attention pooling over slot rows, and
-  ``FrameReadout``'s decoder input (the pooled vector at every position beside
-  the position table) and unpatching (patch rows back to the frame);
+  ``EncoderBase.beside_positions`` (feature rows beside the position table),
+  ``ReadoutBase._pool`` (attention pooling over each state's slot rows), and
+  ``FrameReadout``'s decoder input (each pooled vector at every position
+  beside the position table) and unpatching (patch rows back to frames);
 - in ``layer.ScoffLayer.schema_select_update``, the scoring of the stacked
   schema hypotheses (key and query projections, logits) and their mixing by
   the selection.
@@ -31,6 +32,17 @@ evaluates the same numpy expressions in the same order, and its backward
 calls ``accum`` on each parent in the order in which the chain's reverse scan
 would have added the contributions, since floating-point addition does not
 associate.
+
+The codec ops are also time-batched: a sequence's encoder runs once over the
+inputs of all its steps, and :func:`split_rows` cuts the result into the
+per-step feature Tensors that the recurrence takes; the readout runs once
+over the states of all scored steps. Called with one step, such an op keeps
+the bits of its chain. Over n steps, its matrix products run over the rows of
+all steps at once, and a contribution that the per-step loop added once per
+step in reverse scan order, such as a bias's or the position table's, is
+summed over the time axis in one reduction. A time-batched op therefore
+agrees with the loop of its one-step calls within rounding (about 1e-15
+relative), not bit for bit.
 
 A weight's product ``x.T @ g`` (the right operand of ``matmul``, and the
 matching weights of the fused ops) goes through :func:`accum_xtg` instead.
@@ -354,6 +366,32 @@ def concat(parts, axis: int = 0) -> Tensor:
             accum(p, piece)
 
     return record(out, tuple(parts), back)
+
+
+def split_rows(x, n: int) -> list:
+    """``x`` [n·r, d] cut into n Tensors of r consecutive rows each (views).
+
+    The pieces hang off one gathering node between them and ``x``. Each
+    piece's backward writes its gradient into that node's rows, which start
+    at zero, so a piece that takes no gradient leaves zeros; the gathering
+    node then hands ``x`` the whole array as one contribution. One array of
+    x's size is made per backward pass, however many pieces there are.
+    """
+    x = as_tensor(x)
+    if x.data.ndim != 2 or n < 1 or x.data.shape[0] % n:
+        raise ValueError(f"split_rows cannot cut {x.shape} into {n} equal row blocks")
+    r = x.data.shape[0] // n
+    gather = record(x.data, (x,), lambda g: accum(x, g))
+
+    def piece(lo):
+        def back(g):
+            if gather.grad is None:
+                gather.grad = np.zeros_like(x.data)
+            gather.grad[lo:lo + r] = g
+
+        return record(x.data[lo:lo + r], (gather,), back)
+
+    return [piece(i * r) for i in range(n)]
 
 
 def stack(parts, axis: int = 0) -> Tensor:

@@ -78,7 +78,8 @@ class MetricsRecord:
 
 
 def bce_per_frame(logits: Tensor, target) -> Tensor:
-    """Mean per-pixel binary cross entropy in stable logit form."""
+    """Mean per-pixel binary cross entropy in stable logit form, over every
+    pixel of every frame given."""
     return nm.logistic_loss_mean(logits, np.asarray(target, dtype=np.float64))
 
 
@@ -139,33 +140,29 @@ def build_model(cfg: TrainConfig, rng: Rng):
     raise ValueError(f"unknown model kind {cfg.model!r}")
 
 
-def video_loss(model, frames, rng=None, training: bool = False):
-    """Teacher-forced next-frame prediction loss, averaged over steps."""
+def run_steps(model, feats: list, rng=None, training: bool = False):
+    """The recurrence over per-step features from a fresh state: the state
+    after each step and each step's trace."""
     state = model.init_state()
-    losses, traces = [], []
-    for t in range(frames.shape[0] - 1):
-        feats = model.encode(frames[t])
-        state, trace = model.step(feats, state, rng, training)
-        logits = model.readout(state)
-        losses.append(bce_per_frame(logits, frames[t + 1]))
+    states, traces = [], []
+    for f in feats:
+        state, trace = model.step(f, state, rng, training)
+        states.append(state)
         traces.append(trace)
-    total = losses[0]
-    for piece in losses[1:]:
-        total = total + piece
-    return total * (1.0 / len(losses)), traces
+    return states, traces
+
+
+def video_loss(model, frames, rng=None, training: bool = False):
+    """Teacher-forced next-frame prediction loss, averaged over steps: every
+    frame but the last is encoded, and every state read out, in one op each."""
+    states, traces = run_steps(model, model.encode(frames[:-1]), rng, training)
+    return bce_per_frame(model.readout(states), frames[1:]), traces
 
 
 def adding_loss(model, seq: AddingSequence, rng=None, training: bool = False):
     """Terminal-target regression loss over the full token sequence."""
-    tokens = seq.tokens()
-    state = model.init_state()
-    traces = []
-    for t in range(tokens.shape[0]):
-        feats = model.encode(tokens[t])
-        state, trace = model.step(feats, state, rng, training)
-        traces.append(trace)
-    pred = model.readout(state)
-    return mse_scalar(pred, seq.target), traces
+    states, traces = run_steps(model, model.encode(seq.tokens()), rng, training)
+    return mse_scalar(model.readout(states[-1:]), seq.target), traces
 
 
 def sequence_loss(model, seq, rng=None, training: bool = False):
@@ -182,7 +179,10 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
 
     Step i predicts frame burn_in + i. The self-fed mode thresholds each
     predicted frame at probability 0.5 before re-encoding it. The readout
-    runs only where its logits are scored, from frame burn_in on.
+    runs only where its logits are scored, from frame burn_in on. The
+    teacher-forced pass encodes its frames and reads out its scored states
+    in one op each; the self-fed pass reuses the teacher's burn-in features
+    and then steps one frame at a time.
     """
     if not sequences:
         raise ValueError("no sequences to evaluate")
@@ -191,20 +191,20 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     self_fed = np.zeros(horizon)
     for seq in sequences:
         frames = seq.frames
-        for mode, acc in (("teacher", teacher), ("self", self_fed)):
-            state = model.init_state()
-            feed = frames[0]
-            for target_idx in range(1, burn_in + horizon):
-                state, _ = model.step(model.encode(feed), state)
-                if target_idx < burn_in:
-                    feed = frames[target_idx]
-                    continue
-                logits = model.readout(state)
-                acc[target_idx - burn_in] += bce_per_frame(logits, frames[target_idx]).item()
-                if mode == "teacher":
-                    feed = frames[target_idx]
-                else:
-                    feed = (logits.data > 0.0).astype(np.float64)
+        targets = frames[burn_in:burn_in + horizon]
+        feats = model.encode(frames[:burn_in + horizon - 1])
+        states, _ = run_steps(model, feats)
+        logits = model.readout(states[burn_in - 1:]).data
+        for i, target in enumerate(targets):
+            teacher[i] += bce_per_frame(Tensor(logits[i]), target).item()
+        states, _ = run_steps(model, feats[:burn_in])
+        state = states[-1]
+        for i, target in enumerate(targets):
+            if i:
+                feed = (pred > 0.0).astype(np.float64)
+                state, _ = model.step(model.encode(feed[None])[0], state)
+            pred = model.readout([state]).data[0]
+            self_fed[i] += bce_per_frame(Tensor(pred), target).item()
     teacher /= len(sequences)
     self_fed /= len(sequences)
     return teacher.tolist(), self_fed.tolist()
@@ -230,16 +230,18 @@ def eval_adding(model, sequences: list) -> float:
 def collect_traces(model, sequences: list, burn_in: int = 0):
     """Greedy-mode traces and per-step labels, burn-in steps dropped.
 
+    Runs the steps of each sequence's loss pass, with no readout and no loss.
     Adding sequences are labeled operand (1) vs null (0) per step.
     """
     all_traces, all_labels = [], []
     for seq in sequences:
         if isinstance(seq, AddingSequence):
-            _, traces = adding_loss(model, seq)
+            inputs = seq.tokens()
             labels = seq.indicators.any(axis=1).astype(np.int64)
         else:
-            _, traces = video_loss(model, seq.frames)
+            inputs = seq.frames[:-1]
             labels = seq.labels[1:]  # trace t corresponds to predicting frame t+1
+        _, traces = run_steps(model, model.encode(inputs))
         all_traces.append(traces[burn_in:])
         all_labels.append(np.asarray(labels)[burn_in:len(traces)])
     return all_traces, all_labels

@@ -33,7 +33,7 @@ def small_codec(**kw):
 
 def test_encoder_zero_frame_rows_differ_only_in_position_embedding():
     enc = PositionEncoder(Rng(1), 16, 16, small_codec())
-    out = enc.encode_frame(np.zeros((16, 16))).data
+    out = enc.encode_frame(np.zeros((1, 16, 16)))[0].data
     content = out[:, :5]
     assert np.max(np.abs(content - content[0])) < 1e-15
     pos = out[:, 5:]
@@ -43,8 +43,8 @@ def test_encoder_zero_frame_rows_differ_only_in_position_embedding():
 def test_encoder_position_count():
     enc = PositionEncoder(Rng(2), 16, 16, small_codec(patch=4))
     assert enc.positions == 16
-    out = enc.encode_frame(np.zeros((16, 16)))
-    assert out.shape == (16, 8)
+    out = enc.encode_frame(np.zeros((3, 16, 16)))
+    assert [t.shape for t in out] == [(16, 8)] * 3
 
 
 def test_encoder_rejects_indivisible_geometry():
@@ -55,7 +55,10 @@ def test_encoder_rejects_indivisible_geometry():
 def test_encoder_rejects_out_of_range_values():
     enc = PositionEncoder(Rng(4), 16, 16, small_codec())
     with pytest.raises(ValueError):
-        enc.encode_frame(np.full((16, 16), 2.0))
+        enc.encode_frame(np.full((1, 16, 16), 2.0))
+    for shape in ((16, 16), (0, 16, 16), (1, 16, 12)):
+        with pytest.raises(ValueError, match="frames"):
+            enc.encode_frame(np.zeros(shape))
 
 
 def test_encoder_translation_permutes_content_rows():
@@ -66,8 +69,7 @@ def test_encoder_translation_permutes_content_rows():
     frame_a[5:7, 1:3] = 1.0   # inside patch (1, 0)
     frame_b = np.zeros((16, 16))
     frame_b[5:7, 5:7] = 1.0   # same offsets inside patch (1, 1)
-    ca = enc.encode_frame(frame_a).data[:, :5]
-    cb = enc.encode_frame(frame_b).data[:, :5]
+    ca, cb = (t.data[:, :5] for t in enc.encode_frame(np.stack([frame_a, frame_b])))
     idx_a = 1 * 4 + 0
     idx_b = 1 * 4 + 1
     # nearest-neighbor matching: row idx_b of B matches row idx_a of A exactly
@@ -83,18 +85,19 @@ def test_encoder_deterministic_and_bounded():
     enc = PositionEncoder(Rng(6), 16, 16, small_codec())
     rng = Rng(7)
     frame = (np.asarray(rng.uniform((16, 16))) > 0.5).astype(float)
-    a = enc.encode_frame(frame).data
-    b = enc.encode_frame(frame).data
+    a = enc.encode_frame(frame[None])[0].data
+    b = enc.encode_frame(frame[None])[0].data
     assert np.array_equal(a, b)
     assert np.isfinite(a).all()
 
 
 def test_token_encoder_single_row():
     enc = TokenEncoder(Rng(8), 3, small_codec())
-    out = enc.encode_token(np.array([0.5, 1.0, 0.0]))
-    assert out.shape == (1, 8)
-    with pytest.raises(ValueError):
-        enc.encode_token(np.array([0.5, 1.0]))
+    out = enc.encode_token(np.array([[0.5, 1.0, 0.0], [0.1, 0.0, 1.0]]))
+    assert [t.shape for t in out] == [(1, 8)] * 2
+    for bad in ([[0.5, 1.0]], [0.5, 1.0, 0.0], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="tokens"):
+            enc.encode_token(np.array(bad))
 
 
 # -------------------------------------------------------------------- readout
@@ -116,7 +119,7 @@ def pooled_oracle(head, state):
 def test_scalar_readout_single_slot_weight_one():
     head = ScalarReadout(Rng(9), 6, small_codec())
     state = Tensor(rand(Rng(10), (1, 6)))
-    got = head.readout(state).item()
+    got = head.readout([state]).item()
     pooled = pooled_oracle(head, state.data)
     expect = float(pooled @ head.w_out.data[:, 0] + head.b_out.data[0])
     assert abs(got - expect) < 1e-12
@@ -129,18 +132,18 @@ def test_readout_invariant_to_slot_permutation():
                          PositionEncoder(Rng(14), 16, 16, small_codec()))
     state = rand(rng, (5, 6))
     for perm in ([4, 3, 2, 1, 0], [1, 0, 3, 2, 4], [2, 4, 0, 1, 3]):
-        a = head.readout(Tensor(state)).item()
-        b = head.readout(Tensor(state[perm])).item()
+        a = head.readout([Tensor(state)]).item()
+        b = head.readout([Tensor(state[perm])]).item()
         assert abs(a - b) < 1e-12
-        fa = fhead.readout(Tensor(state)).data
-        fb = fhead.readout(Tensor(state[perm])).data
+        fa = fhead.readout([Tensor(state)]).data
+        fb = fhead.readout([Tensor(state[perm])]).data
         assert np.max(np.abs(fa - fb)) < 1e-12
 
 
 def test_readout_matches_scalar_oracle():
     head = ScalarReadout(Rng(15), 6, small_codec())
     state = rand(Rng(16), (4, 6))
-    got = head.readout(Tensor(state)).item()
+    got = head.readout([Tensor(state)]).item()
     pooled = pooled_oracle(head, state)
     expect = float(pooled @ head.w_out.data[:, 0] + head.b_out.data[0])
     assert abs(got - expect) < 1e-12
@@ -149,8 +152,10 @@ def test_readout_matches_scalar_oracle():
 def test_frame_readout_geometry():
     enc = PositionEncoder(Rng(17), 16, 16, small_codec())
     head = FrameReadout(Rng(18), 6, small_codec(), enc)
-    out = head.readout(Tensor(rand(Rng(19), (3, 6))))
-    assert out.shape == (16, 16)
+    out = head.readout([Tensor(rand(Rng(19), (3, 6)))])
+    assert out.shape == (1, 16, 16)
+    out = head.readout([Tensor(rand(Rng(19), (3, 6))) for _ in range(4)])
+    assert out.shape == (4, 16, 16)
 
 
 def test_frame_readout_patch_assembly_orientation():
@@ -162,7 +167,7 @@ def test_frame_readout_patch_assembly_orientation():
     head.decoder.b1.data[...] = 0.0
     head.decoder.w2.data[...] = 0.0
     head.decoder.b2.data[...] = np.arange(16.0)
-    out = head.readout(Tensor(np.zeros((2, 6)))).data
+    out = head.readout([Tensor(np.zeros((2, 6)))]).data[0]
     ramp = np.arange(16.0).reshape(4, 4)
     for gi in range(4):
         for gj in range(4):
@@ -176,8 +181,8 @@ def test_frame_readout_couples_state_and_position():
     enc = PositionEncoder(Rng(24), 16, 16, small_codec())
     head = FrameReadout(Rng(25), 6, small_codec(), enc)
     rng = Rng(26)
-    out_a = head.readout(Tensor(rand(rng, (2, 6)))).data
-    out_b = head.readout(Tensor(rand(rng, (2, 6)))).data
+    out_a = head.readout([Tensor(rand(rng, (2, 6)))]).data[0]
+    out_b = head.readout([Tensor(rand(rng, (2, 6)))]).data[0]
     diff = out_a - out_b
     patch_means = diff.reshape(4, 4, 4, 4).mean(axis=(1, 3))
     assert patch_means.max() - patch_means.min() > 1e-6
@@ -206,12 +211,11 @@ def test_encode_rollout_readout_gradcheck_soft_selection():
     params.update(head.params())
 
     def f(_):
-        state = layer.init_state()
-        for t in range(2):
-            feats = enc.encode_frame(frames[t])
+        state, states = layer.init_state(), []
+        for t, feats in enumerate(enc.encode_frame(frames[:2])):
             state, _ = layer.step(feats, state, noise=noise[t])
-        logits = head.readout(state)
-        return nm.logistic_loss_mean(logits, frames[2])
+            states.append(state)
+        return nm.logistic_loss_mean(head.readout(states), frames[1:])
 
     assert grad_check(f, list(params.values()), eps=1e-5) < 1e-4
 
@@ -238,7 +242,7 @@ def frame_readout_chain(head, state):
     gh, gw = head.encoder.grid
     s = head.cfg.patch
     img = nm.transpose(nm.reshape(patches, (gh, gw, s, s)), (0, 2, 1, 3))
-    return nm.reshape(img, (head.encoder.height, head.encoder.width))
+    return nm.reshape(img, (1, head.encoder.height, head.encoder.width))
 
 
 def randomize(rng, tensors):
@@ -302,13 +306,13 @@ def codec_graph(fused: bool):
     proj = Tensor(rand(rng, (cfg.d_a, 6)), requires_grad=True)
     with Tape() as tape:
         if fused:
-            feats = enc.encode_frame(frame)
+            feats = enc.encode_frame(frame[None])[0]
         else:
             patches = nm.record(enc.patch_rows(frame), (), None)
             feats = nm.concat([perceptron_chain(enc.mlp, patches), enc.pos_table], axis=1)
         state = nm.matmul(nm.matmul(mix, feats), proj)
-        logits = head.readout(state) if fused else frame_readout_chain(head, state)
-        loss = nm.logistic_loss_mean(logits, target)
+        logits = head.readout([state]) if fused else frame_readout_chain(head, state)
+        loss = nm.logistic_loss_mean(logits, target[None])
     backward(loss, tape)
     return [feats, state, logits, loss], [proj, *params]
 
@@ -322,8 +326,8 @@ def test_fused_codec_matches_op_chain_bit_for_bit():
 
 def test_one_row_readout_returns_its_row_with_the_pooled_bits(monkeypatch):
     # the GRU baseline's state is one row, whose softmax weight is exactly 1:
-    # skipping the pooling changes no value and no gradient, and leaves the
-    # pooling query, whose gradient was exactly zero, without one
+    # skipping the batched pooling op changes no value and no gradient, and
+    # leaves the pooling query, whose gradient was exactly zero, without one
     resolved = parse_config(os.path.join(CONFIGS, "bouncing_mini.cfg"), ["model=gru"])
     cfg = to_train_config(resolved)
     seqs = [gen_bouncing_mini(Rng(i), resolved["length"], resolved["n_balls"])
@@ -332,8 +336,9 @@ def test_one_row_readout_returns_its_row_with_the_pooled_bits(monkeypatch):
     def batch(pool):
         model = build_model(cfg, Rng(5))
         if pool:
-            monkeypatch.setattr(model.head, "pooled",
-                                lambda state: pooled_chain(model.head, state))
+            head = model.head
+            monkeypatch.setattr(head, "pooled", lambda states: head._pool(
+                head.mlp(nm.concat(states, axis=0)), len(states)))
         rng, losses = Rng(6), []
         for seq in seqs:
             with Tape() as tape:
@@ -357,18 +362,130 @@ def test_fused_codec_ops_grad_check():
     enc = PositionEncoder(rng, 16, 16, cfg)
     head = FrameReadout(rng, 6, cfg, enc)
     randomize(rng, [*enc.params().values(), *head.params().values()])
-    x = Tensor(rand(rng, (3, 6)), requires_grad=True)
-    pooled = Tensor(rand(rng, (1, cfg.readout_width)), requires_grad=True)
-    patches = Tensor(rand(rng, (enc.positions, cfg.patch * cfg.patch)), requires_grad=True)
+    x = Tensor(rand(rng, (6, 6)), requires_grad=True)
+    pooled = Tensor(rand(rng, (2, cfg.readout_width)), requires_grad=True)
+    patches = Tensor(rand(rng, (2 * enc.positions, cfg.patch * cfg.patch)),
+                     requires_grad=True)
+    content = Tensor(rand(rng, (2 * enc.positions, cfg.d_c)), requires_grad=True)
+    rows = Tensor(rand(rng, (6, cfg.readout_width)), requires_grad=True)
 
     def weighted(t):
         return (t * Tensor(np.linspace(-1.0, 1.0, t.data.size).reshape(t.shape))).sum()
 
     cases = [
         (lambda p: weighted(head.mlp(p[0])), [x, *head.mlp.params().values()]),
-        (lambda p: weighted(head.pooled(p[0])), [x, head.pool_q]),
+        (lambda p: weighted(head._pool(p[0], 2)), [rows, head.pool_q]),
         (lambda p: weighted(head._decoder_input(p[0])), [pooled, enc.pos_table]),
+        (lambda p: weighted(enc.beside_positions(p[0])), [content, enc.pos_table]),
         (lambda p: weighted(head._unpatch(p[0])), [patches]),
+    ]
+    for f, params in cases:
+        assert grad_check(f, params, eps=1e-5) < 1e-6
+
+
+# ------------------------------------ time-batched codec against the per-step loop
+
+def assert_close(got, want, rtol=1e-13):
+    """Each array within rtol of its reference, relative to the reference's
+    largest entry; None (no gradient) only where the reference has None."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if b is None:
+            assert a is None
+            continue
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+def time_codec(kind: str, rows: int, batched: bool):
+    """n = 4 steps of one codec op, run as one batched call or as a loop of
+    n = 1 calls, under a weighted loss. ``kind`` is frame_encoder,
+    token_encoder, frame_readout or scalar_readout; ``rows`` is the slot
+    count of the read-out states. Returns (outputs, leaves)."""
+    cfg = small_codec(dec_hidden=6)
+    rng = Rng(131)
+    n = 4
+    if kind.endswith("encoder"):
+        if kind == "frame_encoder":
+            op = PositionEncoder(rng, 16, 16, cfg)
+            xs = np.asarray(rng.uniform((n, 16, 16)))
+            call = op.encode_frame
+        else:
+            op = TokenEncoder(rng, 3, cfg)
+            xs = rand(rng, (n, 3))
+            call = op.encode_token
+        leaves = list(op.params().values())
+        randomize(rng, leaves)
+        weights = [Tensor(rand(rng, (op.positions, cfg.d_a))) for _ in range(n)]
+        with Tape() as tape:
+            outs = call(xs) if batched else [call(x[None])[0] for x in xs]
+            loss = sum((o * w).sum() for o, w in zip(outs, weights))
+    else:
+        if kind == "frame_readout":
+            op = FrameReadout(rng, 6, cfg, PositionEncoder(rng, 16, 16, cfg))
+            leaves = [*op.params().values(), op.encoder.pos_table]
+            targets = (np.asarray(rng.uniform((n, 16, 16))) > 0.5).astype(float)
+        else:
+            op = ScalarReadout(rng, 6, cfg)
+            leaves = list(op.params().values())
+            targets = rand(rng, (n,))
+        randomize(rng, leaves)
+        states = [Tensor(rand(rng, (rows, 6)), requires_grad=True) for _ in range(n)]
+        leaves += states
+        with Tape() as tape:
+            if batched:
+                out = op.readout(states)
+            else:
+                out = nm.concat([op.readout([s]) for s in states], axis=0)
+            if kind == "frame_readout":
+                loss = nm.logistic_loss_mean(out, targets)
+            else:
+                loss = ((out - Tensor(targets)) * (out - Tensor(targets))).sum()
+        outs = [out]
+    backward(loss, tape)
+    return [*outs, loss], leaves
+
+
+@pytest.mark.parametrize("kind,rows", [("frame_encoder", 0), ("token_encoder", 0),
+                                       ("frame_readout", 3), ("frame_readout", 1),
+                                       ("scalar_readout", 3), ("scalar_readout", 1)])
+def test_batched_codec_matches_per_step_loop(kind, rows):
+    outs, leaves = time_codec(kind, rows, batched=True)
+    ref_outs, ref_leaves = time_codec(kind, rows, batched=False)
+    assert_close([o.data for o in outs], [o.data for o in ref_outs])
+    assert_close([t.grad for t in leaves], [t.grad for t in ref_leaves])
+
+
+def test_batched_codec_ops_grad_check():
+    cfg = small_codec(dec_hidden=6)
+    rng = Rng(137)
+    enc = PositionEncoder(rng, 16, 16, cfg)
+    tok = TokenEncoder(rng, 3, cfg)
+    frame_head = FrameReadout(rng, 6, cfg, enc)
+    scalar_head = ScalarReadout(rng, 6, cfg)
+    randomize(rng, [*enc.params().values(), *tok.params().values(),
+                    *frame_head.params().values(), *scalar_head.params().values()])
+    frames = np.asarray(rng.uniform((3, 16, 16)))
+    tokens = rand(rng, (3, 3))
+    targets = (np.asarray(rng.uniform((3, 16, 16))) > 0.5).astype(float)
+    wide = [Tensor(rand(rng, (3, 6)), requires_grad=True) for _ in range(3)]
+    narrow = [Tensor(rand(rng, (1, 6)), requires_grad=True) for _ in range(3)]
+
+    def weighted(ts):
+        return sum((t * Tensor(np.linspace(-1.0, 1.0 + i, t.data.size).reshape(t.shape))).sum()
+                   for i, t in enumerate(ts))
+
+    def frame_readout(states):
+        return lambda p: nm.logistic_loss_mean(frame_head.readout(states), targets)
+
+    cases = [
+        (lambda p: weighted(enc.encode_frame(frames)), list(enc.params().values())),
+        (lambda p: weighted(tok.encode_token(tokens)), list(tok.params().values())),
+        (frame_readout(wide), [*frame_head.params().values(), *wide]),
+        (frame_readout(narrow), [*frame_head.mlp.params().values(), *narrow]),
+        (lambda p: weighted([scalar_head.readout(wide)]),
+         [*scalar_head.params().values(), *wide]),
+        (lambda p: weighted([scalar_head.readout(narrow)]), narrow),
     ]
     for f, params in cases:
         assert grad_check(f, params, eps=1e-5) < 1e-6
@@ -379,14 +496,18 @@ def test_each_fused_codec_op_appends_one_tape_node():
     rng = Rng(109)
     enc = PositionEncoder(rng, 16, 16, cfg)
     head = FrameReadout(rng, 6, cfg, enc)
-    state = Tensor(rand(rng, (3, 6)))
-    with Tape() as tape:
-        head.readout(state)
-    # slot perceptron, pooling, decoder input, decoder, unpatching
-    assert len(tape.nodes) == 5
-    with Tape() as tape:
-        enc.encode_frame(np.zeros((16, 16)))
-    assert len(tape.nodes) == 2  # perceptron, concat with the position table
+    states = [Tensor(rand(rng, (3, 6)), requires_grad=True) for _ in range(4)]
+    for n in (1, 4):
+        with Tape() as tape:
+            head.readout(states[:n])
+        # slot perceptron, pooling, decoder input, decoder, unpatching, and
+        # for several states the concatenation of their rows
+        assert len(tape.nodes) == 5 + (n > 1)
+        with Tape() as tape:
+            enc.encode_frame(np.zeros((n, 16, 16)))
+        # perceptron, the position table beside its rows, and the split into
+        # steps: its gathering node and one piece per step
+        assert len(tape.nodes) == 3 + n
 
 
 def test_perceptron_rejects_wrong_width():

@@ -11,9 +11,11 @@ compared by SHA-256. ``resolved_config.cfg`` and the ``config`` part of
 its ``tensors`` list is hashed.
 
 The digests were taken with Python 3.11.7 and numpy 2.4.6 linked against
-scipy-openblas 0.3.31 (x86-64). Float results can differ in the last bit
-under another BLAS build or CPU kernel; if they do, this test fails on that
-build, and the digests must be retaken there from a commit known to be good.
+scipy-openblas 0.3.31 (x86-64), with one BLAS thread, which ``conftest.py``
+sets for the whole test process. Float results can differ in the last bit
+under another BLAS build, CPU kernel or thread count; if they do, this test
+fails on that build, and the digests must be retaken there from a commit
+known to be good.
 """
 
 import hashlib
@@ -35,34 +37,34 @@ RUNS = (("switching", "switching_mini", ()),
 GOLDEN = {
     "switching/data/train.scfd": "80ad636a71bc",
     "switching/data/test.scfd": "fa336d04675e",
-    "switching/train/metrics.jsonl": "427c0608c7e4",
-    "switching/train/checkpoint/tensors.bin": "fae883470897",
+    "switching/train/metrics.jsonl": "5ed7e60ff201",
+    "switching/train/checkpoint/tensors.bin": "a814af598dc4",
     "switching/train/checkpoint/manifest.json:tensors": "2643d619f217",
-    "switching/eval/rollout_curve.csv": "edc9faeeb97c",
+    "switching/eval/rollout_curve.csv": "cd4d5b3df74b",
     "switching/trace/schema_usage.csv": "f19a02de582b",
     "switching/trace/traces.jsonl": "54a2c4d3f275",
     "bouncing/data/train.scfd": "677a533d3700",
     "bouncing/data/test.scfd": "ff0731ea192d",
-    "bouncing/train/metrics.jsonl": "9b2d5fa2fd14",
-    "bouncing/train/checkpoint/tensors.bin": "de381928168f",
+    "bouncing/train/metrics.jsonl": "485a62ceb061",
+    "bouncing/train/checkpoint/tensors.bin": "f505906708b2",
     "bouncing/train/checkpoint/manifest.json:tensors": "783cbb200c62",
-    "bouncing/eval/rollout_curve.csv": "224d7dc1675e",
+    "bouncing/eval/rollout_curve.csv": "27009967efd8",
     "bouncing/trace/schema_usage.csv": "23a56d3b073d",
-    "bouncing/trace/traces.jsonl": "44957d46638f",
+    "bouncing/trace/traces.jsonl": "229474d9398f",
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
-    "bouncing_gru/train/metrics.jsonl": "38336a063946",
-    "bouncing_gru/train/checkpoint/tensors.bin": "8baf482415d7",
+    "bouncing_gru/train/metrics.jsonl": "3c8af32f869b",
+    "bouncing_gru/train/checkpoint/tensors.bin": "6c4d325d75d4",
     "bouncing_gru/train/checkpoint/manifest.json:tensors": "3086246e7000",
-    "bouncing_gru/eval/rollout_curve.csv": "646bd5d96517",
+    "bouncing_gru/eval/rollout_curve.csv": "4125a0101bd4",
     "adding/data/train.scfd": "859e755d4f0e",
     "adding/data/test.scfd": "4ab84a03c646",
-    "adding/train/metrics.jsonl": "2203c0f19ae5",
-    "adding/train/checkpoint/tensors.bin": "77fdefd7ca0a",
+    "adding/train/metrics.jsonl": "cc5cf1ea411d",
+    "adding/train/checkpoint/tensors.bin": "b6280a8bb124",
     "adding/train/checkpoint/manifest.json:tensors": "9539d31bad95",
-    "adding/eval/rollout_curve.csv": "dc1db2274018",
+    "adding/eval/rollout_curve.csv": "2a3bdd44ea76",
     "adding/trace/schema_usage.csv": "c1733e2643e2",
-    "adding/trace/traces.jsonl": "3300e383d46e",
+    "adding/trace/traces.jsonl": "39c1a70cf670",
     "check-grad:stdout": "626cc580d817",
 }
 

@@ -252,6 +252,75 @@ def test_fused_mean_grad_check_and_one_node(axis):
     assert len(tape.nodes) == 1
 
 
+def split_graph(split: bool, used=(0, 2, 3, 5)):
+    """Six 2-row blocks of a matmul output, some used, one of them twice,
+    others not at all. The blocks come from one split of the product or, for
+    the per-step reference, one product per block. Returns (blocks, loss,
+    leaves)."""
+    rng = Rng(95)
+    z = Tensor(rand(rng, (12, 3)))
+    w = Tensor(rand(rng, (3, 4)), requires_grad=True)
+    c = [Tensor(rand(rng, (2, 4))) for _ in range(6)]
+    with Tape() as tape:
+        if split:
+            blocks = nm.split_rows(matmul(z, w), 6)
+        else:
+            blocks = [matmul(Tensor(z.data[2 * i:2 * i + 2]), w) for i in range(6)]
+        loss = sum((blocks[i] * c[i]).sum() for i in used) + (blocks[3] * blocks[3]).sum()
+    backward(loss, tape)
+    return blocks, loss, [w]
+
+
+def test_split_rows_matches_per_step_loop():
+    blocks, loss, leaves = split_graph(split=True)
+    ref_blocks, ref_loss, ref_leaves = split_graph(split=False)
+    for got, want in zip([*blocks, loss], [*ref_blocks, ref_loss]):
+        assert np.array_equal(got.data, want.data)
+    scale = np.abs(ref_leaves[0].grad).max()
+    assert np.abs(leaves[0].grad - ref_leaves[0].grad).max() <= 1e-13 * scale
+
+
+def test_split_rows_hands_its_parent_one_gradient(monkeypatch):
+    # pieces without a gradient leave zero rows, and the parent gets every
+    # piece's gradient in one accum call
+    rng = Rng(97)
+    x = Tensor(rand(rng, (8, 3)), requires_grad=True)
+    c = Tensor(rand(rng, (2, 3)))
+    calls = []
+    accum = nm.accum
+    monkeypatch.setattr(nm, "accum",
+                        lambda t, g: calls.append(t is x) or accum(t, g))
+    with Tape() as tape:
+        pieces = nm.split_rows(x, 4)
+        loss = (pieces[1] * c).sum() + (pieces[3] * pieces[3]).sum()
+    backward(loss, tape)
+    assert sum(calls) == 1
+    want = np.zeros((8, 3))
+    want[2:4] = c.data
+    want[6:8] = 2.0 * x.data[6:8]
+    assert np.array_equal(x.grad, want)
+    assert [p.shape for p in pieces] == [(2, 3)] * 4
+    assert all(np.shares_memory(p.data, x.data) for p in pieces)
+
+
+def test_split_rows_grad_check_with_unused_pieces():
+    rng = Rng(99)
+    x = Tensor(rand(rng, (10, 3)), requires_grad=True)
+    c = [Tensor(rand(rng, (2, 3))) for _ in range(5)]
+
+    def f(params):
+        pieces = nm.split_rows(params[0], 5)
+        return (pieces[0] * c[0]).sum() + (pieces[4] * pieces[4] * c[4]).sum()
+
+    assert grad_check(f, [x], eps=1e-5) < 1e-8
+
+
+def test_split_rows_rejects_uneven_blocks():
+    for shape, n in (((7, 2), 2), ((6,), 2), ((6, 2), 0)):
+        with pytest.raises(ValueError, match="split_rows"):
+            nm.split_rows(Tensor(np.ones(shape)), n)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:

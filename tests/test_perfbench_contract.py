@@ -61,3 +61,39 @@ def test_traced_training_counts_follow_from_the_config(model):
         assert m["attention.attend_calls_per_step"] == 0
         assert m["layer.schema_hypotheses_per_step"] == 0
     assert m["numerics.tape_nodes_per_seq"] > 0
+
+
+ROLLOUT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer, layer_metrics
+tracer = Tracer()
+tracer.install()
+from scoff import training
+from scoff.cli import parse_config, to_train_config
+from scoff.rng import Rng
+from scoff.tasks import gen_bouncing_mini
+resolved = parse_config("configs/bouncing_mini.cfg",
+                        ["model=" + sys.argv[1], "burn_in=3", "horizon=4"])
+cfg = to_train_config(resolved)
+model = training.build_model(cfg, Rng(0))
+seqs = [gen_bouncing_mini(Rng(i), cfg.burn_in + cfg.horizon, resolved["n_balls"])
+        for i in range(2)]
+training.eval_rollout(model, seqs, cfg.burn_in, cfg.horizon)
+print(json.dumps({"resolved": resolved,
+                  "metrics": layer_metrics([("eval", tracer.dump())])}))
+"""
+
+
+@pytest.mark.parametrize("model", ["scoff", "gru"])
+def test_traced_rollout_repeats_only_the_burn_in(model):
+    # the self-fed pass repeats the teacher-forced pass's burn-in steps and no
+    # others, which the benchmark reads as training.rollout_useful_ratio
+    proc = subprocess.run([sys.executable, "-c", ROLLOUT, model], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    cfg, m = out["resolved"], out["metrics"]
+    steps, burn_in = cfg["burn_in"] + cfg["horizon"] - 1, cfg["burn_in"]
+    assert m["training.rollout_useful_ratio"] == (2 * steps - burn_in) / (2 * steps)

@@ -271,11 +271,13 @@ def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
         assert len(graphs) == 6
 
 
-@pytest.mark.parametrize("kind,nodes", [("scoff", 725), ("gru", 290)])
+@pytest.mark.parametrize("kind,nodes", [("scoff", 503), ("gru", 96)])
 def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
-    # 29 steps of 24 (scoff) or 9 (gru) fused ops, plus the 29 ops that
-    # average the step losses: an op chain that creeps back into a step, or a
-    # fusion that drops an op, changes the count
+    # 29 steps of 16 (scoff) or 2 (gru) fused ops; once per sequence, the
+    # encoder's 3 ops and 29 per-step pieces, the readout's 6 ops (gru: 5, a
+    # one-row state is not pooled) and the loss: an op chain that creeps back
+    # into a step, a codec op that moves back into the time loop, or a fusion
+    # that drops an op, changes the count
     config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs", "bouncing_mini.cfg")
     resolved = parse_config(config, [f"model={kind}"])
@@ -341,28 +343,26 @@ def test_train_rejects_update_that_overflows_a_parameter():
 # ------------------------------------------------------------------ evaluation
 
 class OracleModel:
-    """Predicts the next frame perfectly by peeking at the sequence."""
+    """Predicts the next frame perfectly by peeking at the sequence: its
+    state counts the steps taken."""
 
     kind = "oracle"
 
     def __init__(self, frames):
         self.frames = frames
-        self.t = 0
 
-    def encode(self, x):
-        return Tensor(np.asarray(x, dtype=np.float64))
+    def encode(self, xs):
+        return [Tensor(x) for x in np.asarray(xs, dtype=np.float64)]
 
     def init_state(self):
-        self.t = 0
         return Tensor(np.zeros((1, 1)))
 
     def step(self, features, state, rng=None, training=False):
-        self.t += 1
-        return state, None
+        return Tensor(state.data + 1.0), None
 
-    def readout(self, state):
-        target = self.frames[self.t]
-        return Tensor(np.where(target > 0.5, 80.0, -80.0))
+    def readout(self, states):
+        targets = self.frames[[int(s.item()) for s in states]]
+        return Tensor(np.where(targets > 0.5, 80.0, -80.0))
 
 
 def test_eval_rollout_perfect_oracle_zero_loss():
@@ -393,8 +393,9 @@ def test_eval_rollout_modes_agree_before_and_diverge_after_burn_in():
 
 
 def rollout_every_step(model, sequences, burn_in, horizon):
-    """Reference for ``eval_rollout``: the loop that reads out after every
-    step, burn-in included, and scores only the steps from burn_in on."""
+    """Reference for ``eval_rollout``: the loop that encodes one frame and
+    reads out one state after every step, burn-in included, and scores only
+    the steps from burn_in on."""
     teacher, self_fed = np.zeros(horizon), np.zeros(horizon)
     for seq in sequences:
         frames = seq.frames
@@ -402,16 +403,16 @@ def rollout_every_step(model, sequences, burn_in, horizon):
             state = model.init_state()
             feed = frames[0]
             for t in range(burn_in + horizon - 1):
-                state, _ = model.step(model.encode(feed), state)
-                logits = model.readout(state)
+                state, _ = model.step(model.encode(feed[None])[0], state)
+                logits = model.readout([state])
                 target_idx = t + 1
                 if target_idx >= burn_in:
                     acc[target_idx - burn_in] += bce_per_frame(
-                        logits, frames[target_idx]).item()
+                        logits, frames[target_idx][None]).item()
                 if mode == "teacher" or target_idx < burn_in:
                     feed = frames[target_idx]
                 else:
-                    feed = (logits.data > 0.0).astype(np.float64)
+                    feed = (logits.data[0] > 0.0).astype(np.float64)
     return (teacher / len(sequences)).tolist(), (self_fed / len(sequences)).tolist()
 
 
@@ -421,12 +422,18 @@ def test_eval_rollout_reads_out_only_scored_steps(kind, monkeypatch):
     cfg = tiny_train_config(model=kind)
     model = build_model(cfg, Rng(cfg.seed))
     want = rollout_every_step(model, data, burn_in=4, horizon=6)
-    calls = []
+    rows = []
     readout = model.readout
-    monkeypatch.setattr(model, "readout", lambda state: calls.append(1) or readout(state))
+    monkeypatch.setattr(model, "readout",
+                        lambda states: rows.append(len(states)) or readout(states))
     got = eval_rollout(model, data, burn_in=4, horizon=6)
-    assert len(calls) == 2 * 6 * len(data)
-    assert got == want
+    # per sequence, one teacher-forced readout of all 6 scored states, then
+    # 6 self-fed readouts of one state each
+    assert rows == [6, 1, 1, 1, 1, 1, 1] * len(data)
+    assert sum(rows) == 2 * 6 * len(data)
+    # the batched readout's matrix products may round differently from the
+    # per-step ones in the last bits
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_eval_rollout_window_validation():
@@ -445,6 +452,30 @@ def test_collect_traces_shapes_and_burn_in():
     assert len(traces) == 2
     assert len(traces[0]) == 12 - 4  # T-1 steps minus burn-in
     assert len(labels[0]) == len(traces[0])
+
+
+@pytest.mark.parametrize("task", ["switching", "adding"])
+def test_collect_traces_equal_the_loss_pass_traces_without_a_readout(task, monkeypatch):
+    if task == "adding":
+        data = [gen_adding(Rng(60 + i), 8, 2) for i in range(2)]
+    else:
+        data = make_switching_data(2, length=13)
+    cfg = tiny_train_config(task=task)
+    model = build_model(cfg, Rng(cfg.seed))
+    want = [sequence_loss(model, seq)[1] for seq in data]
+
+    def no_readout(states):
+        raise AssertionError("collect_traces read a state out")
+
+    monkeypatch.setattr(model, "readout", no_readout)
+    got, _ = collect_traces(model, data)
+    assert len(got) == len(want)
+    for seq_got, seq_want in zip(got, want):
+        assert len(seq_got) == len(seq_want)
+        for a, b in zip(seq_got, seq_want):
+            for field in ("input_weights", "active", "schema", "schema_scores",
+                          "comm_weights"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 # ------------------------------------------------------------------ checkpoints
