@@ -15,32 +15,19 @@ class AttentionProjections:
     output mixing matrix.
     """
 
-    def __init__(self, query: list, key: list, value: list, dropout: float = 0.0):
-        if not query or len(query) != len(key) or len(key) != len(value):
-            raise ValueError("query/key/value need one matrix per head")
-        d_e = query[0].shape[1]
-        for q, k in zip(query, key):
-            if q.shape[1] != d_e or k.shape[1] != d_e:
-                raise ValueError("query and key outputs must share width per head")
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0,1), got {dropout}")
-        self.query = query
-        self.key = key
-        self.value = value
-        self.dropout = dropout
-
-    @classmethod
-    def build(cls, rng: Rng, query_in: int, key_in: int, value_in: int,
-              heads: int, key_width: int, value_width: int, dropout: float = 0.0):
+    def __init__(self, rng: Rng, query_in: int, key_in: int, value_in: int,
+                 heads: int, key_width: int, value_width: int, dropout: float = 0.0):
         if heads < 1:
             raise ValueError(f"head count must be >= 1, got {heads}")
         if value_width % heads:
             raise ValueError(f"value width {value_width} not divisible by {heads} heads")
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0,1), got {dropout}")
         per_head = value_width // heads
-        query = [nm.glorot(rng, query_in, key_width) for _ in range(heads)]
-        key = [nm.glorot(rng, key_in, key_width) for _ in range(heads)]
-        value = [nm.glorot(rng, value_in, per_head) for _ in range(heads)]
-        return cls(query, key, value, dropout)
+        self.query = [nm.glorot(rng, query_in, key_width) for _ in range(heads)]
+        self.key = [nm.glorot(rng, key_in, key_width) for _ in range(heads)]
+        self.value = [nm.glorot(rng, value_in, per_head) for _ in range(heads)]
+        self.dropout = dropout
 
     @property
     def heads(self) -> int:
@@ -55,18 +42,17 @@ class AttentionProjections:
 
 
 def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
-           scale: float, dropout: float = 0.0, rng: "Rng | None" = None,
-           training: bool = False):
+           scale: float, dropout: float = 0.0, rng: "Rng | None" = None):
     """One head of scaled dot-product attention, as one fused tape op.
 
     scores = queries·keysᵀ·scale, normalized along ``normalize_axis``
     ("queriers" shares each candidate's mass across queriers, "candidates"
     makes each output row a convex combination of value rows). Returns the
-    pre-dropout weights (rows are queriers, columns candidates) as a detached
-    Tensor, and the aggregated outputs; dropout, when active, zeroes weights
-    at rate ``dropout`` and rescales survivors. Values and gradients are
-    bit-identical to the same chain of elementary ops (see the numerics
-    module docstring).
+    pre-dropout weights (rows are queriers, columns candidates) as an
+    ndarray, and the aggregated outputs. Dropout runs if and only if an rng
+    is given: it zeroes weights at rate ``dropout`` and rescales survivors.
+    Values and gradients are bit-identical to the same chain of elementary
+    ops (see the numerics module docstring).
     """
     if normalize_axis not in ("queriers", "candidates"):
         raise ValueError(f"unknown normalize_axis {normalize_axis!r}")
@@ -80,9 +66,7 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
     qd, kt, vd = queries.data, keys.data.T, values.data
     weights = nm.stable_softmax((qd @ kt) * scale, axis)
     used, mask = weights, None
-    if training and dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout in training mode needs an rng")
+    if rng is not None and dropout > 0.0:
         keep = np.asarray(rng.uniform(weights.shape)) >= dropout
         mask = keep / (1.0 - dropout)
         used = weights * mask
@@ -97,7 +81,7 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
         nm.accum(queries, g_s @ kt.T)
         nm.accum(keys, (qd.T @ g_s).T)
 
-    return nm.record(weights, (), None), nm.record(used @ vd, (queries, keys, values), back)
+    return weights, nm.record(used @ vd, (queries, keys, values), back)
 
 
 def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
@@ -108,8 +92,9 @@ def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
     index = argmax(logits + noise) per row, ties to the lowest index, and
     soft = softmax((logits + noise) / tau). With ``hard`` the returned
     selection is exactly one-hot in value but carries the gradient of soft;
-    without it the selection is soft itself. Returns (selection, soft as a
-    detached Tensor, index). Values and gradients are bit-identical to the
+    without it the selection is soft itself. Returns (selection, soft as an
+    ndarray that the backward pass, and in soft mode the selection, share and
+    nothing mutates, index). Values and gradients are bit-identical to the
     same chain of elementary ops (see the numerics module docstring).
     """
     if tau <= 0:
@@ -123,18 +108,14 @@ def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
     index = np.argmax(scores, axis=-1)
     inv_tau = 1.0 / tau
     soft = nm.stable_softmax(scores * inv_tau, -1)
-    if hard:
-        out = np.zeros(logits.shape)
-        np.put_along_axis(out, index[..., None], 1.0, axis=-1)
-    else:
-        out = soft
+    out = (index[..., None] == np.arange(soft.shape[-1])).astype(np.float64) if hard else soft
 
     def back(g):
         g_s = soft * (g - (g * soft).sum(axis=-1, keepdims=True)) * inv_tau
         nm.accum(logits, g_s)
         nm.accum(noise, g_s)
 
-    return (nm.record(out, (logits, noise), back), nm.record(soft, (), None), index)
+    return nm.record(out, (logits, noise), back), soft, index
 
 
 def topk_mask(scores, k: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def _field_keys(cls, derived=()) -> dict:
 
 # key -> (type, default). Model, codec and training keys come from the config
 # dataclasses; the literal entries are what no field holds. None defaults are
-# filled per task after merging.
+# filled from _TASK_DEFAULTS after merging.
 _KEYS = {
     **_field_keys(TrainConfig),
     **_field_keys(ScoffConfig, derived=("d_in",)),  # d_in is the encoder width
@@ -62,18 +62,13 @@ _KEYS = {
     "checkpoint": (str, ""),
 }
 
-_TASKS = ("single", "switching", "bouncing", "adding")
 _MODELS = ("scoff", "gru")
-_LENGTH_DEFAULTS = {"single": 20, "switching": 21, "bouncing": 30, "adding": 50}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    config_path: "str | None" = None
-    overrides: list = field(default_factory=list)
-    seed: "int | None" = None
-    out_dir: str = "out"
+_TASK_DEFAULTS = {
+    "single": {"length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "switching": {"length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "bouncing": {"length": 30, "lr": 1e-4, "burn_in": 10, "horizon": 15},
+    "adding": {"length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
+}
 
 
 def _coerce(key: str, raw: str, where: str):
@@ -97,54 +92,69 @@ def _coerce(key: str, raw: str, where: str):
 
 def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) -> dict:
     """Defaults, then file values, then overrides; unknown keys and values
-    out of range (as the config dataclasses check them) are errors."""
+    out of range (per the config dataclasses and _check_data_keys) raise."""
     resolved = {k: d for k, (_, d) in _KEYS.items()}
+    entries = []  # (where, "key = value"): file lines, then overrides
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 s = line.split("#", 1)[0].strip()
-                if not s:
-                    continue
-                if s.startswith("[") and s.endswith("]"):
-                    continue  # section headers are organizational only
-                if "=" not in s:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {s!r}")
-                key, _, raw = s.partition("=")
-                key = key.strip()
-                if key not in _KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                resolved[key] = _coerce(key, raw, f"{path}:{lineno}")
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} must look like key=value")
-        key, _, raw = item.partition("=")
+                # section headers are organizational only
+                if s and not (s.startswith("[") and s.endswith("]")):
+                    entries.append((f"{path}:{lineno}", s))
+    entries += [("override", item) for item in overrides]
+    for where, s in entries:
+        key, eq, raw = s.partition("=")
         key = key.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected key=value, got {s!r}")
         if key not in _KEYS:
-            raise ConfigError(f"override: unknown key {key!r}")
-        resolved[key] = _coerce(key, raw, f"override {key}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        resolved[key] = _coerce(key, raw, where)
     if seed is not None:
         resolved["seed"] = int(seed)
 
     task = resolved["task"]
-    if task not in _TASKS:
-        raise ConfigError(f"task must be one of {_TASKS}, got {task!r}")
+    if task not in _TASK_DEFAULTS:
+        raise ConfigError(f"task must be one of {tuple(_TASK_DEFAULTS)}, got {task!r}")
     if resolved["model"] not in _MODELS:
         raise ConfigError(f"model must be one of {_MODELS}, got {resolved['model']!r}")
-    if resolved["lr"] is None:
-        resolved["lr"] = 1e-2 if task == "adding" else 1e-4
-    if resolved["length"] is None:
-        resolved["length"] = _LENGTH_DEFAULTS[task]
-    if resolved["burn_in"] is None:
-        resolved["burn_in"] = 10 if task == "bouncing" else 5
-    if resolved["horizon"] is None:
-        resolved["horizon"] = 15 if task == "bouncing" else 10
+    for key, default in _TASK_DEFAULTS[task].items():
+        if resolved[key] is None:
+            resolved[key] = default
+    _check_data_keys(resolved)
     try:  # range checks live in the config dataclasses
         to_train_config(resolved)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return resolved
+
+
+def _operand_counts(r: dict) -> list:
+    """The counts in ``operands``; [] unless each is an integer in [1, length]."""
+    try:
+        counts = [int(x) for x in r["operands"].split(",") if x.strip()]
+    except ValueError:
+        return []
+    return counts if all(1 <= n <= r["length"] for n in counts) else []
+
+
+def _check_data_keys(r: dict) -> None:
+    """The keys gen-data reads, each checked for the task that reads it."""
+    task, length, modes = r["task"], r["length"], ("mixed", *tasks.SINGLE_MODES)
+    least = {"switching": 11, "adding": 1}.get(task, 2)
+    odd = " and odd" if task == "switching" else ""
+    for key, ok, want in (
+            ("train_count", r["train_count"] >= 1, ">= 1"),
+            ("test_count", r["test_count"] >= 1, ">= 1"),
+            ("length", length >= least and (not odd or length % 2), f">= {least}{odd}"),
+            ("n_balls", task != "bouncing" or 1 <= r["n_balls"] <= 4, "in [1, 4]"),
+            ("mode", task != "single" or r["mode"] in modes, f"one of {modes}"),
+            ("operands", task != "adding" or _operand_counts(r), f"integers in [1, {length}]")):
+        if not ok:
+            raise ConfigError(f"{key} must be {want} for {task}, got {r[key]!r}")
 
 
 def _from_fields(cls, r: dict, **given):
@@ -193,26 +203,24 @@ def _gen_sequences(resolved: dict, count: int, seed_offset: int) -> list:
             out.append(tasks.gen_bouncing_mini(child, resolved["length"],
                                                resolved["n_balls"], occ))
         else:
-            choices = [int(x) for x in resolved["operands"].split(",") if x.strip()]
-            if not choices:
-                raise ConfigError("operands must list at least one count")
+            choices = _operand_counts(resolved)
             n = choices[child.randint(len(choices))]
             out.append(tasks.gen_adding(child, resolved["length"], n))
     return out
 
 
-def cmd_gen_data(run: RunConfig, resolved: dict) -> int:
-    os.makedirs(run.out_dir, exist_ok=True)
+def cmd_gen_data(args, resolved: dict) -> int:
     train = _gen_sequences(resolved, resolved["train_count"], 0)
     test = _gen_sequences(resolved, resolved["test_count"], 1_000_000)
-    tasks.write_dataset(os.path.join(run.out_dir, "train.scfd"), train)
-    tasks.write_dataset(os.path.join(run.out_dir, "test.scfd"), test)
-    _write_snapshot(run.out_dir, resolved)
-    print(f"wrote {len(train)} train / {len(test)} test sequences to {run.out_dir}")
+    os.makedirs(args.out_dir, exist_ok=True)  # both sets exist: now write
+    tasks.write_dataset(os.path.join(args.out_dir, "train.scfd"), train)
+    tasks.write_dataset(os.path.join(args.out_dir, "test.scfd"), test)
+    _write_snapshot(args.out_dir, resolved)
+    print(f"wrote {len(train)} train / {len(test)} test sequences to {args.out_dir}")
     return 0
 
 
-def cmd_train(run: RunConfig, resolved: dict) -> int:
+def cmd_train(args, resolved: dict) -> int:
     data_dir = _require(resolved, "data")
     train_path = os.path.join(data_dir, "train.scfd")
     test_path = os.path.join(data_dir, "test.scfd")
@@ -224,15 +232,15 @@ def cmd_train(run: RunConfig, resolved: dict) -> int:
     cfg = to_train_config(resolved)
     metrics, model = train_model(cfg, train_data, eval_data,
                                  log=lambda s: print(s, file=sys.stderr))
-    os.makedirs(run.out_dir, exist_ok=True)
-    with open(os.path.join(run.out_dir, "metrics.jsonl"), "w") as f:
+    os.makedirs(args.out_dir, exist_ok=True)
+    with open(os.path.join(args.out_dir, "metrics.jsonl"), "w") as f:
         for record in metrics:
             f.write(record.to_json())
             f.write("\n")
-    save_checkpoint(os.path.join(run.out_dir, "checkpoint"),
+    save_checkpoint(os.path.join(args.out_dir, "checkpoint"),
                     model.parameters(), resolved)
-    _write_snapshot(run.out_dir, resolved)
-    print(f"final train loss {metrics[-1].train_loss:.6f}; artifacts in {run.out_dir}")
+    _write_snapshot(args.out_dir, resolved)
+    print(f"final train loss {metrics[-1].train_loss:.6f}; artifacts in {args.out_dir}")
     return 0
 
 
@@ -248,12 +256,12 @@ def _restore(resolved: dict):
     return model, cfg, stored
 
 
-def cmd_eval(run: RunConfig, resolved: dict) -> int:
+def cmd_eval(args, resolved: dict) -> int:
     data_dir = _require(resolved, "data")
     model, cfg, _ = _restore(resolved)
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"))
-    os.makedirs(run.out_dir, exist_ok=True)
-    path = os.path.join(run.out_dir, "rollout_curve.csv")
+    os.makedirs(args.out_dir, exist_ok=True)
+    path = os.path.join(args.out_dir, "rollout_curve.csv")
     if cfg.task == "adding":
         mse = eval_adding(model, test)
         with open(path, "w") as f:
@@ -267,11 +275,11 @@ def cmd_eval(run: RunConfig, resolved: dict) -> int:
             for i, (a, b) in enumerate(zip(teacher, self_fed)):
                 f.write(f"{i},{a},{b}\n")
         print(f"mean self-fed bce {np.mean(self_fed):.6f}; curve in {path}")
-    _write_snapshot(run.out_dir, resolved)
+    _write_snapshot(args.out_dir, resolved)
     return 0
 
 
-def cmd_trace(run: RunConfig, resolved: dict) -> int:
+def cmd_trace(args, resolved: dict) -> int:
     data_dir = _require(resolved, "data")
     model, cfg, _ = _restore(resolved)
     if model.kind != "scoff":
@@ -279,21 +287,21 @@ def cmd_trace(run: RunConfig, resolved: dict) -> int:
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"))
     subset = test[:cfg.eval_subset]
     traces, _ = collect_traces(model, subset)
-    os.makedirs(run.out_dir, exist_ok=True)
-    with open(os.path.join(run.out_dir, "traces.jsonl"), "w") as f:
+    os.makedirs(args.out_dir, exist_ok=True)
+    with open(os.path.join(args.out_dir, "traces.jsonl"), "w") as f:
         write_traces(f, traces)
     flat = [t for seq in traces for t in seq]
     usage = schema_usage(flat, cfg.scoff.n_s)
-    with open(os.path.join(run.out_dir, "schema_usage.csv"), "w") as f:
+    with open(os.path.join(args.out_dir, "schema_usage.csv"), "w") as f:
         for row in usage:
             f.write(",".join(str(v) for v in row))
             f.write("\n")
-    _write_snapshot(run.out_dir, resolved)
-    print(f"traced {len(subset)} sequences into {run.out_dir}")
+    _write_snapshot(args.out_dir, resolved)
+    print(f"traced {len(subset)} sequences into {args.out_dir}")
     return 0
 
 
-def cmd_check_grad(run: RunConfig, resolved: dict) -> int:
+def cmd_check_grad(args, resolved: dict) -> int:
     """Two unrolled soft-selection steps over the fixed verification layer
     (3 slots, 2 schemata, width 8, 4 positions, dropout off), against central
     differences at eps=1e-5; threshold 1e-4."""
@@ -319,7 +327,7 @@ def cmd_check_grad(run: RunConfig, resolved: dict) -> int:
     return 0 if err < 1e-4 else 3
 
 
-def cmd_param_count(run: RunConfig, resolved: dict) -> int:
+def cmd_param_count(args, resolved: dict) -> int:
     bank, mono = recurrent_param_count(resolved["n_f"], resolved["n_s"],
                                        resolved["d_h"], resolved["inp_values"])
     print(f"schema-bank recurrent parameters: {bank}")
@@ -338,13 +346,6 @@ _COMMANDS = {
 }
 
 
-def dispatch(run: RunConfig) -> int:
-    if run.command not in _COMMANDS:
-        raise ConfigError(f"unknown command {run.command!r}")
-    resolved = parse_config(run.config_path, run.overrides, run.seed)
-    return _COMMANDS[run.command](run, resolved)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
@@ -360,10 +361,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", dest="out_dir", default="out")
     try:
         args = parser.parse_args(argv)
-        run = RunConfig(command=args.command, config_path=args.config,
-                        overrides=args.overrides, seed=args.seed,
-                        out_dir=args.out_dir)
-        return dispatch(run)
+        resolved = parse_config(args.config, args.overrides, args.seed)
+        return _COMMANDS[args.command](args, resolved)
     except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -68,7 +68,8 @@ class ScoffConfig:
 
 @dataclass
 class StepTrace:
-    """Per-step record of what the layer attended to and selected."""
+    """Per-step record of what the layer attended to and selected; the
+    selection's backward pass may share ``schema_scores``, and nothing mutates it."""
 
     input_weights: np.ndarray   # [n_f, P], head-mean, columns sum to 1 over slots
     active: np.ndarray          # bool [n_f]
@@ -93,23 +94,23 @@ class ScoffLayer:
         config.validate()
         self.config = config
         c = config
-        self.input_proj = AttentionProjections.build(
+        self.input_proj = AttentionProjections(
             rng, c.d_h, c.d_in, c.d_in, c.inp_heads, c.inp_keys, c.inp_values,
             c.inp_dropout)
         self.sel_query = nm.glorot(rng, c.d_h, c.sel_keys)
         self.sel_key = nm.glorot(rng, c.d_h, c.sel_keys)
-        self.comm_proj = AttentionProjections.build(
+        self.comm_proj = AttentionProjections(
             rng, c.d_h, c.d_h, c.d_h, c.comm_heads, c.comm_keys, c.d_h,
             c.comm_dropout)
         self.bank = [init_schema(rng, c.inp_values, c.d_h) for _ in range(c.n_s)]
+        self._zero_noise = nm.zeros((c.n_f, c.n_s))
 
     def init_state(self) -> Tensor:
         return nm.record(np.zeros((self.config.n_f, self.config.d_h)), (), None)
 
     # ---- step 2: competition over input positions ----------------------
 
-    def input_read(self, features: Tensor, state: Tensor,
-                   rng: "Rng | None" = None, training: bool = False):
+    def input_read(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
         """Per-slot reads: softmax over slots splits each position's mass.
 
         Returns (z [n_f, inp_values], head-mean weights [n_f, P], relevance
@@ -120,7 +121,7 @@ class ScoffLayer:
         if features.shape[1] != c.d_in:
             raise ValueError(f"feature width {features.shape[1]} != configured d_in {c.d_in}")
         z, mean_w = _heads(self.input_proj, state, features, "queriers",
-                           1.0 / math.sqrt(c.inp_keys), rng, training)
+                           1.0 / math.sqrt(c.inp_keys), rng)
         return z, mean_w, mean_w.max(axis=1)
 
     # ---- step 3: schema selection and update ----------------------------
@@ -133,6 +134,7 @@ class ScoffLayer:
         Selection scores are the raw query-key dots plus Gumbel noise, with
         no scale factor. Hard mode forwards the one-hot winner and routes the
         gradient through the softened scores; soft mode mixes hypotheticals.
+        The noise is ``noise``, else drawn from ``rng``, else zero (greedy).
         Returns (new rows [n_f, d_h], indices [n_f], soft scores [n_f, n_s]).
         """
         c = self.config
@@ -140,24 +142,21 @@ class ScoffLayer:
         hstack = np.stack([h.data for h in hyps], axis=1)  # [n_f, n_s, d_h]
         logits = _selection_logits(hyps, hstack, state, self.sel_query, self.sel_key)
         if noise is None:
-            if rng is None:
-                raise ValueError("schema selection needs either an rng or explicit noise")
-            noise = nm.sample_gumbel(rng, (c.n_f, c.n_s))
+            noise = self._zero_noise if rng is None else nm.sample_gumbel(rng, (c.n_f, c.n_s))
         if noise.shape != (c.n_f, c.n_s):
             raise ValueError(f"noise must be [{c.n_f}, {c.n_s}], got {noise.shape}")
         sel, soft, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
-        return _mix(sel, hyps, hstack), indices, soft.data.copy()
+        return _mix(sel, hyps, hstack), indices, soft
 
     # ---- step 4: communication ------------------------------------------
 
     def communicate(self, state_prev: Tensor, state_new: Tensor,
-                    rng: "Rng | None" = None, training: bool = False,
-                    receive_mask: "np.ndarray | None" = None):
+                    rng: "Rng | None" = None, receive_mask: "np.ndarray | None" = None):
         """Residual exchange: queries from the pre-update state, keys and
         values from the post-update state, normalized over sources.
         """
         update, mean_w = _heads(self.comm_proj, state_prev, state_new, "candidates",
-                                1.0 / math.sqrt(self.config.comm_keys), rng, training)
+                                1.0 / math.sqrt(self.config.comm_keys), rng)
         if receive_mask is not None:
             update = update * nm.record(receive_mask.astype(np.float64).reshape(-1, 1),
                                        (), None)
@@ -166,10 +165,11 @@ class ScoffLayer:
     # ---- one full step ----------------------------------------------------
 
     def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None,
-             training: bool = False, noise: "Tensor | None" = None):
-        """Read, select-and-update the most relevant slots, communicate."""
+             noise: "Tensor | None" = None):
+        """Read, select-and-update the most relevant slots, communicate; an rng
+        draws dropout and (unless ``noise`` is given) selection noise."""
         c = self.config
-        z, w_in, relevance = self.input_read(features, state, rng, training)
+        z, w_in, relevance = self.input_read(features, state, rng)
         if 0 < c.n_sel < c.n_f:
             active = topk_mask(relevance, c.n_sel)
         else:
@@ -183,7 +183,7 @@ class ScoffLayer:
             indices = np.where(active, indices, -1)
             soft = soft * active.reshape(-1, 1)
         recv = active if (c.comm_sparse and not active.all()) else None
-        state_out, w_comm = self.communicate(state, h_mid, rng, training, recv)
+        state_out, w_comm = self.communicate(state, h_mid, rng, recv)
         trace = StepTrace(input_weights=w_in, active=active, schema=indices,
                           schema_scores=soft, comm_weights=w_comm)
         return state_out, trace
@@ -238,19 +238,18 @@ def _mix(sel: Tensor, hyps: list, hstack: np.ndarray) -> Tensor:
 
 
 def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,
-           normalize_axis: str, scale: float, rng: "Rng | None", training: bool):
+           normalize_axis: str, scale: float, rng: "Rng | None"):
     """Every head of ``proj``: queries from ``queriers``, keys and values from
-    ``candidates``. Returns (head outputs concatenated, detached head-mean
-    weights)."""
+    ``candidates``. Returns (head outputs concatenated, head-mean weights as
+    an ndarray)."""
     outs, weights = [], []
     for h in range(proj.heads):
         q = nm.matmul(queriers, proj.query[h])
         k = nm.matmul(candidates, proj.key[h])
         v = nm.matmul(candidates, proj.value[h])
-        w, out = attend(q, k, v, normalize_axis, scale, dropout=proj.dropout,
-                        rng=rng, training=training)
+        w, out = attend(q, k, v, normalize_axis, scale, proj.dropout, rng)
         outs.append(out)
-        weights.append(w.data)
+        weights.append(w)
     joined = outs[0] if len(outs) == 1 else nm.concat(outs, axis=1)
     return joined, sum(weights) / len(weights)
 
@@ -268,13 +267,10 @@ def schema_usage(traces: list, n_s: int) -> np.ndarray:
     """[n_f, n_s] matrix of selection frequencies over a trace stream."""
     if not traces:
         raise ValueError("no traces")
-    n_f = traces[0].schema.shape[0]
-    counts = np.zeros((n_f, n_s))
-    for trace in traces:
-        for k in range(n_f):
-            j = trace.schema[k]
-            if j >= 0:
-                counts[k, j] += 1
+    schema = np.stack([trace.schema for trace in traces])  # [steps, n_f]
+    slot, chosen = np.indices(schema.shape)[1], schema >= 0
+    counts = np.zeros((schema.shape[1], n_s))
+    np.add.at(counts, (slot[chosen], schema[chosen]), 1.0)
     totals = counts.sum(axis=1, keepdims=True)
     totals[totals == 0] = 1.0
     return counts / totals

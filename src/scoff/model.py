@@ -10,9 +10,9 @@ mean-pooled features.
 a pass is encoded at once, and every scored state read out at once. Only
 ``step`` runs once per time step.
 
-When ``step`` is called without an rng the schema choice is greedy (zero
-selection noise) and dropout is off, which is the deterministic evaluation
-mode.
+The rng is ``step``'s one stochastic-mode switch: with it the step draws
+selection noise and dropout masks (training); without it the schema choice
+is greedy and dropout is off, the deterministic evaluation mode.
 """
 
 import numpy as np
@@ -75,7 +75,6 @@ class ScoffModel(SequenceModel):
                 f"layer d_in {scoff_cfg.d_in} must equal encoder width {codec_cfg.d_a}")
         self.config = scoff_cfg
         super().__init__(task, scoff_cfg.d_h, codec_cfg, rng)
-        self._zero_noise = record(np.zeros((scoff_cfg.n_f, scoff_cfg.n_s)), (), None)
 
     def _build_core(self, rng: Rng) -> None:
         self.layer = ScoffLayer(self.config, rng)
@@ -86,10 +85,8 @@ class ScoffModel(SequenceModel):
     def init_state(self) -> Tensor:
         return self.layer.init_state()
 
-    def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None,
-             training: bool = False):
-        noise = None if rng is not None else self._zero_noise
-        return self.layer.step(features, state, rng, training, noise=noise)
+    def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
+        return self.layer.step(features, state, rng)
 
 
 class GruBaseline(SequenceModel):
@@ -110,7 +107,6 @@ class GruBaseline(SequenceModel):
     def init_state(self) -> Tensor:
         return record(np.zeros((1, self.width)), (), None)
 
-    def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None,
-             training: bool = False):
+    def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
         pooled = features.mean(axis=0, keepdims=True)
         return gru_step(pooled, state, self.cell), None

@@ -140,35 +140,35 @@ def build_model(cfg: TrainConfig, rng: Rng):
     raise ValueError(f"unknown model kind {cfg.model!r}")
 
 
-def run_steps(model, feats: list, rng=None, training: bool = False):
+def run_steps(model, feats: list, rng=None):
     """The recurrence over per-step features from a fresh state: the state
-    after each step and each step's trace."""
+    after each step and each step's trace; an rng makes the steps stochastic."""
     state = model.init_state()
     states, traces = [], []
     for f in feats:
-        state, trace = model.step(f, state, rng, training)
+        state, trace = model.step(f, state, rng)
         states.append(state)
         traces.append(trace)
     return states, traces
 
 
-def video_loss(model, frames, rng=None, training: bool = False):
+def video_loss(model, frames, rng=None):
     """Teacher-forced next-frame prediction loss, averaged over steps: every
     frame but the last is encoded, and every state read out, in one op each."""
-    states, traces = run_steps(model, model.encode(frames[:-1]), rng, training)
+    states, traces = run_steps(model, model.encode(frames[:-1]), rng)
     return bce_per_frame(model.readout(states), frames[1:]), traces
 
 
-def adding_loss(model, seq: AddingSequence, rng=None, training: bool = False):
+def adding_loss(model, seq: AddingSequence, rng=None):
     """Terminal-target regression loss over the full token sequence."""
-    states, traces = run_steps(model, model.encode(seq.tokens()), rng, training)
+    states, traces = run_steps(model, model.encode(seq.tokens()), rng)
     return mse_scalar(model.readout(states[-1:]), seq.target), traces
 
 
-def sequence_loss(model, seq, rng=None, training: bool = False):
+def sequence_loss(model, seq, rng=None):
     if isinstance(seq, AddingSequence):
-        return adding_loss(model, seq, rng, training)
-    return video_loss(model, seq.frames, rng, training)
+        return adding_loss(model, seq, rng)
+    return video_loss(model, seq.frames, rng)
 
 
 # ---- evaluation -------------------------------------------------------------
@@ -254,21 +254,15 @@ def schema_alignment_purity(traces: list, labels: list) -> float:
     returns the matched mass of the best injective assignment divided by the
     total mass. Invariant under relabeling of either side.
     """
-    pairs = []
-    n_s, n_m = 0, 0
-    for seq_traces, seq_labels in zip(traces, labels):
-        for trace, label in zip(seq_traces, seq_labels):
-            n_s = trace.schema_scores.shape[1]
-            n_m = max(n_m, int(label) + 1)
-            pairs.append((trace, int(label)))
+    pairs = [(trace, int(label)) for seq_traces, seq_labels in zip(traces, labels)
+             for trace, label in zip(seq_traces, seq_labels)]
     if not pairs:
         raise ValueError("no traces to score")
-    counts = np.zeros((n_s, n_m))
-    for trace, mode in pairs:
-        for k in range(trace.schema.shape[0]):
-            j = int(trace.schema[k])
-            if j >= 0:
-                counts[j, mode] += 1.0
+    schema = np.stack([trace.schema for trace, _ in pairs])  # [steps, n_f]
+    mode = np.broadcast_to(np.array([m for _, m in pairs])[:, None], schema.shape)
+    chosen = schema >= 0
+    counts = np.zeros((pairs[-1][0].schema_scores.shape[1], mode.max() + 1))
+    np.add.at(counts, (schema[chosen], mode[chosen]), 1.0)
     total = counts.sum()
     if total == 0:
         raise ValueError("no selections to score")
@@ -311,18 +305,14 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
             batch = order[lo:lo + cfg.batch_size]
             for idx in batch:
                 with Tape() as tape:
-                    loss, traces = sequence_loss(model, train_data[idx], run_rng,
-                                                 training=True)
+                    loss, traces = sequence_loss(model, train_data[idx], run_rng)
                 backward(loss, tape)
                 epoch_loss += loss.item()
                 # free this graph before the next sequence's forward pass
                 del loss, tape
-                for trace in traces:
-                    if trace is None:
-                        continue
-                    for j in trace.schema:
-                        if j >= 0:
-                            usage[j] += 1
+                if traces and traces[0] is not None:
+                    schema = np.stack([trace.schema for trace in traces])
+                    usage += np.bincount(schema[schema >= 0], minlength=n_s)
             where = f"training diverged in epoch {epoch}, batch {b}"
             bad = _first_non_finite((n, p.grad) for n, p in params.items())
             if bad is not None:

@@ -174,6 +174,53 @@ def test_gen_data_byte_identical(tmp_path):
         assert a == b, name
 
 
+@pytest.mark.parametrize("key,overrides", [
+    ("n_balls", ["task=bouncing", "n_balls=7"]),
+    ("operands", ["task=adding", "operands=2,x"]),
+    ("operands", ["task=adding", "operands=0"]),
+    ("operands", ["task=adding", "operands=60"]),  # length 50
+    ("mode", ["task=single", "mode=warp"]),
+    ("length", ["task=switching", "length=12"]),
+    ("length", ["task=bouncing", "length=1"]),
+    ("train_count", ["task=switching", "train_count=0"]),
+    ("test_count", ["task=switching", "test_count=0"]),
+])
+def test_gen_data_bad_data_key_exits_1_naming_it_and_writes_nothing(tmp_path, capsys,
+                                                                    key, overrides):
+    out = tmp_path / "data"
+    assert run_cli("gen-data", *[a for kv in overrides for a in ("--set", kv)],
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and key in err
+    assert not out.exists()
+
+
+def test_gen_data_writes_nothing_unless_both_sets_exist(tmp_path, capsys, monkeypatch):
+    # a failure while generating the test set leaves an existing output
+    # directory as it was, and creates no new one
+    from scoff import tasks
+    out = tmp_path / "data"
+    args = ["gen-data", "--set", "task=switching", "--set", "train_count=2",
+            "--set", "test_count=1", "--set", "length=13"]
+    assert run_cli(*args, "--seed", "1", "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    calls, gen = [], tasks.gen_switching_dynamics
+
+    def fail_on_test_set(rng, length):
+        calls.append(length)
+        if len(calls) > 2:
+            raise RuntimeError("generator failed")
+        return gen(rng, length)
+
+    monkeypatch.setattr(tasks, "gen_switching_dynamics", fail_on_test_set)
+    for target in (out, tmp_path / "fresh"):
+        calls.clear()
+        assert run_cli(*args, "--seed", "2", "--out", str(target)) == 2
+        assert len(calls) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not (tmp_path / "fresh").exists()
+
+
 def _gen_and_train(tmp_path, extra_train=()):
     data_dir = str(tmp_path / "data")
     assert run_cli("gen-data", "--set", "task=switching",

@@ -342,7 +342,7 @@ def test_one_row_readout_returns_its_row_with_the_pooled_bits(monkeypatch):
         rng, losses = Rng(6), []
         for seq in seqs:
             with Tape() as tape:
-                loss, _ = sequence_loss(model, seq, rng, training=True)
+                loss, _ = sequence_loss(model, seq, rng)
             backward(loss, tape)
             losses.append(loss.data)
         return losses, {name: p.grad for name, p in model.parameters().items()}

@@ -5,8 +5,8 @@ import pytest
 
 import scoff.numerics as nm
 from scoff.attention import gumbel_st_select
-from scoff.layer import (ScoffConfig, ScoffLayer, _mix, _selection_logits,
-                         schema_usage)
+from scoff.layer import (ScoffConfig, ScoffLayer, StepTrace, _mix,
+                         _selection_logits, schema_usage)
 from scoff.numerics import Tape, Tensor, backward, grad_check
 from scoff.recurrent import gru_step
 from scoff.rng import Rng
@@ -151,14 +151,6 @@ def test_selection_frequencies_follow_categorical_law():
     assert np.max(np.abs(freq - law)) < 0.02
 
 
-def test_selection_needs_noise_or_rng():
-    layer = make_layer()
-    state = layer.init_state()
-    z = Tensor(np.ones((3, 8)))
-    with pytest.raises(ValueError):
-        layer.schema_select_update(z, state)
-
-
 # -------------------------------------------------------------- communication
 
 def communicate_oracle(layer, prev, new):
@@ -294,8 +286,8 @@ def test_trace_invariants():
 def test_step_with_dropout_is_seed_deterministic():
     layer = make_layer(seed=31, inp_dropout=0.2, comm_dropout=0.2)
     feats = Tensor(rand(Rng(32), (5, 6)))
-    a, _ = layer.step(feats, layer.init_state(), rng=Rng(33), training=True)
-    b, _ = layer.step(feats, layer.init_state(), rng=Rng(33), training=True)
+    a, _ = layer.step(feats, layer.init_state(), rng=Rng(33))
+    b, _ = layer.step(feats, layer.init_state(), rng=Rng(33))
     assert np.array_equal(a.data, b.data)
 
 
@@ -401,7 +393,7 @@ def select_update_chain(layer, z, state, rng):
     noise = nm.sample_gumbel(rng, (c.n_f, c.n_s))
     sel, soft, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
     h_new = (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1)
-    return h_new, indices, soft.data.copy()
+    return h_new, indices, soft
 
 
 def selection_graph(select_update, n_s, tau, hard):
@@ -487,3 +479,18 @@ def test_schema_usage_matrix_shape():
     usage = schema_usage(traces, 2)
     assert usage.shape == (3, 2)
     assert np.allclose(usage.sum(axis=1), 1.0)
+
+
+def test_schema_usage_matches_per_slot_loop():
+    # inactive slots (-1) are skipped, and a slot never selected gets a zero row
+    rng = Rng(71)
+    rows = [[rng.randint(4) - 1, rng.randint(4) - 1, -1] for _ in range(9)]
+    traces = [StepTrace(np.zeros((3, 1)), np.asarray(r) >= 0, np.asarray(r),
+                        np.zeros((3, 3)), np.zeros((3, 3))) for r in rows]
+    counts = np.zeros((3, 3))
+    for row in rows:
+        for k, j in enumerate(row):
+            if j >= 0:
+                counts[k, j] += 1
+    want = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
+    assert np.array_equal(schema_usage(traces, 3), want)

@@ -425,7 +425,7 @@ def _batch_grads(cfg, sequences, run_backward):
     run_rng = Rng(cfg.seed).spawn(1)
     for seq in sequences:
         with Tape() as tape:
-            loss, _ = sequence_loss(model, seq, run_rng, training=True)
+            loss, _ = sequence_loss(model, seq, run_rng)
         run_backward(loss, tape)
     return {name: p.grad for name, p in model.parameters().items()}
 

@@ -36,7 +36,7 @@ from scoff.rng import Rng
 from scoff.tasks import gen_bouncing_mini
 from scoff.training import train_model
 resolved = parse_config("configs/bouncing_mini.cfg",
-                        ["model=" + sys.argv[1], "epochs=1", "batch_size=1"])
+                        ["model=" + sys.argv[1], "epochs=1", "batch_size=1", *sys.argv[2:]])
 seq = gen_bouncing_mini(Rng(0), 6, resolved["n_balls"])
 train_model(to_train_config(resolved), [seq])
 print(json.dumps({"resolved": resolved,
@@ -44,14 +44,18 @@ print(json.dumps({"resolved": resolved,
 """
 
 
-@pytest.mark.parametrize("model", ["scoff", "gru"])
-def test_traced_training_counts_follow_from_the_config(model):
-    proc = subprocess.run([sys.executable, "-c", TRAIN_ONE_SEQUENCE, model], cwd=ROOT,
-                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
-                          capture_output=True, text=True, timeout=120)
+def train_one_traced_sequence(model, *overrides):
+    proc = subprocess.run([sys.executable, "-c", TRAIN_ONE_SEQUENCE, model, *overrides],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    cfg, m = out["resolved"], out["metrics"]
+    return out["resolved"], out["metrics"]
+
+
+@pytest.mark.parametrize("model", ["scoff", "gru"])
+def test_traced_training_counts_follow_from_the_config(model):
+    cfg, m = train_one_traced_sequence(model)
     if model == "scoff":
         assert m["recurrent.gru_step_calls_per_step"] == cfg["n_s"]
         assert m["attention.attend_calls_per_step"] == cfg["inp_heads"] + cfg["comm_heads"]
@@ -61,6 +65,16 @@ def test_traced_training_counts_follow_from_the_config(model):
         assert m["attention.attend_calls_per_step"] == 0
         assert m["layer.schema_hypotheses_per_step"] == 0
     assert m["numerics.tape_nodes_per_seq"] > 0
+
+
+@pytest.mark.parametrize("model", ["scoff", "gru"])
+def test_traced_useful_update_ratio_follows_n_sel(model):
+    # the tracer reads each step trace's ``active`` mask: of the n_f * n_s
+    # schema hypotheses a scoff step computes, n_sel rows are used; the
+    # monolithic GRU uses its one update
+    cfg, m = train_one_traced_sequence(model, "n_sel=2")
+    want = cfg["n_sel"] / (cfg["n_f"] * cfg["n_s"]) if model == "scoff" else 1.0
+    assert m["recurrent.useful_update_ratio"] == want
 
 
 ROLLOUT = """

@@ -224,6 +224,25 @@ def test_purity_more_modes_than_schemata_matches_brute_force():
         assert schema_alignment_purity([seq], [lab]) == best / 60
 
 
+def test_purity_counts_every_active_slot_of_every_sequence():
+    # several slots, inactive ones (-1) and a label list longer than its
+    # traces, against the per-slot loop over (trace, label) pairs
+    rng = Rng(8)
+    traces, labels, counts = [], [], np.zeros((3, 2))
+    for steps in (7, 4):
+        seq = [fake_trace([rng.randint(4) - 1 for _ in range(3)], 3) for _ in range(steps)]
+        lab = np.asarray([rng.randint(2) for _ in range(steps + 2)])
+        for trace, mode in zip(seq, lab):
+            for j in trace.schema:
+                if j >= 0:
+                    counts[j, mode] += 1
+        traces.append(seq)
+        labels.append(lab)
+    best = max(counts[p[0], 0] + counts[p[1], 1]
+               for p in itertools.permutations(range(3), 2))
+    assert schema_alignment_purity(traces, labels) == best / counts.sum()
+
+
 def test_purity_rejects_empty():
     with pytest.raises(ValueError):
         schema_alignment_purity([], [])
@@ -233,6 +252,37 @@ def test_purity_rejects_empty():
 
 def make_switching_data(count, length=13):
     return [gen_switching_dynamics(Rng(1000 + i), length) for i in range(count)]
+
+
+def test_rng_is_the_one_stochastic_mode_switch(monkeypatch):
+    # a model with dropout on both attentions: a step with no rng is greedy,
+    # draws nothing and runs no dropout; a step given an rng draws the input
+    # dropout mask, the selection noise and the communication dropout mask
+    scoff_cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, d_in=tiny_train_config().codec.d_a,
+                            inp_keys=4, inp_values=8, inp_dropout=0.3, sel_keys=4,
+                            comm_heads=1, comm_keys=4, comm_dropout=0.3)
+    model = build_model(tiny_train_config(scoff=scoff_cfg), Rng(0))
+    feats = model.encode(make_switching_data(1)[0].frames[:2])
+    state, _ = model.step(feats[0], model.init_state())
+    draws, uniform = [], Rng.uniform
+
+    def recorded(self, shape=()):
+        draws.append(tuple(shape))
+        return uniform(self, shape)
+
+    monkeypatch.setattr(Rng, "uniform", recorded)
+    a, trace_a = model.step(feats[1], state)
+    b, trace_b = model.step(feats[1], state)
+    c, _ = model.layer.step(feats[1], state, noise=nm.zeros((3, 2)))
+    assert draws == []
+    assert np.array_equal(a.data, b.data) and np.array_equal(a.data, c.data)
+    assert np.array_equal(trace_a.schema_scores, trace_b.schema_scores)
+    model.step(feats[1], state, Rng(1))
+    assert draws == [(3, 16), (3, 2), (3, 3)]
+    draws.clear()
+    d, _ = model.layer.step(feats[1], state, Rng(1), noise=nm.zeros((3, 2)))
+    assert draws == [(3, 16), (3, 3)]
+    assert not np.array_equal(d.data, a.data)  # the same noise, but dropout ran
 
 
 def test_train_smoke_single_epoch_finite_loss():
@@ -284,7 +334,7 @@ def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
     model = build_model(to_train_config(resolved), Rng(0))
     seq = gen_bouncing_mini(Rng(1), resolved["length"], resolved["n_balls"])
     with Tape() as tape:
-        sequence_loss(model, seq, Rng(2), training=True)
+        sequence_loss(model, seq, Rng(2))
     assert len(tape.nodes) == nodes
 
 
@@ -357,7 +407,7 @@ class OracleModel:
     def init_state(self):
         return Tensor(np.zeros((1, 1)))
 
-    def step(self, features, state, rng=None, training=False):
+    def step(self, features, state, rng=None):
         return Tensor(state.data + 1.0), None
 
     def readout(self, states):
