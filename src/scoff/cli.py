@@ -2,8 +2,8 @@
 
 Commands: gen-data, train, eval, trace, check-grad, param-count. Config files
 are plain ``key = value`` lines with optional ``[section]`` headers and ``#``
-comments; ``--set key=value`` overrides win over file values. The model,
-codec and training keys are the fields of the config dataclasses. Every
+comments; ``--set key=value`` overrides win over file values. Every key but
+the paths ``data`` and ``checkpoint`` is a field of a config dataclass. Every
 command that writes artifacts also writes the resolved configuration beside
 them, and every artifact is reproducible byte for byte from (command, config,
 seed).
@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -35,39 +35,21 @@ class ConfigError(Exception):
     pass
 
 
-def _field_keys(cls, derived=()) -> dict:
-    """key -> (type, default) for each plain-typed field of a config dataclass."""
-    return {f.name: (f.type, f.default) for f in fields(cls)
-            if f.type in (int, float, bool, str) and f.name not in derived}
+def _field_keys(cls, skip=()) -> dict:
+    """key -> (type, default or None) for each plain-typed field of a config dataclass."""
+    return {f.name: (f.type, None if f.default is MISSING else f.default)
+            for f in fields(cls)
+            if f.type in (int, float, bool, str) and f.name not in skip}
 
 
-# key -> (type, default). Model, codec and training keys come from the config
-# dataclasses; the literal entries are what no field holds. None defaults are
-# filled from _TASK_DEFAULTS after merging.
+# key -> (type, default); parse_config fills a None default from tasks.TASKS
 _KEYS = {
     **_field_keys(TrainConfig),
-    **_field_keys(ScoffConfig, derived=("d_in",)),  # d_in is the encoder width
+    **_field_keys(ScoffConfig, skip=("d_in",)),  # d_in is the encoder width
     **_field_keys(CodecConfig),
-    "lr": (float, None),
-    "burn_in": (int, None),
-    "horizon": (int, None),
-    "train_count": (int, 2000),
-    "test_count": (int, 500),
-    "length": (int, None),
-    "n_balls": (int, 2),
-    "occluder": (bool, False),
-    "mode": (str, "mixed"),
-    "operands": (str, "2,4"),
+    **_field_keys(tasks.DataConfig, skip=("task",)),  # task is TrainConfig's
     "data": (str, ""),
     "checkpoint": (str, ""),
-}
-
-_MODELS = ("scoff", "gru")
-_TASK_DEFAULTS = {
-    "single": {"length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
-    "switching": {"length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
-    "bouncing": {"length": 30, "lr": 1e-4, "burn_in": 10, "horizon": 15},
-    "adding": {"length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
 }
 
 
@@ -92,7 +74,7 @@ def _coerce(key: str, raw: str, where: str):
 
 def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) -> dict:
     """Defaults, then file values, then overrides; unknown keys and values
-    out of range (per the config dataclasses and _check_data_keys) raise."""
+    out of range (per the config dataclasses) raise."""
     resolved = {k: d for k, (_, d) in _KEYS.items()}
     entries = []  # (where, "key = value"): file lines, then overrides
     if path:
@@ -116,45 +98,16 @@ def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) ->
     if seed is not None:
         resolved["seed"] = int(seed)
 
-    task = resolved["task"]
-    if task not in _TASK_DEFAULTS:
-        raise ConfigError(f"task must be one of {tuple(_TASK_DEFAULTS)}, got {task!r}")
-    if resolved["model"] not in _MODELS:
-        raise ConfigError(f"model must be one of {_MODELS}, got {resolved['model']!r}")
-    for key, default in _TASK_DEFAULTS[task].items():
-        if resolved[key] is None:
-            resolved[key] = default
-    _check_data_keys(resolved)
-    try:  # range checks live in the config dataclasses
+    defaults = tasks.TASKS.get(resolved["task"], {})  # an unknown task fails below
+    for key, value in resolved.items():
+        if value is None:
+            resolved[key] = defaults.get(key)
+    try:  # the ranges live in the config dataclasses
         to_train_config(resolved)
+        _from_fields(tasks.DataConfig, resolved)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return resolved
-
-
-def _operand_counts(r: dict) -> list:
-    """The counts in ``operands``; [] unless each is an integer in [1, length]."""
-    try:
-        counts = [int(x) for x in r["operands"].split(",") if x.strip()]
-    except ValueError:
-        return []
-    return counts if all(1 <= n <= r["length"] for n in counts) else []
-
-
-def _check_data_keys(r: dict) -> None:
-    """The keys gen-data reads, each checked for the task that reads it."""
-    task, length, modes = r["task"], r["length"], ("mixed", *tasks.SINGLE_MODES)
-    least = {"switching": 11, "adding": 1}.get(task, 2)
-    odd = " and odd" if task == "switching" else ""
-    for key, ok, want in (
-            ("train_count", r["train_count"] >= 1, ">= 1"),
-            ("test_count", r["test_count"] >= 1, ">= 1"),
-            ("length", length >= least and (not odd or length % 2), f">= {least}{odd}"),
-            ("n_balls", task != "bouncing" or 1 <= r["n_balls"] <= 4, "in [1, 4]"),
-            ("mode", task != "single" or r["mode"] in modes, f"one of {modes}"),
-            ("operands", task != "adding" or _operand_counts(r), f"integers in [1, {length}]")):
-        if not ok:
-            raise ConfigError(f"{key} must be {want} for {task}, got {r[key]!r}")
 
 
 def _from_fields(cls, r: dict, **given):
@@ -182,36 +135,10 @@ def _require(resolved: dict, key: str) -> str:
     return resolved[key]
 
 
-# ---- data generation ---------------------------------------------------------
-
-
-def _gen_sequences(resolved: dict, count: int, seed_offset: int) -> list:
-    task = resolved["task"]
-    root = Rng(resolved["seed"])
-    out = []
-    for i in range(count):
-        child = root.spawn(seed_offset + i)
-        if task == "single":
-            mode = resolved["mode"]
-            if mode == "mixed":
-                mode = tasks.SINGLE_MODES[child.randint(3)]
-            out.append(tasks.gen_single_dynamics(child, resolved["length"], mode))
-        elif task == "switching":
-            out.append(tasks.gen_switching_dynamics(child, resolved["length"]))
-        elif task == "bouncing":
-            occ = tasks.OCCLUDER if resolved["occluder"] else None
-            out.append(tasks.gen_bouncing_mini(child, resolved["length"],
-                                               resolved["n_balls"], occ))
-        else:
-            choices = _operand_counts(resolved)
-            n = choices[child.randint(len(choices))]
-            out.append(tasks.gen_adding(child, resolved["length"], n))
-    return out
-
-
 def cmd_gen_data(args, resolved: dict) -> int:
-    train = _gen_sequences(resolved, resolved["train_count"], 0)
-    test = _gen_sequences(resolved, resolved["test_count"], 1_000_000)
+    cfg = _from_fields(tasks.DataConfig, resolved)
+    train = tasks.generate(cfg, resolved["seed"], cfg.train_count, 0)
+    test = tasks.generate(cfg, resolved["seed"], cfg.test_count, 1_000_000)
     os.makedirs(args.out_dir, exist_ok=True)  # both sets exist: now write
     tasks.write_dataset(os.path.join(args.out_dir, "train.scfd"), train)
     tasks.write_dataset(os.path.join(args.out_dir, "test.scfd"), test)
@@ -222,14 +149,9 @@ def cmd_gen_data(args, resolved: dict) -> int:
 
 def cmd_train(args, resolved: dict) -> int:
     data_dir = _require(resolved, "data")
-    train_path = os.path.join(data_dir, "train.scfd")
-    test_path = os.path.join(data_dir, "test.scfd")
-    for p in (train_path, test_path):
-        if not os.path.exists(p):
-            raise FileNotFoundError(f"dataset file not found: {p}")
-    train_data = tasks.read_dataset(train_path)
-    eval_data = tasks.read_dataset(test_path)
     cfg = to_train_config(resolved)
+    train_data = tasks.read_dataset(os.path.join(data_dir, "train.scfd"), cfg.task)
+    eval_data = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     metrics, model = train_model(cfg, train_data, eval_data,
                                  log=lambda s: print(s, file=sys.stderr))
     os.makedirs(args.out_dir, exist_ok=True)
@@ -259,7 +181,7 @@ def _restore(resolved: dict):
 def cmd_eval(args, resolved: dict) -> int:
     data_dir = _require(resolved, "data")
     model, cfg, _ = _restore(resolved)
-    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"))
+    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "rollout_curve.csv")
     if cfg.task == "adding":
@@ -284,7 +206,7 @@ def cmd_trace(args, resolved: dict) -> int:
     model, cfg, _ = _restore(resolved)
     if model.kind != "scoff":
         raise ValueError("trace requires a scoff checkpoint")
-    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"))
+    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     subset = test[:cfg.eval_subset]
     traces, _ = collect_traces(model, subset)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -46,9 +46,6 @@ class ScoffConfig:
     comm_sparse: bool = False
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("n_f", "n_s", "d_h", "d_in", "inp_heads", "inp_keys",
                      "inp_values", "sel_keys", "comm_heads", "comm_keys"):
             if getattr(self, name) < 1:
@@ -91,7 +88,6 @@ class ScoffLayer:
     """Drop-in recurrent layer over position-encoded features."""
 
     def __init__(self, config: ScoffConfig, rng: Rng):
-        config.validate()
         self.config = config
         c = config
         self.input_proj = AttentionProjections(

@@ -23,9 +23,8 @@ from .layer import ScoffConfig, ScoffLayer
 from .numerics import Tensor, record
 from .recurrent import gru_step, init_schema
 from .rng import Rng
-from .tasks import GRID
+from .tasks import FRAME_TASKS, GRID
 
-FRAME_TASKS = ("single", "switching", "bouncing")
 TOKEN_FEATURES = 3  # value plus the two operand indicator channels
 
 
@@ -40,10 +39,8 @@ class SequenceModel:
         self.task = task
         if task in FRAME_TASKS:
             self.encoder = PositionEncoder(rng, GRID, GRID, codec_cfg)
-        elif task == "adding":
-            self.encoder = TokenEncoder(rng, TOKEN_FEATURES, codec_cfg)
         else:
-            raise ValueError(f"unknown task {task!r}")
+            self.encoder = TokenEncoder(rng, TOKEN_FEATURES, codec_cfg)
         self._build_core(rng)
         if task in FRAME_TASKS:
             self.head = FrameReadout(rng, width, codec_cfg, self.encoder)
@@ -93,8 +90,6 @@ class GruBaseline(SequenceModel):
     kind = "gru"
 
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
-        if width < 1:
-            raise ValueError(f"hidden width must be positive, got {width}")
         self.width = width
         super().__init__(task, width, codec_cfg, rng)
 

@@ -59,9 +59,8 @@ The logistic function is evaluated as 0.5·tanh(0.5·x) + 0.5
 (:func:`stable_sigmoid`): it never overflows, takes one transcendental call and
 no branch, and lies within 2⁻⁵² of the exp form 1/(1 + e⁻ˣ).
 
-Interior op results skip the finiteness check for speed; enable
-``strict_checks`` to validate every op output. Tensors built from external
-data are always validated.
+Interior op results skip the finiteness check for speed; tensors built from
+external data are always validated.
 """
 
 import math
@@ -85,8 +84,6 @@ class _TapeStacks(threading.local):
 
 
 _TLS = _TapeStacks()
-
-strict_checks = False
 
 
 class Tape:
@@ -114,7 +111,7 @@ class Tensor:
     treat them as read-only and replace rather than update.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
@@ -125,7 +122,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
         self._backward = None
 
     @property
@@ -180,8 +176,6 @@ def record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     parent requires a gradient, the Tensor joins the tape, and the backward
     pass calls ``backward_fn(g)`` with its gradient ``g``. With no parents the
     result is a detached constant."""
-    if strict_checks and not np.isfinite(out_data).all():
-        raise FloatingPointError("op produced non-finite values")
     t = Tensor.__new__(Tensor)
     t.data = out_data
     t.grad = None
@@ -190,12 +184,10 @@ def record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
         for p in parents:
             if p.requires_grad:
                 t.requires_grad = True
-                t._parents = parents
                 t._backward = backward_fn
                 stack[-1].nodes.append(t)
                 return t
     t.requires_grad = False
-    t._parents = ()
     t._backward = None
     return t
 

@@ -31,8 +31,20 @@ SINGLE_MODES = ("accelerate", "constant", "random_walk")
 MODE_IDS = {name: i for i, name in enumerate(SINGLE_MODES)}
 V_CLAMP = 3  # accelerate mode keeps each velocity component in [-3, 3]
 
-TASK_IDS = {"single": 1, "switching": 2, "bouncing": 3, "adding": 4}
+# each task's dataset-file id and the defaults that depend on the task
+TASKS = {
+    "single": {"id": 1, "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "switching": {"id": 2, "length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "bouncing": {"id": 3, "length": 30, "lr": 1e-4, "burn_in": 10, "horizon": 15},
+    "adding": {"id": 4, "length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
+}
+FRAME_TASKS = ("single", "switching", "bouncing")
 _WALK_STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
+
+
+def check_task(task: str) -> None:
+    if task not in TASKS:
+        raise ValueError(f"task must be one of {tuple(TASKS)}, got {task!r}")
 
 
 @dataclass
@@ -52,6 +64,7 @@ class FrameSequence:
 
 @dataclass
 class AddingSequence:
+    task = "adding"
     values: np.ndarray      # f64 [L], drawn U(0,1)
     indicators: np.ndarray  # uint8 [L, 2], first/second-half operand marks
     target: float
@@ -268,27 +281,87 @@ def gen_adding(rng: Rng, length: int, n_operands: int) -> AddingSequence:
     return AddingSequence(values, indicators, target, n_operands)
 
 
+@dataclass(kw_only=True)
+class DataConfig:
+    """The keys ``generate`` reads, each checked for the task that reads it."""
+
+    task: str
+    length: int
+    train_count: int = 2000
+    test_count: int = 500
+    n_balls: int = 2
+    occluder: bool = False
+    mode: str = "mixed"
+    operands: str = "2,4"
+
+    def __post_init__(self):
+        check_task(self.task)
+        task, length, modes = self.task, self.length, ("mixed", *SINGLE_MODES)
+        least = {"switching": 11, "adding": 1}.get(task, 2)
+        odd = " and odd" if task == "switching" else ""
+        for key, ok, want in (
+                ("train_count", self.train_count >= 1, ">= 1"),
+                ("test_count", self.test_count >= 1, ">= 1"),
+                ("length", length >= least and (not odd or length % 2), f">= {least}{odd}"),
+                ("n_balls", task != "bouncing" or 1 <= self.n_balls <= 4, "in [1, 4]"),
+                ("mode", task != "single" or self.mode in modes, f"one of {modes}"),
+                ("operands", task != "adding" or self.operand_counts(),
+                 f"integers in [1, {length}]")):
+            if not ok:
+                raise ValueError(f"{key} must be {want} for {task}, got {getattr(self, key)!r}")
+
+    def operand_counts(self) -> list:
+        """The counts in ``operands``; [] unless each is an integer in [1, length]."""
+        try:
+            counts = [int(x) for x in self.operands.split(",") if x.strip()]
+        except ValueError:
+            return []
+        return counts if all(1 <= n <= self.length for n in counts) else []
+
+
+def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> list:
+    """``count`` sequences of ``cfg``'s task; sequence i draws from
+    ``Rng(seed).spawn(offset + i)`` alone."""
+    root = Rng(seed)
+    out = []
+    for i in range(count):
+        child = root.spawn(offset + i)
+        if cfg.task == "single":
+            mode = cfg.mode
+            if mode == "mixed":
+                mode = SINGLE_MODES[child.randint(3)]
+            out.append(gen_single_dynamics(child, cfg.length, mode))
+        elif cfg.task == "switching":
+            out.append(gen_switching_dynamics(child, cfg.length))
+        elif cfg.task == "bouncing":
+            occluder = OCCLUDER if cfg.occluder else None
+            out.append(gen_bouncing_mini(child, cfg.length, cfg.n_balls, occluder))
+        else:
+            choices = cfg.operand_counts()
+            n = choices[child.randint(len(choices))]
+            out.append(gen_adding(child, cfg.length, n))
+    return out
+
+
 # ---- dataset files ---------------------------------------------------------
 
 _MAGIC = b"SCFD"
 
 
 def write_dataset(path, sequences: list) -> None:
-    """Header: magic, u32 task id, u32 count, u32 T (or L), u32 H, u32 W."""
+    """Header: magic, u32 task id, u32 count, u32 T (or L), u32 H, u32 W.
+    Every length is checked before the file is opened."""
     if not sequences:
         raise ValueError("refusing to write an empty dataset")
     first = sequences[0]
-    if isinstance(first, AddingSequence):
-        task, t_or_l, h, w = "adding", first.length, 0, 0
-    else:
-        task, t_or_l = first.task, first.length
-        h, w = first.frames.shape[1:]
+    t_or_l = first.length
+    if any(seq.length != t_or_l for seq in sequences):
+        raise ValueError("all sequences in a dataset must share length")
+    h, w = (0, 0) if first.task == "adding" else first.frames.shape[1:]
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<IIIII", TASK_IDS[task], len(sequences), t_or_l, h, w))
+        f.write(struct.pack("<IIIII", TASKS[first.task]["id"], len(sequences), t_or_l, h, w))
         for seq in sequences:
-            if seq.length != t_or_l:
-                raise ValueError("all sequences in a dataset must share length")
             if isinstance(seq, AddingSequence):
                 triple = np.column_stack([
                     seq.values, seq.indicators.astype(np.float64)])
@@ -300,17 +373,20 @@ def write_dataset(path, sequences: list) -> None:
                 f.write(seq.labels.astype(np.uint8).tobytes(order="C"))
 
 
-def read_dataset(path) -> list:
-    """Sequences of a dataset file; a short or overlong file raises ValueError
-    naming it."""
+def read_dataset(path, task: str) -> list:
+    """Sequences of a dataset file of ``task``; a file of an unknown or another
+    task, or a short, overlong or empty one, raises ValueError naming it."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path} is not a dataset file")
         task_id, count, t_or_l, h, w = struct.unpack("<IIIII", read_exact(f, 20, "header"))
-        names = {v: k for k, v in TASK_IDS.items()}
+        names = {spec["id"]: name for name, spec in TASKS.items()}
         if task_id not in names:
-            raise ValueError(f"unknown task id {task_id}")
-        task = names[task_id]
+            raise ValueError(f"{path}: unknown task id {task_id}")
+        if names[task_id] != task:
+            raise ValueError(f"{path} holds {names[task_id]} sequences, expected {task}")
+        if count == 0:
+            raise ValueError(f"{path} holds no sequences")
         out = []
         for _ in range(count):
             if task == "adding":

@@ -18,35 +18,47 @@ import numpy as np
 from . import numerics as nm
 from .codec import CodecConfig
 from .layer import ScoffConfig
-from .model import FRAME_TASKS, GruBaseline, ScoffModel
+from .model import GruBaseline, ScoffModel
 from .numerics import Tape, Tensor, backward
 from .rng import Rng
-from .tasks import GRID, AddingSequence
+from .tasks import FRAME_TASKS, GRID, AddingSequence, check_task
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrainConfig:
     task: str = "switching"
     model: str = "scoff"  # "scoff" or "gru"
     scoff: ScoffConfig = field(default_factory=ScoffConfig)
     codec: CodecConfig = field(default_factory=CodecConfig)
     baseline_width: int = 0  # 0: n_f * d_h, the matched hidden size
-    lr: float = 1e-4
+    lr: float  # lr, burn_in and horizon: per-task defaults in tasks.TASKS
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
-    burn_in: int = 10
-    horizon: int = 15
-    clip_norm: float = 1.0
+    burn_in: int
+    horizon: int
+    clip_norm: float = 1.0  # None: no clipping
     eval_subset: int = 32
 
     def __post_init__(self):
+        check_task(self.task)
+        if self.model not in ("scoff", "gru"):
+            raise ValueError(f"model must be one of ('scoff', 'gru'), got {self.model!r}")
         for name in ("epochs", "batch_size", "eval_subset", "burn_in", "horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, ok, want in (
+                ("lr", self.lr > 0, "> 0"),
+                ("clip_norm", self.clip_norm is None or self.clip_norm > 0, "> 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("epsilon", self.epsilon > 0, "> 0"),
+                ("baseline_width", self.baseline_width >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
         if self.task in FRAME_TASKS and GRID % self.codec.patch:
             raise ValueError(f"patch {self.codec.patch} must divide the "
                              f"{GRID}x{GRID} frame")
@@ -135,9 +147,7 @@ class Adam:
 def build_model(cfg: TrainConfig, rng: Rng):
     if cfg.model == "scoff":
         return ScoffModel(cfg.task, cfg.scoff, cfg.codec, rng)
-    if cfg.model == "gru":
-        return GruBaseline(cfg.task, cfg.resolved_baseline_width(), cfg.codec, rng)
-    raise ValueError(f"unknown model kind {cfg.model!r}")
+    return GruBaseline(cfg.task, cfg.resolved_baseline_width(), cfg.codec, rng)
 
 
 def run_steps(model, feats: list, rng=None):

@@ -517,3 +517,70 @@ def test_stored_config_missing_key_exits_2(tiny_run):
     code, err = _eval_copy(tiny_run, damage)
     assert code == 2
     assert "d_h" in err
+
+
+# --------------------------------------------------------- the config schema
+
+TASKS_ALL = ["single", "switching", "bouncing", "adding"]
+
+
+@pytest.mark.parametrize("task", TASKS_ALL)
+def test_generate_matches_gen_data_byte_for_byte(tmp_path, task):
+    from scoff import tasks
+    out = tmp_path / "data"
+    assert run_cli("gen-data", "--set", f"task={task}", "--set", "train_count=3",
+                   "--set", "test_count=1", "--seed", "4", "--out", str(out)) == 0
+    cfg = tasks.DataConfig(task=task, length=tasks.TASKS[task]["length"])
+    tasks.write_dataset(tmp_path / "direct.scfd", tasks.generate(cfg, 4, 3, 0))
+    assert (tmp_path / "direct.scfd").read_bytes() == (out / "train.scfd").read_bytes()
+
+
+@pytest.mark.parametrize("task", TASKS_ALL)
+def test_task_defaults_come_from_the_task_table(task):
+    from scoff.tasks import TASKS
+    resolved = parse_config(None, [f"task={task}"])
+    cfg = to_train_config(resolved)
+    assert (resolved["length"], cfg.lr, cfg.burn_in, cfg.horizon) == tuple(
+        TASKS[task][k] for k in ("length", "lr", "burn_in", "horizon"))
+
+
+@pytest.mark.parametrize("override", ["lr=-0.01", "lr=0", "clip_norm=-1", "clip_norm=0",
+                                      "beta1=1.5", "beta1=-0.1", "beta2=1", "epsilon=0",
+                                      "baseline_width=-1"])
+def test_optimizer_key_out_of_range_exits_1_naming_it_and_writes_nothing(
+        tiny_run, tmp_path, capsys, override):
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--set", "task=switching", "--set", f"data={tiny_run / 'data'}",
+                   "--set", override, "--out", str(run_dir)) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and override.split("=")[0] in err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("command,other", [("train", "bouncing"), ("eval", "adding"),
+                                           ("trace", "bouncing")])
+def test_dataset_of_another_task_exits_2_naming_it_and_writes_nothing(
+        tiny_run, tmp_path, capsys, command, other):
+    data = tmp_path / other
+    assert run_cli("gen-data", "--set", f"task={other}", "--set", "train_count=2",
+                   "--set", "test_count=1", "--set", "length=11", "--out", str(data)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    args = (["--set", "task=switching", "--set", "epochs=1", "--set", "burn_in=3",
+             "--set", "horizon=5"] if command == "train" else
+            ["--set", f"checkpoint={tiny_run / 'run' / 'checkpoint'}"])
+    assert run_cli(command, "--set", f"data={data}", *args, "--out", str(out)) == 2
+    name = "train.scfd" if command == "train" else "test.scfd"
+    err = capsys.readouterr().err
+    assert f"{data / name} holds {other} sequences, expected switching" in err
+    assert not out.exists()
+
+
+def test_dataset_of_no_sequences_exits_2_naming_it(tiny_run):
+    def empty(copy):
+        with open(os.path.join(copy, "data", "test.scfd"), "r+b") as f:
+            f.seek(8)  # the count, after the magic and the task id
+            f.write(struct.pack("<I", 0))
+    code, err = _eval_copy(tiny_run, empty)
+    assert code == 2
+    assert "test.scfd holds no sequences" in err

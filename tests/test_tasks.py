@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from scoff.rng import Rng
 from scoff.tasks import (GRID, OCCLUDER, OSC_HI, OSC_LO, SINGLE_MODES,
-                         AddingSequence, FrameSequence, gen_adding, gen_bouncing_mini,
+                         AddingSequence, DataConfig, FrameSequence, gen_adding,
+                         gen_bouncing_mini,
                          gen_single_dynamics, gen_switching_dynamics,
                          read_dataset, render_frame, write_dataset)
 
@@ -251,7 +252,7 @@ def test_video_dataset_roundtrip(tmp_path):
     write_dataset(path, seqs)
     with open(path, "rb") as f:
         assert f.read(4) == b"SCFD"
-    back = read_dataset(path)
+    back = read_dataset(path, "switching")
     assert len(back) == 4
     for a, b in zip(seqs, back):
         assert np.array_equal(a.frames, b.frames)
@@ -262,7 +263,7 @@ def test_adding_dataset_roundtrip(tmp_path):
     seqs = [gen_adding(Rng(s), 12, 3) for s in range(5)]
     path = tmp_path / "adding.scfd"
     write_dataset(path, seqs)
-    back = read_dataset(path)
+    back = read_dataset(path, "adding")
     for a, b in zip(seqs, back):
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.indicators, b.indicators)
@@ -298,7 +299,7 @@ def test_dataset_roundtrip_any_task_count_and_length(seqs):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.scfd")
         write_dataset(path, seqs)
-        back = read_dataset(path)
+        back = read_dataset(path, seqs[0].task)
     assert len(back) == len(seqs)
     for a, b in zip(seqs, back):
         assert type(a) is type(b) and a.length == b.length
@@ -324,7 +325,7 @@ def test_dataset_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.scfd"
     p.write_bytes(b"JUNKxxxxxxxxxxxxxxxxxxxxxxx")
     with pytest.raises(ValueError):
-        read_dataset(p)
+        read_dataset(p, "switching")
 
 
 def test_dataset_rejects_corrupt_sizes_naming_the_file(tmp_path):
@@ -332,4 +333,37 @@ def test_dataset_rejects_corrupt_sizes_naming_the_file(tmp_path):
     p = tmp_path / "huge.scfd"
     p.write_bytes(b"SCFD" + struct.pack("<IIIII", 3, 1, 2**31, 2**8, 2**8) + b"\x00" * 64)
     with pytest.raises(ValueError, match="huge.scfd: truncated"):
-        read_dataset(p)
+        read_dataset(p, "bouncing")
+
+
+def test_read_dataset_rejects_another_task_an_unknown_task_or_no_sequences(tmp_path):
+    p = tmp_path / "bouncing.scfd"
+    write_dataset(p, [gen_bouncing_mini(Rng(0), 10, 2)])
+    with pytest.raises(ValueError, match="bouncing.scfd holds bouncing sequences, "
+                                         "expected switching"):
+        read_dataset(p, "switching")
+    empty = tmp_path / "empty.scfd"
+    empty.write_bytes(b"SCFD" + struct.pack("<IIIII", 4, 0, 50, 0, 0))
+    with pytest.raises(ValueError, match="empty.scfd holds no sequences"):
+        read_dataset(empty, "adding")
+    unknown = tmp_path / "unknown.scfd"
+    unknown.write_bytes(b"SCFD" + struct.pack("<IIIII", 9, 1, 50, 0, 0))
+    with pytest.raises(ValueError, match="unknown.scfd: unknown task id 9"):
+        read_dataset(unknown, "adding")
+
+
+def test_mixed_lengths_leave_an_existing_dataset_as_it_was(tmp_path):
+    p = tmp_path / "data.scfd"
+    write_dataset(p, [gen_switching_dynamics(Rng(s), 13) for s in range(2)])
+    before = p.read_bytes()
+    mixed = [gen_switching_dynamics(Rng(0), 13), gen_switching_dynamics(Rng(1), 15)]
+    with pytest.raises(ValueError, match="share length"):
+        write_dataset(p, mixed)
+    assert p.read_bytes() == before
+
+
+def test_data_config_checks_the_task():
+    with pytest.raises(ValueError, match="task must be one of"):
+        DataConfig(task="pong", length=20)
+    with pytest.raises(TypeError):
+        DataConfig(task="single")  # length has no default

@@ -594,8 +594,17 @@ def test_restore_rejects_unexpected_params(tmp_path):
 
 
 def test_patch_must_divide_the_frame_only_on_frame_tasks():
+    window = dict(lr=1e-3, burn_in=3, horizon=5)
     with pytest.raises(ValueError, match="patch 3 must divide the 16x16 frame"):
-        TrainConfig(task="bouncing", codec=CodecConfig(patch=3))
-    TrainConfig(task="adding", codec=CodecConfig(patch=3))  # tokens have no patches
+        TrainConfig(task="bouncing", codec=CodecConfig(patch=3), **window)
+    TrainConfig(task="adding", codec=CodecConfig(patch=3), **window)  # tokens have no patches
     with pytest.raises(ValueError, match="dec_hidden must be >= 1"):
         CodecConfig(dec_hidden=0)
+
+
+def test_train_config_takes_the_task_dependent_keys_from_its_caller():
+    keys = ("lr", "burn_in", "horizon")
+    for missing in keys:
+        with pytest.raises(TypeError, match=missing):
+            TrainConfig(task="switching", **{k: 1 for k in keys if k != missing})
+    TrainConfig(task="switching", lr=1e-3, burn_in=1, horizon=1, clip_norm=None)
