@@ -182,21 +182,19 @@ def cmd_eval(args, resolved: dict) -> int:
     data_dir = _require(resolved, "data")
     model, cfg, _ = _restore(resolved)
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "rollout_curve.csv")
     if cfg.task == "adding":
         mse = eval_adding(model, test)
-        with open(path, "w") as f:
-            f.write("step,mse\n")
-            f.write(f"0,{mse}\n")
-        print(f"test mse {mse:.6f}; curve in {path}")
+        rows, summary = ["step,mse", f"0,{mse}"], f"test mse {mse:.6f}"
     else:
         teacher, self_fed = eval_rollout(model, test, cfg.burn_in, cfg.horizon)
-        with open(path, "w") as f:
-            f.write("step,teacher_forced,self_fed\n")
-            for i, (a, b) in enumerate(zip(teacher, self_fed)):
-                f.write(f"{i},{a},{b}\n")
-        print(f"mean self-fed bce {np.mean(self_fed):.6f}; curve in {path}")
+        rows = ["step,teacher_forced,self_fed"] + [
+            f"{i},{a},{b}" for i, (a, b) in enumerate(zip(teacher, self_fed))]
+        summary = f"mean self-fed bce {np.mean(self_fed):.6f}"
+    os.makedirs(args.out_dir, exist_ok=True)  # the curve exists: now write
+    path = os.path.join(args.out_dir, "rollout_curve.csv")
+    with open(path, "w") as f:
+        f.writelines(row + "\n" for row in rows)
+    print(f"{summary}; curve in {path}")
     _write_snapshot(args.out_dir, resolved)
     return 0
 

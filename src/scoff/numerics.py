@@ -64,7 +64,6 @@ external data are always validated.
 """
 
 import math
-import struct
 import threading
 
 import numpy as np
@@ -565,51 +564,6 @@ def grad_check(f, params: list, eps: float = 1e-5) -> float:
             if rel > worst:
                 worst = rel
     return worst
-
-
-# ---- serialization --------------------------------------------------------
-
-_MAGIC = b"SCFT"
-
-
-def write_tensor(f, t: Tensor) -> None:
-    """Binary record: magic "SCFT", u32 rank, u64 extents, little-endian f64 payload."""
-    f.write(_MAGIC)
-    f.write(struct.pack("<I", t.data.ndim))
-    for extent in t.data.shape:
-        f.write(struct.pack("<Q", extent))
-    f.write(t.data.astype("<f8").tobytes(order="C"))
-
-
-def read_exact(f, n: int, what: str) -> bytes:
-    """Exactly ``n`` bytes from the seekable ``f``. Fewer left raises ValueError
-    naming the file, before any read, so a corrupt length allocates nothing."""
-    pos = f.tell()
-    left = f.seek(0, 2) - pos
-    f.seek(pos)
-    if n > left:
-        raise ValueError(f"{getattr(f, 'name', '<stream>')}: truncated {what} "
-                         f"(wanted {n} bytes, {left} left)")
-    return f.read(n)
-
-
-def read_tensor(f) -> Tensor:
-    magic = read_exact(f, 4, "tensor record")
-    if magic != _MAGIC:
-        raise ValueError(f"{getattr(f, 'name', '<stream>')}: bad tensor record magic: {magic!r}")
-    (rank,) = struct.unpack("<I", read_exact(f, 4, "tensor record"))
-    if rank > 32:
-        raise ValueError(f"implausible tensor rank {rank}")
-    shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, "tensor record"))
-    count = 1
-    for s in shape:
-        count *= s
-    payload = read_exact(f, 8 * count, "tensor record")
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-    try:
-        return Tensor(arr)
-    except ValueError as e:
-        raise ValueError(f"{getattr(f, 'name', '<stream>')}: {e}") from None
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import read_exact
 from .rng import Rng
 
 GRID = 16
@@ -371,6 +370,18 @@ def write_dataset(path, sequences: list) -> None:
             else:
                 f.write(seq.frames.astype(np.uint8).tobytes(order="C"))
                 f.write(seq.labels.astype(np.uint8).tobytes(order="C"))
+
+
+def read_exact(f, n: int, what: str) -> bytes:
+    """Exactly ``n`` bytes from the seekable ``f``. Fewer left raises ValueError
+    naming the file, before any read, so a corrupt length allocates nothing."""
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if n > left:
+        raise ValueError(f"{getattr(f, 'name', '<stream>')}: truncated {what} "
+                         f"(wanted {n} bytes, {left} left)")
+    return f.read(n)
 
 
 def read_dataset(path, task: str) -> list:

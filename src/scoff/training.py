@@ -21,7 +21,7 @@ from .layer import ScoffConfig
 from .model import GruBaseline, ScoffModel
 from .numerics import Tape, Tensor, backward
 from .rng import Rng
-from .tasks import FRAME_TASKS, GRID, AddingSequence, check_task
+from .tasks import FRAME_TASKS, GRID, AddingSequence, check_task, read_exact
 
 
 @dataclass(kw_only=True)
@@ -109,8 +109,8 @@ class Adam:
     """Holds moments for a parameter list and applies scaled, clipped,
     bias-corrected steps in place."""
 
-    def __init__(self, params: list, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list, lr: float, beta1: float, beta2: float,
+                 eps: float):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
@@ -120,7 +120,7 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
-    def apply(self, scale: float = 1.0, clip: "float | None" = None) -> None:
+    def apply(self, scale: float, clip: "float | None") -> None:
         grads = [np.zeros_like(p.data) if p.grad is None else p.grad * scale
                  for p in self.params]
         if clip is not None:
@@ -382,6 +382,9 @@ def _first_non_finite(named_arrays) -> "str | None":
 
 
 def save_checkpoint(directory, params: dict, config: dict) -> None:
+    """``manifest.json`` lists each tensor's name and shape, in sorted-name
+    order, beside ``config``; ``tensors.bin`` holds only their values, as
+    little-endian float64 in C order, back to back in that order."""
     os.makedirs(directory, exist_ok=True)
     names = sorted(params)
     manifest = {"tensors": [{"name": n, "shape": list(params[n].shape)}
@@ -391,12 +394,15 @@ def save_checkpoint(directory, params: dict, config: dict) -> None:
         json.dump(manifest, f, indent=2, sort_keys=True)
     with open(os.path.join(directory, "tensors.bin"), "wb") as f:
         for n in names:
-            nm.write_tensor(f, params[n])
+            f.write(params[n].data.astype("<f8").tobytes(order="C"))
 
 
 def load_checkpoint(directory):
-    """(name -> Tensor, stored config); a malformed manifest or a truncated
-    or overlong tensors.bin raises ValueError naming the file."""
+    """(name -> Tensor, stored config) of the layout :func:`save_checkpoint`
+    writes. A malformed manifest, a shape that is not a list of ints >= 1, or a
+    name that is not a string or is listed twice raises ValueError naming
+    manifest.json; a truncated or overlong tensors.bin, or a non-finite value,
+    one naming tensors.bin."""
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path) as f:
         manifest = json.load(f)
@@ -410,10 +416,18 @@ def load_checkpoint(directory):
     tensors = {}
     with open(os.path.join(directory, "tensors.bin"), "rb") as f:
         for name, shape in entries:
-            t = nm.read_tensor(f)
-            if list(t.shape) != shape:
-                raise ValueError(f"{f.name}: checkpoint shape mismatch for {name}")
-            tensors[name] = t
+            if not isinstance(shape, list) or any(type(n) is not int or n < 1
+                                                  for n in shape):
+                raise ValueError(f"{manifest_path}: bad shape {shape!r} for {name!r}")
+            if not isinstance(name, str):
+                raise ValueError(f"{manifest_path}: tensor name {name!r} is not a string")
+            if name in tensors:
+                raise ValueError(f"{manifest_path}: tensor {name!r} is listed twice")
+            values = read_exact(f, 8 * math.prod(shape), f"tensor {name!r}")
+            try:
+                tensors[name] = Tensor(np.frombuffer(values, dtype="<f8").reshape(shape))
+            except ValueError as e:
+                raise ValueError(f"{f.name}: {name!r}: {e}") from None
         if f.read(1):
             raise ValueError(f"{f.name}: trailing bytes after the last tensor")
     return tensors, config

@@ -420,8 +420,8 @@ def test_tiny_run_evaluates(tiny_run):
 
 @settings(max_examples=40, deadline=None)
 @example(cut=0)
-@example(cut=6)    # inside the first record's rank field
-@example(cut=18)   # inside the first record's extents
+@example(cut=6)    # inside the first value
+@example(cut=18)   # inside the third value
 @given(cut=st.integers(min_value=0, max_value=10**9))
 def test_truncated_tensors_bin_exits_2(tiny_run, cut):
     path = os.path.join("run", "checkpoint", "tensors.bin")
@@ -478,6 +478,37 @@ def test_non_finite_checkpoint_entry_exits_2_naming_the_file(tiny_run):
     assert code == 2
     assert "tensors.bin" in err
     assert "non-finite" in err
+
+
+def test_checkpoint_in_the_old_record_layout_exits_2_naming_tensors_bin(tiny_run):
+    # before the manifest became the only index, each tensor's values followed
+    # a header: magic "SCFT", u32 rank, u64 extents
+    def damage(copy):
+        ckpt = os.path.join(copy, "run", "checkpoint")
+        tensors, _ = load_checkpoint(ckpt)
+        with open(os.path.join(ckpt, "tensors.bin"), "wb") as f:
+            for name in sorted(tensors):
+                data = tensors[name].data
+                f.write(b"SCFT" + struct.pack(f"<I{data.ndim}Q", data.ndim, *data.shape))
+                f.write(data.astype("<f8").tobytes())
+    code, err = _eval_copy(tiny_run, damage)
+    assert code == 2
+    assert "tensors.bin" in err
+
+
+def test_eval_window_past_the_data_exits_2_and_writes_nothing(tiny_run, tmp_path, capsys):
+    # a stored burn_in 9 + horizon 3 scores 12 steps of the length-11 test data
+    copy = tmp_path / "copy"
+    shutil.copytree(str(tiny_run), str(copy))
+    path = copy / "run" / "checkpoint" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["burn_in"] = 9
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--set", f"data={copy / 'data'}",
+                   "--set", f"checkpoint={path.parent}", "--out", str(out)) == 2
+    assert "burn_in + horizon <= 11" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run, tmp_path,

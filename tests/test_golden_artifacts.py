@@ -38,7 +38,7 @@ GOLDEN = {
     "switching/data/train.scfd": "80ad636a71bc",
     "switching/data/test.scfd": "fa336d04675e",
     "switching/train/metrics.jsonl": "5ed7e60ff201",
-    "switching/train/checkpoint/tensors.bin": "a814af598dc4",
+    "switching/train/checkpoint/tensors.bin": "0d912f2c1efb",
     "switching/train/checkpoint/manifest.json:tensors": "2643d619f217",
     "switching/eval/rollout_curve.csv": "cd4d5b3df74b",
     "switching/trace/schema_usage.csv": "f19a02de582b",
@@ -46,7 +46,7 @@ GOLDEN = {
     "bouncing/data/train.scfd": "677a533d3700",
     "bouncing/data/test.scfd": "ff0731ea192d",
     "bouncing/train/metrics.jsonl": "485a62ceb061",
-    "bouncing/train/checkpoint/tensors.bin": "f505906708b2",
+    "bouncing/train/checkpoint/tensors.bin": "a19b04eef07c",
     "bouncing/train/checkpoint/manifest.json:tensors": "783cbb200c62",
     "bouncing/eval/rollout_curve.csv": "27009967efd8",
     "bouncing/trace/schema_usage.csv": "23a56d3b073d",
@@ -54,13 +54,13 @@ GOLDEN = {
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
     "bouncing_gru/train/metrics.jsonl": "3c8af32f869b",
-    "bouncing_gru/train/checkpoint/tensors.bin": "6c4d325d75d4",
+    "bouncing_gru/train/checkpoint/tensors.bin": "835264e16b61",
     "bouncing_gru/train/checkpoint/manifest.json:tensors": "3086246e7000",
     "bouncing_gru/eval/rollout_curve.csv": "4125a0101bd4",
     "adding/data/train.scfd": "859e755d4f0e",
     "adding/data/test.scfd": "4ab84a03c646",
     "adding/train/metrics.jsonl": "cc5cf1ea411d",
-    "adding/train/checkpoint/tensors.bin": "b6280a8bb124",
+    "adding/train/checkpoint/tensors.bin": "5cbe99de2e28",
     "adding/train/checkpoint/manifest.json:tensors": "9539d31bad95",
     "adding/eval/rollout_curve.csv": "2a3bdd44ea76",
     "adding/trace/schema_usage.csv": "c1733e2643e2",

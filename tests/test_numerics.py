@@ -1,14 +1,11 @@
 import gc
-import io
 import math
 import os
-import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import scoff.numerics as nm
 from scoff.cli import parse_config, to_train_config
@@ -663,66 +660,6 @@ def test_rng_spawn_streams_differ():
     a = root.spawn(0).uniform((4,))
     b = root.spawn(1).uniform((4,))
     assert not np.array_equal(a, b)
-
-
-# --------------------------------------------------------------- serialization
-
-def test_tensor_roundtrip_bytes():
-    rng = Rng(2)
-    t = Tensor(rand(rng, (3, 4, 2)))
-    buf = io.BytesIO()
-    nm.write_tensor(buf, t)
-    raw = buf.getvalue()
-    assert raw[:4] == b"SCFT"
-    buf.seek(0)
-    back = nm.read_tensor(buf)
-    assert back.shape == t.shape
-    assert np.array_equal(back.data, t.data)
-
-
-def test_tensor_roundtrip_scalar_rank0():
-    t = Tensor(3.25)
-    buf = io.BytesIO()
-    nm.write_tensor(buf, t)
-    buf.seek(0)
-    back = nm.read_tensor(buf)
-    assert back.shape == ()
-    assert back.item() == 3.25
-
-
-_EDGE_DOUBLES = np.array([-0.0, 5e-324, -2.2250738585072009e-308,
-                          1.7976931348623157e308, -1.7976931348623157e308])
-
-
-@settings(max_examples=150, deadline=None)
-@example(arrays=[np.float64(-0.0), _EDGE_DOUBLES, _EDGE_DOUBLES.reshape(5, 1, 1, 1)])
-@given(arrays=st.lists(hnp.arrays(
-    np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=4),
-    elements=st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=3))
-def test_tensor_records_roundtrip_bit_for_bit(arrays):
-    # ranks 0-4, signed zeros, subnormals and the largest doubles, several
-    # records back to back in one stream
-    buf = io.BytesIO()
-    for arr in arrays:
-        nm.write_tensor(buf, Tensor(arr))
-    buf.seek(0)
-    for arr in arrays:
-        back = nm.read_tensor(buf)
-        assert back.shape == np.shape(arr)
-        assert back.data.tobytes() == np.asarray(arr, dtype=np.float64).tobytes()
-    assert buf.read() == b""
-
-
-def test_read_tensor_rejects_bad_magic():
-    with pytest.raises(ValueError, match="magic"):
-        nm.read_tensor(io.BytesIO(b"NOPE" + b"\x00" * 16))
-
-
-def test_read_tensor_rejects_corrupt_extent_without_reading():
-    # an intact header claiming 2**61 doubles: refused against the bytes left
-    record = b"SCFT" + struct.pack("<IQ", 1, 2**61) + b"\x00" * 8
-    with pytest.raises(ValueError, match="truncated"):
-        nm.read_tensor(io.BytesIO(record))
 
 
 def test_concurrent_passes_with_own_tapes_match_serial():

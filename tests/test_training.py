@@ -1,13 +1,15 @@
 import itertools
+import json
 import math
 import os
+import struct
 import sys
 import tempfile
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -121,7 +123,7 @@ def test_adam_zero_gradient_keeps_parameters():
     p = Tensor([1.5, -2.0], requires_grad=True)
     before = p.data.copy()
     p.grad = np.zeros(2)
-    Adam([p], 0.1).apply()
+    Adam([p], 0.1, 0.9, 0.999, 1e-8).apply(1.0, None)
     assert np.array_equal(p.data, before)
 
 
@@ -129,7 +131,7 @@ def test_adam_first_step_magnitude_close_to_lr():
     for g in (0.3, -4.0, 1e3):
         p = Tensor([0.0], requires_grad=True)
         p.grad = np.array([g])
-        Adam([p], lr=0.01).apply()
+        Adam([p], 0.01, 0.9, 0.999, 1e-8).apply(1.0, None)
         assert abs(abs(p.data[0]) - 0.01) < 1e-5
         assert np.sign(p.data[0]) == -np.sign(g)
 
@@ -143,17 +145,25 @@ def test_adam_trajectory_matches_scalar_oracle():
         with Tape() as tape:
             loss = (p * p).sum()
         backward(loss, tape)
-        opt.apply()
+        opt.apply(1.0, None)
         got.append(float(p.data[0]))
     want = adam_oracle(3.0, lambda x: 2.0 * x, 100, lr, b1, b2, eps)
     assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-12
 
 
+def test_adam_takes_every_optimizer_value_from_its_caller():
+    p = Tensor([1.0], requires_grad=True)
+    with pytest.raises(TypeError):
+        Adam([p], 0.1)
+    with pytest.raises(TypeError):
+        Adam([p], 0.1, 0.9, 0.999, 1e-8).apply()
+
+
 def test_adam_clip_bounds_update_norm():
     p = Tensor(np.zeros(4), requires_grad=True)
-    opt = Adam([p], lr=1.0)
+    opt = Adam([p], 1.0, 0.9, 0.999, 1e-8)
     p.grad = np.full(4, 100.0)
-    opt.apply(clip=1.0)
+    opt.apply(1.0, 1.0)
     # clipped gradient has norm 1, so each component is 0.5 and the first
     # bias-corrected step is close to lr in magnitude per coordinate sign
     assert np.isfinite(p.data).all()
@@ -552,7 +562,14 @@ _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
                          st.text(max_size=12))
 
 
+_EDGE_DOUBLES = np.array([-0.0, 5e-324, -2.2250738585072009e-308,
+                          1.7976931348623157e308, -1.7976931348623157e308])
+
+
 @settings(max_examples=60, deadline=None)
+# rank 0, signed zero, subnormals and the largest doubles, bit for bit
+@example(params={"a": np.array(-0.0), "b": _EDGE_DOUBLES,
+                 "c": _EDGE_DOUBLES.reshape(5, 1, 1, 1)}, config={})
 @given(params=st.dictionaries(
            st.text(alphabet="abcxyz_.0123456789", min_size=1, max_size=10),
            hnp.arrays(np.float64,
@@ -570,6 +587,65 @@ def test_checkpoint_roundtrip_any_tensors_and_config(params, config):
     for name, arr in params.items():
         assert tensors[name].shape == arr.shape
         assert tensors[name].data.tobytes() == arr.tobytes()
+
+
+def test_tensors_bin_holds_only_the_values_in_sorted_name_order(tmp_path):
+    params = build_model(tiny_train_config(), Rng(1)).parameters()
+    save_checkpoint(tmp_path / "ck", params, {})
+    want = b"".join(struct.pack(f"<{params[n].data.size}d", *params[n].data.ravel(order="C"))
+                    for n in sorted(params))
+    assert (tmp_path / "ck" / "tensors.bin").read_bytes() == want
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    assert [e["name"] for e in manifest["tensors"]] == sorted(params)
+    assert any(len(e["shape"]) == 2 and e["shape"][0] != e["shape"][1]
+               for e in manifest["tensors"])  # so C order is pinned, not implied
+
+
+def _edited_checkpoint(directory, edit, extra=b""):
+    """A two-tensor checkpoint whose manifest went through ``edit`` and whose
+    tensors.bin has ``extra`` appended."""
+    save_checkpoint(directory, {"a": Tensor([1.0, 2.0]), "b": Tensor(3.0)}, {})
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    edit(manifest["tensors"])
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    with open(os.path.join(directory, "tensors.bin"), "ab") as f:
+        f.write(extra)
+
+
+def test_checkpoint_extent_past_the_file_is_refused_before_reading(tmp_path):
+    directory = str(tmp_path / "ck")
+    _edited_checkpoint(directory, lambda entries: entries[0].update(shape=[2**61]))
+    # 2**64 bytes wanted: refused against the bytes left, before any read
+    with pytest.raises(ValueError, match=r"tensors\.bin: truncated .*wanted 18446744073709551616"):
+        load_checkpoint(directory)
+
+
+@pytest.mark.parametrize("shape", [[-1], [0], [2.5], ["3"], [True], 3])
+def test_checkpoint_malformed_shape_names_the_manifest(tmp_path, shape):
+    directory = str(tmp_path / "ck")
+    _edited_checkpoint(directory, lambda entries: entries[0].update(shape=shape))
+    with pytest.raises(ValueError, match=r"manifest\.json: bad shape"):
+        load_checkpoint(directory)
+
+
+@pytest.mark.parametrize("name", [["a"], 3, None])
+def test_checkpoint_name_that_is_not_a_string_names_the_manifest(tmp_path, name):
+    directory = str(tmp_path / "ck")
+    _edited_checkpoint(directory, lambda entries: entries[0].update(name=name))
+    with pytest.raises(ValueError, match=r"manifest\.json: tensor name .* is not a string"):
+        load_checkpoint(directory)
+
+
+def test_checkpoint_name_listed_twice_names_the_manifest(tmp_path):
+    # the repeated entry's values are present too, so only the index is wrong
+    directory = str(tmp_path / "ck")
+    _edited_checkpoint(directory, lambda entries: entries.append(dict(entries[1])),
+                       extra=struct.pack("<d", 3.0))
+    with pytest.raises(ValueError, match=r"manifest\.json: tensor 'b' is listed twice"):
+        load_checkpoint(directory)
 
 
 def test_restore_rejects_missing_params(tmp_path):
