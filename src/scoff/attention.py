@@ -41,30 +41,41 @@ class AttentionProjections:
         return out
 
 
-def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
-           scale: float, dropout: float = 0.0, rng: "Rng | None" = None):
-    """One head of scaled dot-product attention, as one fused tape op.
+def attend(queriers: Tensor, candidates: Tensor, w_query: Tensor, w_key: Tensor,
+           w_value: Tensor, normalize_axis: str, scale: float, dropout: float = 0.0,
+           rng: "Rng | None" = None):
+    """One head of scaled dot-product attention, projections included, as one
+    fused tape op.
 
-    scores = queries·keysᵀ·scale, normalized along ``normalize_axis``
-    ("queriers" shares each candidate's mass across queriers, "candidates"
-    makes each output row a convex combination of value rows). Returns the
-    pre-dropout weights (rows are queriers, columns candidates) as an
-    ndarray, and the aggregated outputs. Dropout runs if and only if an rng
-    is given: it zeroes weights at rate ``dropout`` and rescales survivors.
-    Values and gradients are bit-identical to the same chain of elementary
-    ops (see the numerics module docstring).
+    queries = queriers·w_query, keys = candidates·w_key and values =
+    candidates·w_value; scores = queries·keysᵀ·scale, normalized along
+    ``normalize_axis`` ("queriers" shares each candidate's mass across
+    queriers, "candidates" makes each output row a convex combination of value
+    rows). Returns the pre-dropout weights (rows are queriers, columns
+    candidates) as an ndarray, and the aggregated outputs. Dropout runs if and
+    only if an rng is given: it zeroes weights at rate ``dropout`` and
+    rescales survivors. Values and gradients are bit-identical to the three
+    projection matmuls followed by the head's chain of elementary ops (see the
+    numerics module docstring).
     """
     if normalize_axis not in ("queriers", "candidates"):
         raise ValueError(f"unknown normalize_axis {normalize_axis!r}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    if queries.shape[1] != keys.shape[1]:
-        raise ValueError(f"query width {queries.shape} does not match key width {keys.shape}")
-    if keys.shape[0] != values.shape[0]:
-        raise ValueError(f"key rows {keys.shape} do not match value rows {values.shape}")
+    xq, xc = queriers.data, candidates.data
+    if (xq.ndim != 2 or xc.ndim != 2 or xq.shape[1] != w_query.shape[0]
+            or xc.shape[1] != w_key.shape[0] or xc.shape[1] != w_value.shape[0]):
+        raise ValueError(f"queriers {queriers.shape} and candidates {candidates.shape} "
+                         f"do not fit projections {w_query.shape}, {w_key.shape}, "
+                         f"{w_value.shape}")
+    if w_query.shape[1] != w_key.shape[1]:
+        raise ValueError(f"query width {w_query.shape} does not match key width "
+                         f"{w_key.shape}")
     axis = 0 if normalize_axis == "queriers" else 1
-    qd, kt, vd = queries.data, keys.data.T, values.data
-    weights = nm.stable_softmax((qd @ kt) * scale, axis)
+    qd = xq @ w_query.data
+    kd = xc @ w_key.data
+    vd = xc @ w_value.data
+    weights = nm.stable_softmax((qd @ kd.T) * scale, axis)
     used, mask = weights, None
     if rng is not None and dropout > 0.0:
         keep = np.asarray(rng.uniform(weights.shape)) >= dropout
@@ -72,16 +83,25 @@ def attend(queries: Tensor, keys: Tensor, values: Tensor, normalize_axis: str,
         used = weights * mask
 
     def back(g):
-        # each parent's contributions in the order of the chain's reverse scan
+        # each parent's contributions in the order of the chain's reverse
+        # scan: the head, then the value, key and query matmuls
         g_w = g @ vd.T
-        nm.accum_xtg(values, used, g)
+        g_v = used.T @ g
         if mask is not None:
             g_w = g_w * mask
         g_s = weights * (g_w - (g_w * weights).sum(axis=axis, keepdims=True)) * scale
-        nm.accum(queries, g_s @ kt.T)
-        nm.accum(keys, (qd.T @ g_s).T)
+        g_q = g_s @ kd
+        g_k = (qd.T @ g_s).T
+        for w, g_x in ((w_value, g_v), (w_key, g_k)):
+            if candidates.requires_grad:
+                nm.accum(candidates, g_x @ w.data.T)
+            nm.accum_xtg(w, xc, g_x)
+        if queriers.requires_grad:
+            nm.accum(queriers, g_q @ w_query.data.T)
+        nm.accum_xtg(w_query, xq, g_q)
 
-    return weights, nm.record(used @ vd, (queries, keys, values), back)
+    return weights, nm.record(used @ vd, (queriers, candidates, w_query, w_key, w_value),
+                              back)
 
 
 def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,

@@ -97,11 +97,13 @@ class EncoderBase:
     def d_a(self) -> int:
         return self.cfg.d_a
 
-    def _encode_rows(self, x: Tensor, n: int) -> list:
+    def _encode_rows(self, x: Tensor, n: int, pool=None) -> list:
         """n feature Tensors [positions, d_a] from the input rows x
         [n·positions, n_in]: each row's encoding beside its position's
-        embedding."""
-        return nm.split_rows(self.beside_positions(self.mlp(x)), n)
+        embedding. ``pool``, if given, maps the [n·positions, d_a] rows of
+        all steps to the rows the steps take, before the split."""
+        rows = self.beside_positions(self.mlp(x))
+        return nm.split_rows(rows if pool is None else pool(rows, n), n)
 
     def beside_positions(self, left: Tensor) -> Tensor:
         """[n·P, w + d_pos]: each step's P rows of left [n·P, w] beside the
@@ -152,9 +154,10 @@ class PositionEncoder(EncoderBase):
                 .transpose(0, 1, 3, 2, 4)
                 .reshape(-1, s * s))
 
-    def encode_frame(self, frames: np.ndarray) -> list:
+    def encode_frame(self, frames: np.ndarray, pool=None) -> list:
         """One [P, d_a] feature Tensor per frame of frames [n, H, W]: each
-        patch encoding with its position embedding."""
+        patch encoding with its position embedding, pooled by ``pool`` if
+        given (see ``_encode_rows``)."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3 or not len(frames) or frames.shape[1:] != (self.height,
                                                                         self.width):
@@ -162,7 +165,8 @@ class PositionEncoder(EncoderBase):
                              f"got {frames.shape}")
         if frames.min() < 0.0 or frames.max() > 1.0:
             raise ValueError("frame values must lie in [0, 1]")
-        return self._encode_rows(nm.record(self.patch_rows(frames), (), None), len(frames))
+        return self._encode_rows(nm.record(self.patch_rows(frames), (), None), len(frames),
+                                 pool)
 
 
 class TokenEncoder(EncoderBase):
@@ -172,12 +176,13 @@ class TokenEncoder(EncoderBase):
         self.n_features = n_features
         super().__init__(rng, n_features, 1, cfg)
 
-    def encode_token(self, tokens: np.ndarray) -> list:
-        """One [1, d_a] feature Tensor per token of tokens [n, n_features]."""
+    def encode_token(self, tokens: np.ndarray, pool=None) -> list:
+        """One [1, d_a] feature Tensor per token of tokens [n, n_features],
+        pooled by ``pool`` if given (see ``_encode_rows``)."""
         tokens = np.asarray(tokens, dtype=np.float64)
         if tokens.ndim != 2 or not len(tokens) or tokens.shape[1] != self.n_features:
             raise ValueError(f"expected [n, {self.n_features}] tokens, got {tokens.shape}")
-        return self._encode_rows(Tensor(tokens), len(tokens))
+        return self._encode_rows(Tensor(tokens), len(tokens), pool)
 
 
 class ReadoutBase:

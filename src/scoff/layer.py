@@ -239,11 +239,9 @@ def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,
     ``candidates``. Returns (head outputs concatenated, head-mean weights as
     an ndarray)."""
     outs, weights = [], []
-    for h in range(proj.heads):
-        q = nm.matmul(queriers, proj.query[h])
-        k = nm.matmul(candidates, proj.key[h])
-        v = nm.matmul(candidates, proj.value[h])
-        w, out = attend(q, k, v, normalize_axis, scale, proj.dropout, rng)
+    for mats in zip(proj.query, proj.key, proj.value):
+        w, out = attend(queriers, candidates, *mats, normalize_axis, scale,
+                        proj.dropout, rng)
         outs.append(out)
         weights.append(w)
     joined = outs[0] if len(outs) == 1 else nm.concat(outs, axis=1)

@@ -8,7 +8,9 @@ mean-pooled features.
 
 ``encode`` and ``readout`` work on whole time spans: every input known before
 a pass is encoded at once, and every scored state read out at once. Only
-``step`` runs once per time step.
+``step`` runs once per time step. A model's ``_pool`` hook reshapes the
+encoded rows of all steps for its core before they are split per step: the
+baseline mean-pools each step's rows there, over the whole span in one op.
 
 The rng is ``step``'s one stochastic-mode switch: with it the step draws
 selection noise and dropout masks (training); without it the schema choice
@@ -17,6 +19,7 @@ is greedy and dropout is off, the deterministic evaluation mode.
 
 import numpy as np
 
+from . import numerics as nm
 from .codec import (CodecConfig, FrameReadout, PositionEncoder, ScalarReadout,
                     TokenEncoder)
 from .layer import ScoffConfig, ScoffLayer
@@ -34,6 +37,7 @@ class SequenceModel:
     in ``_core_parameters``."""
 
     kind = ""
+    _pool = None  # hook (rows [n·P, d_a], n) -> the rows the core's n steps take
 
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
         self.task = task
@@ -51,8 +55,8 @@ class SequenceModel:
         """One feature Tensor per input of xs, whose leading axis is time."""
         xs = np.asarray(xs, dtype=np.float64)
         if self.task in FRAME_TASKS:
-            return self.encoder.encode_frame(xs)
-        return self.encoder.encode_token(xs)
+            return self.encoder.encode_frame(xs, self._pool)
+        return self.encoder.encode_token(xs, self._pool)
 
     def readout(self, states: list) -> Tensor:
         """The outputs for a list of states, with a leading axis over them."""
@@ -102,6 +106,10 @@ class GruBaseline(SequenceModel):
     def init_state(self) -> Tensor:
         return record(np.zeros((1, self.width)), (), None)
 
+    def _pool(self, rows: Tensor, n: int) -> Tensor:
+        """[n, d_a]: the mean of each step's P feature rows, for all n steps."""
+        return nm.reshape(rows, (n, -1, rows.shape[1])).mean(axis=1)
+
     def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
-        pooled = features.mean(axis=0, keepdims=True)
-        return gru_step(pooled, state, self.cell), None
+        """One GRU update from the step's one pooled feature row."""
+        return gru_step(features, state, self.cell), None

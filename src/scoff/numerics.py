@@ -16,8 +16,10 @@ one node instead of one per op. The fused ops are:
 
 - ``tensor_mean`` (sum, then scale by 1/n);
 - ``recurrent.gru_step`` (one GRU cell over rows, its gates stacked);
-- ``attention.attend`` (one attention head) and ``attention.gumbel_st_select``
-  (noise, temperature, softmax and the straight-through one-hot);
+- ``attention.attend`` (one attention head: its query, key and value
+  projections, the scaled scores, softmax, dropout and weighted sum) and
+  ``attention.gumbel_st_select`` (noise, temperature, softmax and the
+  straight-through one-hot);
 - ``codec.Perceptron.__call__`` (the two-layer tanh perceptron),
   ``EncoderBase.beside_positions`` (feature rows beside the position table),
   ``ReadoutBase._pool`` (attention pooling over each state's slot rows), and
@@ -480,6 +482,12 @@ def straight_through(x, forward_values) -> Tensor:
     return record(vals.copy(), (x,), back)
 
 
+def logistic_loss(d: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise binary cross entropy of logits ``d`` against {0,1} targets
+    ``y``, in stable logit form."""
+    return np.maximum(d, 0.0) - d * y + np.log1p(np.exp(-np.abs(d)))
+
+
 def logistic_loss_mean(logits, targets) -> Tensor:
     """Mean binary cross entropy against {0,1} targets, in stable logit form."""
     lt = as_tensor(logits)
@@ -487,8 +495,7 @@ def logistic_loss_mean(logits, targets) -> Tensor:
     if y.shape != lt.data.shape:
         raise ValueError(f"target shape {y.shape} does not match logits {lt.shape}")
     d = lt.data
-    loss = np.maximum(d, 0.0) - d * y + np.log1p(np.exp(-np.abs(d)))
-    out = np.asarray(loss.mean())
+    out = np.asarray(logistic_loss(d, y).mean())
     n = d.size
 
     def back(g):

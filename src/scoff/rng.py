@@ -5,7 +5,14 @@ a draw counter, so the i-th draw of a stream is a pure function of (seed, i).
 That makes streams bit-identical across runs and platforms and lets blocks of
 draws be produced with vectorized integer arithmetic without changing the
 stream.
+
+Array draws are served from a block of already-clamped uniforms read ahead of
+the counter; a draw that runs past the block's end fetches the next one.
+Scalar draws compute their one value. Both advance the same counter, so every
+value keeps the bits it would have if drawn alone.
 """
+
+import math
 
 import numpy as np
 
@@ -15,6 +22,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TWO53 = float(2**53)
 _EPS53 = 2.0**-53
+_AHEAD = 4096  # uniforms an array draw fetches past a block's end, 32 KB
 
 
 def _mix(z):
@@ -32,6 +40,15 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _clamped(seed: int, start: int, n: int) -> np.ndarray:
+    """Draws start + 1 .. start + n of stream ``seed`` as clamped uniforms."""
+    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = _mix(np.uint64(seed) + _GAMMA * idx)
+    u = (z >> np.uint64(11)).astype(np.float64) / _TWO53
+    return np.clip(u, _EPS53, 1.0 - _EPS53)
+
+
 class Rng:
     """SplitMix64 stream of uniform draws.
 
@@ -39,21 +56,31 @@ class Rng:
     [2^-53, 1 - 2^-53] so downstream log/log-log transforms never see 0 or 1.
     """
 
-    __slots__ = ("seed", "_counter")
+    __slots__ = ("seed", "_counter", "_block", "_block_lo")
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._counter = 0
+        self._block = None  # clamped uniforms of draws _block_lo + 1, ...
+        self._block_lo = 0
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next n clamped uniforms, a view into the block. A stream's
+        first array draw fetches exactly n, so a one-shot stream pays for no
+        read-ahead; a later draw past the block's end fetches max(n, _AHEAD)."""
+        at = self._counter - self._block_lo
+        block = self._block
+        if block is None or at + n > block.size:
+            fetch = n if block is None else max(n, _AHEAD)
+            block = self._block = _clamped(self.seed, self._counter, fetch)
+            self._block_lo = self._counter
+            at = 0
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix(np.uint64(self.seed) + _GAMMA * idx)
+        return block[at:at + n]
 
     def _raw_int(self) -> int:
-        """The next draw of the stream, equal to ``_raw(1)[0]`` but without
-        numpy's per-call overhead."""
+        """The next raw 64-bit draw of the stream, without numpy's per-call
+        overhead."""
         self._counter += 1
         return _mix_int((self.seed + 0x9E3779B97F4A7C15 * self._counter) & _MASK64)
 
@@ -62,11 +89,7 @@ class Rng:
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         if not shape:
             return min(max((self._raw_int() >> 11) / _TWO53, _EPS53), 1.0 - _EPS53)
-        n = 1
-        for s in shape:
-            n *= s
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) / _TWO53
-        return np.clip(u, _EPS53, 1.0 - _EPS53).reshape(shape)
+        return self._uniforms(math.prod(shape)).reshape(shape)
 
     def gumbel(self, shape=()) -> "np.ndarray | float":
         """Standard Gumbel(0,1) via -log(-log(u))."""
@@ -96,7 +119,9 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
     def spawn(self, index: int) -> "Rng":
-        """Independent child stream; a pure function of (seed, index)."""
-        with np.errstate(over="ignore"):
-            child = _mix(np.uint64(self.seed) ^ (_GAMMA * np.uint64(int(index) + 1)))
-        return Rng(int(child))
+        """Independent child stream; a pure function of (seed, index) for
+        0 <= index < 2^64 - 1."""
+        index = int(index)
+        if not 0 <= index < _MASK64:
+            raise ValueError(f"spawn index must lie in [0, 2^64 - 1), got {index}")
+        return Rng(_mix_int(self.seed ^ ((0x9E3779B97F4A7C15 * (index + 1)) & _MASK64)))

@@ -192,7 +192,8 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     runs only where its logits are scored, from frame burn_in on. The
     teacher-forced pass encodes its frames and reads out its scored states
     in one op each; the self-fed pass reuses the teacher's burn-in features
-    and then steps one frame at a time.
+    and then steps one frame at a time. Each pass scores all its frames at
+    once.
     """
     if not sequences:
         raise ValueError("no sequences to evaluate")
@@ -204,20 +205,28 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
         targets = frames[burn_in:burn_in + horizon]
         feats = model.encode(frames[:burn_in + horizon - 1])
         states, _ = run_steps(model, feats)
-        logits = model.readout(states[burn_in - 1:]).data
-        for i, target in enumerate(targets):
-            teacher[i] += bce_per_frame(Tensor(logits[i]), target).item()
+        teacher += _frame_bce(model.readout(states[burn_in - 1:]).data, targets)
         states, _ = run_steps(model, feats[:burn_in])
         state = states[-1]
-        for i, target in enumerate(targets):
+        preds = []
+        for i in range(horizon):
             if i:
-                feed = (pred > 0.0).astype(np.float64)
+                feed = (preds[-1] > 0.0).astype(np.float64)
                 state, _ = model.step(model.encode(feed[None])[0], state)
-            pred = model.readout([state]).data[0]
-            self_fed[i] += bce_per_frame(Tensor(pred), target).item()
+            preds.append(model.readout([state]).data[0])
+        self_fed += _frame_bce(np.stack(preds), targets)
     teacher /= len(sequences)
     self_fed /= len(sequences)
     return teacher.tolist(), self_fed.tolist()
+
+
+def _frame_bce(logits: np.ndarray, targets) -> np.ndarray:
+    """[n]: the mean binary cross entropy of each frame of logits [n, H, W]
+    against targets, the value :func:`bce_per_frame` gives it alone."""
+    if not np.isfinite(logits).all():
+        raise ValueError("rollout logits hold non-finite entries")
+    loss = nm.logistic_loss(logits, np.asarray(targets, dtype=np.float64))
+    return loss.mean(axis=(1, 2))
 
 
 def _check_rollout_window(sequences: list, burn_in: int, horizon: int) -> None:

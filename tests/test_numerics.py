@@ -662,6 +662,121 @@ def test_rng_spawn_streams_differ():
     assert not np.array_equal(a, b)
 
 
+def _spawn_uint64_reference(seed, index):
+    # the child seed in numpy uint64 arithmetic, as first documented
+    gamma, mix1, mix2 = (np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                                0x94D049BB133111EB))
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed & ((1 << 64) - 1)) ^ (gamma * np.uint64(index + 1))
+        z = (z ^ (z >> np.uint64(30))) * mix1
+        z = (z ^ (z >> np.uint64(27))) * mix2
+        return int(z ^ (z >> np.uint64(31)))
+
+
+def test_rng_spawn_matches_uint64_reference():
+    near_top = [2**63, 2**64 - 1000, 2**64 - 3, 2**64 - 2]
+    for seed in RNG_SEEDS:
+        root = Rng(seed)
+        for index in [*range(1000), *near_top]:
+            assert root.spawn(index).seed == _spawn_uint64_reference(seed, index)
+    for index in (-1, 2**64 - 1):
+        with pytest.raises(ValueError, match="spawn index"):
+            Rng(0).spawn(index)
+
+
+_SHAPES = st.one_of(st.integers(0, 3000), st.tuples(st.integers(1, 3000)),
+                    st.tuples(st.integers(1, 60), st.integers(1, 60)))
+_RNG_OPS = st.lists(st.one_of(
+    st.tuples(st.just("uniform"), _SHAPES),
+    st.tuples(st.just("gumbel"), st.one_of(st.just(()), _SHAPES)),
+    st.tuples(st.just("bernoulli"), st.floats(0.0, 1.0), st.one_of(st.just(()), _SHAPES)),
+    st.tuples(st.just("randint"), st.integers(1, 2**40)),
+    st.tuples(st.just("shuffle"), st.integers(0, 40)),
+    st.tuples(st.just("scalar")),
+    st.tuples(st.just("spawn"), st.integers(0, 2**64 - 2)),
+), max_size=25)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.one_of(st.sampled_from(RNG_SEEDS), st.integers(0, 2**64 - 1)),
+       ops=_RNG_OPS)
+def test_rng_interleaved_draws_match_unbuffered_reference(seed, ops):
+    # whatever mix of array, scalar and integer draws a stream serves, and
+    # wherever the read-ahead block's edges fall, draw i is a function of
+    # (seed, i) alone
+    rng, at = Rng(seed), 0
+
+    def uniforms(n):
+        nonlocal at
+        want = np.clip(_splitmix64_reference(seed, n, at), 2.0**-53, 1 - 2.0**-53)
+        at += n
+        return np.asarray(want, dtype=np.float64)
+
+    for op, *args in ops:
+        shape = args[-1] if op in ("uniform", "gumbel", "bernoulli") else None
+        shape = (shape,) if isinstance(shape, int) else shape
+        if op == "uniform":
+            got = rng.uniform(args[0])
+            assert got.shape == shape
+            assert np.array_equal(got, uniforms(math.prod(shape)).reshape(shape))
+        elif op == "gumbel":
+            got = rng.gumbel(args[0])
+            want = -np.log(-np.log(uniforms(math.prod(shape) if shape else 1)))
+            assert np.shape(got) == shape
+            assert np.array_equal(np.reshape(got, -1), want)
+        elif op == "bernoulli":
+            got = rng.bernoulli(*args)
+            want = uniforms(math.prod(shape) if shape else 1) < args[0]
+            assert np.shape(got) == shape
+            assert np.array_equal(np.reshape(got, -1), want)
+        elif op == "randint":
+            (z,) = _splitmix64_raw(seed, 1, at)
+            at += 1
+            assert rng.randint(args[0]) == (z * args[0]) >> 64
+        elif op == "shuffle":
+            items = list(range(args[0]))
+            want = list(items)
+            for i, z in zip(range(len(want) - 1, 0, -1),
+                            _splitmix64_raw(seed, max(0, len(want) - 1), at)):
+                j = (z * (i + 1)) >> 64
+                want[i], want[j] = want[j], want[i]
+            at += max(0, len(want) - 1)
+            rng.shuffle(items)
+            assert items == want
+        elif op == "scalar":
+            got = rng.uniform()
+            assert type(got) is float and got == uniforms(1)[0]
+        else:
+            child = rng.spawn(args[0])
+            assert child.seed == _spawn_uint64_reference(seed, args[0])
+            assert np.array_equal(child.uniform((3,)), np.clip(
+                _splitmix64_reference(child.seed, 3), 2.0**-53, 1 - 2.0**-53))
+    assert rng.uniform((5,)).tolist() == uniforms(5).tolist()
+
+
+def test_bouncing_mini_training_sequence_fetches_at_most_two_blocks(monkeypatch):
+    # one training sequence of bouncing_mini draws 29 steps x 96 uniforms
+    # through three array draws a step: the stream's first draw fetches
+    # exactly its 64, and one read-ahead block covers the rest
+    import scoff.rng
+
+    fetches, clamped = [], scoff.rng._clamped
+
+    def counted(seed, start, n):
+        fetches.append(n)
+        return clamped(seed, start, n)
+
+    resolved = parse_config(os.path.join(CONFIGS, "bouncing_mini.cfg"), [])
+    model = build_model(to_train_config(resolved), Rng(0))
+    seq = gen_bouncing_mini(Rng(1), resolved["length"], resolved["n_balls"])
+    rng = Rng(2)
+    monkeypatch.setattr(scoff.rng, "_clamped", counted)
+    with Tape():
+        sequence_loss(model, seq, rng)
+    assert rng._counter == 2784
+    assert len(fetches) <= 2 and fetches[0] == 64
+
+
 def test_concurrent_passes_with_own_tapes_match_serial():
     # the documented concurrency contract: independent passes, each owning
     # its Tape and Rng, may run in parallel threads

@@ -331,13 +331,15 @@ def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
         assert len(graphs) == 6
 
 
-@pytest.mark.parametrize("kind,nodes", [("scoff", 503), ("gru", 96)])
+@pytest.mark.parametrize("kind,nodes", [("scoff", 329), ("gru", 69)])
 def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
-    # 29 steps of 16 (scoff) or 2 (gru) fused ops; once per sequence, the
-    # encoder's 3 ops and 29 per-step pieces, the readout's 6 ops (gru: 5, a
-    # one-row state is not pooled) and the loss: an op chain that creeps back
-    # into a step, a codec op that moves back into the time loop, or a fusion
-    # that drops an op, changes the count
+    # 29 steps of 10 (scoff: one head each to read and to communicate, 4
+    # schema cells, logits, selection, mix and the residual add) or 1 (gru)
+    # fused ops; once per sequence, the encoder's 3 ops (gru: 5, its pooling
+    # reshape and mean) and 29 per-step pieces, the readout's 6 ops (gru: 5,
+    # a one-row state is not pooled) and the loss: an op chain that creeps
+    # back into a step, a codec op that moves back into the time loop, or a
+    # fusion that drops an op, changes the count
     config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs", "bouncing_mini.cfg")
     resolved = parse_config(config, [f"model={kind}"])
@@ -474,6 +476,38 @@ def rollout_every_step(model, sequences, burn_in, horizon):
                 else:
                     feed = (logits.data[0] > 0.0).astype(np.float64)
     return (teacher / len(sequences)).tolist(), (self_fed / len(sequences)).tolist()
+
+
+def test_frame_bce_matches_bce_per_frame_bit_for_bit():
+    # the rollout scores a pass's frames in one array expression; each
+    # frame's value must keep the bits of scoring that frame alone
+    rng = Rng(5)
+    for scale in (0.1, 3.0, 40.0):
+        logits = rand(rng, (7, 16, 16)) * scale
+        targets = (np.asarray(rng.uniform((7, 16, 16))) > 0.5).astype(np.float64)
+        got = training._frame_bce(logits, targets)
+        want = [bce_per_frame(Tensor(x), y).item() for x, y in zip(logits, targets)]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["scoff", "gru"])
+@pytest.mark.parametrize("teacher", [True, False])
+def test_eval_rollout_rejects_non_finite_logits(kind, teacher, monkeypatch):
+    # one bad pixel in the teacher-forced readout, or in the last self-fed one
+    data = make_switching_data(1, length=13)
+    model = build_model(tiny_train_config(model=kind), Rng(0))
+    readout, calls = model.readout, []
+
+    def overflowing(states):
+        out = readout(states)
+        calls.append(len(states))
+        if (len(states) > 1) == teacher and (teacher or len(calls) == 7):
+            out.data[-1, 0, 0] = np.nan if teacher else np.inf
+        return out
+
+    monkeypatch.setattr(model, "readout", overflowing)
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_rollout(model, data, burn_in=4, horizon=6)
 
 
 @pytest.mark.parametrize("kind", ["scoff", "gru"])
