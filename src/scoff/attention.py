@@ -29,10 +29,6 @@ class AttentionProjections:
         self.value = [nm.glorot(rng, value_in, per_head) for _ in range(heads)]
         self.dropout = dropout
 
-    @property
-    def heads(self) -> int:
-        return len(self.query)
-
     def named(self, prefix: str) -> dict:
         """{prefix}q{h}, {prefix}k{h}, {prefix}v{h}, head by head."""
         out = {}

@@ -167,6 +167,9 @@ def cmd_train(args, resolved: dict) -> int:
 
 
 def _restore(resolved: dict):
+    """eval's and trace's model, train config and snapshot (the stored config
+    with this command's data and checkpoint), and the stored task's test set."""
+    data_dir = _require(resolved, "data")
     ckpt_dir = _require(resolved, "checkpoint")
     tensors, stored = load_checkpoint(ckpt_dir)
     try:
@@ -175,13 +178,12 @@ def _restore(resolved: dict):
         raise ValueError(f"{ckpt_dir}: stored config lacks key {e}") from None
     model = build_model(cfg, Rng(stored["seed"]).spawn(0))
     restore_model(model, tensors)
-    return model, cfg, stored
+    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
+    return model, cfg, {**stored, "data": data_dir, "checkpoint": ckpt_dir}, test
 
 
 def cmd_eval(args, resolved: dict) -> int:
-    data_dir = _require(resolved, "data")
-    model, cfg, _ = _restore(resolved)
-    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
+    model, cfg, snapshot, test = _restore(resolved)
     if cfg.task == "adding":
         mse = eval_adding(model, test)
         rows, summary = ["step,mse", f"0,{mse}"], f"test mse {mse:.6f}"
@@ -195,16 +197,14 @@ def cmd_eval(args, resolved: dict) -> int:
     with open(path, "w") as f:
         f.writelines(row + "\n" for row in rows)
     print(f"{summary}; curve in {path}")
-    _write_snapshot(args.out_dir, resolved)
+    _write_snapshot(args.out_dir, snapshot)
     return 0
 
 
 def cmd_trace(args, resolved: dict) -> int:
-    data_dir = _require(resolved, "data")
-    model, cfg, _ = _restore(resolved)
+    model, cfg, snapshot, test = _restore(resolved)
     if model.kind != "scoff":
         raise ValueError("trace requires a scoff checkpoint")
-    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     subset = test[:cfg.eval_subset]
     traces, _ = collect_traces(model, subset)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -216,7 +216,7 @@ def cmd_trace(args, resolved: dict) -> int:
         for row in usage:
             f.write(",".join(str(v) for v in row))
             f.write("\n")
-    _write_snapshot(args.out_dir, resolved)
+    _write_snapshot(args.out_dir, snapshot)
     print(f"traced {len(subset)} sequences into {args.out_dir}")
     return 0
 

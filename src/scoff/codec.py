@@ -8,9 +8,11 @@ with one shared perceptron, pools the rows with a learned attention query
 (so slot order cannot matter), and projects the pooled vector to the task
 output.
 
-Both sides take a leading time axis, so that a sequence pass encodes all its
-known inputs and reads out all its scored states in one call each; a single
-step is the n = 1 case of the same call.
+Both sides map a block of rows to a block of rows and know nothing of time
+steps: an encoder turns n inputs into their n·P feature rows, and a readout
+turns the n·R rows of n states into n outputs. The model cuts the feature
+rows into steps and joins the states (``model.SequenceModel``); a single step
+is the n = 1 call.
 """
 
 from dataclasses import dataclass
@@ -82,9 +84,8 @@ class Perceptron:
 class EncoderBase:
     """Shared two-layer input perceptron plus one learned embedding per position.
 
-    Inputs come with a leading time axis: every input known before a pass is
-    encoded at once, one perceptron over the rows of all steps, and split into
-    per-step [positions, d_a] feature Tensors. A single step is the n = 1 case.
+    n inputs are encoded at once: one perceptron over their n·P rows, each
+    row then beside its position's embedding, giving [n·P, d_a] feature rows.
     """
 
     def __init__(self, rng: Rng, n_in: int, positions: int, cfg: CodecConfig):
@@ -96,14 +97,6 @@ class EncoderBase:
     @property
     def d_a(self) -> int:
         return self.cfg.d_a
-
-    def _encode_rows(self, x: Tensor, n: int, pool=None) -> list:
-        """n feature Tensors [positions, d_a] from the input rows x
-        [n·positions, n_in]: each row's encoding beside its position's
-        embedding. ``pool``, if given, maps the [n·positions, d_a] rows of
-        all steps to the rows the steps take, before the split."""
-        rows = self.beside_positions(self.mlp(x))
-        return nm.split_rows(rows if pool is None else pool(rows, n), n)
 
     def beside_positions(self, left: Tensor) -> Tensor:
         """[n·P, w + d_pos]: each step's P rows of left [n·P, w] beside the
@@ -154,10 +147,9 @@ class PositionEncoder(EncoderBase):
                 .transpose(0, 1, 3, 2, 4)
                 .reshape(-1, s * s))
 
-    def encode_frame(self, frames: np.ndarray, pool=None) -> list:
-        """One [P, d_a] feature Tensor per frame of frames [n, H, W]: each
-        patch encoding with its position embedding, pooled by ``pool`` if
-        given (see ``_encode_rows``)."""
+    def encode_frame(self, frames: np.ndarray) -> Tensor:
+        """[n·P, d_a]: each patch of frames [n, H, W] encoded, beside its
+        position's embedding, frame by frame."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3 or not len(frames) or frames.shape[1:] != (self.height,
                                                                         self.width):
@@ -165,8 +157,7 @@ class PositionEncoder(EncoderBase):
                              f"got {frames.shape}")
         if frames.min() < 0.0 or frames.max() > 1.0:
             raise ValueError("frame values must lie in [0, 1]")
-        return self._encode_rows(nm.record(self.patch_rows(frames), (), None), len(frames),
-                                 pool)
+        return self.beside_positions(self.mlp(nm.record(self.patch_rows(frames), (), None)))
 
 
 class TokenEncoder(EncoderBase):
@@ -176,20 +167,20 @@ class TokenEncoder(EncoderBase):
         self.n_features = n_features
         super().__init__(rng, n_features, 1, cfg)
 
-    def encode_token(self, tokens: np.ndarray, pool=None) -> list:
-        """One [1, d_a] feature Tensor per token of tokens [n, n_features],
-        pooled by ``pool`` if given (see ``_encode_rows``)."""
+    def encode_token(self, tokens: np.ndarray) -> Tensor:
+        """[n, d_a]: each token of tokens [n, n_features] encoded, beside the
+        one position's embedding."""
         tokens = np.asarray(tokens, dtype=np.float64)
         if tokens.ndim != 2 or not len(tokens) or tokens.shape[1] != self.n_features:
             raise ValueError(f"expected [n, {self.n_features}] tokens, got {tokens.shape}")
-        return self._encode_rows(Tensor(tokens), len(tokens), pool)
+        return self.beside_positions(self.mlp(Tensor(tokens)))
 
 
 class ReadoutBase:
     """Shared slot transform and attention pooling over slot rows.
 
-    A readout takes a list of n states, each [R, d_h], and reads them all out
-    at once: one perceptron over the rows of every state and one pooling op.
+    A readout takes the [n·R, d_h] rows of n states, R rows each, and reads
+    them all out at once: one perceptron over the rows and one pooling op.
     A single state is the n = 1 case.
 
     ``pool_q``, the pooling query, does nothing for one-row states (the GRU
@@ -202,12 +193,11 @@ class ReadoutBase:
         self.mlp = Perceptron(rng, d_h, cfg.readout_hidden, cfg.readout_width, "ro_")
         self.pool_q = nm.glorot(rng, cfg.readout_width, 1)
 
-    def pooled(self, states: list) -> Tensor:
-        """[n, readout_width]: the rows of every state through the slot
+    def pooled(self, rows: Tensor, n: int) -> Tensor:
+        """[n, readout_width]: the rows of n states through the slot
         perceptron, then each state's rows pooled. One-row states are returned
         as they are: the softmax weight of one row is exactly 1."""
-        n = len(states)
-        rows = self.mlp(states[0] if n == 1 else nm.concat(states, axis=0))
+        rows = self.mlp(rows)
         return rows if rows.shape[0] == n else self._pool(rows, n)
 
     def _pool(self, rows: Tensor, n: int) -> Tensor:
@@ -250,9 +240,9 @@ class FrameReadout(ReadoutBase):
                                   cfg.patch * cfg.patch, "ro_dec_")
         self._ones = np.ones((encoder.positions, 1))
 
-    def readout(self, states: list) -> Tensor:
-        """[n, H, W] logits, one frame per state."""
-        patches = self.decoder(self._decoder_input(self.pooled(states)))
+    def readout(self, rows: Tensor, n: int) -> Tensor:
+        """[n, H, W] logits, one frame per state of the rows of n states."""
+        patches = self.decoder(self._decoder_input(self.pooled(rows, n)))
         return self._unpatch(patches)
 
     def _decoder_input(self, pooled: Tensor) -> Tensor:
@@ -300,10 +290,10 @@ class ScalarReadout(ReadoutBase):
         self.w_out = nm.glorot(rng, cfg.readout_width, 1)
         self.b_out = nm.zeros(1, requires_grad=True)
 
-    def readout(self, states: list) -> Tensor:
-        """[n] predictions, one per state."""
-        pooled = self.pooled(states)
-        return nm.reshape(nm.matmul(pooled, self.w_out) + self.b_out, (len(states),))
+    def readout(self, rows: Tensor, n: int) -> Tensor:
+        """[n] predictions, one per state of the rows of n states."""
+        pooled = self.pooled(rows, n)
+        return nm.reshape(nm.matmul(pooled, self.w_out) + self.b_out, (n,))
 
     def params(self) -> dict:
         out = super().params()

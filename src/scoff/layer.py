@@ -65,13 +65,11 @@ class ScoffConfig:
 
 @dataclass
 class StepTrace:
-    """Per-step record of what the layer attended to and selected; the
-    selection's backward pass may share ``schema_scores``, and nothing mutates it."""
+    """Per-step record of what the layer attended to and selected."""
 
     input_weights: np.ndarray   # [n_f, P], head-mean, columns sum to 1 over slots
     active: np.ndarray          # bool [n_f]
     schema: np.ndarray          # int [n_f], -1 for inactive slots
-    schema_scores: np.ndarray   # [n_f, n_s] soft selection weights, zero rows if inactive
     comm_weights: np.ndarray    # [n_f, n_f], head-mean, rows sum to 1 over sources
 
     def to_record(self, t: int) -> dict:
@@ -109,16 +107,13 @@ class ScoffLayer:
     def input_read(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
         """Per-slot reads: softmax over slots splits each position's mass.
 
-        Returns (z [n_f, inp_values], head-mean weights [n_f, P], relevance
-        [n_f]) where relevance is each slot's strongest positional claim,
-        used for sparse activation.
+        Returns (z [n_f, inp_values], head-mean weights [n_f, P]).
         """
         c = self.config
         if features.shape[1] != c.d_in:
             raise ValueError(f"feature width {features.shape[1]} != configured d_in {c.d_in}")
-        z, mean_w = _heads(self.input_proj, state, features, "queriers",
-                           1.0 / math.sqrt(c.inp_keys), rng)
-        return z, mean_w, mean_w.max(axis=1)
+        return _heads(self.input_proj, state, features, "queriers",
+                      1.0 / math.sqrt(c.inp_keys), rng)
 
     # ---- step 3: schema selection and update ----------------------------
 
@@ -165,23 +160,22 @@ class ScoffLayer:
         """Read, select-and-update the most relevant slots, communicate; an rng
         draws dropout and (unless ``noise`` is given) selection noise."""
         c = self.config
-        z, w_in, relevance = self.input_read(features, state, rng)
-        if 0 < c.n_sel < c.n_f:
-            active = topk_mask(relevance, c.n_sel)
+        z, w_in = self.input_read(features, state, rng)
+        if 0 < c.n_sel < c.n_f:  # the slots with the strongest positional claim
+            active = topk_mask(w_in.max(axis=1), c.n_sel)
         else:
             active = np.ones(c.n_f, dtype=bool)
-        h_upd, indices, soft = self.schema_select_update(z, state, rng, noise)
+        h_upd, indices, _ = self.schema_select_update(z, state, rng, noise)
         if active.all():
             h_mid = h_upd
         else:
             mask = active.astype(np.float64).reshape(-1, 1)
             h_mid = h_upd * nm.record(mask, (), None) + state * nm.record(1.0 - mask, (), None)
             indices = np.where(active, indices, -1)
-            soft = soft * active.reshape(-1, 1)
         recv = active if (c.comm_sparse and not active.all()) else None
         state_out, w_comm = self.communicate(state, h_mid, rng, recv)
         trace = StepTrace(input_weights=w_in, active=active, schema=indices,
-                          schema_scores=soft, comm_weights=w_comm)
+                          comm_weights=w_comm)
         return state_out, trace
 
     def parameters(self) -> dict:

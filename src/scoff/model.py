@@ -8,9 +8,10 @@ mean-pooled features.
 
 ``encode`` and ``readout`` work on whole time spans: every input known before
 a pass is encoded at once, and every scored state read out at once. Only
-``step`` runs once per time step. A model's ``_pool`` hook reshapes the
-encoded rows of all steps for its core before they are split per step: the
-baseline mean-pools each step's rows there, over the whole span in one op.
+``step`` runs once per time step. The model owns the time axis, and the codec
+maps rows to rows: ``encode`` cuts the feature rows into steps after
+``_step_rows`` (where the baseline mean-pools each step's rows, for the whole
+span in one op), and ``readout`` joins the states' rows for the head.
 
 The rng is ``step``'s one stochastic-mode switch: with it the step draws
 selection noise and dropout masks (training); without it the schema choice
@@ -37,7 +38,6 @@ class SequenceModel:
     in ``_core_parameters``."""
 
     kind = ""
-    _pool = None  # hook (rows [n·P, d_a], n) -> the rows the core's n steps take
 
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
         self.task = task
@@ -54,13 +54,18 @@ class SequenceModel:
     def encode(self, xs) -> list:
         """One feature Tensor per input of xs, whose leading axis is time."""
         xs = np.asarray(xs, dtype=np.float64)
-        if self.task in FRAME_TASKS:
-            return self.encoder.encode_frame(xs, self._pool)
-        return self.encoder.encode_token(xs, self._pool)
+        enc = self.encoder
+        rows = enc.encode_frame(xs) if self.task in FRAME_TASKS else enc.encode_token(xs)
+        return nm.split_rows(self._step_rows(rows, len(xs)), len(xs))
+
+    def _step_rows(self, rows: Tensor, n: int) -> Tensor:
+        """The rows the core's n steps take: the [n·P, d_a] feature rows."""
+        return rows
 
     def readout(self, states: list) -> Tensor:
         """The outputs for a list of states, with a leading axis over them."""
-        return self.head.readout(states)
+        rows = states[0] if len(states) == 1 else nm.concat(states, axis=0)
+        return self.head.readout(rows, len(states))
 
     def parameters(self) -> dict:
         return {**self.encoder.params(), **self._core_parameters(), **self.head.params()}
@@ -106,7 +111,7 @@ class GruBaseline(SequenceModel):
     def init_state(self) -> Tensor:
         return record(np.zeros((1, self.width)), (), None)
 
-    def _pool(self, rows: Tensor, n: int) -> Tensor:
+    def _step_rows(self, rows: Tensor, n: int) -> Tensor:
         """[n, d_a]: the mean of each step's P feature rows, for all n steps."""
         return nm.reshape(rows, (n, -1, rows.shape[1])).mean(axis=1)
 

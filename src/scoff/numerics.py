@@ -36,9 +36,10 @@ would have added the contributions, since floating-point addition does not
 associate.
 
 The codec ops are also time-batched: a sequence's encoder runs once over the
-inputs of all its steps, and :func:`split_rows` cuts the result into the
-per-step feature Tensors that the recurrence takes; the readout runs once
-over the states of all scored steps. Called with one step, such an op keeps
+inputs of all its steps, and the model (``model.SequenceModel.encode``) cuts
+the rows it returns into the per-step feature Tensors that the recurrence
+takes, with :func:`split_rows`; the readout runs once over the joined rows of
+all scored states. Called with one step, such an op keeps
 the bits of its chain. Over n steps, its matrix products run over the rows of
 all steps at once, and a contribution that the per-step loop added once per
 step in reverse scan order, such as a bias's or the position table's, is

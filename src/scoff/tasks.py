@@ -326,9 +326,7 @@ def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> list:
     for i in range(count):
         child = root.spawn(offset + i)
         if cfg.task == "single":
-            mode = cfg.mode
-            if mode == "mixed":
-                mode = SINGLE_MODES[child.randint(3)]
+            mode = child.choice(SINGLE_MODES) if cfg.mode == "mixed" else cfg.mode
             out.append(gen_single_dynamics(child, cfg.length, mode))
         elif cfg.task == "switching":
             out.append(gen_switching_dynamics(child, cfg.length))
@@ -336,9 +334,7 @@ def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> list:
             occluder = OCCLUDER if cfg.occluder else None
             out.append(gen_bouncing_mini(child, cfg.length, cfg.n_balls, occluder))
         else:
-            choices = cfg.operand_counts()
-            n = choices[child.randint(len(choices))]
-            out.append(gen_adding(child, cfg.length, n))
+            out.append(gen_adding(child, cfg.length, child.choice(cfg.operand_counts())))
     return out
 
 
@@ -386,7 +382,8 @@ def read_exact(f, n: int, what: str) -> bytes:
 
 def read_dataset(path, task: str) -> list:
     """Sequences of a dataset file of ``task``; a file of an unknown or another
-    task, or a short, overlong or empty one, raises ValueError naming it."""
+    task, of another frame size (16x16 frames, 0x0 for adding), or a short,
+    overlong or empty one, raises ValueError naming it."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path} is not a dataset file")
@@ -398,6 +395,9 @@ def read_dataset(path, task: str) -> list:
             raise ValueError(f"{path} holds {names[task_id]} sequences, expected {task}")
         if count == 0:
             raise ValueError(f"{path} holds no sequences")
+        size = (0, 0) if task == "adding" else (GRID, GRID)
+        if (h, w) != size:
+            raise ValueError(f"{path} holds {h}x{w} frames, expected {size[0]}x{size[1]}")
         out = []
         for _ in range(count):
             if task == "adding":

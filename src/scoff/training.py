@@ -280,7 +280,7 @@ def schema_alignment_purity(traces: list, labels: list) -> float:
     schema = np.stack([trace.schema for trace, _ in pairs])  # [steps, n_f]
     mode = np.broadcast_to(np.array([m for _, m in pairs])[:, None], schema.shape)
     chosen = schema >= 0
-    counts = np.zeros((pairs[-1][0].schema_scores.shape[1], mode.max() + 1))
+    counts = np.zeros((schema.max() + 1, mode.max() + 1))
     np.add.at(counts, (schema[chosen], mode[chosen]), 1.0)
     total = counts.sum()
     if total == 0:

@@ -149,8 +149,8 @@ def test_criterion_2_exchangeability_suite():
         codec = CodecConfig(d_c=4, d_pos=2, enc_hidden=4, readout_hidden=4,
                             readout_width=4)
         head = ScalarReadout(Rng(500 + trial), d_h, codec)
-        a = head.readout([Tensor(state_np)]).item()
-        b = head.readout([Tensor(state_np[perm])]).item()
+        a = head.readout(Tensor(state_np), 1).item()
+        b = head.readout(Tensor(state_np[perm]), 1).item()
         worst_read = max(worst_read, abs(a - b))
         assert abs(a - b) < 1e-12
         checked += 1

@@ -243,7 +243,6 @@ def test_training_attend_appends_one_tape_node_and_detached_weights():
 def test_projections_validation():
     rng = Rng(1)
     proj = AttentionProjections(rng, 4, 6, 6, heads=2, key_width=3, value_width=8)
-    assert proj.heads == 2
     assert [(q.shape, k.shape, v.shape) for q, k, v in
             zip(proj.query, proj.key, proj.value)] == [((4, 3), (6, 3), (6, 4))] * 2
     assert list(proj.named("p_")) == ["p_q0", "p_k0", "p_v0", "p_q1", "p_k1", "p_v1"]

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from scoff.cli import ConfigError, main, parse_config, to_train_config
 from scoff.numerics import Tensor
+from scoff.rng import Rng
+from scoff.tasks import gen_bouncing_mini, write_dataset
 from scoff.training import load_checkpoint, save_checkpoint
 
 
@@ -279,6 +281,25 @@ def test_train_eval_trace_pipeline(tmp_path, capsys):
     assert len(usage[0].split(",")) == 2       # n_s columns
 
 
+def _snapshot(run_dir):
+    lines = open(os.path.join(run_dir, "resolved_config.cfg")).read().splitlines()
+    return dict(line.split(" = ", 1) for line in lines[1:])
+
+
+def test_eval_and_trace_snapshot_the_config_that_ran(tmp_path, capsys):
+    # the checkpoint's stored config, with the command's own data and
+    # checkpoint, not the parsed defaults (n_f 6, seed 0, switching horizon 10)
+    data_dir, run_dir, _ = _gen_and_train(tmp_path)
+    ckpt = os.path.join(run_dir, "checkpoint")
+    for command in ("eval", "trace"):
+        out = str(tmp_path / command)
+        assert run_cli(command, "--set", f"data={data_dir}", "--set", f"checkpoint={ckpt}",
+                       "--out", out) == 0
+        snap = _snapshot(out)
+        assert (snap["n_f"], snap["seed"], snap["horizon"]) == ("2", "11", "5")
+        assert snap == {**_snapshot(run_dir), "checkpoint": ckpt}
+
+
 def test_train_reruns_byte_identical(tmp_path, capsys):
     _, run_dir, args = _gen_and_train(tmp_path)
     first = open(os.path.join(run_dir, "metrics.jsonl"), "rb").read()
@@ -369,6 +390,23 @@ def test_rollout_window_past_eval_length_exits_2_before_training(tmp_path, capsy
     assert "epoch 0" not in err  # nothing trained
     assert not (run_dir / "metrics.jsonl").exists()
     assert not (run_dir / "checkpoint").exists()
+
+
+def test_train_on_another_frame_size_exits_2_naming_the_file_and_writes_nothing(
+        tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    seqs = [gen_bouncing_mini(Rng(i), 30, 2) for i in range(2)]
+    for seq in seqs:
+        seq.frames = seq.frames[:, :8, :8].copy()
+    for name in ("train.scfd", "test.scfd"):
+        write_dataset(str(data_dir / name), seqs)
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--set", "task=bouncing", "--set", f"data={data_dir}",
+                   "--out", str(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert f"{data_dir / 'train.scfd'} holds 8x8 frames, expected 16x16" in err
+    assert not run_dir.exists()
 
 
 def test_missing_required_key_names_it(capsys):

@@ -33,7 +33,7 @@ def small_codec(**kw):
 
 def test_encoder_zero_frame_rows_differ_only_in_position_embedding():
     enc = PositionEncoder(Rng(1), 16, 16, small_codec())
-    out = enc.encode_frame(np.zeros((1, 16, 16)))[0].data
+    out = enc.encode_frame(np.zeros((1, 16, 16))).data
     content = out[:, :5]
     assert np.max(np.abs(content - content[0])) < 1e-15
     pos = out[:, 5:]
@@ -44,7 +44,7 @@ def test_encoder_position_count():
     enc = PositionEncoder(Rng(2), 16, 16, small_codec(patch=4))
     assert enc.positions == 16
     out = enc.encode_frame(np.zeros((3, 16, 16)))
-    assert [t.shape for t in out] == [(16, 8)] * 3
+    assert out.shape == (3 * 16, 8)
 
 
 def test_encoder_rejects_indivisible_geometry():
@@ -69,7 +69,7 @@ def test_encoder_translation_permutes_content_rows():
     frame_a[5:7, 1:3] = 1.0   # inside patch (1, 0)
     frame_b = np.zeros((16, 16))
     frame_b[5:7, 5:7] = 1.0   # same offsets inside patch (1, 1)
-    ca, cb = (t.data[:, :5] for t in enc.encode_frame(np.stack([frame_a, frame_b])))
+    ca, cb = np.split(enc.encode_frame(np.stack([frame_a, frame_b])).data[:, :5], 2)
     idx_a = 1 * 4 + 0
     idx_b = 1 * 4 + 1
     # nearest-neighbor matching: row idx_b of B matches row idx_a of A exactly
@@ -85,8 +85,8 @@ def test_encoder_deterministic_and_bounded():
     enc = PositionEncoder(Rng(6), 16, 16, small_codec())
     rng = Rng(7)
     frame = (np.asarray(rng.uniform((16, 16))) > 0.5).astype(float)
-    a = enc.encode_frame(frame[None])[0].data
-    b = enc.encode_frame(frame[None])[0].data
+    a = enc.encode_frame(frame[None]).data
+    b = enc.encode_frame(frame[None]).data
     assert np.array_equal(a, b)
     assert np.isfinite(a).all()
 
@@ -94,7 +94,7 @@ def test_encoder_deterministic_and_bounded():
 def test_token_encoder_single_row():
     enc = TokenEncoder(Rng(8), 3, small_codec())
     out = enc.encode_token(np.array([[0.5, 1.0, 0.0], [0.1, 0.0, 1.0]]))
-    assert [t.shape for t in out] == [(1, 8)] * 2
+    assert out.shape == (2, 8)
     for bad in ([[0.5, 1.0]], [0.5, 1.0, 0.0], np.zeros((0, 3))):
         with pytest.raises(ValueError, match="tokens"):
             enc.encode_token(np.array(bad))
@@ -119,7 +119,7 @@ def pooled_oracle(head, state):
 def test_scalar_readout_single_slot_weight_one():
     head = ScalarReadout(Rng(9), 6, small_codec())
     state = Tensor(rand(Rng(10), (1, 6)))
-    got = head.readout([state]).item()
+    got = head.readout(state, 1).item()
     pooled = pooled_oracle(head, state.data)
     expect = float(pooled @ head.w_out.data[:, 0] + head.b_out.data[0])
     assert abs(got - expect) < 1e-12
@@ -132,18 +132,18 @@ def test_readout_invariant_to_slot_permutation():
                          PositionEncoder(Rng(14), 16, 16, small_codec()))
     state = rand(rng, (5, 6))
     for perm in ([4, 3, 2, 1, 0], [1, 0, 3, 2, 4], [2, 4, 0, 1, 3]):
-        a = head.readout([Tensor(state)]).item()
-        b = head.readout([Tensor(state[perm])]).item()
+        a = head.readout(Tensor(state), 1).item()
+        b = head.readout(Tensor(state[perm]), 1).item()
         assert abs(a - b) < 1e-12
-        fa = fhead.readout([Tensor(state)]).data
-        fb = fhead.readout([Tensor(state[perm])]).data
+        fa = fhead.readout(Tensor(state), 1).data
+        fb = fhead.readout(Tensor(state[perm]), 1).data
         assert np.max(np.abs(fa - fb)) < 1e-12
 
 
 def test_readout_matches_scalar_oracle():
     head = ScalarReadout(Rng(15), 6, small_codec())
     state = rand(Rng(16), (4, 6))
-    got = head.readout([Tensor(state)]).item()
+    got = head.readout(Tensor(state), 1).item()
     pooled = pooled_oracle(head, state)
     expect = float(pooled @ head.w_out.data[:, 0] + head.b_out.data[0])
     assert abs(got - expect) < 1e-12
@@ -152,9 +152,9 @@ def test_readout_matches_scalar_oracle():
 def test_frame_readout_geometry():
     enc = PositionEncoder(Rng(17), 16, 16, small_codec())
     head = FrameReadout(Rng(18), 6, small_codec(), enc)
-    out = head.readout([Tensor(rand(Rng(19), (3, 6)))])
+    out = head.readout(Tensor(rand(Rng(19), (3, 6))), 1)
     assert out.shape == (1, 16, 16)
-    out = head.readout([Tensor(rand(Rng(19), (3, 6))) for _ in range(4)])
+    out = head.readout(Tensor(np.tile(rand(Rng(19), (3, 6)), (4, 1))), 4)
     assert out.shape == (4, 16, 16)
 
 
@@ -167,7 +167,7 @@ def test_frame_readout_patch_assembly_orientation():
     head.decoder.b1.data[...] = 0.0
     head.decoder.w2.data[...] = 0.0
     head.decoder.b2.data[...] = np.arange(16.0)
-    out = head.readout([Tensor(np.zeros((2, 6)))]).data[0]
+    out = head.readout(Tensor(np.zeros((2, 6))), 1).data[0]
     ramp = np.arange(16.0).reshape(4, 4)
     for gi in range(4):
         for gj in range(4):
@@ -181,8 +181,8 @@ def test_frame_readout_couples_state_and_position():
     enc = PositionEncoder(Rng(24), 16, 16, small_codec())
     head = FrameReadout(Rng(25), 6, small_codec(), enc)
     rng = Rng(26)
-    out_a = head.readout([Tensor(rand(rng, (2, 6)))]).data[0]
-    out_b = head.readout([Tensor(rand(rng, (2, 6)))]).data[0]
+    out_a = head.readout(Tensor(rand(rng, (2, 6))), 1).data[0]
+    out_b = head.readout(Tensor(rand(rng, (2, 6))), 1).data[0]
     diff = out_a - out_b
     patch_means = diff.reshape(4, 4, 4, 4).mean(axis=(1, 3))
     assert patch_means.max() - patch_means.min() > 1e-6
@@ -212,10 +212,10 @@ def test_encode_rollout_readout_gradcheck_soft_selection():
 
     def f(_):
         state, states = layer.init_state(), []
-        for t, feats in enumerate(enc.encode_frame(frames[:2])):
+        for t, feats in enumerate(nm.split_rows(enc.encode_frame(frames[:2]), 2)):
             state, _ = layer.step(feats, state, noise=noise[t])
             states.append(state)
-        return nm.logistic_loss_mean(head.readout(states), frames[1:])
+        return nm.logistic_loss_mean(head.readout(nm.concat(states, axis=0), 2), frames[1:])
 
     assert grad_check(f, list(params.values()), eps=1e-5) < 1e-4
 
@@ -306,12 +306,12 @@ def codec_graph(fused: bool):
     proj = Tensor(rand(rng, (cfg.d_a, 6)), requires_grad=True)
     with Tape() as tape:
         if fused:
-            feats = enc.encode_frame(frame[None])[0]
+            feats = enc.encode_frame(frame[None])
         else:
             patches = nm.record(enc.patch_rows(frame), (), None)
             feats = nm.concat([perceptron_chain(enc.mlp, patches), enc.pos_table], axis=1)
         state = nm.matmul(nm.matmul(mix, feats), proj)
-        logits = head.readout([state]) if fused else frame_readout_chain(head, state)
+        logits = head.readout(state, 1) if fused else frame_readout_chain(head, state)
         loss = nm.logistic_loss_mean(logits, target[None])
     backward(loss, tape)
     return [feats, state, logits, loss], [proj, *params]
@@ -337,8 +337,8 @@ def test_one_row_readout_returns_its_row_with_the_pooled_bits(monkeypatch):
         model = build_model(cfg, Rng(5))
         if pool:
             head = model.head
-            monkeypatch.setattr(head, "pooled", lambda states: head._pool(
-                head.mlp(nm.concat(states, axis=0)), len(states)))
+            monkeypatch.setattr(head, "pooled", lambda rows, n: head._pool(
+                head.mlp(rows), n))
         rng, losses = Rng(6), []
         for seq in seqs:
             with Tape() as tape:
@@ -416,10 +416,11 @@ def time_codec(kind: str, rows: int, batched: bool):
             call = op.encode_token
         leaves = list(op.params().values())
         randomize(rng, leaves)
-        weights = [Tensor(rand(rng, (op.positions, cfg.d_a))) for _ in range(n)]
+        weights = Tensor(rand(rng, (n * op.positions, cfg.d_a)))
         with Tape() as tape:
-            outs = call(xs) if batched else [call(x[None])[0] for x in xs]
-            loss = sum((o * w).sum() for o, w in zip(outs, weights))
+            out = call(xs) if batched else nm.concat([call(x[None]) for x in xs], axis=0)
+            loss = (out * weights).sum()
+        outs = [out]
     else:
         if kind == "frame_readout":
             op = FrameReadout(rng, 6, cfg, PositionEncoder(rng, 16, 16, cfg))
@@ -434,9 +435,9 @@ def time_codec(kind: str, rows: int, batched: bool):
         leaves += states
         with Tape() as tape:
             if batched:
-                out = op.readout(states)
+                out = op.readout(nm.concat(states, axis=0), n)
             else:
-                out = nm.concat([op.readout([s]) for s in states], axis=0)
+                out = nm.concat([op.readout(s, 1) for s in states], axis=0)
             if kind == "frame_readout":
                 loss = nm.logistic_loss_mean(out, targets)
             else:
@@ -475,17 +476,20 @@ def test_batched_codec_ops_grad_check():
         return sum((t * Tensor(np.linspace(-1.0, 1.0 + i, t.data.size).reshape(t.shape))).sum()
                    for i, t in enumerate(ts))
 
+    def read(head, states):
+        return head.readout(nm.concat(states, axis=0), len(states))
+
     def frame_readout(states):
-        return lambda p: nm.logistic_loss_mean(frame_head.readout(states), targets)
+        return lambda p: nm.logistic_loss_mean(read(frame_head, states), targets)
 
     cases = [
-        (lambda p: weighted(enc.encode_frame(frames)), list(enc.params().values())),
-        (lambda p: weighted(tok.encode_token(tokens)), list(tok.params().values())),
+        (lambda p: weighted([enc.encode_frame(frames)]), list(enc.params().values())),
+        (lambda p: weighted([tok.encode_token(tokens)]), list(tok.params().values())),
         (frame_readout(wide), [*frame_head.params().values(), *wide]),
         (frame_readout(narrow), [*frame_head.mlp.params().values(), *narrow]),
-        (lambda p: weighted([scalar_head.readout(wide)]),
+        (lambda p: weighted([read(scalar_head, wide)]),
          [*scalar_head.params().values(), *wide]),
-        (lambda p: weighted([scalar_head.readout(narrow)]), narrow),
+        (lambda p: weighted([read(scalar_head, narrow)]), narrow),
     ]
     for f, params in cases:
         assert grad_check(f, params, eps=1e-5) < 1e-6
@@ -496,18 +500,43 @@ def test_each_fused_codec_op_appends_one_tape_node():
     rng = Rng(109)
     enc = PositionEncoder(rng, 16, 16, cfg)
     head = FrameReadout(rng, 6, cfg, enc)
-    states = [Tensor(rand(rng, (3, 6)), requires_grad=True) for _ in range(4)]
     for n in (1, 4):
+        rows = Tensor(rand(rng, (n * 3, 6)), requires_grad=True)
         with Tape() as tape:
-            head.readout(states[:n])
-        # slot perceptron, pooling, decoder input, decoder, unpatching, and
-        # for several states the concatenation of their rows
-        assert len(tape.nodes) == 5 + (n > 1)
+            head.readout(rows, n)
+        # slot perceptron, pooling, decoder input, decoder, unpatching
+        assert len(tape.nodes) == 5
         with Tape() as tape:
             enc.encode_frame(np.zeros((n, 16, 16)))
-        # perceptron, the position table beside its rows, and the split into
-        # steps: its gathering node and one piece per step
-        assert len(tape.nodes) == 3 + n
+        # perceptron, and the position table beside its rows
+        assert len(tape.nodes) == 2
+
+
+@pytest.mark.parametrize("kind", ["scoff", "gru"])
+def test_model_cuts_the_encoded_rows_into_steps_and_joins_the_states(kind):
+    resolved = parse_config(os.path.join(CONFIGS, "bouncing_mini.cfg"), [f"model={kind}"])
+    model = build_model(to_train_config(resolved), Rng(5))
+    frames = np.asarray(Rng(6).uniform((4, 16, 16)))
+    with Tape() as tape:
+        feats = model.encode(frames)
+    # the codec's two nodes, for gru the per-step mean (reshape, mean), and
+    # the split into steps: its gathering node and one piece per step
+    assert len(tape.nodes) == 2 + 2 * (kind == "gru") + 1 + 4
+    rows = model.encoder.encode_frame(frames).data
+    if kind == "scoff":
+        assert [f.data.tolist() for f in feats] == [r.tolist() for r in np.split(rows, 4)]
+    assert [f.shape for f in feats] == [(1 if kind == "gru" else 16, 24)] * 4
+    shape = (1, model.width) if kind == "gru" else (resolved["n_f"], resolved["d_h"])
+    states = [Tensor(rand(Rng(7 + i), shape), requires_grad=True) for i in range(4)]
+    for n in (1, 4):
+        with Tape() as tape:
+            out = model.readout(states[:n])
+        assert out.shape == (n, 16, 16)
+        # the head's nodes (a one-row state skips the pooling), and for
+        # several states the concatenation of their rows
+        assert len(tape.nodes) == 4 + (kind == "scoff") + (n > 1)
+    joined = model.head.readout(nm.concat(states, axis=0), 4).data
+    assert np.array_equal(model.readout(states).data, joined)
 
 
 def test_perceptron_rejects_wrong_width():

@@ -65,11 +65,10 @@ def test_input_read_single_slot_takes_everything():
     rng = Rng(2)
     feats_np = rand(rng, (5, 6))
     feats = Tensor(feats_np)
-    z, w, rel = layer.input_read(feats, layer.init_state())
+    z, w = layer.input_read(feats, layer.init_state())
     assert np.allclose(w, 1.0)
     v = feats_np @ layer.input_proj.value[0].data
     assert np.max(np.abs(z.data[0] - v.sum(axis=0))) < 1e-12
-    assert rel.shape == (1,)
 
 
 def test_input_read_identical_slots_read_identically():
@@ -78,7 +77,7 @@ def test_input_read_identical_slots_read_identically():
     row = rand(rng, (8,))
     state = Tensor(np.stack([row, row, row]))
     feats = Tensor(rand(rng, (5, 6)))
-    z, _, _ = layer.input_read(feats, state)
+    z, _ = layer.input_read(feats, state)
     assert np.max(np.abs(z.data[0] - z.data[1])) < 1e-12
     assert np.max(np.abs(z.data[1] - z.data[2])) < 1e-12
 
@@ -88,7 +87,7 @@ def test_input_read_matches_scalar_oracle():
     rng = Rng(7)
     state_np = rand(rng, (3, 8))
     feats_np = rand(rng, (5, 6))
-    z, w, _ = layer.input_read(Tensor(feats_np), Tensor(state_np))
+    z, w = layer.input_read(Tensor(feats_np), Tensor(state_np))
     z_ref, w_ref = input_read_oracle(layer, feats_np, state_np)
     assert np.max(np.abs(z.data - z_ref)) < 1e-12
     assert np.max(np.abs(w - w_ref)) < 1e-12
@@ -260,7 +259,6 @@ def test_sparse_mode_inactive_slots_keep_state_exactly():
         if not trace.active[k]:
             assert np.array_equal(out.data[k], state_np[k])
             assert trace.schema[k] == -1
-            assert np.array_equal(trace.schema_scores[k], np.zeros(2))
 
 
 def test_sparse_communication_switch_masks_receivers():
@@ -486,7 +484,7 @@ def test_schema_usage_matches_per_slot_loop():
     rng = Rng(71)
     rows = [[rng.randint(4) - 1, rng.randint(4) - 1, -1] for _ in range(9)]
     traces = [StepTrace(np.zeros((3, 1)), np.asarray(r) >= 0, np.asarray(r),
-                        np.zeros((3, 3)), np.zeros((3, 3))) for r in rows]
+                        np.zeros((3, 3))) for r in rows]
     counts = np.zeros((3, 3))
     for row in rows:
         for k, j in enumerate(row):

@@ -329,11 +329,18 @@ def test_dataset_rejects_bad_magic(tmp_path):
 
 
 def test_dataset_rejects_corrupt_sizes_naming_the_file(tmp_path):
-    # intact header for one bouncing sequence of 2**31 frames of 2**16 pixels
+    # intact header for one bouncing sequence of 2**31 frames of 16x16 pixels
     p = tmp_path / "huge.scfd"
-    p.write_bytes(b"SCFD" + struct.pack("<IIIII", 3, 1, 2**31, 2**8, 2**8) + b"\x00" * 64)
+    p.write_bytes(b"SCFD" + struct.pack("<IIIII", 3, 1, 2**31, 16, 16) + b"\x00" * 64)
     with pytest.raises(ValueError, match="huge.scfd: truncated"):
         read_dataset(p, "bouncing")
+    # the frame size is checked first: 2**16 pixels, or any frame for adding
+    p.write_bytes(b"SCFD" + struct.pack("<IIIII", 3, 1, 2**31, 2**8, 2**8) + b"\x00" * 64)
+    with pytest.raises(ValueError, match="huge.scfd holds 256x256 frames, expected 16x16"):
+        read_dataset(p, "bouncing")
+    p.write_bytes(b"SCFD" + struct.pack("<IIIII", 4, 1, 50, 16, 16))
+    with pytest.raises(ValueError, match="huge.scfd holds 16x16 frames, expected 0x0"):
+        read_dataset(p, "adding")
 
 
 def test_read_dataset_rejects_another_task_an_unknown_task_or_no_sequences(tmp_path):

@@ -172,24 +172,23 @@ def test_adam_clip_bounds_update_norm():
 
 # ---------------------------------------------------------------------- purity
 
-def fake_trace(schema_row, n_s):
+def fake_trace(schema_row):
     n_f = len(schema_row)
     return StepTrace(
         input_weights=np.zeros((n_f, 1)),
         active=np.asarray(schema_row) >= 0,
         schema=np.asarray(schema_row),
-        schema_scores=np.zeros((n_f, n_s)),
         comm_weights=np.zeros((n_f, n_f)))
 
 
 def test_purity_perfect_correspondence():
-    traces = [[fake_trace([0], 2), fake_trace([1], 2), fake_trace([0], 2)]]
+    traces = [[fake_trace([0]), fake_trace([1]), fake_trace([0])]]
     labels = [np.array([0, 1, 0])]
     assert schema_alignment_purity(traces, labels) == 1.0
 
 
 def test_purity_single_schema_single_mode():
-    traces = [[fake_trace([0], 1) for _ in range(5)]]
+    traces = [[fake_trace([0]) for _ in range(5)]]
     labels = [np.zeros(5, dtype=int)]
     assert schema_alignment_purity(traces, labels) == 1.0
 
@@ -201,7 +200,7 @@ def test_purity_uniform_random_tends_to_half():
     steps = 20_000
     seq_t, seq_l = [], []
     for _ in range(steps):
-        seq_t.append(fake_trace([rng.randint(2)], 2))
+        seq_t.append(fake_trace([rng.randint(2)]))
         seq_l.append(rng.randint(2))
     traces.append(seq_t)
     labels.append(np.asarray(seq_l))
@@ -211,11 +210,11 @@ def test_purity_uniform_random_tends_to_half():
 
 def test_purity_invariant_to_relabeling():
     rng = Rng(6)
-    seq = [fake_trace([rng.randint(3)], 3) for _ in range(200)]
+    seq = [fake_trace([rng.randint(3)]) for _ in range(200)]
     lab = np.asarray([rng.randint(2) for _ in range(200)])
     base = schema_alignment_purity([seq], [lab])
     remap = {0: 2, 1: 0, 2: 1}
-    seq_r = [fake_trace([remap[int(t.schema[0])]], 3) for t in seq]
+    seq_r = [fake_trace([remap[int(t.schema[0])]]) for t in seq]
     assert schema_alignment_purity([seq_r], [lab]) == pytest.approx(base)
     assert schema_alignment_purity([seq], [1 - lab]) == pytest.approx(base)
 
@@ -224,7 +223,7 @@ def test_purity_more_modes_than_schemata_matches_brute_force():
     # n_m > n_s: the best injective map from schemata to modes
     rng = Rng(7)
     for n_s, n_m in ((1, 2), (2, 3), (2, 5), (3, 4)):
-        seq = [fake_trace([rng.randint(n_s)], n_s) for _ in range(60)]
+        seq = [fake_trace([rng.randint(n_s)]) for _ in range(60)]
         lab = np.asarray([rng.randint(n_m) for _ in range(60)])
         counts = np.zeros((n_s, n_m))
         for trace, mode in zip(seq, lab):
@@ -240,7 +239,7 @@ def test_purity_counts_every_active_slot_of_every_sequence():
     rng = Rng(8)
     traces, labels, counts = [], [], np.zeros((3, 2))
     for steps in (7, 4):
-        seq = [fake_trace([rng.randint(4) - 1 for _ in range(3)], 3) for _ in range(steps)]
+        seq = [fake_trace([rng.randint(4) - 1 for _ in range(3)]) for _ in range(steps)]
         lab = np.asarray([rng.randint(2) for _ in range(steps + 2)])
         for trace, mode in zip(seq, lab):
             for j in trace.schema:
@@ -286,7 +285,7 @@ def test_rng_is_the_one_stochastic_mode_switch(monkeypatch):
     c, _ = model.layer.step(feats[1], state, noise=nm.zeros((3, 2)))
     assert draws == []
     assert np.array_equal(a.data, b.data) and np.array_equal(a.data, c.data)
-    assert np.array_equal(trace_a.schema_scores, trace_b.schema_scores)
+    assert np.array_equal(trace_a.schema, trace_b.schema)
     model.step(feats[1], state, Rng(1))
     assert draws == [(3, 16), (3, 2), (3, 3)]
     draws.clear()
@@ -567,8 +566,7 @@ def test_collect_traces_equal_the_loss_pass_traces_without_a_readout(task, monke
     for seq_got, seq_want in zip(got, want):
         assert len(seq_got) == len(seq_want)
         for a, b in zip(seq_got, seq_want):
-            for field in ("input_weights", "active", "schema", "schema_scores",
-                          "comm_weights"):
+            for field in ("input_weights", "active", "schema", "comm_weights"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
