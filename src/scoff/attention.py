@@ -121,17 +121,35 @@ def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
         raise ValueError(f"logits and noise must share a shape of rank >= 1, "
                          f"got {logits.shape} and {noise.shape}")
     scores = logits.data + noise.data
-    index = np.argmax(scores, axis=-1)
     inv_tau = 1.0 / tau
-    soft = nm.stable_softmax(scores * inv_tau, -1)
-    out = (index[..., None] == np.arange(soft.shape[-1])).astype(np.float64) if hard else soft
+    out, index = st_pick(scores, inv_tau, hard)
+    soft = tempered_softmax(scores, inv_tau) if hard else out
 
     def back(g):
-        g_s = soft * (g - (g * soft).sum(axis=-1, keepdims=True)) * inv_tau
+        g_s = st_grad(g, soft, inv_tau)
         nm.accum(logits, g_s)
         nm.accum(noise, g_s)
 
     return nm.record(out, (logits, noise), back), soft, index
+
+
+def st_pick(scores: np.ndarray, inv_tau: float, hard: bool):
+    """(selection values, index) of a Gumbel selection over the last axis of
+    scores = logits + noise: the one-hot argmax, ties to the lowest index, or
+    in soft mode the soft scores. The layer's fused selection shares it."""
+    index = np.argmax(scores, axis=-1)
+    if hard:
+        return (index[..., None] == np.arange(scores.shape[-1])).astype(np.float64), index
+    return tempered_softmax(scores, inv_tau), index
+
+
+def tempered_softmax(scores: np.ndarray, inv_tau: float) -> np.ndarray:
+    return nm.stable_softmax(scores * inv_tau, -1)
+
+
+def st_grad(g: np.ndarray, soft: np.ndarray, inv_tau: float) -> np.ndarray:
+    """The scores' gradient from the selection's, through the soft scores."""
+    return soft * (g - (g * soft).sum(axis=-1, keepdims=True)) * inv_tau
 
 
 def topk_mask(scores, k: int) -> np.ndarray:

@@ -26,8 +26,8 @@ from .layer import ScoffConfig, ScoffLayer, schema_usage, write_traces
 from .numerics import Tensor, grad_check
 from .recurrent import recurrent_param_count
 from .rng import Rng
-from .training import (TrainConfig, build_model, collect_traces, eval_adding,
-                       eval_rollout, load_checkpoint, restore_model,
+from .training import (MetricsRecord, TrainConfig, build_model, collect_traces,
+                       eval_adding, eval_rollout, load_checkpoint, restore_model,
                        save_checkpoint, train_model)
 
 
@@ -155,10 +155,10 @@ def cmd_train(args, resolved: dict) -> int:
     metrics, model = train_model(cfg, train_data, eval_data,
                                  log=lambda s: print(s, file=sys.stderr))
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "metrics.jsonl"), "w") as f:
-        for record in metrics:
-            f.write(record.to_json())
-            f.write("\n")
+    for name, dump in (("metrics.jsonl", MetricsRecord.to_json),
+                       ("timing.jsonl", MetricsRecord.timing_json)):
+        with open(os.path.join(args.out_dir, name), "w") as f:
+            f.writelines(dump(record) + "\n" for record in metrics)
     save_checkpoint(os.path.join(args.out_dir, "checkpoint"),
                     model.parameters(), resolved)
     _write_snapshot(args.out_dir, resolved)
@@ -213,9 +213,7 @@ def cmd_trace(args, resolved: dict) -> int:
     flat = [t for seq in traces for t in seq]
     usage = schema_usage(flat, cfg.scoff.n_s)
     with open(os.path.join(args.out_dir, "schema_usage.csv"), "w") as f:
-        for row in usage:
-            f.write(",".join(str(v) for v in row))
-            f.write("\n")
+        f.writelines(",".join(str(v) for v in row) + "\n" for row in usage)
     _write_snapshot(args.out_dir, snapshot)
     print(f"traced {len(subset)} sequences into {args.out_dir}")
     return 0

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .attention import (AttentionProjections, attend, gumbel_st_select,
-                        topk_mask)
+from .attention import (AttentionProjections, attend, st_grad, st_pick,
+                        tempered_softmax, topk_mask)
 from .numerics import Tensor
 from .recurrent import gru_step, init_schema
 from .rng import Rng
@@ -73,13 +73,7 @@ class StepTrace:
     comm_weights: np.ndarray    # [n_f, n_f], head-mean, rows sum to 1 over sources
 
     def to_record(self, t: int) -> dict:
-        return {
-            "t": t,
-            "active": [bool(a) for a in self.active],
-            "schema": [int(s) for s in self.schema],
-            "input_weights": [[float(v) for v in row] for row in self.input_weights],
-            "comm_weights": [[float(v) for v in row] for row in self.comm_weights],
-        }
+        return {"t": t, **{k: np.asarray(v).tolist() for k, v in vars(self).items()}}
 
 
 class ScoffLayer:
@@ -120,24 +114,61 @@ class ScoffLayer:
     def schema_select_update(self, z: Tensor, state: Tensor,
                              rng: "Rng | None" = None,
                              noise: "Tensor | None" = None):
-        """Hypothetical updates under every schema, then per-slot selection.
+        """Hypothetical updates under every schema, then per-slot selection,
+        with the scoring, the Gumbel pick and the mix as one fused tape op.
 
         Selection scores are the raw query-key dots plus Gumbel noise, with
         no scale factor. Hard mode forwards the one-hot winner and routes the
         gradient through the softened scores; soft mode mixes hypotheticals.
         The noise is ``noise``, else drawn from ``rng``, else zero (greedy).
-        Returns (new rows [n_f, d_h], indices [n_f], soft scores [n_f, n_s]).
+        Returns (new rows [n_f, d_h], indices [n_f]).
         """
         c = self.config
         hyps = [gru_step(z, state, theta) for theta in self.bank]
-        hstack = np.stack([h.data for h in hyps], axis=1)  # [n_f, n_s, d_h]
-        logits = _selection_logits(hyps, hstack, state, self.sel_query, self.sel_key)
         if noise is None:
             noise = self._zero_noise if rng is None else nm.sample_gumbel(rng, (c.n_f, c.n_s))
         if noise.shape != (c.n_f, c.n_s):
             raise ValueError(f"noise must be [{c.n_f}, {c.n_s}], got {noise.shape}")
-        sel, soft, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
-        return _mix(sel, hyps, hstack), indices, soft
+        return self._select(hyps, state, noise)
+
+    def _select(self, hyps: list, state: Tensor, noise: Tensor):
+        """(new rows [n_f, d_h], indices [n_f]): the raw dots of each slot's
+        query with the keys of its hypotheses ``hyps``, the Gumbel pick and the
+        selection-weighted sum of the hypotheses, as one fused tape op. In
+        hard mode only the backward pass computes the soft scores."""
+        n_f, d_h = state.shape
+        n_s, hard = len(hyps), self.config.hard_selection
+        sel_query, sel_key, inv_tau = self.sel_query, self.sel_key, 1.0 / self.config.tau
+        hstack = np.concatenate([h.data for h in hyps], axis=1).reshape(n_f, n_s, d_h)
+        flat = hstack.reshape(n_f * n_s, d_h)
+        keys = (flat @ sel_key.data).reshape(n_f, n_s, -1)
+        q = (state.data @ sel_query.data).reshape(n_f, 1, -1)
+        scores = (q * keys).sum(axis=2) + noise.data
+        sel, indices = st_pick(scores, inv_tau, hard)
+        sel3 = sel.reshape(n_f, n_s, 1)
+
+        def back(g):
+            # each parent's contributions in the order of the chain's reverse
+            # scan: the mix, the Gumbel selection, then the scoring
+            g = g[:, None]
+            g_h = g * sel3
+            g_sel = (g * hstack).sum(axis=2)
+            for j, h in enumerate(hyps):
+                nm.accum(h, g_h[:, j])
+            g = st_grad(g_sel, tempered_softmax(scores, inv_tau) if hard else sel, inv_tau)
+            nm.accum(noise, g)
+            g = g[:, :, None]
+            g_q = (g * keys).sum(axis=1)
+            nm.accum(state, g_q @ sel_query.data.T)
+            nm.accum_xtg(sel_query, state.data, g_q)
+            g_k = (g * q).reshape(n_f * n_s, -1)
+            nm.accum_xtg(sel_key, flat, g_k)
+            g_h = (g_k @ sel_key.data.T).reshape(n_f, n_s, d_h)
+            for j, h in enumerate(hyps):
+                nm.accum(h, g_h[:, j])
+
+        return nm.record((sel3 * hstack).sum(axis=1),
+                         (*hyps, state, sel_query, sel_key, noise), back), indices
 
     # ---- step 4: communication ------------------------------------------
 
@@ -161,18 +192,15 @@ class ScoffLayer:
         draws dropout and (unless ``noise`` is given) selection noise."""
         c = self.config
         z, w_in = self.input_read(features, state, rng)
+        h_mid, indices = self.schema_select_update(z, state, rng, noise)
         if 0 < c.n_sel < c.n_f:  # the slots with the strongest positional claim
             active = topk_mask(w_in.max(axis=1), c.n_sel)
-        else:
-            active = np.ones(c.n_f, dtype=bool)
-        h_upd, indices, _ = self.schema_select_update(z, state, rng, noise)
-        if active.all():
-            h_mid = h_upd
-        else:
-            mask = active.astype(np.float64).reshape(-1, 1)
-            h_mid = h_upd * nm.record(mask, (), None) + state * nm.record(1.0 - mask, (), None)
+            mask = active.astype(np.float64)[:, None]
+            h_mid = h_mid * nm.record(mask, (), None) + state * nm.record(1.0 - mask, (), None)
             indices = np.where(active, indices, -1)
-        recv = active if (c.comm_sparse and not active.all()) else None
+            recv = active if c.comm_sparse else None
+        else:
+            active, recv = np.ones(c.n_f, dtype=bool), None
         state_out, w_comm = self.communicate(state, h_mid, rng, recv)
         trace = StepTrace(input_weights=w_in, active=active, schema=indices,
                           comm_weights=w_comm)
@@ -186,60 +214,17 @@ class ScoffLayer:
         return out
 
 
-def _selection_logits(hyps: list, hstack: np.ndarray, state: Tensor,
-                      sel_query: Tensor, sel_key: Tensor) -> Tensor:
-    """[n_f, n_s] raw dots of each slot's query with the key of each of its
-    hypotheses ``hyps`` (stacked in ``hstack`` [n_f, n_s, d_h]), as one fused
-    tape op."""
-    n_f, n_s, d_h = hstack.shape
-    flat = hstack.reshape(n_f * n_s, d_h)
-    keys = (flat @ sel_key.data).reshape(n_f, n_s, -1)
-    q = (state.data @ sel_query.data).reshape(n_f, 1, -1)
-
-    def back(g):
-        # each parent's contributions in the order of the chain's reverse scan
-        g = np.expand_dims(g, 2)
-        g_q = (g * keys).sum(axis=1)
-        nm.accum(state, g_q @ sel_query.data.T)
-        nm.accum_xtg(sel_query, state.data, g_q)
-        g_k = (g * q).reshape(n_f * n_s, -1)
-        nm.accum_xtg(sel_key, flat, g_k)
-        g_h = (g_k @ sel_key.data.T).reshape(n_f, n_s, d_h)
-        for j, h in enumerate(hyps):
-            nm.accum(h, g_h[:, j])
-
-    return nm.record((q * keys).sum(axis=2), (*hyps, state, sel_query, sel_key), back)
-
-
-def _mix(sel: Tensor, hyps: list, hstack: np.ndarray) -> Tensor:
-    """[n_f, d_h]: each slot's hypotheses ``hyps`` (stacked in ``hstack``)
-    weighted by its selection row and summed, as one fused tape op."""
-    n_f, n_s, _ = hstack.shape
-    sel3 = sel.data.reshape(n_f, n_s, 1)
-
-    def back(g):
-        g = np.expand_dims(g, 1)
-        nm.accum(sel, (g * hstack).sum(axis=2))
-        g_h = g * sel3
-        for j, h in enumerate(hyps):
-            nm.accum(h, g_h[:, j])
-
-    return nm.record((sel3 * hstack).sum(axis=1), (sel, *hyps), back)
-
-
 def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,
            normalize_axis: str, scale: float, rng: "Rng | None"):
     """Every head of ``proj``: queries from ``queriers``, keys and values from
     ``candidates``. Returns (head outputs concatenated, head-mean weights as
     an ndarray)."""
-    outs, weights = [], []
-    for mats in zip(proj.query, proj.key, proj.value):
-        w, out = attend(queriers, candidates, *mats, normalize_axis, scale,
-                        proj.dropout, rng)
-        outs.append(out)
-        weights.append(w)
-    joined = outs[0] if len(outs) == 1 else nm.concat(outs, axis=1)
-    return joined, sum(weights) / len(weights)
+    heads = [attend(queriers, candidates, *mats, normalize_axis, scale, proj.dropout, rng)
+             for mats in zip(proj.query, proj.key, proj.value)]
+    if len(heads) == 1:
+        return heads[0][1], heads[0][0]
+    weights, outs = zip(*heads)
+    return nm.concat(outs, axis=1), sum(weights) / len(weights)
 
 
 def write_traces(f, traces: list) -> None:
@@ -247,8 +232,7 @@ def write_traces(f, traces: list) -> None:
     ``traces`` (one list of step traces per sequence)."""
     for seq, steps in enumerate(traces):
         for t, trace in enumerate(steps):
-            f.write(json.dumps({"seq": seq, **trace.to_record(t)}, sort_keys=True))
-            f.write("\n")
+            f.write(json.dumps({"seq": seq, **trace.to_record(t)}, sort_keys=True) + "\n")
 
 
 def schema_usage(traces: list, n_s: int) -> np.ndarray:

@@ -25,9 +25,9 @@ one node instead of one per op. The fused ops are:
   ``ReadoutBase._pool`` (attention pooling over each state's slot rows), and
   ``FrameReadout``'s decoder input (each pooled vector at every position
   beside the position table) and unpatching (patch rows back to frames);
-- in ``layer.ScoffLayer.schema_select_update``, the scoring of the stacked
-  schema hypotheses (key and query projections, logits) and their mixing by
-  the selection.
+- ``layer.ScoffLayer._select``, the whole schema selection: the scoring of
+  the stacked hypotheses (key and query projections, logits), the Gumbel pick
+  (the core of ``gumbel_st_select``) and their mixing by the selection.
 
 A fused op must give the same bits as the chain it replaces: its forward
 evaluates the same numpy expressions in the same order, and its backward
@@ -337,10 +337,7 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes=None) -> Tensor:
     a = as_tensor(a)
     out = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
+    inv = None if axes is None else np.argsort(axes)
 
     def back(g):
         accum(a, np.transpose(g, inv))
@@ -569,8 +566,7 @@ def grad_check(f, params: list, eps: float = 1e-5) -> float:
                 )
             num = (fp - fm) / (2.0 * eps)
             rel = abs(ana[i] - num) / max(1.0, abs(ana[i]), abs(num))
-            if rel > worst:
-                worst = rel
+            worst = max(worst, rel)
     return worst
 
 

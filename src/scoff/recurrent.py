@@ -99,7 +99,7 @@ def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
         if h.requires_grad:
             nm.accum(h, g * keep + g_rh * r + g_ru @ theta.u_ru.data.T)
 
-    return nm.record(out, (z, h, *theta.params()), back)
+    return nm.record(out, (z, h, theta.w, theta.u_ru, theta.u_c, theta.b), back)
 
 
 def init_schema(rng: Rng, d_in: int, d_h: int) -> SchemaParams:

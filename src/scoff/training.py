@@ -77,13 +77,20 @@ class MetricsRecord:
     alignment_purity: "float | None"
     dead_schemata: list
     wall_seconds: float
+    phase_seconds: dict        # disjoint parts of wall_seconds, by phase name
 
     def to_json(self) -> str:
         # wall-clock is intentionally left out so metrics files are
         # reproducible byte for byte from (seed, config)
         rec = asdict(self)
-        del rec["wall_seconds"]
+        del rec["wall_seconds"], rec["phase_seconds"]
         return json.dumps(rec, sort_keys=True)
+
+    def timing_json(self) -> str:
+        """The epoch's wall-clock seconds, whole and split by phase: the one
+        record of a run that is not reproducible."""
+        return json.dumps({"epoch": self.epoch, "wall_seconds": self.wall_seconds,
+                           "phase_seconds": self.phase_seconds}, sort_keys=True)
 
 
 # ---- losses ----------------------------------------------------------------
@@ -239,6 +246,8 @@ def _check_rollout_window(sequences: list, burn_in: int, horizon: int) -> None:
 
 def eval_adding(model, sequences: list) -> float:
     """Mean squared error of the terminal prediction."""
+    if not sequences:
+        raise ValueError("no sequences to evaluate")
     total = 0.0
     for seq in sequences:
         loss, _ = adding_loss(model, seq)
@@ -313,9 +322,10 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
     opt = Adam(list(params.values()), cfg.lr, cfg.beta1, cfg.beta2, cfg.epsilon)
 
     n_s = cfg.scoff.n_s
-    metrics = []
+    metrics, clock = [], time.perf_counter
     for epoch in range(cfg.epochs):
-        started = time.perf_counter()
+        started = clock()
+        phases = dict.fromkeys(("forward", "backward", "adam", "eval"), 0.0)
         order = list(range(len(train_data)))
         run_rng.shuffle(order)
         epoch_loss = 0.0
@@ -323,9 +333,13 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
         for b, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[lo:lo + cfg.batch_size]
             for idx in batch:
+                t0 = clock()
                 with Tape() as tape:
                     loss, traces = sequence_loss(model, train_data[idx], run_rng)
+                t1 = clock()
                 backward(loss, tape)
+                phases["forward"] += t1 - t0
+                phases["backward"] += clock() - t1
                 epoch_loss += loss.item()
                 # free this graph before the next sequence's forward pass
                 del loss, tape
@@ -339,7 +353,9 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                                  f"(loss so far {epoch_loss})")
             if not math.isfinite(epoch_loss):
                 raise ValueError(f"{where}: non-finite loss")
+            t0 = clock()
             opt.apply(scale=1.0 / len(batch), clip=cfg.clip_norm)
+            phases["adam"] += clock() - t0
             bad = _first_non_finite((n, p.data) for n, p in params.items())
             if bad is not None:
                 raise ValueError(f"{where}: the update made {bad} non-finite")
@@ -349,6 +365,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
         dead = [j for j, frac in enumerate(usage_frac) if frac < 0.01] \
             if usage.sum() else []
 
+        t0 = clock()
         eval_self, eval_teacher, purity = [], [], None
         if eval_data:
             subset = eval_data[:cfg.eval_subset]
@@ -364,12 +381,13 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                     purity = schema_alignment_purity(traces, labels)
                 except ValueError:
                     purity = None
+        phases["eval"] = clock() - t0
 
         record = MetricsRecord(
             epoch=epoch, train_loss=epoch_loss, eval_losses=eval_self,
             eval_teacher=eval_teacher, schema_usage=usage_frac,
             alignment_purity=purity, dead_schemata=dead,
-            wall_seconds=time.perf_counter() - started)
+            wall_seconds=clock() - started, phase_seconds=phases)
         metrics.append(record)
         if log is not None:
             purity_s = "-" if purity is None else f"{purity:.3f}"

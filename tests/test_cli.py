@@ -253,6 +253,10 @@ def test_train_eval_trace_pipeline(tmp_path, capsys):
     assert len(records) == 1
     assert "train_loss" in records[0]
     assert "wall" not in json.dumps(records[0])  # reproducible artifact
+    with open(os.path.join(run_dir, "timing.jsonl")) as f:
+        timing = [json.loads(line) for line in f]
+    assert [t["epoch"] for t in timing] == [0]
+    assert sum(timing[0]["phase_seconds"].values()) <= timing[0]["wall_seconds"]
 
     eval_dir = str(tmp_path / "eval")
     assert run_cli("eval", "--set", f"data={data_dir}",

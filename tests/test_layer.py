@@ -5,8 +5,7 @@ import pytest
 
 import scoff.numerics as nm
 from scoff.attention import gumbel_st_select
-from scoff.layer import (ScoffConfig, ScoffLayer, StepTrace, _mix,
-                         _selection_logits, schema_usage)
+from scoff.layer import ScoffConfig, ScoffLayer, StepTrace, schema_usage
 from scoff.numerics import Tape, Tensor, backward, grad_check
 from scoff.recurrent import gru_step
 from scoff.rng import Rng
@@ -107,9 +106,10 @@ def test_single_schema_reduces_to_plain_gru():
     rng = Rng(9)
     state = Tensor(rand(rng, (3, 8)))
     z = Tensor(rand(rng, (3, 8)))
-    h_new, idx, soft = layer.schema_select_update(
-        z, state, noise=Tensor(np.zeros((3, 1))))
+    h_new, idx = layer.schema_select_update(z, state, noise=Tensor(np.zeros((3, 1))))
     assert (idx == 0).all()
+    logits, _ = chain_logits(layer, hypotheses(layer, z, state), state)
+    _, soft, _ = gumbel_st_select(logits, Tensor(np.zeros((3, 1))))
     assert np.allclose(soft, 1.0)
     plain = gru_step(z, state, layer.bank[0])
     assert np.max(np.abs(h_new.data - plain.data)) < 1e-15
@@ -125,8 +125,8 @@ def test_identical_schemata_give_identical_updates():
     z = Tensor(rand(rng, (3, 8)))
     noise_a = Tensor(np.column_stack([np.ones(3), np.zeros(3)]))
     noise_b = Tensor(np.column_stack([np.zeros(3), np.ones(3)]))
-    h_a, idx_a, _ = layer.schema_select_update(z, state, noise=noise_a)
-    h_b, idx_b, _ = layer.schema_select_update(z, state, noise=noise_b)
+    h_a, idx_a = layer.schema_select_update(z, state, noise=noise_a)
+    h_b, idx_b = layer.schema_select_update(z, state, noise=noise_b)
     assert (idx_a == 0).all() and (idx_b == 1).all()
     assert np.max(np.abs(h_a.data - h_b.data)) < 1e-12
 
@@ -136,15 +136,15 @@ def test_selection_frequencies_follow_categorical_law():
     rng = Rng(13)
     state = Tensor(rand(rng, (1, 8)))
     z = Tensor(rand(rng, (1, 8)))
-    _, _, soft = layer.schema_select_update(
-        z, state, noise=Tensor(np.zeros((1, 2))))
+    logits, _ = chain_logits(layer, hypotheses(layer, z, state), state)
+    _, soft, _ = gumbel_st_select(logits, Tensor(np.zeros((1, 2))))
     law = soft[0]  # softmax of the actual logits at tau=1
 
     noise_rng = Rng(14)
     counts = np.zeros(2)
     trials = 10_000
     for _ in range(trials):
-        _, idx, _ = layer.schema_select_update(z, state, rng=noise_rng)
+        _, idx = layer.schema_select_update(z, state, rng=noise_rng)
         counts[idx[0]] += 1
     freq = counts / trials
     assert np.max(np.abs(freq - law)) < 0.02
@@ -366,7 +366,7 @@ def test_hard_selection_forward_onehot_soft_backward():
     z = Tensor(rand(rng, (2, 8)))
     noise = Tensor(np.asarray(rng.gumbel((2, 3))))
     with Tape() as tape:
-        h_new, idx, soft = layer.schema_select_update(z, state, noise=noise)
+        h_new, idx = layer.schema_select_update(z, state, noise=noise)
         loss = (h_new * h_new).sum()
     backward(loss, tape)
     # every schema received gradient through the soft path
@@ -376,22 +376,32 @@ def test_hard_selection_forward_onehot_soft_backward():
         assert any_grad, f"schema {j} got no gradient"
 
 
-def select_update_chain(layer, z, state, rng):
-    """Reference: schema selection and update with its scoring and mixing as
-    chains of elementary taped ops (the selection itself is the fused
-    ``gumbel_st_select``, checked against its own chain in test_attention)."""
+def hypotheses(layer, z, state):
+    return [gru_step(z, state, theta) for theta in layer.bank]
+
+
+def chain_logits(layer, hyps, state):
+    """Reference: the [n_f, n_s] selection logits of the schema hypotheses
+    ``hyps`` as a chain of elementary taped ops. Returns (logits, hypotheses
+    stacked [n_f, n_s, d_h])."""
     c = layer.config
-    hyps = [gru_step(z, state, theta) for theta in layer.bank]
     hstack = nm.stack(hyps, axis=1)
     keys = nm.reshape(
         nm.matmul(nm.reshape(hstack, (c.n_f * c.n_s, c.d_h)), layer.sel_key),
         (c.n_f, c.n_s, c.sel_keys))
     q = nm.reshape(nm.matmul(state, layer.sel_query), (c.n_f, 1, c.sel_keys))
-    logits = (q * keys).sum(axis=2)
+    return (q * keys).sum(axis=2), hstack
+
+
+def select_update_chain(layer, z, state, rng):
+    """Reference: schema selection and update with its scoring and mixing as
+    chains of elementary taped ops (the selection itself is the fused
+    ``gumbel_st_select``, checked against its own chain in test_attention)."""
+    c = layer.config
+    logits, hstack = chain_logits(layer, hypotheses(layer, z, state), state)
     noise = nm.sample_gumbel(rng, (c.n_f, c.n_s))
-    sel, soft, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
-    h_new = (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1)
-    return h_new, indices, soft
+    sel, _, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
+    return (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1), indices
 
 
 def selection_graph(select_update, n_s, tau, hard):
@@ -407,11 +417,12 @@ def selection_graph(select_update, n_s, tau, hard):
     w = Tensor(rand(rng, (3, 8)))
     noise_rng = Rng(66)
     with Tape() as tape:
-        h1, idx1, soft1 = select_update(layer, z, state, noise_rng)
-        h2, idx2, soft2 = select_update(layer, z, h1, noise_rng)
+        h1, idx1 = select_update(layer, z, state, noise_rng)
+        h2, idx2 = select_update(layer, z, h1, noise_rng)
         loss = (h2 * w).sum() + (h1 * state).sum()
     backward(loss, tape)
-    outs = [h1.data, h2.data, idx1, idx2, soft1, soft2, loss.data]
+    # the soft scores reach the comparison through every leaf's gradient
+    outs = [h1.data, h2.data, idx1, idx2, loss.data]
     leaves = [z, state, *layer.parameters().values()]
     return outs, noise_rng.uniform(), leaves
 
@@ -436,24 +447,67 @@ def test_fused_selection_matches_op_chain_bit_for_bit(n_s, tau, hard):
             assert (got.grad == want.grad).all()
 
 
+@pytest.mark.parametrize("n_s", [1, 3])
+@pytest.mark.parametrize("hard", [True, False])
+@pytest.mark.parametrize("n_sel", [0, 2])
+def test_greedy_steps_without_tape_match_the_chain_bit_for_bit(n_s, hard, n_sel):
+    # the eval path: no tape, no rng, zero noise, and in hard mode no softmax
+    rng = Rng(72)
+    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard, n_sel=n_sel,
+                                   comm_sparse=True), rng)
+    for t in layer.parameters().values():
+        t.data[...] = rand(rng, t.shape)
+    feats = [Tensor(rand(rng, (5, 6))) for _ in range(4)]
+
+    def run():
+        state, out = layer.init_state(), []
+        for f in feats:
+            state, trace = layer.step(f, state)
+            out += [state.data, trace.schema, trace.active]
+        return out
+
+    fused = run()
+
+    def chain(z, state, rng=None, noise=None):
+        c = layer.config
+        logits, hstack = chain_logits(layer, hypotheses(layer, z, state), state)
+        sel, _, indices = gumbel_st_select(logits, nm.zeros((c.n_f, c.n_s)), c.tau, hard)
+        return (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1), indices
+
+    layer.schema_select_update = chain
+    with Tape():  # the chain keeps its soft scores for a backward pass
+        ref = run()
+    for got, want in zip(fused, ref, strict=True):
+        assert np.array_equal(got, want)
+    assert fused[-1].sum() == (n_sel or 3)  # the active slots of the last step
+
+
 def test_fused_selection_ops_grad_check():
+    """The one fused selection op, in soft and in hard mode. A hard forward is
+    piecewise constant, and its straight-through gradient adds the soft
+    scores' gradient weighted by each hypothesis's loss term; a term with
+    that value and no taped gradient, its weights fixed at the checked point,
+    lets the central differences see the same sum."""
     rng = Rng(67)
-    layer = make_layer(seed=68, n_f=3, n_s=2)
     hyps = [Tensor(rand(rng, (3, 8)), requires_grad=True) for _ in range(2)]
     state = Tensor(rand(rng, (3, 8)), requires_grad=True)
-    sel = Tensor(rand(rng, (3, 2)), requires_grad=True)
-    w_logits, w_mix = Tensor(rand(rng, (3, 2))), Tensor(rand(rng, (3, 8)))
+    noise = Tensor(rand(rng, (3, 2)), requires_grad=True)
+    w = Tensor(rand(rng, (3, 8)))
+    terms = np.stack([(h.data * w.data).sum(axis=1) for h in hyps], axis=1)
+    for hard in (False, True):
+        layer = make_layer(seed=68, n_f=3, n_s=2, tau=0.7, hard_selection=hard)
 
-    def scoring(p):
-        hstack = np.stack([h.data for h in p[:2]], axis=1)
-        return (_selection_logits(p[:2], hstack, p[2], p[3], p[4]) * w_logits).sum()
+        def f(p):
+            out, _ = layer._select(p[:2], p[2], p[5])
+            loss = (out * w).sum()
+            if hard:
+                logits, _ = chain_logits(layer, p[:2], p[2])
+                soft = nm.stable_softmax((logits.data + p[5].data) / 0.7, -1)
+                loss = loss + float((soft * terms).sum())
+            return loss
 
-    def mixing(p):
-        hstack = np.stack([h.data for h in p[1:]], axis=1)
-        return (_mix(p[0], p[1:], hstack) * w_mix).sum()
-
-    assert grad_check(scoring, [*hyps, state, layer.sel_query, layer.sel_key]) < 1e-6
-    assert grad_check(mixing, [sel, *hyps]) < 1e-6
+        params = [*hyps, state, layer.sel_query, layer.sel_key, noise]
+        assert grad_check(f, params) < 1e-6
 
 
 def test_schema_select_update_appends_one_node_per_op():
@@ -462,8 +516,8 @@ def test_schema_select_update_appends_one_node_per_op():
     z, state = Tensor(rand(rng, (3, 8))), Tensor(rand(rng, (3, 8)))
     with Tape() as tape:
         layer.schema_select_update(z, state, rng=rng)
-    # n_s GRU cells, scoring, selection, mixing
-    assert len(tape.nodes) == 2 + 3
+    # n_s GRU cells, then the scoring, selection and mixing as one op
+    assert len(tape.nodes) == 2 + 1
 
 
 def test_schema_usage_matrix_shape():

@@ -330,11 +330,10 @@ def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
         assert len(graphs) == 6
 
 
-@pytest.mark.parametrize("kind,nodes", [("scoff", 329), ("gru", 69)])
+@pytest.mark.parametrize("kind,nodes", [("scoff", 271), ("gru", 69)])
 def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
-    # 29 steps of 10 (scoff: one head each to read and to communicate, 4
-    # schema cells, logits, selection, mix and the residual add) or 1 (gru)
-    # fused ops; once per sequence, the encoder's 3 ops (gru: 5, its pooling
+    # 29 steps of 8 (scoff: one head each to read and to communicate, 4
+    # schema cells, the selection and the residual add) or 1 (gru) fused ops; once per sequence, the encoder's 3 ops (gru: 5, its pooling
     # reshape and mean) and 29 per-step pieces, the readout's 6 ops (gru: 5,
     # a one-row state is not pooled) and the loss: an op chain that creeps
     # back into a step, a codec op that moves back into the time loop, or a
@@ -379,6 +378,21 @@ def test_train_adding_task():
     metrics, model = train_model(cfg, data, data[:2])
     assert math.isfinite(metrics[0].train_loss)
     assert len(metrics[0].eval_losses) == 1
+
+
+def test_train_times_each_epoch_in_disjoint_phases():
+    data = make_switching_data(6)
+    metrics, _ = train_model(tiny_train_config(epochs=2, batch_size=4), data, data[:2])
+    for epoch, record in enumerate(metrics):
+        timing = json.loads(record.timing_json())
+        assert set(timing) == {"epoch", "wall_seconds", "phase_seconds"}
+        assert timing["epoch"] == epoch
+        parts = timing["phase_seconds"]
+        assert set(parts) == {"forward", "backward", "adam", "eval"}
+        assert all(v >= 0.0 for v in parts.values())
+        assert parts["forward"] > 0.0 and parts["eval"] > 0.0
+        assert sum(parts.values()) <= timing["wall_seconds"]
+        assert "seconds" not in record.to_json()  # metrics.jsonl stays reproducible
 
 
 def test_train_rejects_empty_dataset():
@@ -527,6 +541,14 @@ def test_eval_rollout_reads_out_only_scored_steps(kind, monkeypatch):
     # the batched readout's matrix products may round differently from the
     # per-step ones in the last bits
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("task", ["switching", "adding"])
+def test_evaluating_no_sequences_raises_value_error(task):
+    model = build_model(tiny_train_config(task=task), Rng(0))
+    evaluate = eval_adding if task == "adding" else lambda m, s: eval_rollout(m, s, 3, 2)
+    with pytest.raises(ValueError, match="no sequences to evaluate"):
+        evaluate(model, [])
 
 
 def test_eval_rollout_window_validation():
