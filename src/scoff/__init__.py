@@ -6,10 +6,9 @@ attention. Includes a taped float64 autodiff core, synthetic video and
 adding tasks, a training harness with a monolithic GRU baseline, and a CLI.
 """
 
-from .numerics import (Tape, Tensor, backward, grad_check, matmul,
-                       sample_gumbel, softmax)
+from .numerics import Tape, Tensor, backward, grad_check, matmul, sample_gumbel
 from .rng import Rng
-from .attention import attend, gumbel_st_select, topk_mask
+from .attention import attend, topk_mask
 from .recurrent import SchemaParams, gru_step, init_schema, recurrent_param_count
 from .layer import ScoffConfig, ScoffLayer, StepTrace
 from .codec import CodecConfig, FrameReadout, PositionEncoder, ScalarReadout, \
@@ -21,8 +20,8 @@ from .training import (Adam, MetricsRecord, TrainConfig, bce_per_frame,
 
 __all__ = [
     "Tape", "Tensor", "backward", "grad_check", "matmul", "sample_gumbel",
-    "softmax", "Rng", "attend", "gumbel_st_select", "topk_mask", "SchemaParams",
-    "gru_step", "init_schema", "recurrent_param_count",
+    "Rng", "attend", "topk_mask", "SchemaParams", "gru_step", "init_schema",
+    "recurrent_param_count",
     "ScoffConfig", "ScoffLayer", "StepTrace", "CodecConfig", "FrameReadout",
     "PositionEncoder", "ScalarReadout", "TokenEncoder", "GruBaseline",
     "ScoffModel", "Adam", "MetricsRecord", "TrainConfig", "bce_per_frame",

@@ -1,6 +1,7 @@
-"""Scaled dot-product key-value attention in the three flavors the layer uses:
-soft competition among slots for input positions, hard Gumbel selection over
-the schema bank, and soft pairwise communication between slots.
+"""Scaled dot-product key-value attention as the layer uses it: soft
+competition among slots for input positions and soft pairwise communication
+between slots. The hard Gumbel selection over the schema bank lives in the
+layer (``layer.ScoffLayer._select``).
 """
 
 import numpy as np
@@ -98,58 +99,6 @@ def attend(queriers: Tensor, candidates: Tensor, w_query: Tensor, w_key: Tensor,
 
     return weights, nm.record(used @ vd, (queriers, candidates, w_query, w_key, w_value),
                               back)
-
-
-def gumbel_st_select(logits: Tensor, noise: Tensor, tau: float = 1.0,
-                     hard: bool = True):
-    """Gumbel selection along the last axis, for logits of any rank >= 1, as
-    one fused tape op.
-
-    index = argmax(logits + noise) per row, ties to the lowest index, and
-    soft = softmax((logits + noise) / tau). With ``hard`` the returned
-    selection is exactly one-hot in value but carries the gradient of soft;
-    without it the selection is soft itself. Returns (selection, soft as an
-    ndarray that the backward pass, and in soft mode the selection, share and
-    nothing mutates, index). Values and gradients are bit-identical to the
-    same chain of elementary ops (see the numerics module docstring).
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    logits = nm.as_tensor(logits)
-    noise = nm.as_tensor(noise)
-    if logits.data.ndim < 1 or logits.shape != noise.shape:
-        raise ValueError(f"logits and noise must share a shape of rank >= 1, "
-                         f"got {logits.shape} and {noise.shape}")
-    scores = logits.data + noise.data
-    inv_tau = 1.0 / tau
-    out, index = st_pick(scores, inv_tau, hard)
-    soft = tempered_softmax(scores, inv_tau) if hard else out
-
-    def back(g):
-        g_s = st_grad(g, soft, inv_tau)
-        nm.accum(logits, g_s)
-        nm.accum(noise, g_s)
-
-    return nm.record(out, (logits, noise), back), soft, index
-
-
-def st_pick(scores: np.ndarray, inv_tau: float, hard: bool):
-    """(selection values, index) of a Gumbel selection over the last axis of
-    scores = logits + noise: the one-hot argmax, ties to the lowest index, or
-    in soft mode the soft scores. The layer's fused selection shares it."""
-    index = np.argmax(scores, axis=-1)
-    if hard:
-        return (index[..., None] == np.arange(scores.shape[-1])).astype(np.float64), index
-    return tempered_softmax(scores, inv_tau), index
-
-
-def tempered_softmax(scores: np.ndarray, inv_tau: float) -> np.ndarray:
-    return nm.stable_softmax(scores * inv_tau, -1)
-
-
-def st_grad(g: np.ndarray, soft: np.ndarray, inv_tau: float) -> np.ndarray:
-    """The scores' gradient from the selection's, through the soft scores."""
-    return soft * (g - (g * soft).sum(axis=-1, keepdims=True)) * inv_tau
 
 
 def topk_mask(scores, k: int) -> np.ndarray:

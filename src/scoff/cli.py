@@ -176,9 +176,9 @@ def _restore(resolved: dict):
         cfg = to_train_config(stored)
     except KeyError as e:
         raise ValueError(f"{ckpt_dir}: stored config lacks key {e}") from None
+    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     model = build_model(cfg, Rng(stored["seed"]).spawn(0))
     restore_model(model, tensors)
-    test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     return model, cfg, {**stored, "data": data_dir, "checkpoint": ckpt_dir}, test
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .attention import (AttentionProjections, attend, st_grad, st_pick,
-                        tempered_softmax, topk_mask)
+from .attention import AttentionProjections, attend, topk_mask
 from .numerics import Tensor
 from .recurrent import gru_step, init_schema
 from .rng import Rng
@@ -134,8 +133,9 @@ class ScoffLayer:
     def _select(self, hyps: list, state: Tensor, noise: Tensor):
         """(new rows [n_f, d_h], indices [n_f]): the raw dots of each slot's
         query with the keys of its hypotheses ``hyps``, the Gumbel pick and the
-        selection-weighted sum of the hypotheses, as one fused tape op. In
-        hard mode only the backward pass computes the soft scores."""
+        selection-weighted sum of the hypotheses, as one fused tape op. The
+        pick is the argmax of the scores, ties to the lowest schema; in hard
+        mode only the backward pass computes softmax(scores / tau)."""
         n_f, d_h = state.shape
         n_s, hard = len(hyps), self.config.hard_selection
         sel_query, sel_key, inv_tau = self.sel_query, self.sel_key, 1.0 / self.config.tau
@@ -144,7 +144,11 @@ class ScoffLayer:
         keys = (flat @ sel_key.data).reshape(n_f, n_s, -1)
         q = (state.data @ sel_query.data).reshape(n_f, 1, -1)
         scores = (q * keys).sum(axis=2) + noise.data
-        sel, indices = st_pick(scores, inv_tau, hard)
+        indices = np.argmax(scores, axis=-1)
+        if hard:
+            sel = (indices[:, None] == np.arange(n_s)).astype(np.float64)
+        else:
+            sel = nm.stable_softmax(scores * inv_tau, -1)
         sel3 = sel.reshape(n_f, n_s, 1)
 
         def back(g):
@@ -155,7 +159,8 @@ class ScoffLayer:
             g_sel = (g * hstack).sum(axis=2)
             for j, h in enumerate(hyps):
                 nm.accum(h, g_h[:, j])
-            g = st_grad(g_sel, tempered_softmax(scores, inv_tau) if hard else sel, inv_tau)
+            soft = nm.stable_softmax(scores * inv_tau, -1) if hard else sel
+            g = soft * (g_sel - (g_sel * soft).sum(axis=-1, keepdims=True)) * inv_tau
             nm.accum(noise, g)
             g = g[:, :, None]
             g_q = (g * keys).sum(axis=1)

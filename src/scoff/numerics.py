@@ -17,9 +17,7 @@ one node instead of one per op. The fused ops are:
 - ``tensor_mean`` (sum, then scale by 1/n);
 - ``recurrent.gru_step`` (one GRU cell over rows, its gates stacked);
 - ``attention.attend`` (one attention head: its query, key and value
-  projections, the scaled scores, softmax, dropout and weighted sum) and
-  ``attention.gumbel_st_select`` (noise, temperature, softmax and the
-  straight-through one-hot);
+  projections, the scaled scores, softmax, dropout and weighted sum);
 - ``codec.Perceptron.__call__`` (the two-layer tanh perceptron),
   ``EncoderBase.beside_positions`` (feature rows beside the position table),
   ``ReadoutBase._pool`` (attention pooling over each state's slot rows), and
@@ -27,7 +25,8 @@ one node instead of one per op. The fused ops are:
   beside the position table) and unpatching (patch rows back to frames);
 - ``layer.ScoffLayer._select``, the whole schema selection: the scoring of
   the stacked hypotheses (key and query projections, logits), the Gumbel pick
-  (the core of ``gumbel_st_select``) and their mixing by the selection.
+  (noise, temperature, softmax and the straight-through one-hot) and their
+  mixing by the selection.
 
 A fused op must give the same bits as the chain it replaces: its forward
 evaluates the same numpy expressions in the same order, and its backward

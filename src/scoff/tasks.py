@@ -30,11 +30,12 @@ SINGLE_MODES = ("accelerate", "constant", "random_walk")
 MODE_IDS = {name: i for i, name in enumerate(SINGLE_MODES)}
 V_CLAMP = 3  # accelerate mode keeps each velocity component in [-3, 3]
 
-# each task's dataset-file id and the defaults that depend on the task
+# each task's dataset-file id, a frame task's count of dynamics modes (its
+# labels lie below it) and the defaults that depend on the task
 TASKS = {
-    "single": {"id": 1, "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
-    "switching": {"id": 2, "length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
-    "bouncing": {"id": 3, "length": 30, "lr": 1e-4, "burn_in": 10, "horizon": 15},
+    "single": {"id": 1, "modes": 3, "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "switching": {"id": 2, "modes": 2, "length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "bouncing": {"id": 3, "modes": 1, "length": 30, "lr": 1e-4, "burn_in": 10, "horizon": 15},
     "adding": {"id": 4, "length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
 }
 FRAME_TASKS = ("single", "switching", "bouncing")
@@ -382,8 +383,11 @@ def read_exact(f, n: int, what: str) -> bytes:
 
 def read_dataset(path, task: str) -> list:
     """Sequences of a dataset file of ``task``; a file of an unknown or another
-    task, of another frame size (16x16 frames, 0x0 for adding), or a short,
-    overlong or empty one, raises ValueError naming it."""
+    task, of another frame size (16x16 frames, 0x0 for adding), a short,
+    overlong or empty one, or one holding a value the model cannot take
+    (a frame pixel or an adding indicator outside {0, 1}, a label outside the
+    task's modes, a non-finite adding value or target) raises ValueError
+    naming it."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path} is not a dataset file")
@@ -399,19 +403,33 @@ def read_dataset(path, task: str) -> list:
         if (h, w) != size:
             raise ValueError(f"{path} holds {h}x{w} frames, expected {size[0]}x{size[1]}")
         out = []
-        for _ in range(count):
+        for k in range(count):
             if task == "adding":
                 triples = np.frombuffer(read_exact(f, 8 * 3 * t_or_l, "sequence"),
                                         dtype="<f8").reshape(t_or_l, 3)
                 target, n_ops = struct.unpack("<dI", read_exact(f, 12, "sequence"))
+                if not (np.isfinite(triples[:, 0]).all() and np.isfinite(target)):
+                    raise ValueError(f"{path}: sequence {k} holds a non-finite value "
+                                     f"or target")
+                marks = triples[:, 1:]
+                if not ((marks == 0.0) | (marks == 1.0)).all():
+                    raise ValueError(f"{path}: sequence {k} holds an indicator "
+                                     f"outside {{0, 1}}")
                 out.append(AddingSequence(
                     triples[:, 0].astype(np.float64),
-                    triples[:, 1:].astype(np.uint8), float(target), n_ops))
+                    marks.astype(np.uint8), float(target), n_ops))
             else:
                 frames = np.frombuffer(read_exact(f, t_or_l * h * w, "sequence"),
                                        dtype=np.uint8)
                 frames = frames.reshape(t_or_l, h, w).copy()
                 labels = np.frombuffer(read_exact(f, t_or_l, "sequence"), dtype=np.uint8)
+                if (frames > 1).any():
+                    raise ValueError(f"{path}: sequence {k} holds a frame value "
+                                     f"outside {{0, 1}}")
+                modes = TASKS[task]["modes"]
+                if (labels >= modes).any():
+                    raise ValueError(f"{path}: sequence {k} holds label {labels.max()}, "
+                                     f"but {task} has {modes} modes")
                 out.append(FrameSequence(
                     task, frames, labels.astype(np.int64),
                     indicators=(task == "switching"),

@@ -1,8 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a pass line.
 
-Criteria 1-4 and 9 are here. The training criteria 5-8 (schema
-specialization, adding generalization, bouncing rollout ordering) are not
-implemented yet; the recipe constants below are pinned for them, unused.
+Criteria 1-4 and 9 are here. Criterion 4, the straight-through contract, runs
+on the layer's own selection (``ScoffLayer.schema_select_update``). The
+training criteria 5-8 (schema specialization, adding generalization, bouncing
+rollout ordering) are not implemented yet; the recipe constants below are
+pinned for them, unused.
 """
 
 import json
@@ -13,12 +15,11 @@ import numpy as np
 import pytest
 
 import scoff.numerics as nm
-from scoff.attention import gumbel_st_select
 from scoff.cli import main as cli_main
 from scoff.codec import CodecConfig, FrameReadout, PositionEncoder, ScalarReadout
 from scoff.layer import ScoffConfig, ScoffLayer
 from scoff.numerics import Tape, Tensor, backward, grad_check
-from scoff.recurrent import recurrent_param_count
+from scoff.recurrent import gru_step, recurrent_param_count
 from scoff.rng import Rng
 from scoff.tasks import (gen_adding, gen_bouncing_mini, gen_switching_dynamics)
 from scoff.training import (TrainConfig, collect_traces, eval_adding,
@@ -179,40 +180,48 @@ def test_criterion_3_parameter_reduction():
 # ------------------------------------------------------------------ criterion 4
 
 def test_criterion_4_straight_through_contract():
+    """The layer's own selection: each slot's row is exactly the GRU update of
+    the schema that wins argmax(q·k + noise), and the noise receives the
+    gradient of the soft objective Σ softmax((q·k + noise)/τ)·(W·h)."""
     rng = Rng(4040)
     worst = 0.0
     for trial in range(20):
-        n = 2 + rng.randint(5)
-        logits_v = rand(rng, (n,)) * 2.0
-        noise_v = np.asarray(rng.gumbel((n,)))
-        w = rand(rng, (n,))
-        tau = 0.5 + rng.uniform()
+        n_f, n_s, tau = 1 + rng.randint(4), 2 + rng.randint(4), 0.5 + rng.uniform()
+        layer = ScoffLayer(ScoffConfig(n_f=n_f, n_s=n_s, d_h=6, d_in=4, inp_keys=3,
+                                       inp_values=4, sel_keys=3, comm_keys=3, tau=tau), rng)
+        z, state = Tensor(rand(rng, (n_f, 4))), Tensor(rand(rng, (n_f, 6)))
+        noise_v = np.asarray(rng.gumbel((n_f, n_s)))
+        w = rand(rng, (n_f, 6))
 
-        logits = Tensor(logits_v, requires_grad=True)
+        noise = Tensor(noise_v, requires_grad=True)
         with Tape() as tape:
-            sel, soft, idx = gumbel_st_select(logits, Tensor(noise_v), tau=tau)
-            loss = (sel * Tensor(w)).sum()
-        hard = sel.data
-        assert sorted(hard.tolist()) == [0.0] * (n - 1) + [1.0]
-        assert hard[idx] == 1.0
+            rows, idx = layer.schema_select_update(z, state, noise=noise)
+            loss = (rows * Tensor(w)).sum()
         backward(loss, tape)
-        analytic = logits.grad.copy()
+        for i in range(n_f):
+            assert np.array_equal(rows.data[i], gru_step(z, state, layer.bank[idx[i]]).data[i])
+        hyps = np.stack([gru_step(z, state, theta).data for theta in layer.bank], axis=1)
+        q = state.data @ layer.sel_query.data
+        dots = (q[:, None] * (hyps @ layer.sel_key.data)).sum(axis=2)
+        assert np.array_equal(idx, np.argmax(dots + noise_v, axis=1))
+        terms = (hyps * w[:, None]).sum(axis=2)  # W·h for every slot and schema
 
         def soft_objective(x):
-            s = (x + noise_v) / tau
-            e = np.exp(s - s.max())
-            return float((e / e.sum() * w).sum())
+            s = (dots + x) / tau
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            return float((e / e.sum(axis=1, keepdims=True) * terms).sum())
 
         eps = 1e-5
-        for i in range(n):
-            up, dn = logits_v.copy(), logits_v.copy()
-            up[i] += eps
-            dn[i] -= eps
+        for pos in np.ndindex(n_f, n_s):
+            up, dn = noise_v.copy(), noise_v.copy()
+            up[pos] += eps
+            dn[pos] -= eps
             num = (soft_objective(up) - soft_objective(dn)) / (2 * eps)
-            rel = abs(analytic[i] - num) / max(1.0, abs(analytic[i]), abs(num))
+            analytic = noise.grad[pos]
+            rel = abs(analytic - num) / max(1.0, abs(analytic), abs(num))
             worst = max(worst, rel)
             assert rel < 1e-4
-    ok(4, f"forward exactly one-hot; soft-path gradient max rel err {worst:.2e}")
+    ok(4, f"each row the picked schema's GRU update; noise gradient max rel err {worst:.2e}")
 
 
 # ------------------------------------------------------------------ criterion 9

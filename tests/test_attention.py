@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import scoff.numerics as nm
-from scoff.attention import (AttentionProjections, attend, gumbel_st_select,
-                             topk_mask)
+from scoff.attention import AttentionProjections, attend, topk_mask
 from scoff.numerics import Tape, Tensor, backward, grad_check
 from scoff.rng import Rng
 
@@ -254,160 +253,6 @@ def test_projections_validation():
     with pytest.raises(ValueError, match="dropout"):
         AttentionProjections(rng, 4, 6, 6, heads=2, key_width=3, value_width=8,
                              dropout=1.0)
-
-
-# ------------------------------------------------------------ gumbel selection
-
-def test_gumbel_select_dominant_logit():
-    sel, soft, idx = gumbel_st_select(Tensor([10.0, 0.0, 0.0]),
-                                      Tensor([0.0, 0.0, 0.0]))
-    assert idx == 0
-    assert np.array_equal(sel.data, [1.0, 0.0, 0.0])
-
-
-def test_gumbel_select_noise_decides_on_ties():
-    sel, _, idx = gumbel_st_select(Tensor([1.0, 1.0, 1.0]),
-                                   Tensor([0.3, 0.9, 0.1]))
-    assert idx == 1
-    assert np.array_equal(sel.data, [0.0, 1.0, 0.0])
-
-
-def test_gumbel_select_tie_breaks_to_lowest_index():
-    _, _, idx = gumbel_st_select(Tensor([2.0, 2.0]), Tensor([0.0, 0.0]))
-    assert idx == 0
-
-
-def test_gumbel_select_shift_invariance_of_argmax():
-    rng = Rng(44)
-    for _ in range(25):
-        logits = rand(rng, (5,))
-        noise = np.asarray(rng.gumbel((5,)))
-        _, _, i0 = gumbel_st_select(Tensor(logits), Tensor(noise))
-        _, _, i1 = gumbel_st_select(Tensor(logits + 7.25), Tensor(noise))
-        assert i0 == i1
-
-
-def test_gumbel_select_outputs_are_onehot_and_normalized():
-    rng = Rng(45)
-    for _ in range(25):
-        sel, soft, idx = gumbel_st_select(Tensor(rand(rng, (4,))),
-                                          Tensor(np.asarray(rng.gumbel((4,)))),
-                                          tau=0.7)
-        assert sorted(sel.data.tolist()) == [0.0, 0.0, 0.0, 1.0]
-        assert sel.data[idx] == 1.0
-        assert isinstance(soft, np.ndarray)
-        assert abs(soft.sum() - 1.0) < 1e-12
-
-
-def test_gumbel_select_rejects_bad_tau_and_empty():
-    with pytest.raises(ValueError):
-        gumbel_st_select(Tensor([1.0]), Tensor([0.0]), tau=0.0)
-    with pytest.raises(ValueError):
-        gumbel_st_select(Tensor([1.0, 2.0]), Tensor([0.0]))
-
-
-def test_gumbel_straight_through_gradient_matches_soft_path():
-    # d(hard . w)/dlogits must equal the finite-difference gradient of the
-    # softened objective soft(logits) . w
-    rng = Rng(46)
-    logits_v = rand(rng, (4,))
-    noise_v = np.asarray(rng.gumbel((4,)))
-    w = rand(rng, (4,))
-    tau = 0.8
-
-    logits = Tensor(logits_v, requires_grad=True)
-    with Tape() as tape:
-        sel, _, _ = gumbel_st_select(logits, Tensor(noise_v), tau=tau)
-        loss = (sel * Tensor(w)).sum()
-    backward(loss, tape)
-    analytic = logits.grad.copy()
-
-    def soft_objective(x):
-        s = x + noise_v
-        s = s / tau
-        e = np.exp(s - s.max())
-        p = e / e.sum()
-        return float((p * w).sum())
-
-    eps = 1e-5
-    for i in range(4):
-        up, dn = logits_v.copy(), logits_v.copy()
-        up[i] += eps
-        dn[i] -= eps
-        num = (soft_objective(up) - soft_objective(dn)) / (2 * eps)
-        rel = abs(analytic[i] - num) / max(1.0, abs(analytic[i]), abs(num))
-        assert rel < 1e-4
-
-
-def gumbel_chain(logits, noise, tau=1.0, hard=True):
-    """Reference: Gumbel selection as a chain of elementary taped ops, its
-    one-hot built by zeros and ``np.put_along_axis``."""
-    scores = logits + noise
-    index = np.argmax(scores.data, axis=-1)
-    soft = nm.softmax(scores * (1.0 / tau), axis=-1)
-    if not hard:
-        return soft, soft.data, index
-    onehot = np.zeros(logits.shape)
-    np.put_along_axis(onehot, index[..., None], 1.0, axis=-1)
-    return nm.straight_through(soft, onehot), soft.data, index
-
-
-def projected_selection(select, shape, tau, hard):
-    """Selection over projected logits, the selection used twice and the
-    logits once more besides, so that every leaf collects several
-    contributions. Returns (selection, soft, index, loss, leaves)."""
-    rng = Rng(89)
-    x = Tensor(rand(rng, (*shape[:-1], 3)), requires_grad=True)
-    proj = Tensor(rand(rng, (3, shape[-1])), requires_grad=True)
-    noise = Tensor(np.asarray(rng.gumbel(shape)))
-    w = Tensor(rand(rng, shape))
-    with Tape() as tape:
-        flat = x if x.data.ndim == 2 else nm.reshape(x, (1, 3))
-        logits = nm.reshape(nm.matmul(flat, proj), shape)
-        sel, soft, index = select(logits, noise, tau, hard)
-        loss = (sel * w).sum() + (sel * logits).sum() + (logits * logits).sum()
-    backward(loss, tape)
-    return sel, soft, index, loss, [x, proj]
-
-
-@pytest.mark.parametrize("shape", [(5,), (4, 3)])
-@pytest.mark.parametrize("tau", [1.0, 0.6])
-@pytest.mark.parametrize("hard", [True, False])
-def test_fused_gumbel_matches_op_chain_bit_for_bit(shape, tau, hard):
-    sel, soft, index, loss, leaves = projected_selection(gumbel_st_select, shape, tau, hard)
-    ref = projected_selection(gumbel_chain, shape, tau, hard)
-    assert np.array_equal(index, ref[2])
-    assert isinstance(soft, np.ndarray) and np.array_equal(soft, ref[1])
-    for got, want in zip((sel, loss), (ref[0], ref[3])):
-        assert np.array_equal(got.data, want.data)
-    for got, want in zip(leaves, ref[4]):
-        assert got.grad.shape == want.grad.shape
-        assert (got.grad == want.grad).all()
-
-
-def test_fused_gumbel_grad_check_soft_mode():
-    # the hard forward is piecewise constant, so finite differences can only
-    # check the soft mode; the straight-through contract is tested above and
-    # by criterion 4
-    rng = Rng(97)
-    logits = Tensor(rand(rng, (3, 4)), requires_grad=True)
-    noise = Tensor(np.asarray(rng.gumbel((3, 4))), requires_grad=True)
-    w = Tensor(rand(rng, (3, 4)))
-
-    def f(params):
-        sel, _, _ = gumbel_st_select(params[0], params[1], tau=0.6, hard=False)
-        return (sel * w).sum()
-
-    assert grad_check(f, [logits, noise], eps=1e-5) < 1e-6
-
-
-@pytest.mark.parametrize("hard", [True, False])
-def test_gumbel_select_appends_one_tape_node(hard):
-    logits = Tensor(rand(Rng(99), (2, 3)), requires_grad=True)
-    with Tape() as tape:
-        sel, _, _ = gumbel_st_select(logits, Tensor(np.zeros((2, 3))), 0.5, hard)
-    assert len(tape.nodes) == 1
-    assert tape.nodes[0] is sel
 
 
 # ------------------------------------------------------------------- topk mask

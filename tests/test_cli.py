@@ -346,7 +346,8 @@ def test_non_finite_lr_exits_1_and_writes_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", ["epochs=0", "batch_size=0", "eval_subset=0",
                                       "n_sel=9", "burn_in=0", "horizon=0",
-                                      "patch=3", "d_c=0", "readout_width=0"])
+                                      "patch=3", "d_c=0", "readout_width=0",
+                                      "tau=0", "tau=-1"])
 def test_out_of_range_value_exits_1_before_reading_data(tmp_path, capsys, override):
     data_dir = str(tmp_path / "data")
     assert run_cli("gen-data", "--set", "task=switching", "--set", "train_count=2",
@@ -410,6 +411,53 @@ def test_train_on_another_frame_size_exits_2_naming_the_file_and_writes_nothing(
                    "--out", str(run_dir)) == 2
     err = capsys.readouterr().err
     assert f"{data_dir / 'train.scfd'} holds 8x8 frames, expected 16x16" in err
+    assert not run_dir.exists()
+
+
+def _spoil_frame(seq):
+    seq.frames[2, 5, 5] = 2
+
+
+def _spoil_label(seq):
+    seq.labels[3] = 9
+
+
+def _spoil_value(seq):
+    seq.values[4] = np.nan
+
+
+def _spoil_target(seq):
+    seq.target = np.inf
+
+
+def _spoil_indicator(seq):
+    seq.indicators = seq.indicators.astype(np.float64)
+    seq.indicators[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("task,spoil,message", [
+    ("bouncing", _spoil_frame, "holds a frame value outside {0, 1}"),
+    ("switching", _spoil_label, "holds label 9, but switching has 2 modes"),
+    ("adding", _spoil_value, "holds a non-finite value or target"),
+    ("adding", _spoil_target, "holds a non-finite value or target"),
+    ("adding", _spoil_indicator, "holds an indicator outside {0, 1}"),
+], ids=["frame", "label", "value", "target", "indicator"])
+def test_train_on_a_value_the_model_cannot_take_exits_2_naming_the_file(
+        tmp_path, capsys, task, spoil, message):
+    from scoff import tasks
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    seqs = tasks.generate(tasks.DataConfig(task=task, length=11), 3, 2, 0)
+    tasks.write_dataset(str(data_dir / "test.scfd"), seqs)
+    spoil(seqs[1])
+    tasks.write_dataset(str(data_dir / "train.scfd"), seqs)
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--set", f"task={task}", "--set", f"data={data_dir}",
+                   "--set", "epochs=1", "--set", "burn_in=2", "--set", "horizon=3",
+                   "--set", "n_f=2", "--set", "d_h=4", "--set", "comm_heads=1",
+                   "--out", str(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert f"{data_dir / 'train.scfd'}: sequence 1 {message}" in err
     assert not run_dir.exists()
 
 

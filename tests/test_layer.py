@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import scoff.numerics as nm
-from scoff.attention import gumbel_st_select
 from scoff.layer import ScoffConfig, ScoffLayer, StepTrace, schema_usage
 from scoff.numerics import Tape, Tensor, backward, grad_check
 from scoff.recurrent import gru_step
@@ -109,7 +108,7 @@ def test_single_schema_reduces_to_plain_gru():
     h_new, idx = layer.schema_select_update(z, state, noise=Tensor(np.zeros((3, 1))))
     assert (idx == 0).all()
     logits, _ = chain_logits(layer, hypotheses(layer, z, state), state)
-    _, soft, _ = gumbel_st_select(logits, Tensor(np.zeros((3, 1))))
+    _, soft, _ = gumbel_chain(logits, Tensor(np.zeros((3, 1))))
     assert np.allclose(soft, 1.0)
     plain = gru_step(z, state, layer.bank[0])
     assert np.max(np.abs(h_new.data - plain.data)) < 1e-15
@@ -129,6 +128,19 @@ def test_identical_schemata_give_identical_updates():
     h_b, idx_b = layer.schema_select_update(z, state, noise=noise_b)
     assert (idx_a == 0).all() and (idx_b == 1).all()
     assert np.max(np.abs(h_a.data - h_b.data)) < 1e-12
+    # with zero noise the scores tie, and a tie goes to the lowest schema
+    _, idx = layer.schema_select_update(z, state)
+    assert (idx == 0).all()
+
+
+def test_noise_of_another_shape_is_rejected():
+    layer = make_layer(seed=17)
+    rng = Rng(18)
+    state = Tensor(rand(rng, (3, 8)))
+    z = Tensor(rand(rng, (3, 8)))
+    for shape in ((3, 3), (2, 2), (6,)):
+        with pytest.raises(ValueError, match="noise must be"):
+            layer.schema_select_update(z, state, noise=Tensor(np.zeros(shape)))
 
 
 def test_selection_frequencies_follow_categorical_law():
@@ -137,7 +149,7 @@ def test_selection_frequencies_follow_categorical_law():
     state = Tensor(rand(rng, (1, 8)))
     z = Tensor(rand(rng, (1, 8)))
     logits, _ = chain_logits(layer, hypotheses(layer, z, state), state)
-    _, soft, _ = gumbel_st_select(logits, Tensor(np.zeros((1, 2))))
+    _, soft, _ = gumbel_chain(logits, Tensor(np.zeros((1, 2))))
     law = soft[0]  # softmax of the actual logits at tau=1
 
     noise_rng = Rng(14)
@@ -393,14 +405,27 @@ def chain_logits(layer, hyps, state):
     return (q * keys).sum(axis=2), hstack
 
 
+def gumbel_chain(logits, noise, tau=1.0, hard=True):
+    """Reference: Gumbel selection along the last axis as a chain of
+    elementary taped ops, its one-hot built by zeros and
+    ``np.put_along_axis``. Returns (selection, soft as an ndarray, index)."""
+    scores = logits + noise
+    index = np.argmax(scores.data, axis=-1)
+    soft = nm.softmax(scores * (1.0 / tau), axis=-1)
+    if not hard:
+        return soft, soft.data, index
+    onehot = np.zeros(logits.shape)
+    np.put_along_axis(onehot, index[..., None], 1.0, axis=-1)
+    return nm.straight_through(soft, onehot), soft.data, index
+
+
 def select_update_chain(layer, z, state, rng):
-    """Reference: schema selection and update with its scoring and mixing as
-    chains of elementary taped ops (the selection itself is the fused
-    ``gumbel_st_select``, checked against its own chain in test_attention)."""
+    """Reference: schema selection and update with its scoring, Gumbel pick
+    and mixing as one chain of elementary taped ops."""
     c = layer.config
     logits, hstack = chain_logits(layer, hypotheses(layer, z, state), state)
     noise = nm.sample_gumbel(rng, (c.n_f, c.n_s))
-    sel, _, indices = gumbel_st_select(logits, noise, c.tau, c.hard_selection)
+    sel, _, indices = gumbel_chain(logits, noise, c.tau, c.hard_selection)
     return (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1), indices
 
 
@@ -471,7 +496,7 @@ def test_greedy_steps_without_tape_match_the_chain_bit_for_bit(n_s, hard, n_sel)
     def chain(z, state, rng=None, noise=None):
         c = layer.config
         logits, hstack = chain_logits(layer, hypotheses(layer, z, state), state)
-        sel, _, indices = gumbel_st_select(logits, nm.zeros((c.n_f, c.n_s)), c.tau, hard)
+        sel, _, indices = gumbel_chain(logits, nm.zeros((c.n_f, c.n_s)), c.tau, hard)
         return (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1), indices
 
     layer.schema_select_update = chain
