@@ -4,6 +4,13 @@ Video tasks live on a 16x16 binary grid with 2x2 balls and small integer
 velocities, so the physics is exact and every frame can be re-rendered from
 the recorded ball states. The adding task produces value/indicator channel
 sequences with an exact scalar target.
+
+A frame generator tracks, then renders. Its step loop is plain integer
+arithmetic on Python ints that appends each step's positions and velocities
+to flat lists; one bulk copy then fills each [T, n_balls, 2] array from its
+list, and one ``render_frames`` call draws all T frames. A numpy write per
+step or a render per frame costs more in call overhead than the physics
+itself on arrays this small.
 """
 
 import struct
@@ -31,12 +38,17 @@ MODE_IDS = {name: i for i, name in enumerate(SINGLE_MODES)}
 V_CLAMP = 3  # accelerate mode keeps each velocity component in [-3, 3]
 
 # each task's dataset-file id, a frame task's count of dynamics modes (its
-# labels lie below it) and the defaults that depend on the task
+# labels lie below it), the shortest sequence it has (what the generator
+# needs and a model can step through) and the defaults that depend on the task
 TASKS = {
-    "single": {"id": 1, "modes": 3, "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
-    "switching": {"id": 2, "modes": 2, "length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
-    "bouncing": {"id": 3, "modes": 1, "length": 30, "lr": 1e-4, "burn_in": 10, "horizon": 15},
-    "adding": {"id": 4, "length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
+    "single": {"id": 1, "modes": 3, "min_length": 2,
+               "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "switching": {"id": 2, "modes": 2, "min_length": 11,
+                  "length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
+    "bouncing": {"id": 3, "modes": 1, "min_length": 2,
+                 "length": 30, "lr": 1e-4, "burn_in": 10, "horizon": 15},
+    "adding": {"id": 4, "min_length": 1,
+               "length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
 }
 FRAME_TASKS = ("single", "switching", "bouncing")
 _WALK_STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
@@ -79,16 +91,45 @@ class AddingSequence:
         return np.column_stack([self.values, self.indicators.astype(np.float64)])
 
 
-def render_frame(positions, indicator_mode=None, occluder=None) -> np.ndarray:
-    frame = np.zeros((GRID, GRID), dtype=np.uint8)
-    for r, c in np.asarray(positions).reshape(-1, 2):
-        frame[r:r + BALL, c:c + BALL] = 1
-    if indicator_mode is not None:
-        frame[INDICATOR_ROW, int(indicator_mode)] = 1
+# offsets of a ball's BALL x BALL pixels from its top-left pixel, in a
+# flattened frame
+_BALL_PIXELS = np.array([r * GRID + c for r in range(BALL) for c in range(BALL)])
+
+
+def render_frames(positions, indicator_modes=None, occluder=None) -> np.ndarray:
+    """uint8 frames [T, GRID, GRID] of the balls at ``positions`` [T, n_balls, 2]
+    (top-left pixels, each coordinate in [0, POS_MAX]), with the pixel
+    (INDICATOR_ROW, mode) set for each step's mode in ``indicator_modes`` [T]
+    and the ``occluder`` rectangle (top, left, height, width) cleared."""
+    positions = np.asarray(positions)
+    count = positions.shape[0]
+    frames = np.zeros((count, GRID, GRID), dtype=np.uint8)
+    corners = (positions[..., 0] * GRID + positions[..., 1]
+               + np.arange(0, count * GRID * GRID, GRID * GRID)[:, None])
+    frames.reshape(-1)[corners[..., None] + _BALL_PIXELS] = 1
+    if indicator_modes is not None:
+        frames[np.arange(count), INDICATOR_ROW, indicator_modes] = 1
     if occluder is not None:
         top, left, h, w = occluder
-        frame[top:top + h, left:left + w] = 0
-    return frame
+        frames[:, top:top + h, left:left + w] = 0
+    return frames
+
+
+def _check_length(task: str, length: int) -> None:
+    least = TASKS[task]["min_length"]
+    if length < least:
+        raise ValueError(f"length must be >= {least}, got {length}")
+
+
+def _tracks(track: list, speeds: list, n_balls: int) -> tuple:
+    """int64 positions and velocities [T, n_balls, 2] of flat per-step lists.
+    Each is filled in place rather than reshaped, so that it owns its data:
+    a reshaped view would keep a second array object alive per sequence."""
+    shape = (len(track) // (2 * n_balls), n_balls, 2)
+    positions, velocities = np.empty(shape, np.int64), np.empty(shape, np.int64)
+    positions.reshape(-1)[:] = track
+    velocities.reshape(-1)[:] = speeds
+    return positions, velocities
 
 
 def _reflect(p: int, v: int, lo: int = 0, hi: int = POS_MAX) -> tuple:
@@ -129,8 +170,7 @@ def gen_single_dynamics(rng: Rng, length: int, mode: str, accel=None,
     to +-V_CLAMP); constant: fixed v; random_walk: a fresh unit direction
     every step. Walls reflect.
     """
-    if length < 2:
-        raise ValueError(f"length must be >= 2, got {length}")
+    _check_length("single", length)
     if mode not in SINGLE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     pos = _sample_position(rng) if start is None else tuple(start)
@@ -143,11 +183,8 @@ def gen_single_dynamics(rng: Rng, length: int, mode: str, accel=None,
     else:
         acc = (0, 0)
 
-    positions = np.zeros((length, 1, 2), dtype=np.int64)
-    velocities = np.zeros((length, 1, 2), dtype=np.int64)
-    positions[0, 0] = pos
-    velocities[0, 0] = vel
-    for t in range(1, length):
+    track, speeds = [*pos], [*vel]
+    for _ in range(1, length):
         if mode == "random_walk":
             vel = _WALK_STEPS[rng.randint(4)]
         elif mode == "accelerate":
@@ -156,10 +193,11 @@ def gen_single_dynamics(rng: Rng, length: int, mode: str, accel=None,
         r, vr = _reflect(pos[0], vel[0])
         c, vc = _reflect(pos[1], vel[1])
         pos, vel = (r, c), (vr, vc)
-        positions[t, 0] = pos
-        velocities[t, 0] = vel
+        track += pos
+        speeds += vel
 
-    frames = np.stack([render_frame(positions[t]) for t in range(length)])
+    positions, velocities = _tracks(track, speeds, 1)
+    frames = render_frames(positions)
     labels = np.full(length, MODE_IDS[mode], dtype=np.int64)
     return FrameSequence("single", frames, labels, positions, velocities)
 
@@ -169,8 +207,9 @@ def gen_switching_dynamics(rng: Rng, length: int) -> FrameSequence:
     switching exactly once at the midpoint. The pixel at (15, mode) marks the
     current dynamics.
     """
-    if length < 11 or length % 2 == 0:
-        raise ValueError(f"length must be odd and >= 11, got {length}")
+    _check_length("switching", length)
+    if length % 2 == 0:
+        raise ValueError(f"length must be odd, got {length}")
     first = rng.randint(2)  # 0 horizontal, 1 vertical
     span = OSC_HI - OSC_LO + 1
     fixed = rng.randint(span) + OSC_LO
@@ -179,24 +218,20 @@ def gen_switching_dynamics(rng: Rng, length: int) -> FrameSequence:
     switch_at = (length - 1) // 2
     labels = np.where(np.arange(length) < switch_at, first, 1 - first).astype(np.int64)
 
-    positions = np.zeros((length, 1, 2), dtype=np.int64)
-    velocities = np.zeros((length, 1, 2), dtype=np.int64)
+    track, speeds = [], []
+    for t in range(length):
+        if t:
+            moving, direction = _reflect(moving, direction, OSC_LO, OSC_HI)
+        # horizontal motion (mode 0) moves the column, vertical the row
+        if (first if t < switch_at else 1 - first) == 0:
+            track += fixed, moving
+            speeds += 0, direction
+        else:
+            track += moving, fixed
+            speeds += direction, 0
 
-    def state(mode, mov):
-        # horizontal motion moves the column (axis 1), vertical the row
-        return (fixed, mov) if mode == 0 else (mov, fixed)
-
-    positions[0, 0] = state(labels[0], moving)
-    velocities[0, 0] = (0, direction) if labels[0] == 0 else (direction, 0)
-    for t in range(1, length):
-        moving, direction = _reflect(moving, direction, OSC_LO, OSC_HI)
-        positions[t, 0] = state(labels[t], moving)
-        velocities[t, 0] = (0, direction) if labels[t] == 0 else (direction, 0)
-
-    frames = np.stack([
-        render_frame(positions[t], indicator_mode=int(labels[t]))
-        for t in range(length)
-    ])
+    positions, velocities = _tracks(track, speeds, 1)
+    frames = render_frames(positions, indicator_modes=labels)
     return FrameSequence("switching", frames, labels, positions, velocities,
                          indicators=True)
 
@@ -209,8 +244,7 @@ def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
     which conserves kinetic energy exactly. Occluder pixels are forced to
     background so balls pass behind.
     """
-    if length < 2:
-        raise ValueError(f"length must be >= 2, got {length}")
+    _check_length("bouncing", length)
     if not 1 <= n_balls <= 4:
         raise ValueError(f"n_balls must lie in [1, 4], got {n_balls}")
     pos = []
@@ -225,11 +259,11 @@ def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
             raise RuntimeError("could not place balls without overlap")
     vel = [_sample_velocity(rng) for _ in range(n_balls)]
 
-    positions = np.zeros((length, n_balls, 2), dtype=np.int64)
-    velocities = np.zeros((length, n_balls, 2), dtype=np.int64)
-    positions[0] = pos
-    velocities[0] = vel
-    for t in range(1, length):
+    track, speeds = [], []
+    for p, v in zip(pos, vel):
+        track += p
+        speeds += v
+    for _ in range(1, length):
         moved = []
         for i in range(n_balls):
             r, vr = _reflect(pos[i][0], vel[i][0])
@@ -243,12 +277,12 @@ def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
                     vel[i], vel[j] = vel[j], vel[i]
                     moved[i], moved[j] = pos[i], pos[j]
         pos = moved
-        positions[t] = pos
-        velocities[t] = vel
+        for p, v in zip(pos, vel):
+            track += p
+            speeds += v
 
-    frames = np.stack([
-        render_frame(positions[t], occluder=occluder) for t in range(length)
-    ])
+    positions, velocities = _tracks(track, speeds, n_balls)
+    frames = render_frames(positions, occluder=occluder)
     labels = np.zeros(length, dtype=np.int64)
     return FrameSequence("bouncing", frames, labels, positions, velocities,
                          occluder=occluder)
@@ -297,7 +331,7 @@ class DataConfig:
     def __post_init__(self):
         check_task(self.task)
         task, length, modes = self.task, self.length, ("mixed", *SINGLE_MODES)
-        least = {"switching": 11, "adding": 1}.get(task, 2)
+        least = TASKS[task]["min_length"]
         odd = " and odd" if task == "switching" else ""
         for key, ok, want in (
                 ("train_count", self.train_count >= 1, ">= 1"),
@@ -383,11 +417,11 @@ def read_exact(f, n: int, what: str) -> bytes:
 
 def read_dataset(path, task: str) -> list:
     """Sequences of a dataset file of ``task``; a file of an unknown or another
-    task, of another frame size (16x16 frames, 0x0 for adding), a short,
-    overlong or empty one, or one holding a value the model cannot take
-    (a frame pixel or an adding indicator outside {0, 1}, a label outside the
-    task's modes, a non-finite adding value or target) raises ValueError
-    naming it."""
+    task, of another frame size (16x16 frames, 0x0 for adding), of sequences
+    shorter than the task's ``min_length``, a short, overlong or empty one,
+    or one holding a value the model cannot take (a frame pixel or an adding
+    indicator outside {0, 1}, a label outside the task's modes, a non-finite
+    adding value or target) raises ValueError naming it."""
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path} is not a dataset file")
@@ -399,6 +433,10 @@ def read_dataset(path, task: str) -> list:
             raise ValueError(f"{path} holds {names[task_id]} sequences, expected {task}")
         if count == 0:
             raise ValueError(f"{path} holds no sequences")
+        least = TASKS[task]["min_length"]
+        if t_or_l < least:
+            raise ValueError(f"{path} holds sequences of length {t_or_l}, "
+                             f"but {task} needs at least {least}")
         size = (0, 0) if task == "adding" else (GRID, GRID)
         if (h, w) != size:
             raise ValueError(f"{path} holds {h}x{w} frames, expected {size[0]}x{size[1]}")

@@ -414,6 +414,23 @@ def test_train_on_another_frame_size_exits_2_naming_the_file_and_writes_nothing(
     assert not run_dir.exists()
 
 
+def test_train_on_sequences_below_the_task_minimum_exits_2_naming_the_file(
+        tmp_path, capsys):
+    # hand-written adding file: two sequences of length 0
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name in ("train.scfd", "test.scfd"):
+        (data_dir / name).write_bytes(b"SCFD" + struct.pack("<IIIII", 4, 2, 0, 0, 0)
+                                      + b"\x00" * 24)
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--set", "task=adding", "--set", f"data={data_dir}",
+                   "--out", str(run_dir)) == 2
+    err = capsys.readouterr().err
+    assert f"{data_dir / 'train.scfd'} holds sequences of length 0, " \
+           "but adding needs at least 1" in err
+    assert not run_dir.exists()
+
+
 def _spoil_frame(seq):
     seq.frames[2, 5, 5] = 2
 

@@ -5,7 +5,10 @@ checked by the unit suite rather than by hand.
 The recipe runs, in this process, ``gen-data`` (8 train / 4 test sequences),
 ``train`` (2 epochs, batch 4, eval subset 2), ``eval`` and, for scoff
 checkpoints, ``trace`` on ``switching_mini``, ``bouncing_mini`` (scoff and
-``model=gru``) and ``adding_mini``, then ``check-grad``. Each artifact is
+``model=gru``) and ``adding_mini``, then ``check-grad``. A gen-data-only run
+of ``bouncing_mini`` with three balls and the occluder pins the generator
+paths the recipe does not reach: collisions among three balls and the
+occluded render. Each artifact is
 compared by SHA-256. ``resolved_config.cfg`` and the ``config`` part of
 ``manifest.json`` embed the data path and are left out; of the manifest only
 its ``tensors`` list is hashed.
@@ -31,6 +34,10 @@ RUNS = (("switching", "switching_mini", ()),
         ("bouncing", "bouncing_mini", ()),
         ("bouncing_gru", "bouncing_mini", ("--set", "model=gru")),
         ("adding", "adding_mini", ()))
+
+# runs of gen-data alone, same sizes as RUNS
+GEN_ONLY_RUNS = (("bouncing_occluded", "bouncing_mini",
+                  ("--set", "n_balls=3", "--set", "occluder=true")),)
 
 # SHA-256 prefixes (12 hex digits) by artifact; "file:key" hashes one key
 # of a JSON file, re-serialized with sorted keys
@@ -66,6 +73,8 @@ GOLDEN = {
     "adding/trace/schema_usage.csv": "c1733e2643e2",
     "adding/trace/traces.jsonl": "39c1a70cf670",
     "check-grad:stdout": "626cc580d817",
+    "bouncing_occluded/data/train.scfd": "2ea91268c084",
+    "bouncing_occluded/data/test.scfd": "a005697b0116",
 }
 
 
@@ -78,12 +87,14 @@ def _run(*argv) -> None:
 
 
 def test_recipe_artifacts_match_golden_digests(tmp_path, capsys):
-    for name, cfg, extra in RUNS:
+    for name, cfg, extra in GEN_ONLY_RUNS + RUNS:
         config = os.path.join(CONFIGS, f"{cfg}.cfg")
         out = tmp_path / name
         data, ckpt = str(out / "data"), str(out / "train" / "checkpoint")
-        _run("gen-data", "--config", config, "--set", "train_count=8",
+        _run("gen-data", "--config", config, *extra, "--set", "train_count=8",
              "--set", "test_count=4", "--out", data)
+        if (name, cfg, extra) in GEN_ONLY_RUNS:
+            continue
         _run("train", "--config", config, *extra, "--set", f"data={data}",
              "--set", "epochs=2", "--set", "batch_size=4", "--set", "eval_subset=2",
              "--out", str(out / "train"))

@@ -111,3 +111,30 @@ def test_traced_rollout_repeats_only_the_burn_in(model):
     cfg, m = out["resolved"], out["metrics"]
     steps, burn_in = cfg["burn_in"] + cfg["horizon"] - 1, cfg["burn_in"]
     assert m["training.rollout_useful_ratio"] == (2 * steps - burn_in) / (2 * steps)
+
+
+GEN_DATA = """
+import json, sys, tempfile
+sys.path.insert(0, "perfbench")
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from scoff.cli import main
+with tempfile.TemporaryDirectory() as out:
+    code = main(["gen-data", "--config", "configs/bouncing_mini.cfg", "--set", "train_count=5",
+                 "--set", "test_count=2", "--out", out])
+print(json.dumps({"code": code, "spans": [s[0] for s in tracer.dump()["spans"]]}))
+"""
+
+
+def test_traced_gen_data_records_one_generator_span_per_sequence():
+    # the benchmark's tasks.gen_ms_per_seq divides generator time by these
+    # spans, so it stays a per-sequence figure only while each sequence is
+    # one generator call
+    proc = subprocess.run([sys.executable, "-c", GEN_DATA], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 0
+    assert out["spans"].count("tasks.gen_bouncing_mini") == 5 + 2

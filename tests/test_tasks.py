@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoff.rng import Rng
-from scoff.tasks import (GRID, OCCLUDER, OSC_HI, OSC_LO, SINGLE_MODES,
-                         AddingSequence, DataConfig, FrameSequence, gen_adding,
-                         gen_bouncing_mini,
-                         gen_single_dynamics, gen_switching_dynamics,
-                         read_dataset, render_frame, write_dataset)
+from scoff.tasks import (BALL, GRID, INDICATOR_ROW, OCCLUDER, OSC_HI, OSC_LO,
+                         SINGLE_MODES, TASKS, AddingSequence, DataConfig, FrameSequence,
+                         gen_adding, gen_bouncing_mini, gen_single_dynamics,
+                         gen_switching_dynamics, read_dataset, write_dataset)
 
 
 # --------------------------------------------------------------- single object
@@ -226,20 +225,37 @@ def test_generators_bit_deterministic():
     assert x.target == y.target
 
 
+def reference_frame(positions, indicator_mode=None, occluder=None) -> np.ndarray:
+    """One frame drawn ball by ball with slices: the reference for
+    ``tasks.render_frames``."""
+    frame = np.zeros((GRID, GRID), dtype=np.uint8)
+    for r, c in positions:
+        frame[r:r + BALL, c:c + BALL] = 1
+    if indicator_mode is not None:
+        frame[INDICATOR_ROW, indicator_mode] = 1
+    if occluder is not None:
+        top, left, h, w = occluder
+        frame[top:top + h, left:left + w] = 0
+    return frame
+
+
 def rerender(seq: FrameSequence) -> np.ndarray:
     """Frames recomputed from the recorded ball states."""
     out = np.zeros_like(seq.frames)
     for t in range(seq.length):
         mode = int(seq.labels[t]) if seq.indicators else None
-        out[t] = render_frame(seq.positions[t], indicator_mode=mode,
-                              occluder=seq.occluder)
+        out[t] = reference_frame(seq.positions[t], indicator_mode=mode,
+                                 occluder=seq.occluder)
     return out
 
 
 def test_frames_are_binary_and_rerender_exactly():
-    for seq in (gen_single_dynamics(Rng(3), 10, "accelerate"),
-                gen_switching_dynamics(Rng(4), 15),
-                gen_bouncing_mini(Rng(5), 15, 3, occluder=OCCLUDER)):
+    seqs = [gen_switching_dynamics(Rng(4), 15)]
+    seqs += [gen_single_dynamics(Rng(3 + i), 10, mode) for i, mode in enumerate(SINGLE_MODES)]
+    seqs += [gen_bouncing_mini(Rng(5 + n_balls), 15, n_balls, occluder=occluder)
+             for n_balls in range(1, 5) for occluder in (None, OCCLUDER)]
+    for seq in seqs:
+        assert seq.frames.dtype == np.uint8
         assert set(np.unique(seq.frames)).issubset({0, 1})
         assert np.array_equal(rerender(seq), seq.frames)
 
@@ -357,6 +373,21 @@ def test_read_dataset_rejects_another_task_an_unknown_task_or_no_sequences(tmp_p
     unknown.write_bytes(b"SCFD" + struct.pack("<IIIII", 9, 1, 50, 0, 0))
     with pytest.raises(ValueError, match="unknown.scfd: unknown task id 9"):
         read_dataset(unknown, "adding")
+
+
+@pytest.mark.parametrize("task,length", [("adding", 0), ("bouncing", 1)])
+def test_read_dataset_rejects_sequences_shorter_than_the_task_minimum_naming_the_file(
+        tmp_path, task, length):
+    # hand-written: two sequences of the given length, each record complete
+    task_id, size = (4, 0) if task == "adding" else (3, GRID)
+    record = 8 * 3 * length + 12 if task == "adding" else length * (size * size + 1)
+    p = tmp_path / "short.scfd"
+    p.write_bytes(b"SCFD" + struct.pack("<IIIII", task_id, 2, length, size, size)
+                  + b"\x00" * (2 * record))
+    least = TASKS[task]["min_length"]
+    with pytest.raises(ValueError, match=f"short.scfd holds sequences of length {length}, "
+                                         f"but {task} needs at least {least}"):
+        read_dataset(p, task)
 
 
 def test_mixed_lengths_leave_an_existing_dataset_as_it_was(tmp_path):
