@@ -101,15 +101,15 @@ def attend(queriers: Tensor, candidates: Tensor, w_query: Tensor, w_key: Tensor,
                               back)
 
 
-def topk_mask(scores, k: int) -> np.ndarray:
-    """Boolean mask marking the k largest entries, ties to the lowest index."""
-    arr = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"topk_mask expects a vector, got shape {arr.shape}")
-    n = arr.size
+def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask marking the k largest entries of the vector ``scores``,
+    ties to the lowest index."""
+    if scores.ndim != 1:
+        raise ValueError(f"topk_mask expects a vector, got shape {scores.shape}")
+    n = scores.size
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    order = np.argsort(-arr, kind="stable")
+    order = np.argsort(-scores, kind="stable")
     mask = np.zeros(n, dtype=bool)
     mask[order[:k]] = True
     return mask

@@ -168,14 +168,20 @@ def cmd_train(args, resolved: dict) -> int:
 
 def _restore(resolved: dict):
     """eval's and trace's model, train config and snapshot (the stored config
-    with this command's data and checkpoint), and the stored task's test set."""
+    with this command's data and checkpoint), and the stored task's test set.
+    A stored config must hold exactly the known keys."""
     data_dir = _require(resolved, "data")
     ckpt_dir = _require(resolved, "checkpoint")
     tensors, stored = load_checkpoint(ckpt_dir)
+    manifest = os.path.join(ckpt_dir, "manifest.json")
+    unknown = sorted(set(stored) - set(_KEYS))
+    if unknown:
+        raise ValueError(f"{manifest}: stored config holds unknown keys "
+                         f"{', '.join(map(repr, unknown))}")
     try:
         cfg = to_train_config(stored)
     except KeyError as e:
-        raise ValueError(f"{ckpt_dir}: stored config lacks key {e}") from None
+        raise ValueError(f"{manifest}: stored config lacks key {e}") from None
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     model = build_model(cfg, Rng(stored["seed"]).spawn(0))
     restore_model(model, tensors)

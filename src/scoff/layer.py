@@ -42,7 +42,6 @@ class ScoffConfig:
     n_sel: int = 0  # slots updated per step; 0: all of them
     tau: float = 1.0
     hard_selection: bool = True
-    comm_sparse: bool = False
 
     def __post_init__(self):
         for name in ("n_f", "n_s", "d_h", "d_in", "inp_heads", "inp_keys",
@@ -178,15 +177,13 @@ class ScoffLayer:
     # ---- step 4: communication ------------------------------------------
 
     def communicate(self, state_prev: Tensor, state_new: Tensor,
-                    rng: "Rng | None" = None, receive_mask: "np.ndarray | None" = None):
-        """Residual exchange: queries from the pre-update state, keys and
-        values from the post-update state, normalized over sources.
+                    rng: "Rng | None" = None):
+        """Residual exchange into every slot: queries from the pre-update
+        state, keys and values from the post-update state, normalized over
+        sources.
         """
         update, mean_w = _heads(self.comm_proj, state_prev, state_new, "candidates",
                                 1.0 / math.sqrt(self.config.comm_keys), rng)
-        if receive_mask is not None:
-            update = update * nm.record(receive_mask.astype(np.float64).reshape(-1, 1),
-                                       (), None)
         return state_new + update, mean_w
 
     # ---- one full step ----------------------------------------------------
@@ -203,10 +200,9 @@ class ScoffLayer:
             mask = active.astype(np.float64)[:, None]
             h_mid = h_mid * nm.record(mask, (), None) + state * nm.record(1.0 - mask, (), None)
             indices = np.where(active, indices, -1)
-            recv = active if c.comm_sparse else None
         else:
-            active, recv = np.ones(c.n_f, dtype=bool), None
-        state_out, w_comm = self.communicate(state, h_mid, rng, recv)
+            active = np.ones(c.n_f, dtype=bool)
+        state_out, w_comm = self.communicate(state, h_mid, rng)
         trace = StepTrace(input_weights=w_in, active=active, schema=indices,
                           comm_weights=w_comm)
         return state_out, trace

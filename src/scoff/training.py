@@ -1,9 +1,10 @@
 """Losses, the Adam optimizer, train/eval loops, and trace analysis.
 
-Training is single-threaded and fully determined by (seed, config): the
-model init, epoch shuffles, Gumbel noise, and dropout masks all come from one
-seeded stream consumed in a fixed order. Evaluation runs greedy (no selection
-noise, no dropout) so repeated evaluations agree bit for bit.
+Training is single-threaded and fully determined by (seed, config): two
+children of ``Rng(seed)`` feed it, ``spawn(0)`` the model init and
+``spawn(1)`` the run (epoch shuffles, Gumbel noise and dropout masks, drawn in
+a fixed order). Evaluation runs greedy (no selection noise, no dropout) so
+repeated evaluations agree bit for bit.
 """
 
 import json
@@ -30,11 +31,7 @@ class TrainConfig:
     model: str = "scoff"  # "scoff" or "gru"
     scoff: ScoffConfig = field(default_factory=ScoffConfig)
     codec: CodecConfig = field(default_factory=CodecConfig)
-    baseline_width: int = 0  # 0: n_f * d_h, the matched hidden size
     lr: float  # lr, burn_in and horizon: per-task defaults in tasks.TASKS
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 64
     epochs: int = 10
     seed: int = 0
@@ -52,19 +49,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name, ok, want in (
                 ("lr", self.lr > 0, "> 0"),
-                ("clip_norm", self.clip_norm is None or self.clip_norm > 0, "> 0"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("epsilon", self.epsilon > 0, "> 0"),
-                ("baseline_width", self.baseline_width >= 0, ">= 0")):
+                ("clip_norm", self.clip_norm is None or self.clip_norm > 0, "> 0")):
             if not ok:
                 raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
         if self.task in FRAME_TASKS and GRID % self.codec.patch:
             raise ValueError(f"patch {self.codec.patch} must divide the "
                              f"{GRID}x{GRID} frame")
-
-    def resolved_baseline_width(self) -> int:
-        return self.baseline_width or self.scoff.n_f * self.scoff.d_h
 
 
 @dataclass
@@ -114,15 +104,13 @@ def mse_scalar(pred: Tensor, target: float) -> Tensor:
 
 class Adam:
     """Holds moments for a parameter list and applies scaled, clipped,
-    bias-corrected steps in place."""
+    bias-corrected steps in place, with fixed moment decays and epsilon."""
 
-    def __init__(self, params: list, lr: float, beta1: float, beta2: float,
-                 eps: float):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -136,7 +124,7 @@ class Adam:
                 coef = clip / norm
                 grads = [g * coef for g in grads]
         self.t += 1
-        beta1, beta2 = self.beta1, self.beta2
+        beta1, beta2 = self.BETA1, self.BETA2
         bc1 = 1.0 - beta1 ** self.t
         bc2 = 1.0 - beta2 ** self.t
         for p, g, mi, vi in zip(self.params, grads, self.m, self.v):
@@ -144,7 +132,7 @@ class Adam:
             mi += (1.0 - beta1) * g
             vi *= beta2
             vi += (1.0 - beta2) * (g * g)
-            p.data -= self.lr * (mi / bc1) / (np.sqrt(vi / bc2) + self.eps)
+            p.data -= self.lr * (mi / bc1) / (np.sqrt(vi / bc2) + self.EPS)
             p.zero_grad()
 
 
@@ -154,7 +142,8 @@ class Adam:
 def build_model(cfg: TrainConfig, rng: Rng):
     if cfg.model == "scoff":
         return ScoffModel(cfg.task, cfg.scoff, cfg.codec, rng)
-    return GruBaseline(cfg.task, cfg.resolved_baseline_width(), cfg.codec, rng)
+    # the baseline's one hidden row is as wide as all the slots together
+    return GruBaseline(cfg.task, cfg.scoff.n_f * cfg.scoff.d_h, cfg.codec, rng)
 
 
 def run_steps(model, feats: list, rng=None):
@@ -319,7 +308,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
     model = build_model(cfg, root.spawn(0))
     run_rng = root.spawn(1)
     params = model.parameters()
-    opt = Adam(list(params.values()), cfg.lr, cfg.beta1, cfg.beta2, cfg.epsilon)
+    opt = Adam(list(params.values()), cfg.lr)
 
     n_s = cfg.scoff.n_s
     metrics, clock = [], time.perf_counter
@@ -431,12 +420,12 @@ def load_checkpoint(directory):
     manifest.json; a truncated or overlong tensors.bin, or a non-finite value,
     one naming tensors.bin."""
     manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
     try:
+        with open(manifest_path) as f:
+            manifest = json.load(f)
         entries = [(e["name"], e["shape"]) for e in manifest["tensors"]]
         config = manifest["config"]
-    except (KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError) as e:  # ValueError: not JSON
         raise ValueError(f"{manifest_path}: malformed manifest ({e!r})") from None
     if not isinstance(config, dict):
         raise ValueError(f"{manifest_path}: config must be a mapping")

@@ -1,4 +1,5 @@
 import contextlib
+import glob
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from scoff.cli import ConfigError, main, parse_config, to_train_config
 from scoff.numerics import Tensor
 from scoff.rng import Rng
 from scoff.tasks import gen_bouncing_mini, write_dataset
-from scoff.training import load_checkpoint, save_checkpoint
+from scoff.training import build_model, load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv):
@@ -31,11 +32,10 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 # ------------------------------------------------------------- config parsing
 
 SWITCHING_DEFAULTS = {
-    "baseline_width": 0, "batch_size": 64, "beta1": 0.9, "beta2": 0.999,
-    "burn_in": 5, "checkpoint": "", "clip_norm": 1.0, "comm_dropout": 0.1,
-    "comm_heads": 2, "comm_keys": 16, "comm_sparse": False, "d_c": 16,
+    "batch_size": 64, "burn_in": 5, "checkpoint": "", "clip_norm": 1.0,
+    "comm_dropout": 0.1, "comm_heads": 2, "comm_keys": 16, "d_c": 16,
     "d_h": 32, "d_pos": 8, "data": "", "dec_hidden": 64, "enc_hidden": 32,
-    "epochs": 10, "epsilon": 1e-08, "eval_subset": 32, "hard_selection": True,
+    "epochs": 10, "eval_subset": 32, "hard_selection": True,
     "horizon": 10, "inp_dropout": 0.1, "inp_heads": 1, "inp_keys": 16,
     "inp_values": 32, "length": 21, "lr": 0.0001, "mode": "mixed",
     "model": "scoff", "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0,
@@ -66,8 +66,7 @@ def test_empty_file_plus_task_gives_full_defaults(tmp_path):
         cfg = to_train_config(resolved)
         assert cfg.task == task and cfg.lr == expected["lr"]
         assert cfg.scoff.n_f == 6 and cfg.scoff.n_s == 4
-        assert cfg.scoff.n_sel == 0 and cfg.baseline_width == 0
-        assert cfg.resolved_baseline_width() == 6 * 32
+        assert cfg.scoff.n_sel == 0
         assert cfg.scoff.d_in == cfg.codec.d_a == 24
 
 
@@ -90,10 +89,16 @@ def test_misspelled_key_named_in_error(tmp_path):
 
 def test_comm_values_must_match_d_h():
     # comm_values was dropped: the communication value width is always d_h,
-    # so the key is rejected whether or not it agrees with d_h
-    for override in ("comm_values=16", "comm_values=32"):
-        with pytest.raises(ConfigError, match="unknown key 'comm_values'"):
+    # so the key is rejected whether or not it agrees with d_h. So are the
+    # keys retired since, each at the one value every run used: the GRU
+    # baseline is n_f * d_h wide, Adam's moment decays and epsilon are fixed,
+    # and communication reaches every slot
+    for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
+                     "beta2=0.999", "epsilon=1e-8", "comm_sparse=false"):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(None, [override, "d_h=32"])
+        assert run_cli("param-count", "--set", override) == 1
     from scoff.layer import ScoffLayer
     from scoff.rng import Rng
     for d_h in (8, 32):
@@ -131,7 +136,7 @@ def test_seed_flag_overrides():
     assert resolved["seed"] == 99
 
 
-@pytest.mark.parametrize("key", ["lr", "tau", "inp_dropout", "clip_norm", "epsilon"])
+@pytest.mark.parametrize("key", ["lr", "tau", "inp_dropout", "clip_norm"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_float_rejected(key, raw):
     with pytest.raises(ConfigError, match="finite"):
@@ -562,15 +567,18 @@ def test_overlong_artifacts_exit_2(tiny_run):
         assert "trailing bytes" in err
 
 
-@pytest.mark.parametrize("drop", ["tensors", "config"])
+@pytest.mark.parametrize("drop", ["tensors", "config", "not-json"])
 def test_manifest_missing_key_exits_2(tiny_run, drop):
     def damage(copy):
         path = os.path.join(copy, "run", "checkpoint", "manifest.json")
         with open(path) as f:
             manifest = json.load(f)
-        del manifest[drop]
         with open(path, "w") as f:
-            json.dump(manifest, f)
+            if drop == "not-json":
+                f.write("{bad")
+            else:
+                del manifest[drop]
+                json.dump(manifest, f)
     code, err = _eval_copy(tiny_run, damage)
     assert code == 2
     assert "manifest.json" in err
@@ -644,22 +652,42 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     assert not out.exists()
 
 
-def test_stored_config_missing_key_exits_2(tiny_run):
-    def damage(copy):
-        path = os.path.join(copy, "run", "checkpoint", "manifest.json")
-        with open(path) as f:
-            manifest = json.load(f)
-        del manifest["config"]["d_h"]
-        with open(path, "w") as f:
-            json.dump(manifest, f)
-    code, err = _eval_copy(tiny_run, damage)
-    assert code == 2
-    assert "d_h" in err
+@pytest.mark.parametrize("key,edit", [
+    ("d_h", lambda config: config.pop("d_h")),
+    # a key the program no longer reads: the run it names would not be the
+    # one evaluated
+    ("comm_sparse", lambda config: config.update(comm_sparse=True)),
+], ids=["missing", "unknown"])
+def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
+                                                      key, edit):
+    copy = tmp_path / "copy"
+    shutil.copytree(str(tiny_run), str(copy))
+    path = copy / "run" / "checkpoint" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["config"])
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--set", f"data={copy / 'data'}",
+                   "--set", f"checkpoint={path.parent}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "manifest.json" in err
+    assert not out.exists()
 
 
 # --------------------------------------------------------- the config schema
 
 TASKS_ALL = ["single", "switching", "bouncing", "adding"]
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                                "configs", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_parses_and_builds_its_model(path):
+    resolved = parse_config(path)
+    model = build_model(to_train_config(resolved), Rng(resolved["seed"]).spawn(0))
+    assert model.kind == resolved["model"]
 
 
 @pytest.mark.parametrize("task", TASKS_ALL)
@@ -683,6 +711,8 @@ def test_task_defaults_come_from_the_task_table(task):
 
 
 @pytest.mark.parametrize("override", ["lr=-0.01", "lr=0", "clip_norm=-1", "clip_norm=0",
+                                      # retired keys: any value is now an
+                                      # unknown key, still a usage error
                                       "beta1=1.5", "beta1=-0.1", "beta2=1", "epsilon=0",
                                       "baseline_width=-1"])
 def test_optimizer_key_out_of_range_exits_1_naming_it_and_writes_nothing(

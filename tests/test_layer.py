@@ -273,16 +273,6 @@ def test_sparse_mode_inactive_slots_keep_state_exactly():
             assert trace.schema[k] == -1
 
 
-def test_sparse_communication_switch_masks_receivers():
-    layer = make_layer(seed=27, n_f=3, n_sel=1, comm_sparse=True)
-    rng = Rng(28)
-    state_np = rand(rng, (3, 8))
-    out, trace = layer.step(Tensor(rand(rng, (5, 6))), Tensor(state_np), rng=rng)
-    for k in range(3):
-        if not trace.active[k]:
-            assert np.array_equal(out.data[k], state_np[k])
-
-
 def test_trace_invariants():
     layer = make_layer(seed=29, n_f=4, n_sel=2)
     rng = Rng(30)
@@ -478,8 +468,7 @@ def test_fused_selection_matches_op_chain_bit_for_bit(n_s, tau, hard):
 def test_greedy_steps_without_tape_match_the_chain_bit_for_bit(n_s, hard, n_sel):
     # the eval path: no tape, no rng, zero noise, and in hard mode no softmax
     rng = Rng(72)
-    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard, n_sel=n_sel,
-                                   comm_sparse=True), rng)
+    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard, n_sel=n_sel), rng)
     for t in layer.parameters().values():
         t.data[...] = rand(rng, t.shape)
     feats = [Tensor(rand(rng, (5, 6))) for _ in range(4)]

@@ -104,8 +104,9 @@ def test_mse_cases():
 
 # ----------------------------------------------------------------------- adam
 
-def adam_oracle(x0, grad_fn, steps, lr, b1, b2, eps):
+def adam_oracle(x0, grad_fn, steps, lr):
     """Scalar reference trajectory."""
+    b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
     x, m, v = x0, 0.0, 0.0
     history = []
     for t in range(1, steps + 1):
@@ -123,7 +124,7 @@ def test_adam_zero_gradient_keeps_parameters():
     p = Tensor([1.5, -2.0], requires_grad=True)
     before = p.data.copy()
     p.grad = np.zeros(2)
-    Adam([p], 0.1, 0.9, 0.999, 1e-8).apply(1.0, None)
+    Adam([p], 0.1).apply(1.0, None)
     assert np.array_equal(p.data, before)
 
 
@@ -131,15 +132,15 @@ def test_adam_first_step_magnitude_close_to_lr():
     for g in (0.3, -4.0, 1e3):
         p = Tensor([0.0], requires_grad=True)
         p.grad = np.array([g])
-        Adam([p], 0.01, 0.9, 0.999, 1e-8).apply(1.0, None)
+        Adam([p], 0.01).apply(1.0, None)
         assert abs(abs(p.data[0]) - 0.01) < 1e-5
         assert np.sign(p.data[0]) == -np.sign(g)
 
 
 def test_adam_trajectory_matches_scalar_oracle():
-    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    lr = 0.05
     p = Tensor([3.0], requires_grad=True)
-    opt = Adam([p], lr, b1, b2, eps)
+    opt = Adam([p], lr)
     got = []
     for _ in range(100):
         with Tape() as tape:
@@ -147,21 +148,22 @@ def test_adam_trajectory_matches_scalar_oracle():
         backward(loss, tape)
         opt.apply(1.0, None)
         got.append(float(p.data[0]))
-    want = adam_oracle(3.0, lambda x: 2.0 * x, 100, lr, b1, b2, eps)
+    want = adam_oracle(3.0, lambda x: 2.0 * x, 100, lr)
+    assert (Adam.BETA1, Adam.BETA2, Adam.EPS) == (0.9, 0.999, 1e-8)
     assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-12
 
 
 def test_adam_takes_every_optimizer_value_from_its_caller():
     p = Tensor([1.0], requires_grad=True)
     with pytest.raises(TypeError):
-        Adam([p], 0.1)
+        Adam([p])
     with pytest.raises(TypeError):
-        Adam([p], 0.1, 0.9, 0.999, 1e-8).apply()
+        Adam([p], 0.1).apply()
 
 
 def test_adam_clip_bounds_update_norm():
     p = Tensor(np.zeros(4), requires_grad=True)
-    opt = Adam([p], 1.0, 0.9, 0.999, 1e-8)
+    opt = Adam([p], 1.0)
     p.grad = np.full(4, 100.0)
     opt.apply(1.0, 1.0)
     # clipped gradient has norm 1, so each component is 0.5 and the first
@@ -368,7 +370,7 @@ def test_train_gru_baseline_same_interface():
     metrics, model = train_model(cfg, data, data[:2])
     assert model.kind == "gru"
     assert math.isfinite(metrics[0].train_loss)
-    # baseline hidden width matches the factorized total by default
+    # the baseline's hidden width is always the factorized total
     assert model.width == cfg.scoff.n_f * cfg.scoff.d_h
 
 
