@@ -6,9 +6,10 @@ The recipe runs, in this process, ``gen-data`` (8 train / 4 test sequences),
 ``train`` (2 epochs, batch 4, eval subset 2), ``eval`` and, for scoff
 checkpoints, ``trace`` on ``switching_mini``, ``bouncing_mini`` (scoff and
 ``model=gru``) and ``adding_mini``, then ``check-grad``. A gen-data-only run
-of ``bouncing_mini`` with three balls and the occluder pins the generator
-paths the recipe does not reach: collisions among three balls and the
-occluded render. Each artifact is
+of ``bouncing_mini`` with three balls and the occluder, and one of the
+``single`` task on ``switching_mini``'s sizes, pin the generator paths the
+recipe does not reach: collisions among three balls, the occluded render
+and the three single-ball dynamics modes. Each artifact is
 compared by SHA-256. ``resolved_config.cfg`` and the ``config`` part of
 ``manifest.json`` embed the data path and are left out; of the manifest only
 its ``tensors`` list is hashed.
@@ -37,7 +38,8 @@ RUNS = (("switching", "switching_mini", ()),
 
 # runs of gen-data alone, same sizes as RUNS
 GEN_ONLY_RUNS = (("bouncing_occluded", "bouncing_mini",
-                  ("--set", "n_balls=3", "--set", "occluder=true")),)
+                  ("--set", "n_balls=3", "--set", "occluder=true")),
+                 ("single", "switching_mini", ("--set", "task=single")))
 
 # SHA-256 prefixes (12 hex digits) by artifact; "file:key" hashes one key
 # of a JSON file, re-serialized with sorted keys
@@ -75,6 +77,8 @@ GOLDEN = {
     "check-grad:stdout": "626cc580d817",
     "bouncing_occluded/data/train.scfd": "2ea91268c084",
     "bouncing_occluded/data/test.scfd": "a005697b0116",
+    "single/data/train.scfd": "54308caab62f",
+    "single/data/test.scfd": "305b475dd14b",
 }
 
 
