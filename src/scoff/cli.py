@@ -78,14 +78,18 @@ def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) ->
     resolved = {k: d for k, (_, d) in _KEYS.items()}
     entries = []  # (where, "key = value"): file lines, then overrides
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                s = line.split("#", 1)[0].strip()
-                # section headers are organizational only
-                if s and not (s.startswith("[") and s.endswith("]")):
-                    entries.append((f"{path}:{lineno}", s))
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.readlines()
+        except OSError as e:
+            raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8") from None
+        for lineno, line in enumerate(lines, 1):
+            s = line.split("#", 1)[0].strip()
+            # section headers are organizational only
+            if s and not (s.startswith("[") and s.endswith("]")):
+                entries.append((f"{path}:{lineno}", s))
     entries += [("override", item) for item in overrides]
     for where, s in entries:
         key, eq, raw = s.partition("=")
@@ -169,7 +173,7 @@ def cmd_train(args, resolved: dict) -> int:
 def _restore(resolved: dict):
     """eval's and trace's model, train config and snapshot (the stored config
     with this command's data and checkpoint), and the stored task's test set.
-    A stored config must hold exactly the known keys."""
+    A stored config must hold exactly the known keys, each of its key's type."""
     data_dir = _require(resolved, "data")
     ckpt_dir = _require(resolved, "checkpoint")
     tensors, stored = load_checkpoint(ckpt_dir)
@@ -178,6 +182,10 @@ def _restore(resolved: dict):
     if unknown:
         raise ValueError(f"{manifest}: stored config holds unknown keys "
                          f"{', '.join(map(repr, unknown))}")
+    for key, value in stored.items():
+        if type(value) is not _KEYS[key][0]:
+            raise ValueError(f"{manifest}: stored config key {key!r} holds {value!r}, "
+                             f"not a {_KEYS[key][0].__name__}")
     try:
         cfg = to_train_config(stored)
     except KeyError as e:

@@ -5,12 +5,15 @@ velocities, so the physics is exact and every frame can be re-rendered from
 the recorded ball states. The adding task produces value/indicator channel
 sequences with an exact scalar target.
 
-A frame generator tracks, then renders. Its step loop is plain integer
-arithmetic on Python ints that appends each step's positions and velocities
-to flat lists; one bulk copy then fills each [T, n_balls, 2] array from its
-list, and one ``render_frames`` call draws all T frames. A numpy write per
-step or a render per frame costs more in call overhead than the physics
-itself on arrays this small.
+A frame generator tracks, then renders. The single and bouncing tasks share
+one ball-motion loop, ``_ball_tracks``: placement, each dynamics mode's
+velocity rule, wall reflection and the velocity swap on contact. It and the
+switching task's loop are plain integer arithmetic on Python ints that
+appends each step's positions and velocities to flat lists; one bulk copy
+then fills each [T, n_balls, 2] array from its list, and one
+``render_frames`` call draws all T frames. A numpy write per step or a
+render per frame costs more in call overhead than the physics itself on
+arrays this small.
 """
 
 import struct
@@ -41,7 +44,7 @@ V_CLAMP = 3  # accelerate mode keeps each velocity component in [-3, 3]
 # labels lie below it), the shortest sequence it has (what the generator
 # needs and a model can step through) and the defaults that depend on the task
 TASKS = {
-    "single": {"id": 1, "modes": 3, "min_length": 2,
+    "single": {"id": 1, "modes": len(SINGLE_MODES), "min_length": 2,
                "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
     "switching": {"id": 2, "modes": 2, "min_length": 11,
                   "length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
@@ -144,62 +147,81 @@ def _reflect(p: int, v: int, lo: int = 0, hi: int = POS_MAX) -> tuple:
     return p, v
 
 
-def _sample_position(rng: Rng, lo: int = 0, hi: int = POS_MAX) -> tuple:
-    return rng.randint(hi - lo + 1) + lo, rng.randint(hi - lo + 1) + lo
-
-
-def _sample_velocity(rng: Rng) -> tuple:
+def _sample_step(rng: Rng, most: int) -> tuple:
+    """A nonzero pair of ints, each drawn uniformly from [-most, most]."""
     while True:
-        v = (rng.randint(5) - 2, rng.randint(5) - 2)
+        v = (rng.randint(2 * most + 1) - most, rng.randint(2 * most + 1) - most)
         if v != (0, 0):
             return v
 
 
-def _sample_accel(rng: Rng) -> tuple:
-    while True:
-        a = (rng.randint(3) - 1, rng.randint(3) - 1)
-        if a != (0, 0):
-            return a
+def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
+    """int64 positions and velocities [T, n_balls, 2] of 2x2 balls under one
+    dynamics mode of SINGLE_MODES.
 
-
-def gen_single_dynamics(rng: Rng, length: int, mode: str, accel=None,
-                        velocity=None, start=None) -> FrameSequence:
-    """One ball under a fixed dynamics mode.
-
-    accelerate: v grows by a fixed per-sequence increment each step (clamped
-    to +-V_CLAMP); constant: fixed v; random_walk: a fresh unit direction
-    every step. Walls reflect.
+    The balls are placed without overlap, then each gets a nonzero velocity
+    (random_walk: none). Each step first sets a ball's velocity by its mode
+    (accelerate: add the sequence's one nonzero increment, clamped to
+    +-V_CLAMP; constant: keep it; random_walk: a fresh unit direction), then
+    moves it with wall reflection. A pair that then overlaps swaps velocity
+    vectors and holds position for that step, which conserves kinetic energy
+    exactly. Only constant mode runs with more than one ball; how the other
+    modes meet collisions is not yet set.
     """
+    pos = []
+    for _ in range(n_balls):
+        for attempt in range(100):
+            cand = rng.randint(POS_MAX + 1), rng.randint(POS_MAX + 1)
+            if all(abs(cand[0] - p[0]) >= BALL or abs(cand[1] - p[1]) >= BALL
+                   for p in pos):
+                pos.append(cand)
+                break
+        else:
+            raise RuntimeError("could not place balls without overlap")
+    walk, accelerate = mode == "random_walk", mode == "accelerate"
+    vel = [(0, 0) if walk else _sample_step(rng, 2) for _ in range(n_balls)]
+    acc = _sample_step(rng, 1) if accelerate else (0, 0)
+
+    track, speeds = [], []
+    for p, v in zip(pos, vel):
+        track += p
+        speeds += v
+    for _ in range(1, length):
+        moved = []
+        for i in range(n_balls):
+            vr, vc = vel[i]
+            if walk:
+                vr, vc = _WALK_STEPS[rng.randint(4)]
+            elif accelerate:
+                vr = max(-V_CLAMP, min(V_CLAMP, vr + acc[0]))
+                vc = max(-V_CLAMP, min(V_CLAMP, vc + acc[1]))
+            r, vr = _reflect(pos[i][0], vr)
+            c, vc = _reflect(pos[i][1], vc)
+            moved.append((r, c))
+            vel[i] = (vr, vc)
+        for i in range(n_balls):
+            for j in range(i + 1, n_balls):
+                if (abs(moved[i][0] - moved[j][0]) < BALL
+                        and abs(moved[i][1] - moved[j][1]) < BALL):
+                    vel[i], vel[j] = vel[j], vel[i]
+                    moved[i], moved[j] = pos[i], pos[j]
+        pos = moved
+        for p, v in zip(pos, vel):
+            track += p
+            speeds += v
+    return _tracks(track, speeds, n_balls)
+
+
+def gen_single_dynamics(rng: Rng, length: int, mode: str) -> FrameSequence:
+    """One ball under a fixed dynamics mode of SINGLE_MODES (see
+    ``_ball_tracks``), labelled with that mode at every step."""
     _check_length("single", length)
     if mode not in SINGLE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    pos = _sample_position(rng) if start is None else tuple(start)
-    if mode == "random_walk":
-        vel = (0, 0)
-    else:
-        vel = _sample_velocity(rng) if velocity is None else tuple(velocity)
-    if mode == "accelerate":
-        acc = _sample_accel(rng) if accel is None else tuple(accel)
-    else:
-        acc = (0, 0)
-
-    track, speeds = [*pos], [*vel]
-    for _ in range(1, length):
-        if mode == "random_walk":
-            vel = _WALK_STEPS[rng.randint(4)]
-        elif mode == "accelerate":
-            vel = (max(-V_CLAMP, min(V_CLAMP, vel[0] + acc[0])),
-                   max(-V_CLAMP, min(V_CLAMP, vel[1] + acc[1])))
-        r, vr = _reflect(pos[0], vel[0])
-        c, vc = _reflect(pos[1], vel[1])
-        pos, vel = (r, c), (vr, vc)
-        track += pos
-        speeds += vel
-
-    positions, velocities = _tracks(track, speeds, 1)
-    frames = render_frames(positions)
+    positions, velocities = _ball_tracks(rng, length, 1, mode)
     labels = np.full(length, MODE_IDS[mode], dtype=np.int64)
-    return FrameSequence("single", frames, labels, positions, velocities)
+    return FrameSequence("single", render_frames(positions), labels,
+                         positions, velocities)
 
 
 def gen_switching_dynamics(rng: Rng, length: int) -> FrameSequence:
@@ -238,50 +260,14 @@ def gen_switching_dynamics(rng: Rng, length: int) -> FrameSequence:
 
 def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
                       occluder: "tuple | None" = None) -> FrameSequence:
-    """Equal 2x2 balls with wall reflection and velocity exchange on contact.
-
-    A colliding pair swaps velocity vectors and holds position for that step,
-    which conserves kinetic energy exactly. Occluder pixels are forced to
+    """Equal 2x2 balls at constant velocity with wall reflection and velocity
+    exchange on contact (see ``_ball_tracks``). Occluder pixels are forced to
     background so balls pass behind.
     """
     _check_length("bouncing", length)
     if not 1 <= n_balls <= 4:
         raise ValueError(f"n_balls must lie in [1, 4], got {n_balls}")
-    pos = []
-    for _ in range(n_balls):
-        for attempt in range(100):
-            cand = _sample_position(rng)
-            if all(abs(cand[0] - p[0]) >= BALL or abs(cand[1] - p[1]) >= BALL
-                   for p in pos):
-                pos.append(cand)
-                break
-        else:
-            raise RuntimeError("could not place balls without overlap")
-    vel = [_sample_velocity(rng) for _ in range(n_balls)]
-
-    track, speeds = [], []
-    for p, v in zip(pos, vel):
-        track += p
-        speeds += v
-    for _ in range(1, length):
-        moved = []
-        for i in range(n_balls):
-            r, vr = _reflect(pos[i][0], vel[i][0])
-            c, vc = _reflect(pos[i][1], vel[i][1])
-            moved.append((r, c))
-            vel[i] = (vr, vc)
-        for i in range(n_balls):
-            for j in range(i + 1, n_balls):
-                if (abs(moved[i][0] - moved[j][0]) < BALL
-                        and abs(moved[i][1] - moved[j][1]) < BALL):
-                    vel[i], vel[j] = vel[j], vel[i]
-                    moved[i], moved[j] = pos[i], pos[j]
-        pos = moved
-        for p, v in zip(pos, vel):
-            track += p
-            speeds += v
-
-    positions, velocities = _tracks(track, speeds, n_balls)
+    positions, velocities = _ball_tracks(rng, length, n_balls, "constant")
     frames = render_frames(positions, occluder=occluder)
     labels = np.zeros(length, dtype=np.int64)
     return FrameSequence("bouncing", frames, labels, positions, velocities,

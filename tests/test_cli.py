@@ -119,6 +119,19 @@ def test_malformed_value_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("kind", ["missing", "not-utf8", "directory"])
+def test_unreadable_config_file_exits_1_naming_it(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"task = switching\nseed = \xff\n")
+    out = tmp_path / "out"
+    assert run_cli("gen-data", "--config", str(path), "--out", str(out)) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sections_and_comments_ignored(tmp_path):
     path = write_cfg(tmp_path, "[model]\nn_f = 3  # inline comment\n[train]\nepochs = 2\n")
     resolved = parse_config(path)
@@ -657,7 +670,11 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     # a key the program no longer reads: the run it names would not be the
     # one evaluated
     ("comm_sparse", lambda config: config.update(comm_sparse=True)),
-], ids=["missing", "unknown"])
+    # a value of the wrong type: each would reach the model unchecked
+    ("d_h", lambda config: config.update(d_h="32")),
+    ("n_sel", lambda config: config.update(n_sel=1.5)),
+    ("occluder", lambda config: config.update(occluder=1)),
+], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
                                                       key, edit):
     copy = tmp_path / "copy"

@@ -8,41 +8,71 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoff.rng import Rng
-from scoff.tasks import (BALL, GRID, INDICATOR_ROW, OCCLUDER, OSC_HI, OSC_LO,
-                         SINGLE_MODES, TASKS, AddingSequence, DataConfig, FrameSequence,
-                         gen_adding, gen_bouncing_mini, gen_single_dynamics,
-                         gen_switching_dynamics, read_dataset, write_dataset)
+from scoff.tasks import (BALL, GRID, INDICATOR_ROW, OCCLUDER, OSC_HI, OSC_LO, POS_MAX,
+                         SINGLE_MODES, TASKS, V_CLAMP, AddingSequence, DataConfig,
+                         FrameSequence, _reflect, gen_adding, gen_bouncing_mini,
+                         gen_single_dynamics, gen_switching_dynamics, read_dataset,
+                         write_dataset)
 
 
 # --------------------------------------------------------------- single object
 
-def test_constant_mode_advances_one_column_per_frame():
-    seq = gen_single_dynamics(Rng(1), 8, "constant", velocity=(0, 1),
-                              start=(5, 2))
-    for t in range(7):
-        assert seq.positions[t, 0, 1] == 2 + t  # no wall before column 9
-        assert seq.positions[t, 0, 0] == 5
+def _steps(seq):
+    """(previous position, previous velocity, position, velocity) per step of
+    a one-ball sequence, as lists of ints."""
+    pos, vel = seq.positions[:, 0].tolist(), seq.velocities[:, 0].tolist()
+    return list(zip(pos, vel, pos[1:], vel[1:]))
 
 
-def test_constant_mode_reflects_at_wall():
-    seq = gen_single_dynamics(Rng(1), 6, "constant", velocity=(0, 2),
-                              start=(5, 12))
-    cols = seq.positions[:, 0, 1].tolist()
-    assert cols == [12, 14, 12, 10, 8, 6]
+def _moved(p, v):
+    """Both coordinates advanced by ``_reflect``: (position, velocity)."""
+    (r, vr), (c, vc) = _reflect(p[0], v[0]), _reflect(p[1], v[1])
+    return [r, c], [vr, vc]
 
 
-def test_accelerate_with_zero_accel_degenerates_to_constant():
-    a = gen_single_dynamics(Rng(42), 10, "accelerate", accel=(0, 0))
-    b = gen_single_dynamics(Rng(42), 10, "constant")
-    assert np.array_equal(a.frames, b.frames)
-    assert np.array_equal(a.positions, b.positions)
+def test_constant_mode_steps_by_wall_reflection():
+    # the oracle on its own: a free step, a bounce off each wall
+    assert _reflect(5, 1) == (6, 1)
+    assert _reflect(13, 2) == (13, -2)
+    assert _reflect(1, -2) == (1, 2)
+    reflections = 0
+    for seed in range(300):
+        seq = gen_single_dynamics(Rng(seed), 20, "constant")
+        assert seq.velocities[0, 0].tolist() != [0, 0]
+        for p, v, p_next, v_next in _steps(seq):
+            assert [p_next, v_next] == [*_moved(p, v)]
+            reflections += v_next != v
+        assert (0 <= seq.positions).all() and (seq.positions <= POS_MAX).all()
+    assert reflections > 0
 
 
-def test_accelerate_velocity_grows_then_clamps():
-    seq = gen_single_dynamics(Rng(3), 8, "accelerate", velocity=(1, 0),
-                              accel=(1, 0), start=(0, 5))
-    speeds = np.abs(seq.velocities[:, 0, 0])
-    assert speeds.max() <= 3
+def _accelerates_by(steps, a) -> bool:
+    """Whether each step is the reflected move at velocity v + a, clamped."""
+    return all([p_next, v_next] == [*_moved(p, [max(-V_CLAMP, min(V_CLAMP, x + d))
+                                                for x, d in zip(v, a)])]
+               for p, v, p_next, v_next in steps)
+
+
+def test_accelerate_mode_adds_one_fixed_increment_and_clamps():
+    increments = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+    reached = 0
+    for seed in range(300):
+        seq = gen_single_dynamics(Rng(seed), 20, "accelerate")
+        assert any(_accelerates_by(_steps(seq), a) for a in increments), seed
+        top = np.abs(seq.velocities).max()
+        assert top <= V_CLAMP
+        reached += top == V_CLAMP
+    assert reached > 0
+
+
+def test_accelerate_and_constant_draw_the_same_start():
+    # both modes draw the position, then the velocity; accelerate draws its
+    # increment only after them
+    for seed in range(200):
+        a = gen_single_dynamics(Rng(seed), 10, "accelerate")
+        b = gen_single_dynamics(Rng(seed), 10, "constant")
+        assert np.array_equal(a.positions[0], b.positions[0])
+        assert np.array_equal(a.velocities[0], b.velocities[0])
 
 
 def test_random_walk_step_law_matches_uniform_categorical():
