@@ -30,7 +30,22 @@ def _moved(p, v):
     return [r, c], [vr, vc]
 
 
-def test_constant_mode_steps_by_wall_reflection():
+def test_constant_mode_advances_one_column_per_frame():
+    # a ball drawn with velocity (0, +-1) keeps its row and moves exactly one
+    # column each frame, a wall bounce included
+    horizontal = 0
+    for seed in range(300):
+        seq = gen_single_dynamics(Rng(seed), 20, "constant")
+        if abs(seq.velocities[0, 0]).tolist() != [0, 1]:
+            continue
+        horizontal += 1
+        rows, cols = seq.positions[:, 0, 0], seq.positions[:, 0, 1]
+        assert (rows == rows[0]).all()
+        assert (np.abs(np.diff(cols)) == 1).all()
+    assert horizontal > 0
+
+
+def test_constant_mode_reflects_at_wall():
     # the oracle on its own: a free step, a bounce off each wall
     assert _reflect(5, 1) == (6, 1)
     assert _reflect(13, 2) == (13, -2)
