@@ -17,18 +17,15 @@ class AttentionProjections:
     """
 
     def __init__(self, rng: Rng, query_in: int, key_in: int, value_in: int,
-                 heads: int, key_width: int, value_width: int, dropout: float = 0.0):
+                 heads: int, key_width: int, value_width: int):
         if heads < 1:
             raise ValueError(f"head count must be >= 1, got {heads}")
         if value_width % heads:
             raise ValueError(f"value width {value_width} not divisible by {heads} heads")
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0,1), got {dropout}")
         per_head = value_width // heads
         self.query = [nm.glorot(rng, query_in, key_width) for _ in range(heads)]
         self.key = [nm.glorot(rng, key_in, key_width) for _ in range(heads)]
         self.value = [nm.glorot(rng, value_in, per_head) for _ in range(heads)]
-        self.dropout = dropout
 
     def named(self, prefix: str) -> dict:
         """{prefix}q{h}, {prefix}k{h}, {prefix}v{h}, head by head."""

@@ -235,13 +235,12 @@ def cmd_trace(args, resolved: dict) -> int:
 
 def cmd_check_grad(args, resolved: dict) -> int:
     """Two unrolled soft-selection steps over the fixed verification layer
-    (3 slots, 2 schemata, width 8, 4 positions, dropout off), against central
-    differences at eps=1e-5; threshold 1e-4."""
+    (3 slots, 2 schemata, width 8, 4 positions; no rng, so no dropout),
+    against central differences at eps=1e-5; threshold 1e-4."""
     n_f, n_s, d_h, positions = 3, 2, 8, 4
     cfg = ScoffConfig(n_f=n_f, n_s=n_s, d_h=d_h, d_in=6, inp_heads=1,
-                      inp_keys=4, inp_values=6, inp_dropout=0.0, sel_keys=4,
-                      comm_heads=1, comm_keys=4, comm_dropout=0.0,
-                      hard_selection=False)
+                      inp_keys=4, inp_values=6, sel_keys=4, comm_heads=1,
+                      comm_keys=4, hard_selection=False)
     rng = Rng(resolved["seed"])
     layer = ScoffLayer(cfg, rng)
     feats = [Tensor(np.asarray(rng.uniform((positions, cfg.d_in)))) for _ in range(2)]

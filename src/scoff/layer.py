@@ -24,7 +24,8 @@ class ScoffConfig:
 
     ``inp_values`` doubles as the input width of every schema cell, and the
     communication value width always equals d_h because the communication
-    result is added onto the state.
+    result is added onto the state. Both attention steps drop weights at the
+    fixed rate ``ScoffLayer.DROPOUT`` when stepped with an rng.
     """
 
     n_f: int = 6
@@ -34,11 +35,9 @@ class ScoffConfig:
     inp_heads: int = 1
     inp_keys: int = 16
     inp_values: int = 32
-    inp_dropout: float = 0.1
     sel_keys: int = 16
     comm_heads: int = 2
     comm_keys: int = 16
-    comm_dropout: float = 0.1
     n_sel: int = 0  # slots updated per step; 0: all of them
     tau: float = 1.0
     hard_selection: bool = True
@@ -56,9 +55,6 @@ class ScoffConfig:
             raise ValueError("inp_values must divide evenly across inp_heads")
         if self.d_h % self.comm_heads:
             raise ValueError("d_h must divide evenly across comm_heads")
-        for name in ("inp_dropout", "comm_dropout"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0,1)")
 
 
 @dataclass
@@ -77,17 +73,17 @@ class StepTrace:
 class ScoffLayer:
     """Drop-in recurrent layer over position-encoded features."""
 
+    DROPOUT = 0.1  # attention-weight dropout of input reads and communication
+
     def __init__(self, config: ScoffConfig, rng: Rng):
         self.config = config
         c = config
         self.input_proj = AttentionProjections(
-            rng, c.d_h, c.d_in, c.d_in, c.inp_heads, c.inp_keys, c.inp_values,
-            c.inp_dropout)
+            rng, c.d_h, c.d_in, c.d_in, c.inp_heads, c.inp_keys, c.inp_values)
         self.sel_query = nm.glorot(rng, c.d_h, c.sel_keys)
         self.sel_key = nm.glorot(rng, c.d_h, c.sel_keys)
         self.comm_proj = AttentionProjections(
-            rng, c.d_h, c.d_h, c.d_h, c.comm_heads, c.comm_keys, c.d_h,
-            c.comm_dropout)
+            rng, c.d_h, c.d_h, c.d_h, c.comm_heads, c.comm_keys, c.d_h)
         self.bank = [init_schema(rng, c.inp_values, c.d_h) for _ in range(c.n_s)]
         self._zero_noise = nm.zeros((c.n_f, c.n_s))
 
@@ -218,9 +214,10 @@ class ScoffLayer:
 def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,
            normalize_axis: str, scale: float, rng: "Rng | None"):
     """Every head of ``proj``: queries from ``queriers``, keys and values from
-    ``candidates``. Returns (head outputs concatenated, head-mean weights as
-    an ndarray)."""
-    heads = [attend(queriers, candidates, *mats, normalize_axis, scale, proj.dropout, rng)
+    ``candidates``, dropping at ``ScoffLayer.DROPOUT`` if given an rng.
+    Returns (head outputs concatenated, head-mean weights as an ndarray)."""
+    heads = [attend(queriers, candidates, *mats, normalize_axis, scale,
+                    ScoffLayer.DROPOUT, rng)
              for mats in zip(proj.query, proj.key, proj.value)]
     if len(heads) == 1:
         return heads[0][1], heads[0][0]

@@ -4,7 +4,8 @@ All arithmetic is in 64-bit floats. Gradients are recorded define-by-run: ops
 executed while a Tape is active append themselves to it in creation order,
 which is by construction a topological order, so the backward pass is a single
 reverse scan. With no active tape, ops run in plain evaluation mode and record
-nothing.
+nothing. The active tapes form one module-level stack: the engine is
+single-threaded, and one pass runs at a time.
 
 Every op, built-in or defined elsewhere, takes the same path: it computes its
 output array, and :func:`record` wraps it in a Tensor and appends it to the
@@ -66,25 +67,16 @@ external data are always validated.
 """
 
 import math
-import threading
 
 import numpy as np
 
 from .rng import Rng
 
 
-class _TapeStacks(threading.local):
-    """Per-thread active-tape stacks: independent passes may run concurrently
-    as long as each owns its Tape and Rng. ``deferred`` maps each leaf to the
-    (x, g) pairs queued by :func:`accum_xtg` while :func:`backward` runs, and
-    is None otherwise."""
-
-    def __init__(self):
-        self.stack = []
-        self.deferred = None
-
-
-_TLS = _TapeStacks()
+# the active tapes, innermost last
+_STACK: list = []
+# while backward runs, each leaf's (x, g) pairs queued by accum_xtg; else None
+_deferred: "dict | None" = None
 
 
 class Tape:
@@ -96,11 +88,11 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _TLS.stack.append(self)
+        _STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        _TLS.stack.pop()
+        _STACK.pop()
         return False
 
 
@@ -180,13 +172,12 @@ def record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     t = Tensor.__new__(Tensor)
     t.data = out_data
     t.grad = None
-    stack = _TLS.stack
-    if stack:
+    if _STACK:
         for p in parents:
             if p.requires_grad:
                 t.requires_grad = True
                 t._backward = backward_fn
-                stack[-1].nodes.append(t)
+                _STACK[-1].nodes.append(t)
                 return t
     t.requires_grad = False
     t._backward = None
@@ -209,7 +200,7 @@ def accum_xtg(t: Tensor, x: np.ndarray, g: np.ndarray) -> None:
     """
     if not t.requires_grad:
         return
-    deferred = _TLS.deferred
+    deferred = _deferred
     if deferred is None or t._backward is not None:
         accum(t, x.T @ g)
         return
@@ -511,6 +502,7 @@ def sample_gumbel(rng: Rng, shape) -> Tensor:
 
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate grads of everything the scalar ``loss`` depends on."""
+    global _deferred
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     # a node holds no reference to its tape, so that a dropped tape is freed
@@ -518,7 +510,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if not any(node is loss for node in reversed(tape.nodes)):
         raise ValueError("loss was not recorded on this tape")
     loss.grad = np.ones_like(loss.data)
-    _TLS.deferred = deferred = {}
+    _deferred = deferred = {}
     try:
         for node in reversed(tape.nodes):
             if node.grad is None:
@@ -528,7 +520,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for t, (xs, gs) in deferred.items():
             accum(t, np.concatenate(xs).T @ np.concatenate(gs))
     finally:
-        _TLS.deferred = None
+        _deferred = None
 
 
 def grad_check(f, params: list, eps: float = 1e-5) -> float:

@@ -122,7 +122,11 @@ def recurrent_param_count(n_f: int, n_s: int, d_h: int, d_in: int) -> tuple:
     """(bank count, monolithic count) for equal total hidden size.
 
     The bank holds n_s cells of width d_h; the monolithic reference is a
-    single cell of width D = n_f * d_h fed the same input width.
+    single cell of width D = n_f * d_h fed the same input width d_in. That
+    cell is the formula's reference, not the trained ``GruBaseline``, whose
+    cell takes the encoder row (``CodecConfig.d_a`` wide) as its input. At
+    ``configs/bouncing_paper.cfg`` (n_f = n_s = 4, d_h = d_in = 100) the
+    counts are 241,200 and 601,200; the baseline cell there has 510,000.
     """
     bank = n_s * 3 * (d_in * d_h + d_h * d_h + d_h)
     big = n_f * d_h

@@ -311,12 +311,11 @@ class DataConfig:
     test_count: int = 500
     n_balls: int = 2
     occluder: bool = False
-    mode: str = "mixed"
     operands: str = "2,4"
 
     def __post_init__(self):
         check_task(self.task)
-        task, length, modes = self.task, self.length, ("mixed", *SINGLE_MODES)
+        task, length = self.task, self.length
         least = TASKS[task]["min_length"]
         odd = " and odd" if task == "switching" else ""
         for key, ok, want in (
@@ -324,7 +323,6 @@ class DataConfig:
                 ("test_count", self.test_count >= 1, ">= 1"),
                 ("length", length >= least and (not odd or length % 2), f">= {least}{odd}"),
                 ("n_balls", task != "bouncing" or 1 <= self.n_balls <= 4, "in [1, 4]"),
-                ("mode", task != "single" or self.mode in modes, f"one of {modes}"),
                 ("operands", task != "adding" or self.operand_counts(),
                  f"integers in [1, {length}]")):
             if not ok:
@@ -341,14 +339,14 @@ class DataConfig:
 
 def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> list:
     """``count`` sequences of ``cfg``'s task; sequence i draws from
-    ``Rng(seed).spawn(offset + i)`` alone."""
+    ``Rng(seed).spawn(offset + i)`` alone, a ``single`` sequence its dynamics
+    mode first."""
     root = Rng(seed)
     out = []
     for i in range(count):
         child = root.spawn(offset + i)
         if cfg.task == "single":
-            mode = child.choice(SINGLE_MODES) if cfg.mode == "mixed" else cfg.mode
-            out.append(gen_single_dynamics(child, cfg.length, mode))
+            out.append(gen_single_dynamics(child, cfg.length, child.choice(SINGLE_MODES)))
         elif cfg.task == "switching":
             out.append(gen_switching_dynamics(child, cfg.length))
         elif cfg.task == "bouncing":

@@ -1,5 +1,8 @@
 """Losses, the Adam optimizer, train/eval loops, and trace analysis.
 
+Every optimizer step clips the batch gradient to global norm 1.0
+(``Adam.CLIP_NORM``); no setting turns clipping off or moves the norm.
+
 Training is single-threaded and fully determined by (seed, config): two
 children of ``Rng(seed)`` feed it, ``spawn(0)`` the model init and
 ``spawn(1)`` the run (epoch shuffles, Gumbel noise and dropout masks, drawn in
@@ -37,7 +40,6 @@ class TrainConfig:
     seed: int = 0
     burn_in: int
     horizon: int
-    clip_norm: float = 1.0  # None: no clipping
     eval_subset: int = 32
 
     def __post_init__(self):
@@ -47,11 +49,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "eval_subset", "burn_in", "horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name, ok, want in (
-                ("lr", self.lr > 0, "> 0"),
-                ("clip_norm", self.clip_norm is None or self.clip_norm > 0, "> 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.task in FRAME_TASKS and GRID % self.codec.patch:
             raise ValueError(f"patch {self.codec.patch} must divide the "
                              f"{GRID}x{GRID} frame")
@@ -104,9 +103,10 @@ def mse_scalar(pred: Tensor, target: float) -> Tensor:
 
 class Adam:
     """Holds moments for a parameter list and applies scaled, clipped,
-    bias-corrected steps in place, with fixed moment decays and epsilon."""
+    bias-corrected steps in place, with a fixed global clipping norm, moment
+    decays and epsilon."""
 
-    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    CLIP_NORM, BETA1, BETA2, EPS = 1.0, 0.9, 0.999, 1e-8
 
     def __init__(self, params: list, lr: float):
         self.params = list(params)
@@ -115,14 +115,13 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
-    def apply(self, scale: float, clip: "float | None") -> None:
+    def apply(self, scale: float) -> None:
         grads = [np.zeros_like(p.data) if p.grad is None else p.grad * scale
                  for p in self.params]
-        if clip is not None:
-            norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
-            if norm > clip:
-                coef = clip / norm
-                grads = [g * coef for g in grads]
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+        if norm > self.CLIP_NORM:
+            coef = self.CLIP_NORM / norm
+            grads = [g * coef for g in grads]
         self.t += 1
         beta1, beta2 = self.BETA1, self.BETA2
         bc1 = 1.0 - beta1 ** self.t
@@ -343,7 +342,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
             if not math.isfinite(epoch_loss):
                 raise ValueError(f"{where}: non-finite loss")
             t0 = clock()
-            opt.apply(scale=1.0 / len(batch), clip=cfg.clip_norm)
+            opt.apply(scale=1.0 / len(batch))
             phases["adam"] += clock() - t0
             bad = _first_non_finite((n, p.data) for n, p in params.items())
             if bad is not None:

@@ -44,9 +44,8 @@ SWITCHING_BURN_IN = 5
 def switching_config(n_s, seed, epochs, d_h=16):
     codec = CodecConfig()
     scoff = ScoffConfig(n_f=1, n_s=n_s, d_h=d_h, d_in=codec.d_a, inp_heads=1,
-                        inp_keys=16, inp_values=d_h, inp_dropout=0.1,
-                        sel_keys=16, comm_heads=1, comm_keys=16,
-                        comm_dropout=0.1, tau=1.0)
+                        inp_keys=16, inp_values=d_h, sel_keys=16,
+                        comm_heads=1, comm_keys=16, tau=1.0)
     return TrainConfig(task="switching", model="scoff", scoff=scoff,
                        codec=codec, lr=2e-3, batch_size=8, epochs=epochs,
                        seed=seed, burn_in=SWITCHING_BURN_IN, horizon=10,
@@ -78,8 +77,8 @@ def make_switching_data(count, offset=0, length=SWITCHING_LENGTH, base=2024):
 def test_criterion_1_gradient_fidelity():
     started = time.perf_counter()
     cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
-                      inp_values=6, inp_dropout=0.0, sel_keys=4, comm_heads=1,
-                      comm_keys=4, comm_dropout=0.0, hard_selection=False)
+                      inp_values=6, sel_keys=4, comm_heads=1, comm_keys=4,
+                      hard_selection=False)
     rng = Rng(0)
     layer = ScoffLayer(cfg, rng)
     feats = [Tensor(np.asarray(rng.uniform((4, 6)))) for _ in range(2)]
@@ -112,10 +111,9 @@ def test_criterion_2_exchangeability_suite():
         heads = 1 + rng.randint(2)
         cfg = ScoffConfig(n_f=n_f, n_s=n_s, d_h=d_h, d_in=d_in,
                           inp_heads=heads, inp_keys=4, inp_values=d_h,
-                          inp_dropout=0.0, sel_keys=4,
+                          sel_keys=4,
                           comm_heads=1 if d_h % 2 else 1 + rng.randint(2),
-                          comm_keys=4, comm_dropout=0.0,
-                          hard_selection=bool(rng.randint(2)))
+                          comm_keys=4, hard_selection=bool(rng.randint(2)))
         layer = ScoffLayer(cfg, Rng(9000 + trial))
         state_np = rand(rng, (n_f, d_h))
         feats = Tensor(rand(rng, (5, d_in)))

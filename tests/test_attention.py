@@ -250,9 +250,6 @@ def test_projections_validation():
                              value_width=8)  # 8 not divisible by 3
     with pytest.raises(ValueError):
         AttentionProjections(rng, 4, 6, 6, heads=0, key_width=3, value_width=8)
-    with pytest.raises(ValueError, match="dropout"):
-        AttentionProjections(rng, 4, 6, 6, heads=2, key_width=3, value_width=8,
-                             dropout=1.0)
 
 
 # ------------------------------------------------------------------- topk mask

@@ -32,16 +32,15 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 # ------------------------------------------------------------- config parsing
 
 SWITCHING_DEFAULTS = {
-    "batch_size": 64, "burn_in": 5, "checkpoint": "", "clip_norm": 1.0,
-    "comm_dropout": 0.1, "comm_heads": 2, "comm_keys": 16, "d_c": 16,
-    "d_h": 32, "d_pos": 8, "data": "", "dec_hidden": 64, "enc_hidden": 32,
-    "epochs": 10, "eval_subset": 32, "hard_selection": True,
-    "horizon": 10, "inp_dropout": 0.1, "inp_heads": 1, "inp_keys": 16,
-    "inp_values": 32, "length": 21, "lr": 0.0001, "mode": "mixed",
-    "model": "scoff", "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0,
-    "occluder": False, "operands": "2,4", "patch": 4, "readout_hidden": 32,
-    "readout_width": 32, "seed": 0, "sel_keys": 16, "task": "switching",
-    "tau": 1.0, "test_count": 500, "train_count": 2000,
+    "batch_size": 64, "burn_in": 5, "checkpoint": "", "comm_heads": 2,
+    "comm_keys": 16, "d_c": 16, "d_h": 32, "d_pos": 8, "data": "",
+    "dec_hidden": 64, "enc_hidden": 32, "epochs": 10, "eval_subset": 32,
+    "hard_selection": True, "horizon": 10, "inp_heads": 1, "inp_keys": 16,
+    "inp_values": 32, "length": 21, "lr": 0.0001, "model": "scoff",
+    "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0, "occluder": False,
+    "operands": "2,4", "patch": 4, "readout_hidden": 32, "readout_width": 32,
+    "seed": 0, "sel_keys": 16, "task": "switching", "tau": 1.0,
+    "test_count": 500, "train_count": 2000,
 }
 
 # the task-dependent entries on top of the switching defaults
@@ -91,10 +90,13 @@ def test_comm_values_must_match_d_h():
     # comm_values was dropped: the communication value width is always d_h,
     # so the key is rejected whether or not it agrees with d_h. So are the
     # keys retired since, each at the one value every run used: the GRU
-    # baseline is n_f * d_h wide, Adam's moment decays and epsilon are fixed,
-    # and communication reaches every slot
+    # baseline is n_f * d_h wide, Adam's moment decays, epsilon and clipping
+    # norm are fixed, communication reaches every slot, both attention steps
+    # drop at ScoffLayer.DROPOUT, and a single sequence draws its mode
     for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
-                     "beta2=0.999", "epsilon=1e-8", "comm_sparse=false"):
+                     "beta2=0.999", "epsilon=1e-8", "comm_sparse=false",
+                     "clip_norm=1.0", "inp_dropout=0.1", "comm_dropout=0.1",
+                     "mode=mixed"):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(None, [override, "d_h=32"])
@@ -149,7 +151,7 @@ def test_seed_flag_overrides():
     assert resolved["seed"] == 99
 
 
-@pytest.mark.parametrize("key", ["lr", "tau", "inp_dropout", "clip_norm"])
+@pytest.mark.parametrize("key", ["lr", "tau"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_float_rejected(key, raw):
     with pytest.raises(ConfigError, match="finite"):
@@ -199,7 +201,7 @@ def test_gen_data_byte_identical(tmp_path):
     ("operands", ["task=adding", "operands=2,x"]),
     ("operands", ["task=adding", "operands=0"]),
     ("operands", ["task=adding", "operands=60"]),  # length 50
-    ("mode", ["task=single", "mode=warp"]),
+    ("mode", ["task=single", "mode=warp"]),  # retired: now an unknown key
     ("length", ["task=switching", "length=12"]),
     ("length", ["task=bouncing", "length=1"]),
     ("train_count", ["task=switching", "train_count=0"]),
@@ -674,7 +676,10 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     ("d_h", lambda config: config.update(d_h="32")),
     ("n_sel", lambda config: config.update(n_sel=1.5)),
     ("occluder", lambda config: config.update(occluder=1)),
-], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool"])
+    # a key retired at the one value every run used: the checkpoints of
+    # that time store it
+    ("clip_norm", lambda config: config.update(clip_norm=1.0)),
+], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
                                                       key, edit):
     copy = tmp_path / "copy"
@@ -727,10 +732,11 @@ def test_task_defaults_come_from_the_task_table(task):
         TASKS[task][k] for k in ("length", "lr", "burn_in", "horizon"))
 
 
-@pytest.mark.parametrize("override", ["lr=-0.01", "lr=0", "clip_norm=-1", "clip_norm=0",
+@pytest.mark.parametrize("override", ["lr=-0.01", "lr=0",
                                       # retired keys: any value is now an
                                       # unknown key, still a usage error
-                                      "beta1=1.5", "beta1=-0.1", "beta2=1", "epsilon=0",
+                                      "clip_norm=-1", "clip_norm=0", "beta1=1.5",
+                                      "beta1=-0.1", "beta2=1", "epsilon=0",
                                       "baseline_width=-1"])
 def test_optimizer_key_out_of_range_exits_1_naming_it_and_writes_nothing(
         tiny_run, tmp_path, capsys, override):

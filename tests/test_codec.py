@@ -195,8 +195,7 @@ def test_encode_rollout_readout_gradcheck_soft_selection():
                             readout_width=4)
     scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=4, d_in=codec_cfg.d_a,
                             inp_heads=1, inp_keys=3, inp_values=4,
-                            inp_dropout=0.0, sel_keys=3, comm_heads=1,
-                            comm_keys=3, comm_dropout=0.0,
+                            sel_keys=3, comm_heads=1, comm_keys=3,
                             hard_selection=False)
     rng = Rng(22)
     enc = PositionEncoder(rng, 16, 16, codec_cfg)

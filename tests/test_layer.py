@@ -16,8 +16,7 @@ def rand(rng, shape):
 
 def tiny_config(**kw):
     base = dict(n_f=3, n_s=2, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
-                inp_values=8, inp_dropout=0.0, sel_keys=4, comm_heads=1,
-                comm_keys=4, comm_dropout=0.0)
+                inp_values=8, sel_keys=4, comm_heads=1, comm_keys=4)
     base.update(kw)
     return ScoffConfig(**base)
 
@@ -284,7 +283,7 @@ def test_trace_invariants():
 
 
 def test_step_with_dropout_is_seed_deterministic():
-    layer = make_layer(seed=31, inp_dropout=0.2, comm_dropout=0.2)
+    layer = make_layer(seed=31)
     feats = Tensor(rand(Rng(32), (5, 6)))
     a, _ = layer.step(feats, layer.init_state(), rng=Rng(33))
     b, _ = layer.step(feats, layer.init_state(), rng=Rng(33))

@@ -775,28 +775,3 @@ def test_bouncing_mini_training_sequence_fetches_at_most_two_blocks(monkeypatch)
         sequence_loss(model, seq, rng)
     assert rng._counter == 2784
     assert len(fetches) <= 2 and fetches[0] == 64
-
-
-def test_concurrent_passes_with_own_tapes_match_serial():
-    # the documented concurrency contract: independent passes, each owning
-    # its Tape and Rng, may run in parallel threads
-    import threading
-
-    w = Tensor(np.asarray(Rng(3).uniform((4, 4))), requires_grad=True)
-
-    def one_pass(seed):
-        rng = Rng(seed)
-        x = Tensor(np.asarray(rng.uniform((2, 4))))
-        with Tape() as tape:
-            loss = (matmul(x, w) * matmul(x, w)).sum()
-        return loss.item()
-
-    serial = [one_pass(s) for s in range(8)]
-    results = [None] * 8
-    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, one_pass(i)))
-               for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results == serial

@@ -19,3 +19,23 @@ def test_every_public_name_is_used_by_the_package():
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
     assert sorted(set(scoff.__all__) - used) == []
+
+
+def test_no_module_imports_threading():
+    # the engine is single-threaded: one module-level tape stack serves
+    # every pass
+    importers = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "threading" for m in modules):
+                    importers.append(name)
+    assert importers == []

@@ -37,9 +37,8 @@ def tiny_train_config(task="switching", model="scoff", **kw):
     codec = CodecConfig(patch=4, d_c=6, d_pos=4, enc_hidden=8,
                         readout_hidden=8, readout_width=8)
     scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=8, d_in=codec.d_a, inp_heads=1,
-                            inp_keys=4, inp_values=8, inp_dropout=0.1,
-                            sel_keys=4, comm_heads=1, comm_keys=4,
-                            comm_dropout=0.1)
+                            inp_keys=4, inp_values=8, sel_keys=4,
+                            comm_heads=1, comm_keys=4)
     base = dict(task=task, model=model, scoff=scoff_cfg, codec=codec,
                 lr=1e-3, batch_size=5, epochs=1, seed=7, burn_in=3, horizon=5,
                 eval_subset=4)
@@ -105,12 +104,14 @@ def test_mse_cases():
 # ----------------------------------------------------------------------- adam
 
 def adam_oracle(x0, grad_fn, steps, lr):
-    """Scalar reference trajectory."""
+    """Scalar reference trajectory, its gradient clipped to norm 1."""
     b1, b2, eps = Adam.BETA1, Adam.BETA2, Adam.EPS
     x, m, v = x0, 0.0, 0.0
     history = []
     for t in range(1, steps + 1):
         g = grad_fn(x)
+        if abs(g) > 1.0:
+            g = g / abs(g)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         mhat = m / (1 - b1 ** t)
@@ -124,7 +125,7 @@ def test_adam_zero_gradient_keeps_parameters():
     p = Tensor([1.5, -2.0], requires_grad=True)
     before = p.data.copy()
     p.grad = np.zeros(2)
-    Adam([p], 0.1).apply(1.0, None)
+    Adam([p], 0.1).apply(1.0)
     assert np.array_equal(p.data, before)
 
 
@@ -132,7 +133,7 @@ def test_adam_first_step_magnitude_close_to_lr():
     for g in (0.3, -4.0, 1e3):
         p = Tensor([0.0], requires_grad=True)
         p.grad = np.array([g])
-        Adam([p], 0.01).apply(1.0, None)
+        Adam([p], 0.01).apply(1.0)
         assert abs(abs(p.data[0]) - 0.01) < 1e-5
         assert np.sign(p.data[0]) == -np.sign(g)
 
@@ -146,10 +147,11 @@ def test_adam_trajectory_matches_scalar_oracle():
         with Tape() as tape:
             loss = (p * p).sum()
         backward(loss, tape)
-        opt.apply(1.0, None)
+        opt.apply(1.0)
         got.append(float(p.data[0]))
+    # the gradient 2x starts at 6, so the first steps are clipped
     want = adam_oracle(3.0, lambda x: 2.0 * x, 100, lr)
-    assert (Adam.BETA1, Adam.BETA2, Adam.EPS) == (0.9, 0.999, 1e-8)
+    assert (Adam.CLIP_NORM, Adam.BETA1, Adam.BETA2, Adam.EPS) == (1.0, 0.9, 0.999, 1e-8)
     assert np.max(np.abs(np.asarray(got) - np.asarray(want))) < 1e-12
 
 
@@ -165,11 +167,19 @@ def test_adam_clip_bounds_update_norm():
     p = Tensor(np.zeros(4), requires_grad=True)
     opt = Adam([p], 1.0)
     p.grad = np.full(4, 100.0)
-    opt.apply(1.0, 1.0)
+    opt.apply(1.0)
     # clipped gradient has norm 1, so each component is 0.5 and the first
     # bias-corrected step is close to lr in magnitude per coordinate sign
     assert np.isfinite(p.data).all()
     assert (np.abs(p.data) <= 1.0 + 1e-9).all()
+    assert np.allclose(opt.m[0], (1 - Adam.BETA1) * 0.5, rtol=0, atol=1e-15)
+    # the scale applies before clipping: 100 / 1000 per component has norm
+    # 0.2, which passes unclipped
+    q = Tensor(np.zeros(4), requires_grad=True)
+    opt = Adam([q], 1.0)
+    q.grad = np.full(4, 100.0)
+    opt.apply(1e-3)
+    assert np.allclose(opt.m[0], (1 - Adam.BETA1) * 0.1, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------- purity
@@ -266,12 +276,12 @@ def make_switching_data(count, length=13):
 
 
 def test_rng_is_the_one_stochastic_mode_switch(monkeypatch):
-    # a model with dropout on both attentions: a step with no rng is greedy,
+    # dropout runs on both attentions: a step with no rng is greedy,
     # draws nothing and runs no dropout; a step given an rng draws the input
     # dropout mask, the selection noise and the communication dropout mask
     scoff_cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, d_in=tiny_train_config().codec.d_a,
-                            inp_keys=4, inp_values=8, inp_dropout=0.3, sel_keys=4,
-                            comm_heads=1, comm_keys=4, comm_dropout=0.3)
+                            inp_keys=4, inp_values=8, sel_keys=4,
+                            comm_heads=1, comm_keys=4)
     model = build_model(tiny_train_config(scoff=scoff_cfg), Rng(0))
     feats = model.encode(make_switching_data(1)[0].frames[:2])
     state, _ = model.step(feats[0], model.init_state())
@@ -402,17 +412,23 @@ def test_train_rejects_empty_dataset():
         train_model(tiny_train_config(), [], [])
 
 
-def test_train_rejects_update_that_overflows_a_parameter():
-    # the adding task's first gradients exceed 1 in magnitude, so with the
-    # largest finite lr the one Adam step of a one-batch run overflows; the
-    # gradients it was computed from are still finite
-    data = [gen_adding(Rng(50), 8, 2)]
+def test_train_rejects_update_that_overflows_a_parameter(monkeypatch):
+    # a loss that saturates: the logistic loss of enc_w1 against target 1.
+    # With the largest finite lr, batch 0's clipped step drives every entry
+    # to about +max, where loss and gradient are 0, both finite; batch 1's
+    # step, carried by Adam's momentum alone, then overflows
+    def saturating_loss(model, seq, rng=None):
+        w = model.parameters()["enc_w1"]
+        return bce_per_frame(w, np.ones(w.shape)), []
+
+    monkeypatch.setattr(training, "sequence_loss", saturating_loss)
+    data = [gen_adding(Rng(50 + i), 8, 2) for i in range(2)]
     cfg = tiny_train_config(task="adding", epochs=1, batch_size=1,
-                            lr=sys.float_info.max, clip_norm=None)
+                            lr=sys.float_info.max)
     logged = []
     with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
         train_model(cfg, data, data, log=logged.append)
-    assert str(err.value) == ("training diverged in epoch 0, batch 0: "
+    assert str(err.value) == ("training diverged in epoch 0, batch 1: "
                               "the update made enc_w1 non-finite")
     assert logged == []
 
@@ -739,4 +755,4 @@ def test_train_config_takes_the_task_dependent_keys_from_its_caller():
     for missing in keys:
         with pytest.raises(TypeError, match=missing):
             TrainConfig(task="switching", **{k: 1 for k in keys if k != missing})
-    TrainConfig(task="switching", lr=1e-3, burn_in=1, horizon=1, clip_norm=None)
+    TrainConfig(task="switching", lr=1e-3, burn_in=1, horizon=1)
