@@ -66,10 +66,12 @@ def attend(queriers: Tensor, candidates: Tensor, w_query: Tensor, w_key: Tensor,
         raise ValueError(f"query width {w_query.shape} does not match key width "
                          f"{w_key.shape}")
     axis = 0 if normalize_axis == "queriers" else 1
-    qd = xq @ w_query.data
-    kd = xc @ w_key.data
-    vd = xc @ w_value.data
-    weights = nm.stable_softmax((qd @ kd.T) * scale, axis)
+    qd = xq.dot(w_query.data)
+    kd = xc.dot(w_key.data)
+    vd = xc.dot(w_value.data)
+    weights = qd.dot(kd.T)
+    weights *= scale
+    nm.stable_softmax(weights, axis)
     used, mask = weights, None
     if rng is not None and dropout > 0.0:
         keep = np.asarray(rng.uniform(weights.shape)) >= dropout
@@ -79,22 +81,24 @@ def attend(queriers: Tensor, candidates: Tensor, w_query: Tensor, w_key: Tensor,
     def back(g):
         # each parent's contributions in the order of the chain's reverse
         # scan: the head, then the value, key and query matmuls
-        g_w = g @ vd.T
-        g_v = used.T @ g
+        g_s = g.dot(vd.T)
+        g_v = used.T.dot(g)
         if mask is not None:
-            g_w = g_w * mask
-        g_s = weights * (g_w - (g_w * weights).sum(axis=axis, keepdims=True)) * scale
-        g_q = g_s @ kd
-        g_k = (qd.T @ g_s).T
+            g_s *= mask
+        g_s -= (g_s * weights).sum(axis=axis, keepdims=True)
+        g_s *= weights
+        g_s *= scale
+        g_q = g_s.dot(kd)
+        g_k = qd.T.dot(g_s).T
         for w, g_x in ((w_value, g_v), (w_key, g_k)):
             if candidates.requires_grad:
-                nm.accum(candidates, g_x @ w.data.T)
+                nm.accum(candidates, g_x.dot(w.data.T))
             nm.accum_xtg(w, xc, g_x)
         if queriers.requires_grad:
-            nm.accum(queriers, g_q @ w_query.data.T)
+            nm.accum(queriers, g_q.dot(w_query.data.T))
         nm.accum_xtg(w_query, xq, g_q)
 
-    return weights, nm.record(used @ vd, (queriers, candidates, w_query, w_key, w_value),
+    return weights, nm.record(used.dot(vd), (queriers, candidates, w_query, w_key, w_value),
                               back)
 
 

@@ -61,20 +61,24 @@ class Perceptron:
         if xd.ndim != 2 or xd.shape[1] != self.w1.shape[0]:
             raise ValueError(f"perceptron {self.prefix!r} takes [n, {self.w1.shape[0]}] "
                              f"rows, got {x.shape}")
-        hid = np.tanh(xd @ self.w1.data + self.b1.data)
+        hid = xd.dot(self.w1.data)
+        hid += self.b1.data
+        np.tanh(hid, out=hid)
+        out = hid.dot(self.w2.data)
+        out += self.b2.data
 
         def back(g):
             # each parent's contributions in the order of the chain's reverse scan
             nm.accum(self.b2, g.sum(axis=0))
             nm.accum_xtg(self.w2, hid, g)
-            g_a = (g @ self.w2.data.T) * (1.0 - hid * hid)
+            g_a = g.dot(self.w2.data.T)
+            g_a *= 1.0 - hid * hid
             nm.accum(self.b1, g_a.sum(axis=0))
             if x.requires_grad:
-                nm.accum(x, g_a @ self.w1.data.T)
+                nm.accum(x, g_a.dot(self.w1.data.T))
             nm.accum_xtg(self.w1, xd, g_a)
 
-        return nm.record(hid @ self.w2.data + self.b2.data,
-                         (x, self.w1, self.b1, self.w2, self.b2), back)
+        return nm.record(out, (x, self.w1, self.b1, self.w2, self.b2), back)
 
     def params(self) -> dict:
         p = self.prefix

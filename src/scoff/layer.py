@@ -86,6 +86,8 @@ class ScoffLayer:
             rng, c.d_h, c.d_h, c.d_h, c.comm_heads, c.comm_keys, c.d_h)
         self.bank = [init_schema(rng, c.inp_values, c.d_h) for _ in range(c.n_s)]
         self._zero_noise = nm.zeros((c.n_f, c.n_s))
+        self._eye = np.eye(c.n_s)  # row j: the one-hot pick of schema j
+        self._slots = np.arange(c.n_f)
 
     def init_state(self) -> Tensor:
         return nm.record(np.zeros((self.config.n_f, self.config.d_h)), (), None)
@@ -129,46 +131,52 @@ class ScoffLayer:
         """(new rows [n_f, d_h], indices [n_f]): the raw dots of each slot's
         query with the keys of its hypotheses ``hyps``, the Gumbel pick and the
         selection-weighted sum of the hypotheses, as one fused tape op. The
-        pick is the argmax of the scores, ties to the lowest schema; in hard
-        mode only the backward pass computes softmax(scores / tau)."""
+        pick is the argmax of the scores, ties to the lowest schema. Hard mode
+        forwards each slot's picked row, the one-hot mix without its products
+        by zero; only its backward pass builds the one-hot and computes
+        softmax(scores / tau)."""
         n_f, d_h = state.shape
         n_s, hard = len(hyps), self.config.hard_selection
         sel_query, sel_key, inv_tau = self.sel_query, self.sel_key, 1.0 / self.config.tau
         hstack = np.concatenate([h.data for h in hyps], axis=1).reshape(n_f, n_s, d_h)
         flat = hstack.reshape(n_f * n_s, d_h)
-        keys = (flat @ sel_key.data).reshape(n_f, n_s, -1)
-        q = (state.data @ sel_query.data).reshape(n_f, 1, -1)
-        scores = (q * keys).sum(axis=2) + noise.data
-        indices = np.argmax(scores, axis=-1)
+        keys = flat.dot(sel_key.data).reshape(n_f, n_s, -1)
+        q = state.data.dot(sel_query.data).reshape(n_f, 1, -1)
+        scores = (q * keys).sum(axis=2)
+        scores += noise.data
+        indices = scores.argmax(axis=-1)
         if hard:
-            sel = (indices[:, None] == np.arange(n_s)).astype(np.float64)
+            out = hstack[self._slots, indices]
         else:
-            sel = nm.stable_softmax(scores * inv_tau, -1)
-        sel3 = sel.reshape(n_f, n_s, 1)
+            weights = nm.stable_softmax(scores * inv_tau, -1)
+            out = (weights[:, :, None] * hstack).sum(axis=1)
 
         def back(g):
-            # each parent's contributions in the order of the chain's reverse
-            # scan: the mix, the Gumbel selection, then the scoring
+            # the chain's contributions in its reverse-scan order: the mix,
+            # the Gumbel selection, then the scoring. Each hypothesis takes
+            # its mix and scoring parts as one sum, in that order
+            if hard:
+                sel, soft = self._eye[indices], nm.stable_softmax(scores * inv_tau, -1)
+            else:
+                sel = soft = weights
             g = g[:, None]
-            g_h = g * sel3
-            g_sel = (g * hstack).sum(axis=2)
-            for j, h in enumerate(hyps):
-                nm.accum(h, g_h[:, j])
-            soft = nm.stable_softmax(scores * inv_tau, -1) if hard else sel
-            g = soft * (g_sel - (g_sel * soft).sum(axis=-1, keepdims=True)) * inv_tau
-            nm.accum(noise, g)
-            g = g[:, :, None]
-            g_q = (g * keys).sum(axis=1)
-            nm.accum(state, g_q @ sel_query.data.T)
+            g_h = g * sel[:, :, None]
+            g_s = (g * hstack).sum(axis=2)
+            g_s -= (g_s * soft).sum(axis=-1, keepdims=True)
+            g_s *= soft
+            g_s *= inv_tau
+            nm.accum(noise, g_s)
+            g_s = g_s[:, :, None]
+            g_q = (g_s * keys).sum(axis=1)
+            nm.accum(state, g_q.dot(sel_query.data.T))
             nm.accum_xtg(sel_query, state.data, g_q)
-            g_k = (g * q).reshape(n_f * n_s, -1)
+            g_k = (g_s * q).reshape(n_f * n_s, -1)
             nm.accum_xtg(sel_key, flat, g_k)
-            g_h = (g_k @ sel_key.data.T).reshape(n_f, n_s, d_h)
+            g_h += g_k.dot(sel_key.data.T).reshape(n_f, n_s, d_h)
             for j, h in enumerate(hyps):
                 nm.accum(h, g_h[:, j])
 
-        return nm.record((sel3 * hstack).sum(axis=1),
-                         (*hyps, state, sel_query, sel_key, noise), back), indices
+        return nm.record(out, (*hyps, state, sel_query, sel_key, noise), back), indices
 
     # ---- step 4: communication ------------------------------------------
 

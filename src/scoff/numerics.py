@@ -263,7 +263,8 @@ def mul(a, b) -> Tensor:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of an array as 0.5·tanh(0.5·x) + 0.5, which never
     overflows and needs no branch on the sign of x."""
-    s = np.tanh(0.5 * x)
+    s = 0.5 * x
+    np.tanh(s, out=s)
     s *= 0.5
     s += 0.5
     return s
@@ -436,9 +437,12 @@ def matmul(a, b) -> Tensor:
 
 
 def stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Exp-normalization of an array along ``axis``, max subtracted first."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    """Exp-normalization of an array along ``axis``, max subtracted first,
+    written in place: ``x`` is overwritten with the result and returned."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def softmax(x, axis: int) -> Tensor:
@@ -449,7 +453,7 @@ def softmax(x, axis: int) -> Tensor:
         raise ValueError(f"softmax axis {axis} out of range for rank {nd}")
     if x.data.shape[axis] == 0:
         raise ValueError("softmax over an empty axis")
-    s = stable_softmax(x.data, axis)
+    s = stable_softmax(x.data.copy(), axis)
 
     def back(g):
         accum(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))

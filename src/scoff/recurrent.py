@@ -74,30 +74,43 @@ def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
             f"gru_step shapes z={z.shape} h={h.shape} do not fit cell "
             f"d_in={d_in} d_h={d_h}"
         )
-    a = zd @ theta.w.data + theta.b.data
-    ru = nm.stable_sigmoid(a[:, :2 * d_h] + hd @ theta.u_ru.data)
+    # every in-place write goes into an array allocated just above it
+    a = zd.dot(theta.w.data)
+    a += theta.b.data
+    ru = a[:, :2 * d_h] + hd.dot(theta.u_ru.data)
+    ru *= 0.5  # nm.stable_sigmoid, in place
+    np.tanh(ru, out=ru)
+    ru *= 0.5
+    ru += 0.5
     r, u = ru[:, :d_h], ru[:, d_h:]
     rh = r * hd
-    c = np.tanh(a[:, 2 * d_h:] + rh @ theta.u_c.data)
+    c = a[:, 2 * d_h:] + rh.dot(theta.u_c.data)
+    np.tanh(c, out=c)
     keep = 1.0 - u
-    out = keep * hd + u * c
+    out = keep * hd
+    out += u * c
 
     def back(g):
         # g_c, g_ru and g_a are gradients of the gates' pre-activations; each
         # expression is the one the chain's reverse scan evaluates
-        g_c = (g * u) * (1.0 - c * c)
-        g_rh = g_c @ theta.u_c.data.T
+        g_c = g * u
+        g_c *= 1.0 - c * c
+        g_rh = g_c.dot(theta.u_c.data.T)
         nm.accum_xtg(theta.u_c, rh, g_c)
         g_ru = np.concatenate((g_rh * hd, g * c - g * hd), axis=1)
-        g_ru = g_ru * ru * (1.0 - ru)
+        g_ru *= ru
+        g_ru *= 1.0 - ru
         nm.accum_xtg(theta.u_ru, hd, g_ru)
         g_a = np.concatenate((g_ru, g_c), axis=1)
         nm.accum(theta.b, g_a.sum(axis=0))
         if z.requires_grad:
-            nm.accum(z, g_a @ theta.w.data.T)
+            nm.accum(z, g_a.dot(theta.w.data.T))
         nm.accum_xtg(theta.w, zd, g_a)
         if h.requires_grad:
-            nm.accum(h, g * keep + g_rh * r + g_ru @ theta.u_ru.data.T)
+            g_h = g * keep
+            g_h += g_rh * r
+            g_h += g_ru.dot(theta.u_ru.data.T)
+            nm.accum(h, g_h)
 
     return nm.record(out, (z, h, theta.w, theta.u_ru, theta.u_c, theta.b), back)
 
