@@ -311,6 +311,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
 
     n_s = cfg.scoff.n_s
     metrics, clock = [], time.perf_counter
+    last_update = None  # (epoch, batch) of the latest Adam step
     for epoch in range(cfg.epochs):
         started = clock()
         phases = dict.fromkeys(("forward", "backward", "adam", "eval"), 0.0)
@@ -338,15 +339,18 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
             bad = _first_non_finite((n, p.grad) for n, p in params.items())
             if bad is not None:
                 raise ValueError(f"{where}: non-finite gradient of {bad} "
-                                 f"(loss so far {epoch_loss})")
+                                 f"(loss so far {epoch_loss})"
+                                 + _after_update(last_update, params))
             if not math.isfinite(epoch_loss):
-                raise ValueError(f"{where}: non-finite loss")
+                raise ValueError(f"{where}: non-finite loss"
+                                 + _after_update(last_update, params))
             t0 = clock()
             opt.apply(scale=1.0 / len(batch))
             phases["adam"] += clock() - t0
             bad = _first_non_finite((n, p.data) for n, p in params.items())
             if bad is not None:
                 raise ValueError(f"{where}: the update made {bad} non-finite")
+            last_update = (epoch, b)
         epoch_loss /= len(order)
 
         usage_frac = (usage / usage.sum()).tolist() if usage.sum() else [0.0] * n_s
@@ -383,6 +387,17 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                 f"purity={purity_s} usage={[round(u, 3) for u in usage_frac]} "
                 f"({record.wall_seconds:.1f}s)")
     return metrics, model
+
+
+def _after_update(last_update, params: dict) -> str:
+    """What a non-finite gradient or loss owes to the latest update: that
+    update's epoch and batch, and the parameter it left largest in |value|.
+    Empty before the first update."""
+    if last_update is None:
+        return ""
+    name = max(params, key=lambda n: np.abs(params[n].data).max())
+    return (f", after the update of epoch {last_update[0]}, batch {last_update[1]}, "
+            f"which left {name} largest at |value| {np.abs(params[name].data).max():.3g}")
 
 
 def _first_non_finite(named_arrays) -> "str | None":

@@ -397,6 +397,9 @@ def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "diverged in epoch 0, batch 1: non-finite gradient of " in err
+    # the blame goes to batch 0's update, which took parameters to ~lr
+    assert ", after the update of epoch 0, batch 0, which left " in err
+    assert "largest at |value| 1e+300" in err
     assert not (run_dir / "metrics.jsonl").exists()
     assert not (run_dir / "checkpoint").exists()
 
