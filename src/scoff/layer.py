@@ -132,9 +132,9 @@ class ScoffLayer:
         query with the keys of its hypotheses ``hyps``, the Gumbel pick and the
         selection-weighted sum of the hypotheses, as one fused tape op. The
         pick is the argmax of the scores, ties to the lowest schema. Hard mode
-        forwards each slot's picked row, the one-hot mix without its products
-        by zero; only its backward pass builds the one-hot and computes
-        softmax(scores / tau)."""
+        forwards each slot's picked row by a gather, the one-hot mix without
+        its products by zero; only its backward pass builds the one-hot and
+        computes softmax(scores / tau)."""
         n_f, d_h = state.shape
         n_s, hard = len(hyps), self.config.hard_selection
         sel_query, sel_key, inv_tau = self.sel_query, self.sel_key, 1.0 / self.config.tau

@@ -35,6 +35,23 @@ calls ``accum`` on each parent in the order in which the chain's reverse scan
 would have added the contributions, since floating-point addition does not
 associate.
 
+Within those bits a fused op keeps its numpy calls few and cheap:
+
+- It writes in place (``a += b``, ``np.tanh(c, out=c)``, ``g_s *= w``) only
+  into an array that the call itself has just allocated, and only before any
+  closure or caller reads it. A parent's data, the gradient handed to a
+  backward closure, and an array already passed to ``accum``, queued by
+  ``accum_xtg`` or returned are never written. :func:`stable_softmax`
+  overwrites its argument, so it is given a fresh array.
+- Each 2-D matrix product is ``ndarray.dot``, which gives the bits of ``@``
+  on 2-D operands; the 3-D products of ``ReadoutBase._pool`` stay ``@``.
+- Hard selection (``ScoffLayer._select``) forwards each slot's picked
+  hypothesis row by a gather, not by the one-hot product and sum over the
+  schemata. On finite hypotheses the values agree, except that the sum
+  would turn a picked -0.0 into +0.0; no artifact depends on that sign. The
+  one-hot, taken from a cached identity matrix, is built only in the
+  backward pass.
+
 The codec ops are also time-batched: a sequence's encoder runs once over the
 inputs of all its steps, and the model (``model.SequenceModel.encode``) cuts
 the rows it returns into the per-step feature Tensors that the recurrence
