@@ -242,29 +242,52 @@ class FrameReadout(ReadoutBase):
         self.encoder = encoder
         self.decoder = Perceptron(rng, cfg.readout_width + cfg.d_pos, cfg.dec_hidden,
                                   cfg.patch * cfg.patch, "ro_dec_")
-        self._ones = np.ones((encoder.positions, 1))
 
     def readout(self, rows: Tensor, n: int) -> Tensor:
         """[n, H, W] logits, one frame per state of the rows of n states."""
-        patches = self.decoder(self._decoder_input(self.pooled(rows, n)))
-        return self._unpatch(patches)
+        return self._unpatch(self._decode(self.pooled(rows, n)))
 
-    def _decoder_input(self, pooled: Tensor) -> Tensor:
-        """[n·P, readout_width + d_pos]: each pooled row at every position
-        beside that position's embedding, as one fused tape op."""
+    def _decode(self, pooled: Tensor) -> Tensor:
+        """[n·P, s·s] patch rows: the decoder perceptron over each pooled row
+        [n, readout_width] beside each position's embedding, as one fused
+        tape op.
+
+        The first layer is linear, so it never forms the n·P concatenated
+        rows: the pooled half of ``w1`` multiplies each state once and the
+        position half each position once, and their sum, [n, 1, h] + [P, h],
+        is the pre-activation of the n·P rows.
+        """
+        dec, pos = self.decoder, self.encoder.pos_table
         n, width = pooled.shape
-        enc = self.encoder
+        pd = pooled.data
+        w1_state, w1_pos = dec.w1.data[:width], dec.w1.data[width:]
+        by_pos = pos.data.dot(w1_pos)
+        by_pos += dec.b1.data
+        hid = pd.dot(w1_state)[:, None, :] + by_pos
+        np.tanh(hid, out=hid)
+        hid = hid.reshape(-1, hid.shape[2])
+        out = hid.dot(dec.w2.data)
+        out += dec.b2.data
 
         def back(g):
-            enc.accum_positions(g[:, width:])
-            # the ones-matrix product per step, not a sum over rows: the bits
-            # of the chain, whose forward broadcasts pooled by that matmul
-            g_p = self._ones.T @ g[:, :width].reshape(n, enc.positions, width)
-            nm.accum(pooled, g_p.reshape(n, width))
+            nm.accum(dec.b2, g.sum(axis=0))
+            nm.accum_xtg(dec.w2, hid, g)
+            g_a = g.dot(dec.w2.data.T)
+            d_tanh = hid * hid
+            np.subtract(1.0, d_tanh, out=d_tanh)
+            g_a *= d_tanh
+            # each position's rows summed over the states, each state's over
+            # the positions: the two halves' pre-activation gradients
+            g3 = g_a.reshape(n, -1, g_a.shape[1])
+            g_pos = g3.sum(axis=0)
+            g_state = g3.sum(axis=1)
+            nm.accum(dec.b1, g_pos.sum(axis=0))
+            nm.accum(pos, g_pos.dot(w1_pos.T))
+            nm.accum(dec.w1, np.concatenate([pd.T.dot(g_state), pos.data.T.dot(g_pos)]))
+            if pooled.requires_grad:
+                nm.accum(pooled, g_state.dot(w1_state.T))
 
-        out = np.concatenate([np.repeat(pooled.data, enc.positions, axis=0),
-                              enc.tiled_positions(n)], axis=1)
-        return nm.record(out, (pooled, enc.pos_table), back)
+        return nm.record(out, (pooled, pos, dec.w1, dec.b1, dec.w2, dec.b2), back)
 
     def _unpatch(self, patches: Tensor) -> Tensor:
         """[n·P, s·s] patch rows laid back out as n [H, W] frames, as one

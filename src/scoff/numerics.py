@@ -22,8 +22,10 @@ one node instead of one per op. The fused ops are:
 - ``codec.Perceptron.__call__`` (the two-layer tanh perceptron),
   ``EncoderBase.beside_positions`` (feature rows beside the position table),
   ``ReadoutBase._pool`` (attention pooling over each state's slot rows), and
-  ``FrameReadout``'s decoder input (each pooled vector at every position
-  beside the position table) and unpatching (patch rows back to frames);
+  ``FrameReadout._decode`` (the decoder perceptron over each pooled vector
+  beside every position's embedding, its linear first layer taken as one
+  product per state plus one per position, never over the n·P concatenated
+  rows) and ``FrameReadout._unpatch`` (patch rows back to frames);
 - ``layer.ScoffLayer._select``, the whole schema selection: the scoring of
   the stacked hypotheses (key and query projections, logits), the Gumbel pick
   (noise, temperature, softmax and the straight-through one-hot) and their
@@ -57,7 +59,10 @@ inputs of all its steps, and the model (``model.SequenceModel.encode``) cuts
 the rows it returns into the per-step feature Tensors that the recurrence
 takes, with :func:`split_rows`; the readout runs once over the joined rows of
 all scored states. Called with one step, such an op keeps
-the bits of its chain. Over n steps, its matrix products run over the rows of
+the bits of its chain; ``FrameReadout._decode``'s chain cuts the decoder's
+``w1`` by rows into its state half and its position half, and against the
+perceptron over the concatenated rows it agrees within rounding (about 1e-15
+relative). Over n steps, its matrix products run over the rows of
 all steps at once, and a contribution that the per-step loop added once per
 step in reverse scan order, such as a bias's or the position table's, is
 summed over the time axis in one reduction. A time-batched op therefore

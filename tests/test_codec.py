@@ -233,11 +233,28 @@ def pooled_chain(head, state):
     return nm.matmul(nm.transpose(w), rows)
 
 
+def row_slice(t, lo, hi):
+    """Reference: rows lo:hi of t as a taped op; its gradient comes back
+    padded with zeros to t's shape."""
+    def back(g):
+        full = np.zeros_like(t.data)
+        full[lo:hi] = g
+        nm.accum(t, full)
+
+    return nm.record(t.data[lo:hi], (t,), back)
+
+
 def frame_readout_chain(head, state):
-    """Reference: the frame readout as a chain of elementary taped ops."""
-    rows = nm.matmul(Tensor(head._ones), pooled_chain(head, state))
-    rows = nm.concat([rows, head.encoder.pos_table], axis=1)
-    patches = perceptron_chain(head.decoder, rows)
+    """Reference: the frame readout as a chain of elementary taped ops, the
+    decoder's first layer cut by rows of w1 into its pooled-state half and
+    its position half."""
+    dec, width = head.decoder, head.cfg.readout_width
+    by_state = nm.matmul(pooled_chain(head, state), row_slice(dec.w1, 0, width))
+    by_state = nm.reshape(by_state, (1, 1, -1))
+    by_pos = nm.matmul(head.encoder.pos_table,
+                       row_slice(dec.w1, width, dec.w1.shape[0])) + dec.b1
+    hid = nm.tanh(nm.reshape(by_state + by_pos, (head.encoder.positions, -1)))
+    patches = nm.matmul(hid, dec.w2) + dec.b2
     gh, gw = head.encoder.grid
     s = head.cfg.patch
     img = nm.transpose(nm.reshape(patches, (gh, gw, s, s)), (0, 2, 1, 3))
@@ -374,12 +391,53 @@ def test_fused_codec_ops_grad_check():
     cases = [
         (lambda p: weighted(head.mlp(p[0])), [x, *head.mlp.params().values()]),
         (lambda p: weighted(head._pool(p[0], 2)), [rows, head.pool_q]),
-        (lambda p: weighted(head._decoder_input(p[0])), [pooled, enc.pos_table]),
+        (lambda p: weighted(head._decode(p[0])),
+         [pooled, enc.pos_table, *head.decoder.params().values()]),
         (lambda p: weighted(enc.beside_positions(p[0])), [content, enc.pos_table]),
         (lambda p: weighted(head._unpatch(p[0])), [patches]),
     ]
     for f, params in cases:
         assert grad_check(f, params, eps=1e-5) < 1e-6
+
+
+def concat_decode(head, pooled):
+    """Reference: the decoder as it ran before its first layer was factored,
+    one perceptron over the n·P rows of each pooled row beside every
+    position's embedding."""
+    enc = head.encoder
+    n = pooled.shape[0]
+    repeat = Tensor(np.repeat(np.eye(n), enc.positions, axis=0))
+    rows = nm.concat([nm.matmul(repeat, pooled), nm.concat([enc.pos_table] * n, axis=0)],
+                     axis=1)
+    return head.decoder(rows)
+
+
+@pytest.mark.parametrize("kind", ["scoff", "gru"])
+@pytest.mark.parametrize("n", [1, 15, 29])
+def test_factored_decoder_agrees_with_the_concatenated_input_decoder(kind, n):
+    # the self-fed step (1 state), the teacher-forced eval readout (15) and a
+    # training sequence (29) of bouncing_mini, on each model's own head
+    resolved = parse_config(os.path.join(CONFIGS, "bouncing_mini.cfg"), [f"model={kind}"])
+    head = build_model(to_train_config(resolved), Rng(5)).head
+    rng = Rng(139)
+    width = head.cfg.readout_width
+    pooled_data = rand(rng, (n, width))
+    targets = (np.asarray(rng.uniform((n, 16, 16))) > 0.5).astype(float)
+
+    def run(decode):
+        pooled = Tensor(pooled_data, requires_grad=True)
+        leaves = [pooled, head.encoder.pos_table, *head.decoder.params().values()]
+        for t in leaves[1:]:
+            t.zero_grad()
+        with Tape() as tape:
+            logits = head._unpatch(decode(pooled))
+            loss = nm.logistic_loss_mean(logits, targets)
+        backward(loss, tape)
+        return [logits.data, *(t.grad for t in leaves)]
+
+    got = run(head._decode)
+    want = run(lambda p: concat_decode(head, p))
+    assert_close(got, want, rtol=1e-13)
 
 
 # ------------------------------------ time-batched codec against the per-step loop
@@ -503,8 +561,8 @@ def test_each_fused_codec_op_appends_one_tape_node():
         rows = Tensor(rand(rng, (n * 3, 6)), requires_grad=True)
         with Tape() as tape:
             head.readout(rows, n)
-        # slot perceptron, pooling, decoder input, decoder, unpatching
-        assert len(tape.nodes) == 5
+        # slot perceptron, pooling, decoder, unpatching
+        assert len(tape.nodes) == 4
         with Tape() as tape:
             enc.encode_frame(np.zeros((n, 16, 16)))
         # perceptron, and the position table beside its rows
@@ -533,7 +591,7 @@ def test_model_cuts_the_encoded_rows_into_steps_and_joins_the_states(kind):
         assert out.shape == (n, 16, 16)
         # the head's nodes (a one-row state skips the pooling), and for
         # several states the concatenation of their rows
-        assert len(tape.nodes) == 4 + (kind == "scoff") + (n > 1)
+        assert len(tape.nodes) == 3 + (kind == "scoff") + (n > 1)
     joined = model.head.readout(nm.concat(states, axis=0), 4).data
     assert np.array_equal(model.readout(states).data, joined)
 

@@ -342,12 +342,14 @@ def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
         assert len(graphs) == 6
 
 
-@pytest.mark.parametrize("kind,nodes", [("scoff", 271), ("gru", 69)])
+@pytest.mark.parametrize("kind,nodes", [("scoff", 270), ("gru", 68)])
 def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
     # 29 steps of 8 (scoff: one head each to read and to communicate, 4
-    # schema cells, the selection and the residual add) or 1 (gru) fused ops; once per sequence, the encoder's 3 ops (gru: 5, its pooling
-    # reshape and mean) and 29 per-step pieces, the readout's 6 ops (gru: 5,
-    # a one-row state is not pooled) and the loss: an op chain that creeps
+    # schema cells, the selection and the residual add) or 1 (gru) fused ops;
+    # once per sequence, the encoder's 3 ops (gru: 5, its pooling reshape and
+    # mean) and 29 per-step pieces, the readout's 5 ops (the states' concat,
+    # slot perceptron, pooling, decoder and unpatching; gru: 4, a one-row
+    # state is not pooled) and the loss: an op chain that creeps
     # back into a step, a codec op that moves back into the time loop, or a
     # fusion that drops an op, changes the count
     config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
