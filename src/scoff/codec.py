@@ -187,22 +187,28 @@ class ReadoutBase:
     them all out at once: one perceptron over the rows and one pooling op.
     A single state is the n = 1 case.
 
-    ``pool_q``, the pooling query, does nothing for one-row states (the GRU
-    baseline, or a single slot), each its own pool; it stays a parameter so
-    that the parameters and init draws do not depend on the row count.
+    ``pool_q``, the pooling query, is drawn only when ``pool`` is set (the
+    scoff model, whose states are slot rows). A one-row state, as in the GRU
+    baseline, is its own pool: the head then has no ``pool_q`` and takes one
+    row per state.
     """
 
-    def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig):
+    def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig, pool: bool = True):
         self.cfg = cfg
         self.mlp = Perceptron(rng, d_h, cfg.readout_hidden, cfg.readout_width, "ro_")
-        self.pool_q = nm.glorot(rng, cfg.readout_width, 1)
+        self.pool_q = nm.glorot(rng, cfg.readout_width, 1) if pool else None
 
     def pooled(self, rows: Tensor, n: int) -> Tensor:
         """[n, readout_width]: the rows of n states through the slot
         perceptron, then each state's rows pooled. One-row states are returned
         as they are: the softmax weight of one row is exactly 1."""
         rows = self.mlp(rows)
-        return rows if rows.shape[0] == n else self._pool(rows, n)
+        if rows.shape[0] == n:
+            return rows
+        if self.pool_q is None:
+            raise ValueError(f"readout without a pooling query takes one row per "
+                             f"state, got {rows.shape[0]} rows for {n} states")
+        return self._pool(rows, n)
 
     def _pool(self, rows: Tensor, n: int) -> Tensor:
         """[n, readout_width]: each of the n equal blocks of rows pooled with
@@ -224,7 +230,10 @@ class ReadoutBase:
                          (rows, self.pool_q), back)
 
     def params(self) -> dict:
-        return {**self.mlp.params(), "ro_pool": self.pool_q}
+        out = self.mlp.params()
+        if self.pool_q is not None:
+            out["ro_pool"] = self.pool_q
+        return out
 
 
 class FrameReadout(ReadoutBase):
@@ -237,8 +246,9 @@ class FrameReadout(ReadoutBase):
     state-dependent location.
     """
 
-    def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig, encoder: PositionEncoder):
-        super().__init__(rng, d_h, cfg)
+    def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig, encoder: PositionEncoder,
+                 pool: bool = True):
+        super().__init__(rng, d_h, cfg, pool)
         self.encoder = encoder
         self.decoder = Perceptron(rng, cfg.readout_width + cfg.d_pos, cfg.dec_hidden,
                                   cfg.patch * cfg.patch, "ro_dec_")
@@ -312,8 +322,8 @@ class FrameReadout(ReadoutBase):
 class ScalarReadout(ReadoutBase):
     """Single regression output from the pooled vector."""
 
-    def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig):
-        super().__init__(rng, d_h, cfg)
+    def __init__(self, rng: Rng, d_h: int, cfg: CodecConfig, pool: bool = True):
+        super().__init__(rng, d_h, cfg, pool)
         self.w_out = nm.glorot(rng, cfg.readout_width, 1)
         self.b_out = nm.zeros(1, requires_grad=True)
 

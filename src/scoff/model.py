@@ -4,7 +4,8 @@ Both models expose encode / init_state / step / readout / parameters, so the
 training loop and evaluators cannot tell them apart. They share the encoder,
 the readout head and the parameter naming, and differ only in the recurrent
 core: the scoff layer, or for the baseline a single monolithic GRU cell over
-mean-pooled features.
+mean-pooled features. The baseline's state is one row, its own pool, so its
+head draws no pooling query.
 
 ``encode`` and ``readout`` work on whole time spans: every input known before
 a pass is encoded at once, and every scored state read out at once. Only
@@ -38,6 +39,9 @@ class SequenceModel:
     in ``_core_parameters``."""
 
     kind = ""
+    # whether a state has several rows for the head to pool (scoff's slots);
+    # a one-row state is its own pool, and its head draws no pooling query
+    pooled_state = True
 
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
         self.task = task
@@ -47,9 +51,9 @@ class SequenceModel:
             self.encoder = TokenEncoder(rng, TOKEN_FEATURES, codec_cfg)
         self._build_core(rng)
         if task in FRAME_TASKS:
-            self.head = FrameReadout(rng, width, codec_cfg, self.encoder)
+            self.head = FrameReadout(rng, width, codec_cfg, self.encoder, self.pooled_state)
         else:
-            self.head = ScalarReadout(rng, width, codec_cfg)
+            self.head = ScalarReadout(rng, width, codec_cfg, self.pooled_state)
 
     def encode(self, xs) -> list:
         """One feature Tensor per input of xs, whose leading axis is time."""
@@ -97,6 +101,7 @@ class ScoffModel(SequenceModel):
 
 class GruBaseline(SequenceModel):
     kind = "gru"
+    pooled_state = False
 
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
         self.width = width

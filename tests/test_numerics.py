@@ -437,13 +437,7 @@ def test_deferred_leaf_products_match_per_step_reference(config, model):
     got = _batch_grads(cfg, sequences, backward)
     want = _batch_grads(cfg, sequences, per_step_backward)
     assert got.keys() == want.keys()
-    # a one-row readout returns its row unpooled, so the GRU baseline's pooling
-    # query takes no gradient on either path
-    no_grad = {"ro_pool"} if model == "gru" else set()
     for name, g in got.items():
-        if name in no_grad:
-            assert g is None and want[name] is None, name
-            continue
         assert g is not None and g.shape == want[name].shape, name
         scale = max(np.abs(want[name]).max(), 1e-300)
         assert np.abs(g - want[name]).max() <= 1e-12 * scale, name
