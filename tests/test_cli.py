@@ -2,6 +2,7 @@ import contextlib
 import glob
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -15,8 +16,12 @@ from hypothesis import strategies as st
 from scoff.cli import ConfigError, main, parse_config, to_train_config
 from scoff.numerics import Tensor
 from scoff.rng import Rng
-from scoff.tasks import gen_bouncing_mini, write_dataset
+from scoff.tasks import gen_bouncing_mini, read_dataset, write_dataset
 from scoff.training import build_model, load_checkpoint, save_checkpoint
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def run_cli(*argv):
@@ -303,6 +308,38 @@ def test_train_eval_trace_pipeline(tmp_path, capsys):
     usage = open(os.path.join(trace_dir, "schema_usage.csv")).read().splitlines()
     assert len(usage) == 2                     # n_f rows
     assert len(usage[0].split(",")) == 2       # n_s columns
+
+
+def test_adding_checkpoint_evaluates_on_a_held_out_longer_test_set(tmp_path, capsys):
+    # the route configs/adding_mini.cfg documents: train at length 50, then
+    # gen-data a length-200 set into another directory and eval on it
+    config = os.path.join(CONFIGS, "adding_mini.cfg")
+    small = ["--set", "n_f=2", "--set", "d_h=8",
+             "--set", "inp_keys=4", "--set", "inp_values=8", "--set", "sel_keys=4",
+             "--set", "comm_keys=4"]
+    data_dir, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
+    assert run_cli("gen-data", "--config", config, "--set", "train_count=4",
+                   "--set", "test_count=2", "--out", data_dir) == 0
+    assert run_cli("train", "--config", config, *small, "--set", f"data={data_dir}",
+                   "--set", "epochs=1", "--set", "batch_size=2",
+                   "--set", "eval_subset=1", "--out", run_dir) == 0
+    held_out = str(tmp_path / "data_200")
+    assert run_cli("gen-data", "--config", config, "--set", "length=200",
+                   "--set", "train_count=1", "--set", "test_count=2",
+                   "--out", held_out) == 0
+    test = read_dataset(os.path.join(held_out, "test.scfd"), "adding")
+    assert [len(s.values) for s in test] == [200, 200]
+    assert [len(s.values) for s in read_dataset(os.path.join(data_dir, "test.scfd"),
+                                                "adding")] == [50, 50]
+    eval_dir = str(tmp_path / "eval_200")
+    assert run_cli("eval", "--set", f"checkpoint={os.path.join(run_dir, 'checkpoint')}",
+                   "--set", f"data={held_out}", "--out", eval_dir) == 0
+    lines = open(os.path.join(eval_dir, "rollout_curve.csv")).read().splitlines()
+    assert lines[0] == "step,mse"
+    assert len(lines) == 2
+    step, mse = lines[1].split(",")
+    assert step == "0" and math.isfinite(float(mse))
+    assert _snapshot(eval_dir)["data"] == held_out
 
 
 def _snapshot(run_dir):
