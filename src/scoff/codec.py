@@ -106,24 +106,16 @@ class EncoderBase:
         """[n·P, w + d_pos]: each step's P rows of left [n·P, w] beside the
         position table, as one fused tape op."""
         w = left.shape[1]
+        steps = left.shape[0] // self.positions
 
         def back(g):
             nm.accum(left, g[:, :w])
-            self.accum_positions(g[:, w:])
+            # the table's tiled copies, summed over the steps
+            nm.accum(self.pos_table, g[:, w:].reshape(steps, self.positions, -1).sum(axis=0))
 
-        steps = left.shape[0] // self.positions
-        return nm.record(np.concatenate([left.data, self.tiled_positions(steps)], axis=1),
+        tiled = np.tile(self.pos_table.data, (steps, 1))
+        return nm.record(np.concatenate([left.data, tiled], axis=1),
                          (left, self.pos_table), back)
-
-    def tiled_positions(self, n: int) -> np.ndarray:
-        """[n·P, d_pos]: the position table once per step, for n steps."""
-        return np.tile(self.pos_table.data, (n, 1))
-
-    def accum_positions(self, g: np.ndarray) -> None:
-        """Hand the position table the gradient g [n·P, d_pos] of its tiled
-        copies, summed over the n steps."""
-        n = g.shape[0] // self.positions
-        nm.accum(self.pos_table, g.reshape(n, self.positions, -1).sum(axis=0))
 
     def params(self) -> dict:
         return {**self.mlp.params(), "enc_pos": self.pos_table}
