@@ -195,12 +195,7 @@ class ReadoutBase:
         perceptron, then each state's rows pooled. One-row states are returned
         as they are: the softmax weight of one row is exactly 1."""
         rows = self.mlp(rows)
-        if rows.shape[0] == n:
-            return rows
-        if self.pool_q is None:
-            raise ValueError(f"readout without a pooling query takes one row per "
-                             f"state, got {rows.shape[0]} rows for {n} states")
-        return self._pool(rows, n)
+        return rows if rows.shape[0] == n else self._pool(rows, n)
 
     def _pool(self, rows: Tensor, n: int) -> Tensor:
         """[n, readout_width]: each of the n equal blocks of rows pooled with
