@@ -270,6 +270,8 @@ class FrameReadout(ReadoutBase):
             nm.accum(dec.b2, g.sum(axis=0))
             nm.accum_xtg(dec.w2, hid, g)
             g_a = g.dot(dec.w2.data.T)
+            # 1 − hid² in one temporary, not two: at n·P rows each is large
+            # enough that a fresh allocation costs more than the arithmetic
             d_tanh = hid * hid
             np.subtract(1.0, d_tanh, out=d_tanh)
             g_a *= d_tanh
