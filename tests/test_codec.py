@@ -403,7 +403,7 @@ def test_fused_codec_ops_grad_check():
 
 def concat_decode(head, pooled):
     """Reference: the decoder as it ran before its first layer was factored,
-    one perceptron over the n·P rows of each pooled row beside every
+    one perceptron over the n·P rows that put each pooled row beside every
     position's embedding."""
     enc = head.encoder
     n = pooled.shape[0]
