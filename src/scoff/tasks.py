@@ -167,48 +167,52 @@ def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
     vectors and holds position for that step, which conserves kinetic energy
     exactly. Only constant mode runs with more than one ball; how the other
     modes meet collisions is not yet set.
+
+    The state is two flat lists of Python ints, ``pos`` and ``vel``, with
+    ball i's row and column at 2i and 2i + 1. A move is one addition and a
+    range test per coordinate; ``_reflect`` runs only for a coordinate that
+    left [0, POS_MAX]. The contact test is a chained comparison of each
+    coordinate difference with +-BALL.
     """
     pos = []
     for _ in range(n_balls):
         for attempt in range(100):
-            cand = rng.randint(POS_MAX + 1), rng.randint(POS_MAX + 1)
-            if all(abs(cand[0] - p[0]) >= BALL or abs(cand[1] - p[1]) >= BALL
-                   for p in pos):
-                pos.append(cand)
+            r, c = rng.randint(POS_MAX + 1), rng.randint(POS_MAX + 1)
+            if not any(-BALL < r - pos[k] < BALL and -BALL < c - pos[k + 1] < BALL
+                       for k in range(0, len(pos), 2)):
+                pos += r, c
                 break
         else:
             raise RuntimeError("could not place balls without overlap")
     walk, accelerate = mode == "random_walk", mode == "accelerate"
-    vel = [(0, 0) if walk else _sample_step(rng, 2) for _ in range(n_balls)]
-    acc = _sample_step(rng, 1) if accelerate else (0, 0)
+    vel = []
+    for _ in range(n_balls):
+        vel += (0, 0) if walk else _sample_step(rng, 2)
+    acc = (_sample_step(rng, 1) if accelerate else (0, 0)) * n_balls
 
-    track, speeds = [], []
-    for p, v in zip(pos, vel):
-        track += p
-        speeds += v
+    coords = range(2 * n_balls)
+    pairs = [(i, j) for i in range(0, 2 * n_balls, 2) for j in range(i + 2, 2 * n_balls, 2)]
+    track, speeds = pos[:], vel[:]
     for _ in range(1, length):
+        if walk:
+            for k in range(0, 2 * n_balls, 2):
+                vel[k:k + 2] = _WALK_STEPS[rng.randint(4)]
+        elif accelerate:
+            vel = [max(-V_CLAMP, min(V_CLAMP, v + a)) for v, a in zip(vel, acc)]
         moved = []
-        for i in range(n_balls):
-            vr, vc = vel[i]
-            if walk:
-                vr, vc = _WALK_STEPS[rng.randint(4)]
-            elif accelerate:
-                vr = max(-V_CLAMP, min(V_CLAMP, vr + acc[0]))
-                vc = max(-V_CLAMP, min(V_CLAMP, vc + acc[1]))
-            r, vr = _reflect(pos[i][0], vr)
-            c, vc = _reflect(pos[i][1], vc)
-            moved.append((r, c))
-            vel[i] = (vr, vc)
-        for i in range(n_balls):
-            for j in range(i + 1, n_balls):
-                if (abs(moved[i][0] - moved[j][0]) < BALL
-                        and abs(moved[i][1] - moved[j][1]) < BALL):
-                    vel[i], vel[j] = vel[j], vel[i]
-                    moved[i], moved[j] = pos[i], pos[j]
+        for k in coords:
+            p = pos[k] + vel[k]
+            if not 0 <= p <= POS_MAX:
+                p, vel[k] = _reflect(pos[k], vel[k])
+            moved.append(p)
+        for i, j in pairs:
+            if (-BALL < moved[i] - moved[j] < BALL
+                    and -BALL < moved[i + 1] - moved[j + 1] < BALL):
+                vel[i:i + 2], vel[j:j + 2] = vel[j:j + 2], vel[i:i + 2]
+                moved[i:i + 2], moved[j:j + 2] = pos[i:i + 2], pos[j:j + 2]
         pos = moved
-        for p, v in zip(pos, vel):
-            track += p
-            speeds += v
+        track += pos
+        speeds += vel
     return _tracks(track, speeds, n_balls)
 
 
