@@ -163,10 +163,15 @@ def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
     (random_walk: none). Each step first sets a ball's velocity by its mode
     (accelerate: add the sequence's one nonzero increment, clamped to
     +-V_CLAMP; constant: keep it; random_walk: a fresh unit direction), then
-    moves it with wall reflection. A pair that then overlaps swaps velocity
-    vectors and holds position for that step, which conserves kinetic energy
-    exactly. Only constant mode runs with more than one ball; how the other
-    modes meet collisions is not yet set.
+    moves it with wall reflection. Contacts are then resolved in passes over
+    the pairs (i < j, in order) until a pass finds none: a pair whose squares
+    overlap swaps velocity vectors, and both balls go back to their previous
+    squares for that step, so a ball that overlaps a held ball is held as
+    well. Previous squares never overlap, so each further pass holds at
+    least one more ball and the passes end with no two balls overlapping.
+    Every exchange is a swap, which conserves kinetic energy exactly. Only
+    constant mode runs with more than one ball; how the other modes meet
+    collisions is not yet set.
 
     The state is two flat lists of Python ints, ``pos`` and ``vel``, with
     ball i's row and column at 2i and 2i + 1. A move is one addition and a
@@ -205,11 +210,15 @@ def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
             if not 0 <= p <= POS_MAX:
                 p, vel[k] = _reflect(pos[k], vel[k])
             moved.append(p)
-        for i, j in pairs:
-            if (-BALL < moved[i] - moved[j] < BALL
-                    and -BALL < moved[i + 1] - moved[j + 1] < BALL):
-                vel[i:i + 2], vel[j:j + 2] = vel[j:j + 2], vel[i:i + 2]
-                moved[i:i + 2], moved[j:j + 2] = pos[i:i + 2], pos[j:j + 2]
+        contact = True
+        while contact:
+            contact = False
+            for i, j in pairs:
+                if (-BALL < moved[i] - moved[j] < BALL
+                        and -BALL < moved[i + 1] - moved[j + 1] < BALL):
+                    vel[i:i + 2], vel[j:j + 2] = vel[j:j + 2], vel[i:i + 2]
+                    moved[i:i + 2], moved[j:j + 2] = pos[i:i + 2], pos[j:j + 2]
+                    contact = True
         pos = moved
         track += pos
         speeds += vel

@@ -220,6 +220,23 @@ def test_bouncing_kinetic_energy_exactly_conserved():
         assert (energy == energy[0]).all()
 
 
+def test_bouncing_balls_stay_on_the_grid_apart_and_keep_their_energy():
+    # a contact that sends a ball back onto its previous square can land it
+    # on a ball that an earlier pair of the same step already moved; every
+    # step must still end with no two balls overlapping
+    for n_balls in range(1, 5):
+        for seed in range(200):
+            seq = gen_bouncing_mini(Rng(seed), 30, n_balls)
+            pos = seq.positions
+            assert ((pos >= 0) & (pos <= POS_MAX)).all(), (n_balls, seed)
+            gap = np.abs(pos[:, :, None, :] - pos[:, None, :, :])
+            overlap = (gap < BALL).all(axis=-1)
+            overlap[:, range(n_balls), range(n_balls)] = False
+            assert not overlap.any(), (n_balls, seed)
+            energy = (seq.velocities ** 2).sum(axis=(1, 2))
+            assert (energy == energy[0]).all(), (n_balls, seed)
+
+
 def test_head_on_symmetric_collision_reverses_both():
     # equal masses approaching along the line of centers swap velocities,
     # which for opposite velocities is a reversal; search seeds for a clean
