@@ -363,11 +363,15 @@ def concat(parts, axis: int = 0) -> Tensor:
     if not parts:
         raise ValueError("concat needs at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def back(g):
-        for p, piece in zip(parts, np.split(g, offsets, axis=axis)):
-            accum(p, piece)
+        # each part gets its own slice of g along axis, a view
+        lead = (slice(None),) * (axis % g.ndim)
+        lo = 0
+        for p in parts:
+            hi = lo + p.data.shape[axis]
+            accum(p, g[lead + (slice(lo, hi),)])
+            lo = hi
 
     return record(out, tuple(parts), back)
 

@@ -308,6 +308,23 @@ def test_split_rows_rejects_uneven_blocks():
             nm.split_rows(Tensor(np.ones(shape)), n)
 
 
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_hands_each_part_its_slice_of_the_gradient(axis):
+    rng = Rng(101)
+    sizes = (1, 3, 2)
+    parts = [Tensor(rand(rng, (n, 4) if axis == 0 else (4, n)), requires_grad=True)
+             for n in sizes]
+    upstream = rand(rng, (6, 4) if axis == 0 else (4, 6))
+    with Tape() as tape:
+        loss = (nm.concat(parts, axis=axis) * Tensor(upstream)).sum()
+    backward(loss, tape)
+    lo = 0
+    for part, n in zip(parts, sizes):
+        want = upstream[lo:lo + n] if axis == 0 else upstream[:, lo:lo + n]
+        assert np.array_equal(part.grad, want)
+        lo += n
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
