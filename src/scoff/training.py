@@ -62,9 +62,9 @@ class MetricsRecord:
     train_loss: float
     eval_losses: list          # per rollout step (self-fed) or [mse]
     eval_teacher: list
-    schema_usage: list         # fraction of selections per schema
+    schema_usage: "list | None"  # fraction of selections per schema; None without schemata
     alignment_purity: "float | None"
-    dead_schemata: list
+    dead_schemata: "list | None"
     wall_seconds: float
     phase_seconds: dict        # disjoint parts of wall_seconds, by phase name
 
@@ -353,9 +353,11 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
             last_update = (epoch, b)
         epoch_loss /= len(order)
 
-        usage_frac = (usage / usage.sum()).tolist() if usage.sum() else [0.0] * n_s
-        dead = [j for j, frac in enumerate(usage_frac) if frac < 0.01] \
-            if usage.sum() else []
+        usage_frac = dead = None
+        if model.kind == "scoff":
+            usage_frac = (usage / usage.sum()).tolist() if usage.sum() else [0.0] * n_s
+            dead = [j for j, frac in enumerate(usage_frac) if frac < 0.01] \
+                if usage.sum() else []
 
         t0 = clock()
         eval_self, eval_teacher, purity = [], [], None
@@ -383,9 +385,10 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
         metrics.append(record)
         if log is not None:
             purity_s = "-" if purity is None else f"{purity:.3f}"
+            usage_s = "" if usage_frac is None else \
+                f" usage={[round(u, 3) for u in usage_frac]}"
             log(f"epoch {epoch}: train_loss={epoch_loss:.6f} "
-                f"purity={purity_s} usage={[round(u, 3) for u in usage_frac]} "
-                f"({record.wall_seconds:.1f}s)")
+                f"purity={purity_s}{usage_s} ({record.wall_seconds:.1f}s)")
     return metrics, model
 
 

@@ -62,7 +62,7 @@ GOLDEN = {
     "bouncing/trace/traces.jsonl": "44957d46638f",
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
-    "bouncing_gru/train/metrics.jsonl": "3e8954fb2c98",
+    "bouncing_gru/train/metrics.jsonl": "61567ea4f955",
     "bouncing_gru/train/checkpoint/tensors.bin": "31b4caae9677",
     "bouncing_gru/train/checkpoint/manifest.json:tensors": "e1741d47066d",
     "bouncing_gru/eval/rollout_curve.csv": "8b2ad173f33a",

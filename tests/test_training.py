@@ -386,6 +386,24 @@ def test_train_gru_baseline_same_interface():
     assert model.width == cfg.scoff.n_f * cfg.scoff.d_h
 
 
+def test_gru_baseline_reports_no_schema_usage():
+    # a model without schemata writes null usage and dead schemata, as it
+    # does purity, and its epoch log names no usage
+    data = make_switching_data(6)
+    lines = []
+    metrics, _ = train_model(tiny_train_config(model="gru", epochs=1, batch_size=3),
+                             data, data[:2], log=lines.append)
+    record = json.loads(metrics[0].to_json())
+    assert record["schema_usage"] is None
+    assert record["dead_schemata"] is None
+    assert record["alignment_purity"] is None
+    assert "usage" not in lines[0]
+    metrics, _ = train_model(tiny_train_config(epochs=1, batch_size=3),
+                             data, data[:2], log=lines.append)
+    assert len(metrics[0].schema_usage) == 2
+    assert "usage=" in lines[1]
+
+
 def test_train_adding_task():
     data = [gen_adding(Rng(50 + i), 8, 2) for i in range(6)]
     cfg = tiny_train_config(task="adding", epochs=1, batch_size=3, lr=1e-2)
