@@ -13,7 +13,12 @@ appends each step's positions and velocities to flat lists; one bulk copy
 then fills each [T, n_balls, 2] array from its list, and one
 ``render_frames`` call draws all T frames. A numpy write per step or a
 render per frame costs more in call overhead than the physics itself on
-arrays this small.
+arrays this small. ``_ball_tracks`` holds every ball's coordinates and
+velocity components in one flat list each, moves a coordinate by one
+addition and a range test, and calls ``_reflect``, the one wall rule, only
+for a coordinate that left the grid. Its contacts are resolved until no two
+balls overlap: an overlapping pair swaps velocities and stays put, and a
+ball that lands on a held ball is held as well.
 """
 
 import struct
