@@ -365,7 +365,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=axis)
 
     def back(g):
-        # each part gets its own slice of g along axis, a view
         lead = (slice(None),) * (axis % g.ndim)
         lo = 0
         for p in parts:
