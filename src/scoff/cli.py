@@ -6,15 +6,19 @@ comments; ``--set key=value`` overrides win over file values. Every key but
 the paths ``data`` and ``checkpoint`` is a field of a config dataclass. Every
 command that writes artifacts also writes the resolved configuration beside
 them, and every artifact is reproducible byte for byte from (command, config,
-seed).
+seed). gen-data streams each set to disk and publishes both files only once
+both are complete; train keeps only the first ``eval_subset`` sequences of the
+test set, the ones each epoch evaluates.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error, 3 verification failure.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+import tempfile
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -140,14 +144,32 @@ def _require(resolved: dict, key: str) -> str:
 
 
 def cmd_gen_data(args, resolved: dict) -> int:
+    """Streams each set into a staging directory inside ``--out``, then moves
+    both files into place; a failure before both are complete leaves an
+    existing ``--out`` as it was and removes one this command created."""
     cfg = _from_fields(tasks.DataConfig, resolved)
-    train = tasks.generate(cfg, resolved["seed"], cfg.train_count, 0)
-    test = tasks.generate(cfg, resolved["seed"], cfg.test_count, 1_000_000)
-    os.makedirs(args.out_dir, exist_ok=True)  # both sets exist: now write
-    tasks.write_dataset(os.path.join(args.out_dir, "train.scfd"), train)
-    tasks.write_dataset(os.path.join(args.out_dir, "test.scfd"), test)
+    fresh = []  # the directories this command creates, deepest first
+    path = os.path.abspath(args.out_dir)
+    while not os.path.exists(path):
+        fresh.append(path)
+        path = os.path.dirname(path)
+    sets = (("train.scfd", cfg.train_count, 0), ("test.scfd", cfg.test_count, 1_000_000))
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".gen-data-", dir=args.out_dir) as staging:
+            for name, count, offset in sets:
+                tasks.write_dataset(os.path.join(staging, name),
+                                    tasks.generate(cfg, resolved["seed"], count, offset))
+            for name, _, _ in sets:  # both sets exist: now publish
+                os.replace(os.path.join(staging, name), os.path.join(args.out_dir, name))
+    except BaseException:
+        for made in fresh:
+            with contextlib.suppress(OSError):
+                os.rmdir(made)
+        raise
     _write_snapshot(args.out_dir, resolved)
-    print(f"wrote {len(train)} train / {len(test)} test sequences to {args.out_dir}")
+    print(f"wrote {cfg.train_count} train / {cfg.test_count} test sequences "
+          f"to {args.out_dir}")
     return 0
 
 
@@ -155,7 +177,9 @@ def cmd_train(args, resolved: dict) -> int:
     data_dir = _require(resolved, "data")
     cfg = to_train_config(resolved)
     train_data = tasks.read_dataset(os.path.join(data_dir, "train.scfd"), cfg.task)
-    eval_data = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
+    # the whole file is validated, but only the sequences evaluated are kept
+    eval_data = tasks.read_dataset(os.path.join(data_dir, "test.scfd"),
+                                   cfg.task)[:cfg.eval_subset]
     metrics, model = train_model(cfg, train_data, eval_data,
                                  log=lambda s: print(s, file=sys.stderr))
     os.makedirs(args.out_dir, exist_ok=True)

@@ -3,9 +3,11 @@
 All arithmetic is in 64-bit floats. Gradients are recorded define-by-run: ops
 executed while a Tape is active append themselves to it in creation order,
 which is by construction a topological order, so the backward pass is a single
-reverse scan. With no active tape, ops run in plain evaluation mode and record
-nothing. The active tapes form one module-level stack: the engine is
-single-threaded, and one pass runs at a time.
+reverse scan. The scan consumes the tape: each node drops its backward closure
+as the scan passes it, so ``backward`` runs once per tape. With no active
+tape, ops run in plain evaluation mode and record nothing. The active tapes
+form one module-level stack: the engine is single-threaded, and one pass runs
+at a time.
 
 Every op, built-in or defined elsewhere, takes the same path: it computes its
 output array, and :func:`record` wraps it in a Tensor and appends it to the
@@ -530,7 +532,12 @@ def sample_gumbel(rng: Rng, shape) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate grads of everything the scalar ``loss`` depends on."""
+    """Populate grads of everything the scalar ``loss`` depends on.
+
+    The pass consumes the tape: each node releases its backward closure, and
+    with it the arrays the closure captured, as soon as the reverse scan
+    reaches it. Every node's ``grad`` stays. A second pass over a consumed
+    tape raises ValueError before it touches any gradient."""
     global _deferred
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -538,13 +545,15 @@ def backward(loss: Tensor, tape: Tape) -> None:
     # at once rather than left as a cycle for the garbage collector
     if not any(node is loss for node in reversed(tape.nodes)):
         raise ValueError("loss was not recorded on this tape")
+    if loss._backward is None:
+        raise ValueError("this tape was already consumed by a backward pass")
     loss.grad = np.ones_like(loss.data)
     _deferred = deferred = {}
     try:
         for node in reversed(tape.nodes):
-            if node.grad is None:
-                continue
-            node._backward(node.grad)
+            run, node._backward = node._backward, None
+            if node.grad is not None:
+                run(node.grad)
         # one product per leaf, in the order the leaves were first queued
         for t, (xs, gs) in deferred.items():
             accum(t, np.concatenate(xs).T @ np.concatenate(gs))

@@ -19,9 +19,18 @@ addition and a range test, and calls ``_reflect``, the one wall rule, only
 for a coordinate that left the grid. Its contacts are resolved until no two
 balls overlap: an overlapping pair swaps velocities and stays put, and a
 ball that lands on a held ball is held as well.
+
+Datasets are streamed: ``generate`` yields one sequence at a time and
+``write_dataset`` writes each as it arrives, so writing a set holds one
+sequence, not the set. A dataset file is published whole: it is written
+beside its path and moved onto it only once complete.
 """
 
+import contextlib
+import itertools
+import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,24 +364,22 @@ class DataConfig:
         return counts if all(1 <= n <= self.length for n in counts) else []
 
 
-def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> list:
-    """``count`` sequences of ``cfg``'s task; sequence i draws from
-    ``Rng(seed).spawn(offset + i)`` alone, a ``single`` sequence its dynamics
-    mode first."""
+def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> Iterator:
+    """``count`` sequences of ``cfg``'s task, yielded one at a time; sequence
+    i draws from ``Rng(seed).spawn(offset + i)`` alone, a ``single`` sequence
+    its dynamics mode first."""
     root = Rng(seed)
-    out = []
+    occluder = OCCLUDER if cfg.occluder else None
     for i in range(count):
         child = root.spawn(offset + i)
         if cfg.task == "single":
-            out.append(gen_single_dynamics(child, cfg.length, child.choice(SINGLE_MODES)))
+            yield gen_single_dynamics(child, cfg.length, child.choice(SINGLE_MODES))
         elif cfg.task == "switching":
-            out.append(gen_switching_dynamics(child, cfg.length))
+            yield gen_switching_dynamics(child, cfg.length)
         elif cfg.task == "bouncing":
-            occluder = OCCLUDER if cfg.occluder else None
-            out.append(gen_bouncing_mini(child, cfg.length, cfg.n_balls, occluder))
+            yield gen_bouncing_mini(child, cfg.length, cfg.n_balls, occluder)
         else:
-            out.append(gen_adding(child, cfg.length, child.choice(cfg.operand_counts())))
-    return out
+            yield gen_adding(child, cfg.length, child.choice(cfg.operand_counts()))
 
 
 # ---- dataset files ---------------------------------------------------------
@@ -380,29 +387,46 @@ def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> list:
 _MAGIC = b"SCFD"
 
 
-def write_dataset(path, sequences: list) -> None:
+def write_dataset(path, sequences: Iterable) -> None:
     """Header: magic, u32 task id, u32 count, u32 T (or L), u32 H, u32 W.
-    Every length is checked before the file is opened."""
-    if not sequences:
+
+    ``sequences`` may be any iterable, a generator included: each sequence is
+    written as it arrives, so only one is held at a time, and the count is
+    patched into the header at the end. The file is written beside ``path``
+    and moved onto it only when complete, so an empty iterable, sequences of
+    mixed lengths or a failure while writing leave ``path`` as it was."""
+    seqs = iter(sequences)
+    first = next(seqs, None)
+    if first is None:
         raise ValueError("refusing to write an empty dataset")
-    first = sequences[0]
     t_or_l = first.length
-    if any(seq.length != t_or_l for seq in sequences):
-        raise ValueError("all sequences in a dataset must share length")
     h, w = (0, 0) if first.task == "adding" else first.frames.shape[1:]
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IIIII", TASKS[first.task]["id"], len(sequences), t_or_l, h, w))
-        for seq in sequences:
-            if isinstance(seq, AddingSequence):
-                triple = np.column_stack([
-                    seq.values, seq.indicators.astype(np.float64)])
-                f.write(triple.astype("<f8").tobytes(order="C"))
-                f.write(struct.pack("<d", seq.target))
-                f.write(struct.pack("<I", seq.n_operands))
-            else:
-                f.write(seq.frames.astype(np.uint8).tobytes(order="C"))
-                f.write(seq.labels.astype(np.uint8).tobytes(order="C"))
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<IIIII", TASKS[first.task]["id"], 0, t_or_l, h, w))
+            count = 0
+            for seq in itertools.chain((first,), seqs):
+                if seq.length != t_or_l:
+                    raise ValueError("all sequences in a dataset must share length")
+                if isinstance(seq, AddingSequence):
+                    triple = np.column_stack([
+                        seq.values, seq.indicators.astype(np.float64)])
+                    f.write(triple.astype("<f8").tobytes(order="C"))
+                    f.write(struct.pack("<d", seq.target))
+                    f.write(struct.pack("<I", seq.n_operands))
+                else:
+                    f.write(seq.frames.astype(np.uint8).tobytes(order="C"))
+                    f.write(seq.labels.astype(np.uint8).tobytes(order="C"))
+                count += 1
+            f.seek(len(_MAGIC) + 4)
+            f.write(struct.pack("<I", count))
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def read_exact(f, n: int, what: str) -> bytes:

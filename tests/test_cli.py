@@ -7,6 +7,7 @@ import os
 import shutil
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,66 @@ def test_gen_data_writes_nothing_unless_both_sets_exist(tmp_path, capsys, monkey
         assert len(calls) == 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert not (tmp_path / "fresh").exists()
+
+
+def test_failed_gen_data_removes_every_directory_it_created(tmp_path, capsys, monkeypatch):
+    from scoff import tasks
+
+    def fail(rng, length):
+        raise RuntimeError("generator failed")
+
+    monkeypatch.setattr(tasks, "gen_switching_dynamics", fail)
+    assert run_cli("gen-data", "--set", "task=switching", "--set", "length=13",
+                   "--out", str(tmp_path / "a" / "b")) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def _peak_traced_mb(fn) -> float:
+    """The peak of the memory traced while ``fn()`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_data_peak_memory_does_not_grow_with_the_set_size(tmp_path, capsys):
+    # each set is streamed to disk, so gen-data holds one sequence at a time
+    def gen(count):
+        assert run_cli("gen-data", "--set", "task=bouncing", "--set", f"train_count={count}",
+                       "--set", "test_count=1", "--seed", "0",
+                       "--out", str(tmp_path / str(count))) == 0
+
+    small = _peak_traced_mb(lambda: gen(50))
+    assert _peak_traced_mb(lambda: gen(1000)) - small < 1.0
+
+
+def test_train_holds_only_the_eval_subset_of_the_test_set(tmp_path, capsys, monkeypatch):
+    import scoff.cli
+    held = []
+
+    def entered(cfg, train_data, eval_data, log=None):
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise RuntimeError("stopped at train_model")
+
+    monkeypatch.setattr(scoff.cli, "train_model", entered)
+    used = {}
+    for count in (4, 200):
+        data_dir = tmp_path / str(count)
+        assert run_cli("gen-data", "--set", "task=bouncing", "--set", "train_count=2",
+                       "--set", f"test_count={count}", "--out", str(data_dir)) == 0
+
+        def train():
+            assert run_cli("train", "--set", "task=bouncing", "--set", f"data={data_dir}",
+                           "--set", "eval_subset=1", "--out", str(tmp_path / "run")) == 2
+
+        held.clear()
+        _peak_traced_mb(train)  # traced, so that entered() can read the memory held
+        used[count] = held[0]
+    # 196 more sequences of 30 16x16 frames would be about 1.6 MB
+    assert abs(used[200] - used[4]) < 100_000
 
 
 def _gen_and_train(tmp_path, extra_train=()):
@@ -524,7 +585,7 @@ def test_train_on_a_value_the_model_cannot_take_exits_2_naming_the_file(
     from scoff import tasks
     data_dir = tmp_path / "data"
     data_dir.mkdir()
-    seqs = tasks.generate(tasks.DataConfig(task=task, length=11), 3, 2, 0)
+    seqs = list(tasks.generate(tasks.DataConfig(task=task, length=11), 3, 2, 0))
     tasks.write_dataset(str(data_dir / "test.scfd"), seqs)
     spoil(seqs[1])
     tasks.write_dataset(str(data_dir / "train.scfd"), seqs)

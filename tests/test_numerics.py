@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import os
 
@@ -366,6 +367,43 @@ def test_dropped_tape_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# leaf gradients of one bouncing_mini training sequence (model init spawn(0),
+# run rng spawn(1), sequence Rng(0)), SHA-256 prefix over the parameters in
+# name order; taken with the same BLAS build and thread count as the golden
+# digests of test_golden_artifacts.py
+LEAF_GRADS = {"scoff": "026d21d44528", "gru": "4a8d030fd44b"}
+
+
+@pytest.mark.parametrize("model", sorted(LEAF_GRADS))
+def test_backward_consumes_the_tape_once(model):
+    resolved = parse_config(os.path.join(CONFIGS, "bouncing_mini.cfg"), [f"model={model}"])
+    cfg = to_train_config(resolved)
+    net = build_model(cfg, Rng(cfg.seed).spawn(0))
+    seq = gen_bouncing_mini(Rng(0), resolved["length"], resolved["n_balls"])
+    with Tape() as tape:
+        loss, _ = sequence_loss(net, seq, Rng(cfg.seed).spawn(1))
+    backward(loss, tape)
+    assert tape.nodes and all(node._backward is None for node in tape.nodes)
+    params = sorted(net.parameters().items())
+    digest = hashlib.sha256(b"".join(p.grad.tobytes() for _, p in params))
+    assert digest.hexdigest()[:12] == LEAF_GRADS[model]
+    before = [p.grad.copy() for _, p in params]
+    with pytest.raises(ValueError, match="consumed"):
+        backward(loss, tape)
+    assert all(np.array_equal(p.grad, g) for (_, p), g in zip(params, before))
+
+
+def test_backward_releases_each_closure_as_the_scan_reaches_it():
+    x = Tensor(np.ones(2), requires_grad=True)
+    seen = []
+    with Tape() as tape:
+        first = nm.record(x.data * 1.0, (x,), lambda g: seen.append(
+            [node._backward for node in tape.nodes[1:]]))
+        loss = (nm.tanh(first) * first).sum()
+    backward(loss, tape)
+    assert seen == [[None] * (len(tape.nodes) - 1)]
 
 
 def test_tape_topological_order():

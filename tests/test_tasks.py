@@ -11,8 +11,8 @@ from scoff.rng import Rng
 from scoff.tasks import (BALL, GRID, INDICATOR_ROW, OCCLUDER, OSC_HI, OSC_LO, POS_MAX,
                          SINGLE_MODES, TASKS, V_CLAMP, AddingSequence, DataConfig,
                          FrameSequence, _reflect, gen_adding, gen_bouncing_mini,
-                         gen_single_dynamics, gen_switching_dynamics, read_dataset,
-                         write_dataset)
+                         gen_single_dynamics, gen_switching_dynamics, generate,
+                         read_dataset, write_dataset)
 
 
 # --------------------------------------------------------------- single object
@@ -460,6 +460,35 @@ def test_mixed_lengths_leave_an_existing_dataset_as_it_was(tmp_path):
     with pytest.raises(ValueError, match="share length"):
         write_dataset(p, mixed)
     assert p.read_bytes() == before
+
+
+@pytest.mark.parametrize("task", ["bouncing", "adding"])
+def test_write_dataset_streams_a_generator_to_the_bytes_of_the_list(tmp_path, task):
+    cfg = DataConfig(task=task, length=TASKS[task]["length"])
+    write_dataset(tmp_path / "list.scfd", list(generate(cfg, 5, 3, 0)))
+    write_dataset(tmp_path / "stream.scfd", generate(cfg, 5, 3, 0))
+    assert (tmp_path / "stream.scfd").read_bytes() == (tmp_path / "list.scfd").read_bytes()
+
+
+def test_empty_iterable_raises_and_creates_no_file(tmp_path):
+    with pytest.raises(ValueError, match="empty"):
+        write_dataset(tmp_path / "data.scfd", iter(()))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_stream_leaves_an_existing_dataset_as_it_was(tmp_path):
+    p = tmp_path / "data.scfd"
+    write_dataset(p, [gen_switching_dynamics(Rng(s), 13) for s in range(2)])
+    before = p.read_bytes()
+
+    def failing():
+        yield gen_switching_dynamics(Rng(0), 13)
+        raise RuntimeError("generator failed")
+
+    with pytest.raises(RuntimeError, match="generator failed"):
+        write_dataset(p, failing())
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["data.scfd"]
 
 
 def test_data_config_checks_the_task():
