@@ -21,8 +21,8 @@ balls overlap: an overlapping pair swaps velocities and stays put, and a
 ball that lands on a held ball is held as well.
 
 Datasets are streamed: ``generate`` yields one sequence at a time and
-``write_dataset`` writes each as it arrives, so writing a set holds one
-sequence, not the set. A dataset file is published whole: it is written
+``write_dataset`` writes each as it arrives, so a set is never held whole
+in memory. A dataset file is published whole: it is written
 beside its path and moved onto it only once complete.
 """
 
@@ -391,8 +391,8 @@ def write_dataset(path, sequences: Iterable) -> None:
     """Header: magic, u32 task id, u32 count, u32 T (or L), u32 H, u32 W.
 
     ``sequences`` may be any iterable, a generator included: each sequence is
-    written as it arrives, so only one is held at a time, and the count is
-    patched into the header at the end. The file is written beside ``path``
+    written as it arrives, so a generator's set is never held whole, and the
+    count is patched into the header at the end. The file is written beside ``path``
     and moved onto it only when complete, so an empty iterable, sequences of
     mixed lengths or a failure while writing leave ``path`` as it was."""
     seqs = iter(sequences)
