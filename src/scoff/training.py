@@ -215,6 +215,18 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     return teacher.tolist(), self_fed.tolist()
 
 
+def constant_rate_bce(sequences: list, burn_in: int, horizon: int) -> float:
+    """The mean BCE of predicting every pixel of frames burn_in ..
+    burn_in + horizon - 1, the frames a rollout scores, at those frames' mean
+    on-rate p: -p ln p - (1 - p) ln(1 - p), and 0 when p is 0 or 1. A curve
+    above it predicts worse than a constant."""
+    window = [seq.frames[burn_in:burn_in + horizon] for seq in sequences]
+    p = sum(int(w.sum()) for w in window) / sum(w.size for w in window)
+    if p in (0.0, 1.0):
+        return 0.0
+    return -p * math.log(p) - (1 - p) * math.log1p(-p)
+
+
 def _frame_bce(logits: np.ndarray, targets) -> np.ndarray:
     """[n]: the mean binary cross entropy of each frame of logits [n, H, W]
     against targets, the value :func:`bce_per_frame` gives it alone."""

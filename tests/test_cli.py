@@ -6,6 +6,8 @@ import math
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -876,3 +878,49 @@ def test_dataset_of_no_sequences_exits_2_naming_it(tiny_run):
     code, err = _eval_copy(tiny_run, empty)
     assert code == 2
     assert "test.scfd holds no sequences" in err
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "trace"])
+def test_out_in_a_file_exits_2_naming_it_before_any_work(tiny_run, tmp_path, capsys,
+                                                         monkeypatch, command, inside):
+    # a train that finds out only when it writes has run every epoch
+    from scoff import cli
+
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{command} did its work before checking --out")
+
+    for name in ("train_model", "eval_rollout", "collect_traces"):
+        monkeypatch.setattr(cli, name, ran)
+    monkeypatch.setattr(cli.tasks, "generate", ran)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "sub" if inside else blocker
+    args = {"gen-data": ["--set", "task=switching"],
+            "train": ["--set", "task=switching", "--set", f"data={tiny_run / 'data'}",
+                      "--set", "burn_in=2", "--set", "horizon=3"]}.get(
+        command, ["--set", f"data={tiny_run / 'data'}",
+                  "--set", f"checkpoint={tiny_run / 'run' / 'checkpoint'}"])
+    assert run_cli(command, *args, "--out", str(out)) == 2
+    assert f"--out {out}: {blocker} is not a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "kept"
+
+
+# ------------------------------------------------------------------ process exit
+
+def test_a_process_that_imported_the_cli_freezes_its_heap_at_exit():
+    # atexit runs its hooks last in, first out, so this probe, registered
+    # before the CLI module is imported, runs after the CLI's own hook
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+             "import scoff.cli\n"
+             "sys.exit(scoff.cli.main(['param-count']))\n")
+    src = os.path.join(os.path.dirname(CONFIGS), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    last = done.stdout.splitlines()[-1]
+    assert last.startswith("frozen ")
+    assert int(last.split()[1]) > 0

@@ -9,10 +9,12 @@ checkpoints, ``trace`` on ``switching_mini``, ``bouncing_mini`` (scoff and
 of ``bouncing_mini`` with three balls and the occluder, and one of the
 ``single`` task on ``switching_mini``'s sizes, pin the generator paths the
 recipe does not reach: collisions among three balls, the occluded render
-and the three single-ball dynamics modes. Each artifact is
-compared by SHA-256. ``resolved_config.cfg`` and the ``config`` part of
-``manifest.json`` embed the data path and are left out; of the manifest only
-its ``tensors`` list is hashed.
+and the three single-ball dynamics modes. The ``bouncing_gru`` run is
+repeated with each command in its own ``python -m scoff.cli`` process, so
+its files are also checked as a process that ends normally leaves them.
+Each artifact is compared by SHA-256. ``resolved_config.cfg`` and the
+``config`` part of ``manifest.json`` embed the data path and are left out; of
+the manifest only its ``tensors`` list is hashed.
 
 The digests were taken with Python 3.11.7 and numpy 2.4.6 linked against
 scipy-openblas 0.3.31 (x86-64), with one BLAS thread, which ``conftest.py``
@@ -25,11 +27,14 @@ known to be good.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 from scoff.cli import main
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
+SRC = os.path.join(ROOT, "src")
 
 RUNS = (("switching", "switching_mini", ()),
         ("bouncing", "bouncing_mini", ()),
@@ -90,30 +95,56 @@ def _run(*argv) -> None:
     assert main(list(argv)) == 0, argv
 
 
-def test_recipe_artifacts_match_golden_digests(tmp_path, capsys):
-    for name, cfg, extra in GEN_ONLY_RUNS + RUNS:
-        config = os.path.join(CONFIGS, f"{cfg}.cfg")
-        out = tmp_path / name
-        data, ckpt = str(out / "data"), str(out / "train" / "checkpoint")
-        _run("gen-data", "--config", config, *extra, "--set", "train_count=8",
-             "--set", "test_count=4", "--out", data)
-        if (name, cfg, extra) in GEN_ONLY_RUNS:
-            continue
-        _run("train", "--config", config, *extra, "--set", f"data={data}",
-             "--set", "epochs=2", "--set", "batch_size=4", "--set", "eval_subset=2",
-             "--out", str(out / "train"))
-        for command in ("eval", "trace") if not extra else ("eval",):
-            _run(command, "--config", config, "--set", f"checkpoint={ckpt}",
-                 "--set", f"data={data}", "--out", str(out / command))
-    capsys.readouterr()
-    _run("check-grad")
-    digests = {"check-grad:stdout": _sha(capsys.readouterr().out.encode())}
-    for key in GOLDEN:
+def _run_process(*argv) -> None:
+    """One command as its own ``python -m scoff.cli`` process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "scoff.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, (argv, done.stderr)
+
+
+def _recipe(run, tmp_path, name, cfg, extra) -> None:
+    config = os.path.join(CONFIGS, f"{cfg}.cfg")
+    out = tmp_path / name
+    data, ckpt = str(out / "data"), str(out / "train" / "checkpoint")
+    run("gen-data", "--config", config, *extra, "--set", "train_count=8",
+        "--set", "test_count=4", "--out", data)
+    if (name, cfg, extra) in GEN_ONLY_RUNS:
+        return
+    run("train", "--config", config, *extra, "--set", f"data={data}",
+        "--set", "epochs=2", "--set", "batch_size=4", "--set", "eval_subset=2",
+        "--out", str(out / "train"))
+    for command in ("eval", "trace") if not extra else ("eval",):
+        run(command, "--config", config, "--set", f"checkpoint={ckpt}",
+            "--set", f"data={data}", "--out", str(out / command))
+
+
+def _file_digests(tmp_path, keys) -> dict:
+    digests = {}
+    for key in keys:
         path, _, part = key.partition(":")
-        if path == "check-grad":
-            continue
         raw = (tmp_path / path).read_bytes()
         if part:
             raw = json.dumps(json.loads(raw)[part], sort_keys=True).encode()
         digests[key] = _sha(raw)
+    return digests
+
+
+def test_recipe_artifacts_match_golden_digests(tmp_path, capsys):
+    for name, cfg, extra in GEN_ONLY_RUNS + RUNS:
+        _recipe(_run, tmp_path, name, cfg, extra)
+    capsys.readouterr()
+    _run("check-grad")
+    digests = {"check-grad:stdout": _sha(capsys.readouterr().out.encode())}
+    digests.update(_file_digests(tmp_path, [k for k in GOLDEN if k != "check-grad:stdout"]))
     assert digests == GOLDEN
+
+
+def test_recipe_run_as_separate_processes_matches_golden_digests(tmp_path):
+    # each command ends its own process, which freezes its heap at exit and
+    # so skips the shutdown collections: every file must still be complete
+    name, cfg, extra = RUNS[2]
+    _recipe(_run_process, tmp_path, name, cfg, extra)
+    keys = [k for k in GOLDEN if k.startswith(f"{name}/")]
+    assert _file_digests(tmp_path, keys) == {k: GOLDEN[k] for k in keys}

@@ -20,7 +20,7 @@ from scoff.layer import ScoffConfig, StepTrace
 from scoff.numerics import Tape, Tensor, backward
 from scoff.cli import parse_config, to_train_config
 from scoff.rng import Rng
-from scoff.tasks import gen_adding, gen_bouncing_mini, gen_switching_dynamics
+from scoff.tasks import FrameSequence, gen_adding, gen_bouncing_mini, gen_switching_dynamics
 from scoff.training import (Adam, TrainConfig, bce_per_frame,
                             build_model, collect_traces, eval_adding,
                             eval_rollout, load_checkpoint, mse_scalar,
@@ -539,6 +539,41 @@ def test_frame_bce_matches_bce_per_frame_bit_for_bit():
         got = training._frame_bce(logits, targets)
         want = [bce_per_frame(Tensor(x), y).item() for x, y in zip(logits, targets)]
         assert got.tolist() == want
+
+
+def _frames_sequence(frames) -> FrameSequence:
+    frames = np.asarray(frames, dtype=np.uint8)
+    return FrameSequence("bouncing", frames, np.zeros(len(frames), dtype=np.int64))
+
+
+def test_constant_rate_bce_scores_only_the_rollout_window():
+    # frames 1..2 of two 4-frame sequences of 2x2 pixels: 3 of 16 scored
+    # pixels are on; the on pixels of frames 0 and 3 are not scored
+    a = np.zeros((4, 2, 2))
+    a[0] = a[3] = 1
+    a[1, 0, 0] = a[2, 1, 1] = 1
+    b = np.zeros((4, 2, 2))
+    b[2, 0, 1] = b[3, 0, 0] = 1
+    p = 3 / 16
+    got = training.constant_rate_bce([_frames_sequence(a), _frames_sequence(b)], 1, 2)
+    assert got == pytest.approx(-p * math.log(p) - (1 - p) * math.log(1 - p), rel=1e-15)
+
+
+def test_constant_rate_bce_is_the_bce_of_a_constant_logit():
+    sequences = [gen_bouncing_mini(Rng(seed), 30, 2) for seed in range(4)]
+    burn_in, horizon = 10, 15
+    window = [seq.frames[burn_in:burn_in + horizon] for seq in sequences]
+    p = np.mean(window)
+    logits = np.full_like(window[0], math.log(p / (1 - p)), dtype=np.float64)
+    want = np.mean([training._frame_bce(logits, w) for w in window])
+    got = training.constant_rate_bce(sequences, burn_in, horizon)
+    assert abs(got - want) < 1e-12
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_constant_rate_bce_of_a_constant_window_is_zero(value):
+    sequences = [_frames_sequence(np.full((3, 2, 2), value)) for _ in range(2)]
+    assert training.constant_rate_bce(sequences, 1, 2) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["scoff", "gru"])
