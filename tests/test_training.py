@@ -579,41 +579,68 @@ def test_constant_rate_bce_of_a_constant_window_is_zero(value):
 @pytest.mark.parametrize("kind", ["scoff", "gru"])
 @pytest.mark.parametrize("teacher", [True, False])
 def test_eval_rollout_rejects_non_finite_logits(kind, teacher, monkeypatch):
-    # one bad pixel in the teacher-forced readout, or in the last self-fed one
-    data = make_switching_data(1, length=13)
+    # one bad pixel in one sequence's teacher-forced readout, or in its row of
+    # the last self-fed block readout: the first sequence of the block, then
+    # the second
+    data = make_switching_data(2, length=13)
     model = build_model(tiny_train_config(model=kind), Rng(0))
-    readout, calls = model.readout, []
+    readout = model.readout
+    for bad in range(len(data)):
+        calls = []
 
-    def overflowing(states):
-        out = readout(states)
-        calls.append(len(states))
-        if (len(states) > 1) == teacher and (teacher or len(calls) == 7):
-            out.data[-1, 0, 0] = np.nan if teacher else np.inf
-        return out
+        def overflowing(states):
+            out = readout(states)
+            calls.append(len(states))
+            if teacher and len(calls) == bad + 1:
+                out.data[-1, 0, 0] = np.nan
+            if not teacher and len(calls) == len(data) + 6:
+                out.data[bad, 0, 0] = np.inf
+            return out
 
-    monkeypatch.setattr(model, "readout", overflowing)
-    with pytest.raises(ValueError, match="non-finite"):
-        eval_rollout(model, data, burn_in=4, horizon=6)
+        monkeypatch.setattr(model, "readout", overflowing)
+        with pytest.raises(ValueError, match="non-finite"):
+            eval_rollout(model, data, burn_in=4, horizon=6)
+        assert len(calls) == (bad + 1 if teacher else len(data) + 6)
 
 
 @pytest.mark.parametrize("kind", ["scoff", "gru"])
 def test_eval_rollout_reads_out_only_scored_steps(kind, monkeypatch):
-    data = make_switching_data(2, length=13)
+    data = make_switching_data(3, length=13)
     cfg = tiny_train_config(model=kind)
     model = build_model(cfg, Rng(cfg.seed))
     want = rollout_every_step(model, data, burn_in=4, horizon=6)
+    monkeypatch.setattr(training, "ROLLOUT_BLOCK", 2)
     rows = []
     readout = model.readout
     monkeypatch.setattr(model, "readout",
                         lambda states: rows.append(len(states)) or readout(states))
     got = eval_rollout(model, data, burn_in=4, horizon=6)
-    # per sequence, one teacher-forced readout of all 6 scored states, then
-    # 6 self-fed readouts of one state each
-    assert rows == [6, 1, 1, 1, 1, 1, 1] * len(data)
+    # per block, one teacher-forced readout of all 6 scored states of each of
+    # its sequences, then 6 self-fed readouts of the whole block's states
+    assert rows == [6, 6] + [2] * 6 + [6] + [1] * 6
     assert sum(rows) == 2 * 6 * len(data)
     # the batched readout's matrix products may round differently from the
     # per-step ones in the last bits
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["scoff", "gru"])
+def test_eval_rollout_blocks_match_one_sequence_at_a_time(kind):
+    # block + 1 sequences: a full block, then a last block of one sequence
+    data = make_switching_data(training.ROLLOUT_BLOCK + 1, length=11)
+    model = build_model(tiny_train_config(model=kind), Rng(3))
+    teacher, self_fed = eval_rollout(model, data, burn_in=3, horizon=6)
+    want_teacher, want_self_fed = np.zeros(6), np.zeros(6)
+    for seq in data:
+        one_teacher, one_self_fed = eval_rollout(model, [seq], burn_in=3, horizon=6)
+        want_teacher += one_teacher
+        want_self_fed += one_self_fed
+    want_teacher /= len(data)
+    want_self_fed /= len(data)
+    # the teacher-forced passes are the same ops; only the self-fed codec
+    # calls take a block's rows at once
+    assert teacher == want_teacher.tolist()
+    np.testing.assert_allclose(self_fed, want_self_fed, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("task", ["switching", "adding"])
@@ -630,6 +657,20 @@ def test_eval_rollout_window_validation():
     _, model = train_model(cfg, data, None)
     with pytest.raises(ValueError):
         eval_rollout(model, data, burn_in=10, horizon=5)
+
+
+def test_rollout_window_is_checked_against_the_shortest_sequence():
+    # the first sequence holds the window of 12 frames, the second only 11
+    data = make_switching_data(1, length=13) + make_switching_data(1, length=11)
+    model = build_model(tiny_train_config(), Rng(0))
+    with pytest.raises(ValueError, match=r"burn_in \+ horizon <= 11, the shortest"):
+        eval_rollout(model, data, burn_in=4, horizon=8)
+    # train_model checks the eval set before its first epoch
+    logged = []
+    with pytest.raises(ValueError, match=r"burn_in \+ horizon <= 11, the shortest"):
+        train_model(tiny_train_config(burn_in=4, horizon=8), make_switching_data(2),
+                    data, log=logged.append)
+    assert logged == []
 
 
 def test_collect_traces_shapes_and_burn_in():
