@@ -51,7 +51,7 @@ GEN_ONLY_RUNS = (("bouncing_occluded", "bouncing_mini",
 GOLDEN = {
     "switching/data/train.scfd": "80ad636a71bc",
     "switching/data/test.scfd": "fa336d04675e",
-    "switching/train/metrics.jsonl": "08b54afaf477",
+    "switching/train/metrics.jsonl": "ec43357bec30",
     "switching/train/checkpoint/tensors.bin": "5b1561371799",
     "switching/train/checkpoint/manifest.json:tensors": "2643d619f217",
     "switching/eval/rollout_curve.csv": "3fb4d76e2e6d",
@@ -59,18 +59,18 @@ GOLDEN = {
     "switching/trace/traces.jsonl": "54a2c4d3f275",
     "bouncing/data/train.scfd": "677a533d3700",
     "bouncing/data/test.scfd": "ff0731ea192d",
-    "bouncing/train/metrics.jsonl": "eb94f86ebcaf",
+    "bouncing/train/metrics.jsonl": "978cc0d4ccee",
     "bouncing/train/checkpoint/tensors.bin": "bebc42c59202",
     "bouncing/train/checkpoint/manifest.json:tensors": "783cbb200c62",
-    "bouncing/eval/rollout_curve.csv": "8452ff164ad9",
+    "bouncing/eval/rollout_curve.csv": "0575a538471e",
     "bouncing/trace/schema_usage.csv": "23a56d3b073d",
     "bouncing/trace/traces.jsonl": "44957d46638f",
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
-    "bouncing_gru/train/metrics.jsonl": "61567ea4f955",
+    "bouncing_gru/train/metrics.jsonl": "beada6f795e9",
     "bouncing_gru/train/checkpoint/tensors.bin": "31b4caae9677",
     "bouncing_gru/train/checkpoint/manifest.json:tensors": "e1741d47066d",
-    "bouncing_gru/eval/rollout_curve.csv": "8b2ad173f33a",
+    "bouncing_gru/eval/rollout_curve.csv": "e2ba964b3b21",
     "adding/data/train.scfd": "859e755d4f0e",
     "adding/data/test.scfd": "4ab84a03c646",
     "adding/train/metrics.jsonl": "cc5cf1ea411d",
