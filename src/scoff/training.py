@@ -388,7 +388,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                 if usage.sum() else []
 
         t0 = clock()
-        eval_self, eval_teacher, purity = [], [], None
+        eval_self, eval_teacher, purity, chance = [], [], None, None
         if eval_data:
             subset = eval_data[:cfg.eval_subset]
             if cfg.task in FRAME_TASKS:
@@ -399,10 +399,14 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                 eval_teacher = list(eval_self)
             if model.kind == "scoff":
                 traces, labels = collect_traces(model, subset, cfg.burn_in)
-                try:
-                    purity = schema_alignment_purity(traces, labels)
-                except ValueError:
-                    purity = None
+                modes = np.bincount(np.concatenate(labels))
+                # against one mode, purity is only the most-used schema's share
+                if np.count_nonzero(modes) > 1:
+                    chance = modes.max() / modes.sum()
+                    try:
+                        purity = schema_alignment_purity(traces, labels)
+                    except ValueError:
+                        purity = None
         phases["eval"] = clock() - t0
 
         record = MetricsRecord(
@@ -412,7 +416,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
             wall_seconds=clock() - started, phase_seconds=phases)
         metrics.append(record)
         if log is not None:
-            purity_s = "-" if purity is None else f"{purity:.3f}"
+            purity_s = "-" if purity is None else f"{purity:.3f} (chance {chance:.3f})"
             usage_s = "" if usage_frac is None else \
                 f" usage={[round(u, 3) for u in usage_frac]}"
             log(f"epoch {epoch}: train_loss={epoch_loss:.6f} "

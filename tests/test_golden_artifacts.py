@@ -59,7 +59,7 @@ GOLDEN = {
     "switching/trace/traces.jsonl": "54a2c4d3f275",
     "bouncing/data/train.scfd": "677a533d3700",
     "bouncing/data/test.scfd": "ff0731ea192d",
-    "bouncing/train/metrics.jsonl": "978cc0d4ccee",
+    "bouncing/train/metrics.jsonl": "e78bc3702e2c",
     "bouncing/train/checkpoint/tensors.bin": "bebc42c59202",
     "bouncing/train/checkpoint/manifest.json:tensors": "783cbb200c62",
     "bouncing/eval/rollout_curve.csv": "0575a538471e",

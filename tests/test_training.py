@@ -404,6 +404,32 @@ def test_gru_baseline_reports_no_schema_usage():
     assert "usage=" in lines[1]
 
 
+def test_purity_is_null_when_the_eval_labels_hold_one_mode():
+    # every bouncing label is 0, so purity would be only the most-used
+    # schema's share: it is written null and logged with no chance level
+    data = [gen_bouncing_mini(Rng(60 + i), 11, 2) for i in range(3)]
+    lines = []
+    metrics, _ = train_model(tiny_train_config(task="bouncing", batch_size=3),
+                             data, data[:2], log=lines.append)
+    assert json.loads(metrics[0].to_json())["alignment_purity"] is None
+    assert "purity=- " in lines[0] and "chance" not in lines[0]
+
+
+def test_switching_purity_is_logged_beside_its_chance_level():
+    # the chance level is the eval labels' majority-mode share, the purity
+    # of always selecting one schema
+    data = make_switching_data(6)
+    cfg = tiny_train_config(batch_size=3)
+    lines = []
+    metrics, _ = train_model(cfg, data, data[:2], log=lines.append)
+    purity = json.loads(metrics[0].to_json())["alignment_purity"]
+    assert isinstance(purity, float) and 0.0 < purity <= 1.0
+    labels = np.concatenate([seq.labels[1 + cfg.burn_in:] for seq in data[:2]])
+    modes = np.bincount(labels)
+    assert len(modes) == 2 and modes.min() > 0
+    assert f"purity={purity:.3f} (chance {modes.max() / labels.size:.3f}) " in lines[0]
+
+
 def test_train_adding_task():
     data = [gen_adding(Rng(50 + i), 8, 2) for i in range(6)]
     cfg = tiny_train_config(task="adding", epochs=1, batch_size=3, lr=1e-2)
