@@ -71,6 +71,15 @@ summed over the time axis in one reduction. A time-batched op therefore
 agrees with the loop of its one-step calls within rounding (about 1e-15
 relative), not bit for bit.
 
+The same ops batch over sequences as well, since to the codec a batch is
+just more rows: the self-fed rollout (``training.eval_rollout``) reads out
+one state of each sequence of a block, and encodes their fed-back frames, in
+one call each. A one-state readout's products have one row, for which numpy
+takes its matrix-vector path (M = 1); a block's readout takes the
+matrix-matrix (GEMM) path, which may round differently in the last bits. A
+block's self-fed curve therefore agrees with one sequence's at a time within
+rounding (at most 3.4e-16 relative on the golden recipe), not bit for bit.
+
 A weight's product ``x.T @ g`` (the right operand of ``matmul``, and the
 matching weights of the fused ops) goes through :func:`accum_xtg` instead.
 During ``backward`` a leaf's pairs are queued, and when the reverse scan ends
