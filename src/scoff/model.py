@@ -7,12 +7,16 @@ core: the scoff layer, or for the baseline a single monolithic GRU cell over
 mean-pooled features. The baseline's state is one row, its own pool, so its
 head draws no pooling query.
 
-``encode`` and ``readout`` work on whole time spans: every input known before
-a pass is encoded at once, and every scored state read out at once. Only
-``step`` runs once per time step. The model owns the time axis, and the codec
-maps rows to rows: ``encode`` cuts the feature rows into steps after
-``_step_rows`` (where the baseline mean-pools each step's rows, for the whole
-span in one op), and ``readout`` joins the states' rows for the head.
+``encode`` and ``readout`` work on blocks of rows, as the codec does: every
+input known before a pass is encoded at once, and every scored state read
+out at once. ``encode`` returns the feature rows of its n inputs, r rows per
+input, after ``_step_rows`` (where the baseline mean-pools each input's
+rows, for the whole block in one op); ``readout(rows, n)`` takes the stacked
+rows of n states. The n inputs are the steps of one sequence in a loss pass,
+whose ``training.run_steps`` cuts the rows into one Tensor per step, and the
+sequences of a block at one time step in ``training.eval_rollout``. Only the
+step runs once per time step: ``step`` for one sequence, ``step_block`` for
+a block of sequences in lockstep.
 
 The rng is ``step``'s one stochastic-mode switch: with it the step draws
 selection noise and dropout masks (training); without it the schema choice
@@ -55,21 +59,22 @@ class SequenceModel:
         else:
             self.head = ScalarReadout(rng, width, codec_cfg, self.pooled_state)
 
-    def encode(self, xs) -> list:
-        """One feature Tensor per input of xs, whose leading axis is time."""
+    def encode(self, xs) -> Tensor:
+        """The [n·r, d] feature rows of the n inputs of xs (leading axis), the r
+        rows of each input in turn."""
         xs = np.asarray(xs, dtype=np.float64)
         enc = self.encoder
         rows = enc.encode_frame(xs) if self.task in FRAME_TASKS else enc.encode_token(xs)
-        return nm.split_rows(self._step_rows(rows, len(xs)), len(xs))
+        return self._step_rows(rows, len(xs))
 
     def _step_rows(self, rows: Tensor, n: int) -> Tensor:
         """The rows the core's n steps take: the [n·P, d_a] feature rows."""
         return rows
 
-    def readout(self, states: list) -> Tensor:
-        """The outputs for a list of states, with a leading axis over them."""
-        rows = states[0] if len(states) == 1 else nm.concat(states, axis=0)
-        return self.head.readout(rows, len(states))
+    def readout(self, rows: Tensor, n: int) -> Tensor:
+        """The outputs of the n states whose rows are stacked in rows, with a
+        leading axis over them."""
+        return self.head.readout(rows, n)
 
     def parameters(self) -> dict:
         return {**self.encoder.params(), **self._core_parameters(), **self.head.params()}
@@ -98,6 +103,20 @@ class ScoffModel(SequenceModel):
     def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
         return self.layer.step(features, state, rng)
 
+    def step_block(self, features: Tensor, state: Tensor, n: int) -> Tensor:
+        """One greedy step of n sequences in lockstep: features and state hold
+        the stacked rows of the n sequences' step inputs and states, and the
+        result the rows of their next states.
+
+        The rows are cut per sequence and each takes its own ``step``, because
+        a sequence's slots attend only within it. The benchmark's tracer also
+        pins n_s ``gru_step`` calls and n_f·n_s schema hypotheses per ``step``
+        call; the loop can go once those pins count work rather than calls
+        and the layer gains a batch axis (ROADMAP items 2 and 4).
+        """
+        return nm.concat([self.step(f, s)[0] for f, s in
+                          zip(nm.split_rows(features, n), nm.split_rows(state, n))])
+
 
 class GruBaseline(SequenceModel):
     kind = "gru"
@@ -117,9 +136,14 @@ class GruBaseline(SequenceModel):
         return record(np.zeros((1, self.width)), (), None)
 
     def _step_rows(self, rows: Tensor, n: int) -> Tensor:
-        """[n, d_a]: the mean of each step's P feature rows, for all n steps."""
+        """[n, d_a]: the mean of each input's P feature rows, for all n inputs."""
         return nm.reshape(rows, (n, -1, rows.shape[1])).mean(axis=1)
 
     def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
-        """One GRU update from the step's one pooled feature row."""
+        """One GRU update of each pooled feature row and its state row."""
         return gru_step(features, state, self.cell), None
+
+    def step_block(self, features: Tensor, state: Tensor, n: int) -> Tensor:
+        """One step of n sequences in lockstep, one row each: a single
+        ``step``, so one GRU cell call over the n rows."""
+        return self.step(features, state)[0]

@@ -145,12 +145,13 @@ def build_model(cfg: TrainConfig, rng: Rng):
     return GruBaseline(cfg.task, cfg.scoff.n_f * cfg.scoff.d_h, cfg.codec, rng)
 
 
-def run_steps(model, feats: list, rng=None):
-    """The recurrence over per-step features from a fresh state: the state
-    after each step and each step's trace; an rng makes the steps stochastic."""
+def run_steps(model, xs, rng=None):
+    """The recurrence over the inputs xs (leading axis time) from a fresh
+    state, all encoded in one op: the state after each step and each step's
+    trace; an rng makes the steps stochastic."""
     state = model.init_state()
     states, traces = [], []
-    for f in feats:
+    for f in nm.split_rows(model.encode(xs), len(xs)):
         state, trace = model.step(f, state, rng)
         states.append(state)
         traces.append(trace)
@@ -160,14 +161,15 @@ def run_steps(model, feats: list, rng=None):
 def video_loss(model, frames, rng=None):
     """Teacher-forced next-frame prediction loss, averaged over steps: every
     frame but the last is encoded, and every state read out, in one op each."""
-    states, traces = run_steps(model, model.encode(frames[:-1]), rng)
-    return bce_per_frame(model.readout(states), frames[1:]), traces
+    states, traces = run_steps(model, frames[:-1], rng)
+    logits = model.readout(nm.concat(states), len(states))
+    return bce_per_frame(logits, frames[1:]), traces
 
 
 def adding_loss(model, seq: AddingSequence, rng=None):
     """Terminal-target regression loss over the full token sequence."""
-    states, traces = run_steps(model, model.encode(seq.tokens()), rng)
-    return mse_scalar(model.readout(states[-1:]), seq.target), traces
+    states, traces = run_steps(model, seq.tokens(), rng)
+    return mse_scalar(model.readout(states[-1], 1), seq.target), traces
 
 
 def sequence_loss(model, seq, rng=None):
@@ -179,9 +181,9 @@ def sequence_loss(model, seq, rng=None):
 # ---- evaluation -------------------------------------------------------------
 
 
-# the most self-fed rollouts eval_rollout advances together: a block's readout
-# holds its decoder rows for every state at once, and 32 keeps eval's peak
-# memory below train's on bouncing_mini (all 128 of a test set at once do not)
+# the most sequences eval_rollout advances together: a block's readout holds
+# its decoder rows for every state at once, and 32 keeps eval's peak memory
+# below train's on bouncing_mini (all 128 of a test set at once do not)
 ROLLOUT_BLOCK = 32
 
 
@@ -189,19 +191,17 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     """Per-step BCE curves for teacher-forced and self-fed prediction.
 
     Step i predicts frame burn_in + i. The self-fed mode thresholds each
-    predicted frame at probability 0.5 before re-encoding it. The readout
-    runs only where its logits are scored, from frame burn_in on. Each
-    sequence's teacher-forced pass encodes its frames and reads out its
-    scored states in one op each; its self-fed pass reuses the teacher's
-    burn-in features from a fresh state. The self-fed rollouts past the
-    burn-in then advance in lockstep over blocks of at most ``ROLLOUT_BLOCK``
-    sequences: each horizon step reads out the whole block's states in one
-    readout, thresholds them, and encodes the block's fed-back frames in one
-    encode, while every sequence still takes its own ``model.step``. Each
-    step's frames are scored at once, and the curves are summed in sequence
-    order. Against one sequence at a time, a block's batched codec products
-    round differently in the last bits (within 1e-12 relative); the
-    teacher-forced curve is unchanged.
+    predicted frame at probability 0.5 before re-encoding it. Both passes
+    run in lockstep over blocks of at most ``ROLLOUT_BLOCK`` sequences: each
+    starts from one ``model.init_state()`` copied to every sequence of the
+    block, and each time step encodes the block's frames in one ``encode``,
+    advances the block in one ``model.step_block`` and, from frame burn_in
+    on, reads out its states in one ``readout`` and scores their frames in
+    one array expression. The self-fed pass reuses the teacher-forced pass's
+    burn-in features and, past them, encodes its thresholded predictions.
+    The curves are summed in sequence order. Against one sequence at a time,
+    a block's batched matrix products may round differently in the last bits
+    (within 1e-12 relative).
     """
     if not sequences:
         raise ValueError("no sequences to evaluate")
@@ -209,23 +209,28 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     teacher = np.zeros(horizon)
     self_fed = np.zeros(horizon)
     for lo in range(0, len(sequences), ROLLOUT_BLOCK):
-        block = sequences[lo:lo + ROLLOUT_BLOCK]
-        targets = np.stack([seq.frames[burn_in:burn_in + horizon] for seq in block])
-        states = []
-        for seq, seq_targets in zip(block, targets):
-            feats = model.encode(seq.frames[:burn_in + horizon - 1])
-            scored, _ = run_steps(model, feats)
-            teacher += _frame_bce(model.readout(scored[burn_in - 1:]).data, seq_targets)
-            states.append(run_steps(model, feats[:burn_in])[0][-1])
-        curves = np.empty((len(block), horizon))
-        for i in range(horizon):
-            if i:
-                states = [model.step(f, s)[0] for f, s in zip(model.encode(feed), states)]
-            logits = model.readout(states).data
-            curves[:, i] = _frame_bce(logits, targets[:, i])
-            feed = (logits > 0.0).astype(np.float64)
-        for curve in curves:
-            self_fed += curve
+        frames = np.stack([seq.frames[:burn_in + horizon]
+                           for seq in sequences[lo:lo + ROLLOUT_BLOCK]])
+        n = len(frames)
+        burn = []  # the teacher-forced pass's burn-in features
+        for total, fed_back in ((teacher, False), (self_fed, True)):
+            state = nm.record(np.tile(model.init_state().data, (n, 1)), (), None)
+            curves = np.empty((n, horizon))
+            for t in range(burn_in + horizon - 1):
+                if t < burn_in:
+                    if not fed_back:
+                        burn.append(model.encode(frames[:, t]))
+                    feats = burn[t]
+                else:
+                    feats = model.encode(feed if fed_back else frames[:, t])
+                state = model.step_block(feats, state, n)
+                if t + 1 >= burn_in:
+                    logits = model.readout(state, n).data
+                    curves[:, t + 1 - burn_in] = _frame_bce(logits, frames[:, t + 1])
+                    if fed_back:
+                        feed = (logits > 0.0).astype(np.float64)
+            for curve in curves:
+                total += curve
     teacher /= len(sequences)
     self_fed /= len(sequences)
     return teacher.tolist(), self_fed.tolist()
@@ -275,20 +280,21 @@ def collect_traces(model, sequences: list, burn_in: int = 0):
     """Greedy-mode traces and per-step labels, burn-in steps dropped.
 
     Runs the steps of each sequence's loss pass, with no readout and no loss.
-    Adding sequences are labeled operand (1) vs null (0) per step.
     """
-    all_traces, all_labels = [], []
+    all_traces = []
     for seq in sequences:
-        if isinstance(seq, AddingSequence):
-            inputs = seq.tokens()
-            labels = seq.indicators.any(axis=1).astype(np.int64)
-        else:
-            inputs = seq.frames[:-1]
-            labels = seq.labels[1:]  # trace t corresponds to predicting frame t+1
-        _, traces = run_steps(model, model.encode(inputs))
-        all_traces.append(traces[burn_in:])
-        all_labels.append(np.asarray(labels)[burn_in:len(traces)])
-    return all_traces, all_labels
+        inputs = seq.tokens() if isinstance(seq, AddingSequence) else seq.frames[:-1]
+        all_traces.append(run_steps(model, inputs)[1][burn_in:])
+    return all_traces, [_step_labels(seq, burn_in) for seq in sequences]
+
+
+def _step_labels(seq, burn_in: int) -> np.ndarray:
+    """The labels of a sequence's loss-pass steps from step burn_in on: an
+    adding step is operand (1) or null (0); frame step t predicts frame t + 1
+    and takes that frame's label."""
+    if isinstance(seq, AddingSequence):
+        return seq.indicators.any(axis=1).astype(np.int64)[burn_in:]
+    return np.asarray(seq.labels[1 + burn_in:])
 
 
 def schema_alignment_purity(traces: list, labels: list) -> float:
@@ -398,11 +404,13 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                 eval_self = [eval_adding(model, subset)]
                 eval_teacher = list(eval_self)
             if model.kind == "scoff":
-                traces, labels = collect_traces(model, subset, cfg.burn_in)
+                labels = [_step_labels(seq, cfg.burn_in) for seq in subset]
                 modes = np.bincount(np.concatenate(labels))
-                # against one mode, purity is only the most-used schema's share
+                # against one mode, purity is only the most-used schema's
+                # share: it is left null, and the traces are not collected
                 if np.count_nonzero(modes) > 1:
                     chance = modes.max() / modes.sum()
+                    traces, _ = collect_traces(model, subset, cfg.burn_in)
                     try:
                         purity = schema_alignment_purity(traces, labels)
                     except ValueError:

@@ -571,30 +571,30 @@ def test_each_fused_codec_op_appends_one_tape_node():
 
 
 @pytest.mark.parametrize("kind", ["scoff", "gru"])
-def test_model_cuts_the_encoded_rows_into_steps_and_joins_the_states(kind):
+def test_model_encodes_step_rows_and_reads_out_stacked_states(kind):
     resolved = parse_config(os.path.join(CONFIGS, "bouncing_mini.cfg"), [f"model={kind}"])
     model = build_model(to_train_config(resolved), Rng(5))
     frames = np.asarray(Rng(6).uniform((4, 16, 16)))
     with Tape() as tape:
         feats = model.encode(frames)
-    # the codec's two nodes, for gru the per-step mean (reshape, mean), and
-    # the split into steps: its gathering node and one piece per step
-    assert len(tape.nodes) == 2 + 2 * (kind == "gru") + 1 + 4
+    # the codec's two nodes, and for gru the per-input mean (reshape, mean)
+    assert len(tape.nodes) == 2 + 2 * (kind == "gru")
     rows = model.encoder.encode_frame(frames).data
     if kind == "scoff":
-        assert [f.data.tolist() for f in feats] == [r.tolist() for r in np.split(rows, 4)]
-    assert [f.shape for f in feats] == [(1 if kind == "gru" else 16, 24)] * 4
+        assert np.array_equal(feats.data, rows)
+    # a pass cuts them into one Tensor per step
+    steps = nm.split_rows(feats, 4)
+    assert [f.shape for f in steps] == [(1 if kind == "gru" else 16, 24)] * 4
     shape = (1, model.width) if kind == "gru" else (resolved["n_f"], resolved["d_h"])
-    states = [Tensor(rand(Rng(7 + i), shape), requires_grad=True) for i in range(4)]
+    states = Tensor(rand(Rng(7), (4 * shape[0], shape[1])), requires_grad=True)
     for n in (1, 4):
+        block = Tensor(states.data[:n * shape[0]], requires_grad=True)
         with Tape() as tape:
-            out = model.readout(states[:n])
+            out = model.readout(block, n)
         assert out.shape == (n, 16, 16)
-        # the head's nodes (a one-row state skips the pooling), and for
-        # several states the concatenation of their rows
-        assert len(tape.nodes) == 3 + (kind == "scoff") + (n > 1)
-    joined = model.head.readout(nm.concat(states, axis=0), 4).data
-    assert np.array_equal(model.readout(states).data, joined)
+        # the head's nodes (a one-row state skips the pooling)
+        assert len(tape.nodes) == 3 + (kind == "scoff")
+    assert np.array_equal(model.readout(states, 4).data, model.head.readout(states, 4).data)
 
 
 def test_perceptron_rejects_wrong_width():

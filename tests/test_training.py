@@ -5,6 +5,7 @@ import os
 import struct
 import sys
 import tempfile
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -283,7 +284,7 @@ def test_rng_is_the_one_stochastic_mode_switch(monkeypatch):
                             inp_keys=4, inp_values=8, sel_keys=4,
                             comm_heads=1, comm_keys=4)
     model = build_model(tiny_train_config(scoff=scoff_cfg), Rng(0))
-    feats = model.encode(make_switching_data(1)[0].frames[:2])
+    feats = nm.split_rows(model.encode(make_switching_data(1)[0].frames[:2]), 2)
     state, _ = model.step(feats[0], model.init_state())
     draws, uniform = [], Rng.uniform
 
@@ -415,6 +416,22 @@ def test_purity_is_null_when_the_eval_labels_hold_one_mode():
     assert "purity=- " in lines[0] and "chance" not in lines[0]
 
 
+def test_training_collects_traces_only_where_purity_is_scored(monkeypatch):
+    # a one-mode eval set (every bouncing set) takes its labels without a
+    # model pass; a switching set still runs the trace pass for its purity
+    def no_traces(*args):
+        raise AssertionError("collect_traces ran")
+
+    monkeypatch.setattr(training, "collect_traces", no_traces)
+    data = [gen_bouncing_mini(Rng(60 + i), 11, 2) for i in range(3)]
+    metrics, _ = train_model(tiny_train_config(task="bouncing", batch_size=3),
+                             data, data[:2])
+    assert json.loads(metrics[0].to_json())["alignment_purity"] is None
+    with pytest.raises(AssertionError, match="collect_traces ran"):
+        train_model(tiny_train_config(batch_size=3), make_switching_data(6),
+                    make_switching_data(2))
+
+
 def test_switching_purity_is_logged_beside_its_chance_level():
     # the chance level is the eval labels' majority-mode share, the purity
     # of always selecting one schema
@@ -483,7 +500,7 @@ def test_train_rejects_update_that_overflows_a_parameter(monkeypatch):
 
 class OracleModel:
     """Predicts the next frame perfectly by peeking at the sequence: its
-    state counts the steps taken."""
+    state counts the steps taken, one row per sequence of a block."""
 
     kind = "oracle"
 
@@ -491,16 +508,17 @@ class OracleModel:
         self.frames = frames
 
     def encode(self, xs):
-        return [Tensor(x) for x in np.asarray(xs, dtype=np.float64)]
+        xs = np.asarray(xs, dtype=np.float64)
+        return Tensor(xs.reshape(len(xs), -1))
 
     def init_state(self):
         return Tensor(np.zeros((1, 1)))
 
-    def step(self, features, state, rng=None):
-        return Tensor(state.data + 1.0), None
+    def step_block(self, features, state, n):
+        return Tensor(state.data + 1.0)
 
-    def readout(self, states):
-        targets = self.frames[[int(s.item()) for s in states]]
+    def readout(self, rows, n):
+        targets = self.frames[rows.data[:, 0].astype(int)]
         return Tensor(np.where(targets > 0.5, 80.0, -80.0))
 
 
@@ -542,8 +560,8 @@ def rollout_every_step(model, sequences, burn_in, horizon):
             state = model.init_state()
             feed = frames[0]
             for t in range(burn_in + horizon - 1):
-                state, _ = model.step(model.encode(feed[None])[0], state)
-                logits = model.readout([state])
+                state, _ = model.step(model.encode(feed[None]), state)
+                logits = model.readout(state, 1)
                 target_idx = t + 1
                 if target_idx >= burn_in:
                     acc[target_idx - burn_in] += bce_per_frame(
@@ -605,28 +623,26 @@ def test_constant_rate_bce_of_a_constant_window_is_zero(value):
 @pytest.mark.parametrize("kind", ["scoff", "gru"])
 @pytest.mark.parametrize("teacher", [True, False])
 def test_eval_rollout_rejects_non_finite_logits(kind, teacher, monkeypatch):
-    # one bad pixel in one sequence's teacher-forced readout, or in its row of
-    # the last self-fed block readout: the first sequence of the block, then
-    # the second
+    # one bad pixel in one sequence's row of the last teacher-forced or the
+    # last self-fed readout of the block: the first sequence, then the second
     data = make_switching_data(2, length=13)
     model = build_model(tiny_train_config(model=kind), Rng(0))
     readout = model.readout
+    last = 6 if teacher else 12  # each pass reads the block out 6 times
     for bad in range(len(data)):
         calls = []
 
-        def overflowing(states):
-            out = readout(states)
-            calls.append(len(states))
-            if teacher and len(calls) == bad + 1:
-                out.data[-1, 0, 0] = np.nan
-            if not teacher and len(calls) == len(data) + 6:
-                out.data[bad, 0, 0] = np.inf
+        def overflowing(rows, n):
+            out = readout(rows, n)
+            calls.append(n)
+            if len(calls) == last:
+                out.data[bad, 0, 0] = np.nan if teacher else np.inf
             return out
 
         monkeypatch.setattr(model, "readout", overflowing)
         with pytest.raises(ValueError, match="non-finite"):
             eval_rollout(model, data, burn_in=4, horizon=6)
-        assert len(calls) == (bad + 1 if teacher else len(data) + 6)
+        assert calls == [len(data)] * last
 
 
 @pytest.mark.parametrize("kind", ["scoff", "gru"])
@@ -639,11 +655,11 @@ def test_eval_rollout_reads_out_only_scored_steps(kind, monkeypatch):
     rows = []
     readout = model.readout
     monkeypatch.setattr(model, "readout",
-                        lambda states: rows.append(len(states)) or readout(states))
+                        lambda states, n: rows.append(n) or readout(states, n))
     got = eval_rollout(model, data, burn_in=4, horizon=6)
-    # per block, one teacher-forced readout of all 6 scored states of each of
-    # its sequences, then 6 self-fed readouts of the whole block's states
-    assert rows == [6, 6] + [2] * 6 + [6] + [1] * 6
+    # per block and pass, one readout of the whole block's states at each of
+    # the 6 scored steps: a block of 2 sequences, then a block of 1
+    assert rows == [2] * 12 + [1] * 12
     assert sum(rows) == 2 * 6 * len(data)
     # the batched readout's matrix products may round differently from the
     # per-step ones in the last bits
@@ -667,6 +683,83 @@ def test_eval_rollout_blocks_match_one_sequence_at_a_time(kind):
     # calls take a block's rows at once
     assert teacher == want_teacher.tolist()
     np.testing.assert_allclose(self_fed, want_self_fed, rtol=1e-12, atol=0.0)
+
+
+def _bouncing_mini_model(kind):
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "bouncing_mini.cfg")
+    resolved = parse_config(config, [f"model={kind}"])
+    return resolved, build_model(to_train_config(resolved), Rng(0))
+
+
+def _block_inputs(model, resolved, n):
+    """The stacked rows of n bouncing sequences' first-step features and of
+    n distinct states, and the per-sequence pieces of both."""
+    frames = np.stack([gen_bouncing_mini(Rng(40 + i), 2, resolved["n_balls"]).frames[0]
+                       for i in range(n)])
+    feats = model.encode(frames)
+    state = Tensor(rand(Rng(41), (n * model.init_state().shape[0],
+                                  model.init_state().shape[1])))
+    return feats, state, nm.split_rows(feats, n), nm.split_rows(state, n)
+
+
+def test_scoff_step_block_is_each_sequences_own_step():
+    resolved, model = _bouncing_mini_model("scoff")
+    feats, state, one_feats, one_states = _block_inputs(model, resolved, 5)
+    got = model.step_block(feats, state, 5)
+    want = np.concatenate([model.step(f, s)[0].data for f, s in zip(one_feats, one_states)])
+    assert np.array_equal(got.data, want)
+
+
+def test_gru_step_block_is_one_cell_call_over_the_block(monkeypatch):
+    import scoff.model
+    resolved, model = _bouncing_mini_model("gru")
+    feats, state, one_feats, one_states = _block_inputs(model, resolved, 5)
+    want = np.concatenate([model.step(f, s)[0].data for f, s in zip(one_feats, one_states)])
+    calls = []
+    cell = scoff.model.gru_step
+    monkeypatch.setattr(scoff.model, "gru_step",
+                        lambda z, h, theta: calls.append(z.shape) or cell(z, h, theta))
+    got = model.step_block(feats, state, 5)
+    assert calls == [(5, feats.shape[1])]
+    # the n-row matrix products may round differently from n one-row ones in
+    # the last bits; the state's entries lie in (-1, 1)
+    np.testing.assert_allclose(got.data, want, rtol=0.0, atol=1e-15)
+
+
+def test_gru_eval_rollout_makes_one_cell_call_per_block_step(monkeypatch):
+    import scoff.model
+    _, model = _bouncing_mini_model("gru")
+    monkeypatch.setattr(training, "ROLLOUT_BLOCK", 2)
+    calls = []
+    cell = scoff.model.gru_step
+    monkeypatch.setattr(scoff.model, "gru_step",
+                        lambda z, h, theta: calls.append(z.shape[0]) or cell(z, h, theta))
+    data = make_switching_data(5, length=11)
+    eval_rollout(model, data, burn_in=3, horizon=6)
+    # both passes over each block of 2, 2 and 1 sequences: 8 steps each
+    steps = 3 + 6 - 1
+    assert calls == [2] * 2 * steps + [2] * 2 * steps + [1] * 2 * steps
+
+
+def test_eval_rollout_memory_is_bounded_by_the_block():
+    # a block's readout holds decoder rows for each of its states, so eval
+    # holds at most ROLLOUT_BLOCK sequences' worth at once: three blocks
+    # peak where one does (all 96 at once would peak about 1.5 MB higher)
+    resolved, model = _bouncing_mini_model("gru")
+    data = [gen_bouncing_mini(Rng(70 + i), 7, resolved["n_balls"]) for i in range(96)]
+
+    def peak_mb(count):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eval_rollout(model, data[:count], burn_in=3, horizon=4)
+            return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+
+    assert training.ROLLOUT_BLOCK == 32
+    assert peak_mb(96) - peak_mb(32) < 0.25
 
 
 @pytest.mark.parametrize("task", ["switching", "adding"])
