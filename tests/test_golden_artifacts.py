@@ -67,10 +67,10 @@ GOLDEN = {
     "bouncing/trace/traces.jsonl": "44957d46638f",
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
-    "bouncing_gru/train/metrics.jsonl": "beada6f795e9",
+    "bouncing_gru/train/metrics.jsonl": "74a549560de5",
     "bouncing_gru/train/checkpoint/tensors.bin": "31b4caae9677",
     "bouncing_gru/train/checkpoint/manifest.json:tensors": "e1741d47066d",
-    "bouncing_gru/eval/rollout_curve.csv": "e2ba964b3b21",
+    "bouncing_gru/eval/rollout_curve.csv": "810d0dd50f54",
     "adding/data/train.scfd": "859e755d4f0e",
     "adding/data/test.scfd": "4ab84a03c646",
     "adding/train/metrics.jsonl": "cc5cf1ea411d",
