@@ -195,19 +195,18 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     run in lockstep over blocks of at most ``ROLLOUT_BLOCK`` sequences: each
     starts from one ``model.init_state()`` copied to every sequence of the
     block, and each time step encodes the block's frames in one ``encode``,
-    advances the block in one ``model.step_block`` and, from frame burn_in
-    on, reads out its states in one ``readout`` and scores their frames in
-    one array expression. The self-fed pass reuses the teacher-forced pass's
-    burn-in features and, past them, encodes its thresholded predictions.
-    The curves are summed in sequence order. Against one sequence at a time,
-    a block's batched matrix products may round differently in the last bits
-    (within 1e-12 relative).
+    advances the block in one ``model.step_block`` and, where the next frame
+    is scored (frame burn_in on), reads out its states in one ``readout``
+    and scores their frames in one array expression. The self-fed pass
+    repeats the burn-in steps on the teacher-forced pass's features, then
+    encodes its thresholded predictions. The curves are summed in sequence
+    order. Against one sequence at a time, a block's batched matrix products
+    may round differently in the last bits (within 1e-12 relative).
     """
     if not sequences:
         raise ValueError("no sequences to evaluate")
     _check_rollout_window(sequences, burn_in, horizon)
-    teacher = np.zeros(horizon)
-    self_fed = np.zeros(horizon)
+    teacher, self_fed = np.zeros(horizon), np.zeros(horizon)
     for lo in range(0, len(sequences), ROLLOUT_BLOCK):
         frames = np.stack([seq.frames[:burn_in + horizon]
                            for seq in sequences[lo:lo + ROLLOUT_BLOCK]])
@@ -217,23 +216,20 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
             state = nm.record(np.tile(model.init_state().data, (n, 1)), (), None)
             curves = np.empty((n, horizon))
             for t in range(burn_in + horizon - 1):
-                if t < burn_in:
-                    if not fed_back:
-                        burn.append(model.encode(frames[:, t]))
+                if fed_back and t < burn_in:
                     feats = burn[t]
                 else:
                     feats = model.encode(feed if fed_back else frames[:, t])
+                    if t < burn_in:
+                        burn.append(feats)
                 state = model.step_block(feats, state, n)
                 if t + 1 >= burn_in:
                     logits = model.readout(state, n).data
                     curves[:, t + 1 - burn_in] = _frame_bce(logits, frames[:, t + 1])
-                    if fed_back:
-                        feed = (logits > 0.0).astype(np.float64)
+                    feed = (logits > 0.0).astype(np.float64)
             for curve in curves:
                 total += curve
-    teacher /= len(sequences)
-    self_fed /= len(sequences)
-    return teacher.tolist(), self_fed.tolist()
+    return (teacher / len(sequences)).tolist(), (self_fed / len(sequences)).tolist()
 
 
 def constant_rate_bce(sequences: list, burn_in: int, horizon: int) -> float:
