@@ -57,10 +57,10 @@ Within those bits a fused op keeps its numpy calls few and cheap:
   backward pass.
 
 The codec ops are also time-batched: a sequence's encoder runs once over the
-inputs of all its steps, and the model (``model.SequenceModel.encode``) cuts
-the rows it returns into the per-step feature Tensors that the recurrence
-takes, with :func:`split_rows`; the readout runs once over the joined rows of
-all scored states. Called with one step, such an op keeps
+inputs of all its steps, and the pass (``training.run_steps``) cuts the
+rows that ``model.SequenceModel.encode`` returns into the per-step feature
+Tensors that the recurrence takes, with :func:`split_rows`; the readout runs
+once over the joined rows of all scored states. Called with one step, such an op keeps
 the bits of its chain; ``FrameReadout._decode``'s chain cuts the decoder's
 ``w1`` by rows into its state half and its position half, and against the
 perceptron over the concatenated rows it agrees within rounding (about 1e-15
@@ -72,13 +72,15 @@ agrees with the loop of its one-step calls within rounding (about 1e-15
 relative), not bit for bit.
 
 The same ops batch over sequences as well, since to the codec a batch is
-just more rows: the self-fed rollout (``training.eval_rollout``) reads out
-one state of each sequence of a block, and encodes their fed-back frames, in
-one call each. A one-state readout's products have one row, for which numpy
-takes its matrix-vector path (M = 1); a block's readout takes the
-matrix-matrix (GEMM) path, which may round differently in the last bits. A
-block's self-fed curve therefore agrees with one sequence's at a time within
-rounding (at most 3.4e-16 relative on the golden recipe), not bit for bit.
+just more rows: the eval rollout (``training.eval_rollout``) advances a
+block of sequences in lockstep, and at each time step encodes the block's
+frames, and reads out one state of each sequence, in one call each. The
+baseline's GRU cell steps the block in one call too, its n rows at once
+(``model.GruBaseline.step_block``). A one-row product takes numpy's
+matrix-vector path (M = 1); a block's takes the matrix-matrix (GEMM) path,
+which may round differently in the last bits. A block's curves therefore
+agree with one sequence's at a time within rounding (at most 3.4e-16
+relative on the golden recipe), not bit for bit.
 
 A weight's product ``x.T @ g`` (the right operand of ``matmul``, and the
 matching weights of the fused ops) goes through :func:`accum_xtg` instead.
