@@ -1,11 +1,11 @@
 """Trainable models sharing one sequence interface.
 
-Both models expose encode / init_state / step / readout / parameters, so the
-training loop and evaluators cannot tell them apart. They share the encoder,
-the readout head and the parameter naming, and differ only in the recurrent
-core: the scoff layer, or for the baseline a single monolithic GRU cell over
-mean-pooled features. The baseline's state is one row, its own pool, so its
-head draws no pooling query.
+Both models expose encode / init_state / step / step_block / readout /
+parameters, so the training loop and evaluators cannot tell them apart. They
+share the encoder, the readout head and the parameter naming, and differ only
+in the recurrent core: the scoff layer, or for the baseline a single
+monolithic GRU cell over mean-pooled features. The baseline's state is one
+row, its own pool, so its head draws no pooling query.
 
 ``encode`` and ``readout`` work on blocks of rows, as the codec does: every
 input known before a pass is encoded at once, and every scored state read

@@ -343,6 +343,13 @@ def test_training_frees_each_graph_before_the_next_forward_pass(monkeypatch):
         assert len(graphs) == 6
 
 
+def _bouncing_mini_model(kind):
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "bouncing_mini.cfg")
+    resolved = parse_config(config, [f"model={kind}"])
+    return resolved, build_model(to_train_config(resolved), Rng(0))
+
+
 @pytest.mark.parametrize("kind,nodes", [("scoff", 270), ("gru", 68)])
 def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
     # 29 steps of 8 (scoff: one head each to read and to communicate, 4
@@ -353,10 +360,7 @@ def test_bouncing_mini_training_sequence_tape_nodes(kind, nodes):
     # state is not pooled) and the loss: an op chain that creeps
     # back into a step, a codec op that moves back into the time loop, or a
     # fusion that drops an op, changes the count
-    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "configs", "bouncing_mini.cfg")
-    resolved = parse_config(config, [f"model={kind}"])
-    model = build_model(to_train_config(resolved), Rng(0))
+    resolved, model = _bouncing_mini_model(kind)
     seq = gen_bouncing_mini(Rng(1), resolved["length"], resolved["n_balls"])
     with Tape() as tape:
         sequence_loss(model, seq, Rng(2))
@@ -685,13 +689,6 @@ def test_eval_rollout_blocks_match_one_sequence_at_a_time(kind):
     np.testing.assert_allclose(self_fed, want_self_fed, rtol=1e-12, atol=0.0)
 
 
-def _bouncing_mini_model(kind):
-    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "configs", "bouncing_mini.cfg")
-    resolved = parse_config(config, [f"model={kind}"])
-    return resolved, build_model(to_train_config(resolved), Rng(0))
-
-
 def _block_inputs(model, resolved, n):
     """The stacked rows of n bouncing sequences' first-step features and of
     n distinct states, and the per-sequence pieces of both."""
@@ -745,7 +742,7 @@ def test_gru_eval_rollout_makes_one_cell_call_per_block_step(monkeypatch):
 def test_eval_rollout_memory_is_bounded_by_the_block():
     # a block's readout holds decoder rows for each of its states, so eval
     # holds at most ROLLOUT_BLOCK sequences' worth at once: three blocks
-    # peak where one does (all 96 at once would peak about 1.5 MB higher)
+    # peak where one does (all 96 at once would peak about 1.1 MB higher)
     resolved, model = _bouncing_mini_model("gru")
     data = [gen_bouncing_mini(Rng(70 + i), 7, resolved["n_balls"]) for i in range(96)]
 
