@@ -270,7 +270,7 @@ def cmd_trace(args, resolved: dict) -> int:
     if model.kind != "scoff":
         raise ValueError("trace requires a scoff checkpoint")
     subset = test[:cfg.eval_subset]
-    traces, _ = collect_traces(model, subset)
+    traces = collect_traces(model, subset)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "traces.jsonl"), "w") as f:
         write_traces(f, traces)

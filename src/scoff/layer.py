@@ -89,8 +89,9 @@ class ScoffLayer:
         self._eye = np.eye(c.n_s)  # row j: the one-hot pick of schema j
         self._slots = np.arange(c.n_f)
 
-    def init_state(self) -> Tensor:
-        return nm.record(np.zeros((self.config.n_f, self.config.d_h)), (), None)
+    def init_state(self, n: int = 1) -> Tensor:
+        """The zero rows of n sequences' states, [n·n_f, d_h]."""
+        return nm.record(np.zeros((n * self.config.n_f, self.config.d_h)), (), None)
 
     # ---- step 2: competition over input positions ----------------------
 

@@ -7,13 +7,16 @@ in the recurrent core: the scoff layer, or for the baseline a single
 monolithic GRU cell over mean-pooled features. The baseline's state is one
 row, its own pool, so its head draws no pooling query.
 
-``encode`` and ``readout`` work on blocks of rows, as the codec does: every
-input known before a pass is encoded at once, and every scored state read
-out at once. ``encode`` returns the feature rows of its n inputs, r rows per
-input, after ``_step_rows`` (where the baseline mean-pools each input's
-rows, for the whole block in one op); ``readout(rows, n)`` takes the stacked
-rows of n states. The n inputs are the steps of one sequence in a loss pass,
-whose ``training.run_steps`` cuts the rows into one Tensor per step, and the
+``init_state``, ``encode`` and ``readout`` work on blocks of rows, as the
+codec does. ``init_state(n)`` stacks the zero states of n sequences
+(``[n·n_f, d_h]`` for scoff, ``[n, width]`` for the baseline), the one state
+a pass over a block starts from. ``encode`` returns the feature rows of its
+n inputs, r rows per input, after ``_step_rows`` (where the baseline
+mean-pools each input's rows, for the whole block in one op), so every input
+known before a pass is encoded at once; ``readout(rows, n)`` takes the
+stacked rows of n states, so every scored state is read out at once. The n
+inputs are the steps of one sequence in a loss pass, whose
+``training.run_steps`` cuts the rows into one Tensor per step, and the
 sequences of a block at one time step in ``training.eval_rollout``. Only the
 step runs once per time step: ``step`` for one sequence, ``step_block`` for
 a block of sequences in lockstep.
@@ -32,9 +35,7 @@ from .layer import ScoffConfig, ScoffLayer
 from .numerics import Tensor, record
 from .recurrent import gru_step, init_schema
 from .rng import Rng
-from .tasks import FRAME_TASKS, GRID
-
-TOKEN_FEATURES = 3  # value plus the two operand indicator channels
+from .tasks import FRAME_TASKS, GRID, TOKEN_FEATURES
 
 
 class SequenceModel:
@@ -97,8 +98,8 @@ class ScoffModel(SequenceModel):
     def _core_parameters(self) -> dict:
         return {f"layer.{name}": t for name, t in self.layer.parameters().items()}
 
-    def init_state(self) -> Tensor:
-        return self.layer.init_state()
+    def init_state(self, n: int = 1) -> Tensor:
+        return self.layer.init_state(n)
 
     def step(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
         return self.layer.step(features, state, rng)
@@ -132,8 +133,8 @@ class GruBaseline(SequenceModel):
     def _core_parameters(self) -> dict:
         return self.cell.named("cell.")
 
-    def init_state(self) -> Tensor:
-        return record(np.zeros((1, self.width)), (), None)
+    def init_state(self, n: int = 1) -> Tensor:
+        return record(np.zeros((n, self.width)), (), None)
 
     def _step_rows(self, rows: Tensor, n: int) -> Tensor:
         """[n, d_a]: the mean of each input's P feature rows, for all n inputs."""

@@ -13,12 +13,7 @@ appends each step's positions and velocities to flat lists; one bulk copy
 then fills each [T, n_balls, 2] array from its list, and one
 ``render_frames`` call draws all T frames. A numpy write per step or a
 render per frame costs more in call overhead than the physics itself on
-arrays this small. ``_ball_tracks`` holds every ball's coordinates and
-velocity components in one flat list each, moves a coordinate by one
-addition and a range test, and calls ``_reflect``, the one wall rule, only
-for a coordinate that left the grid. Its contacts are resolved until no two
-balls overlap: an overlapping pair swaps velocities and stays put, and a
-ball that lands on a held ball is held as well.
+arrays this small.
 
 Datasets are streamed: ``generate`` yields one sequence at a time and
 ``write_dataset`` writes each as it arrives, so a set is never held whole
@@ -55,8 +50,9 @@ MODE_IDS = {name: i for i, name in enumerate(SINGLE_MODES)}
 V_CLAMP = 3  # accelerate mode keeps each velocity component in [-3, 3]
 
 # each task's dataset-file id, a frame task's count of dynamics modes (its
-# labels lie below it), the shortest sequence it has (what the generator
-# needs and a model can step through) and the defaults that depend on the task
+# labels lie below it; only frame tasks have one), the shortest sequence it
+# has (what the generator needs and a model can step through) and the
+# defaults that depend on the task
 TASKS = {
     "single": {"id": 1, "modes": len(SINGLE_MODES), "min_length": 2,
                "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
@@ -67,7 +63,7 @@ TASKS = {
     "adding": {"id": 4, "min_length": 1,
                "length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
 }
-FRAME_TASKS = ("single", "switching", "bouncing")
+FRAME_TASKS = tuple(name for name, spec in TASKS.items() if "modes" in spec)
 _WALK_STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 
@@ -91,6 +87,9 @@ class FrameSequence:
         return self.frames.shape[0]
 
 
+TOKEN_FEATURES = 3  # an adding token: value plus the two operand indicator channels
+
+
 @dataclass
 class AddingSequence:
     task = "adding"
@@ -104,7 +103,7 @@ class AddingSequence:
         return self.values.shape[0]
 
     def tokens(self) -> np.ndarray:
-        """f64 [L, 3] model inputs: value plus the two indicator channels."""
+        """f64 [L, TOKEN_FEATURES] model inputs, as a dataset file stores them."""
         return np.column_stack([self.values, self.indicators.astype(np.float64)])
 
 
@@ -411,9 +410,7 @@ def write_dataset(path, sequences: Iterable) -> None:
                 if seq.length != t_or_l:
                     raise ValueError("all sequences in a dataset must share length")
                 if isinstance(seq, AddingSequence):
-                    triple = np.column_stack([
-                        seq.values, seq.indicators.astype(np.float64)])
-                    f.write(triple.astype("<f8").tobytes(order="C"))
+                    f.write(seq.tokens().astype("<f8").tobytes(order="C"))
                     f.write(struct.pack("<d", seq.target))
                     f.write(struct.pack("<I", seq.n_operands))
                 else:
@@ -469,18 +466,18 @@ def read_dataset(path, task: str) -> list:
         out = []
         for k in range(count):
             if task == "adding":
-                triples = np.frombuffer(read_exact(f, 8 * 3 * t_or_l, "sequence"),
-                                        dtype="<f8").reshape(t_or_l, 3)
+                tokens = np.frombuffer(read_exact(f, 8 * TOKEN_FEATURES * t_or_l, "sequence"),
+                                       dtype="<f8").reshape(t_or_l, TOKEN_FEATURES)
                 target, n_ops = struct.unpack("<dI", read_exact(f, 12, "sequence"))
-                if not (np.isfinite(triples[:, 0]).all() and np.isfinite(target)):
+                if not (np.isfinite(tokens[:, 0]).all() and np.isfinite(target)):
                     raise ValueError(f"{path}: sequence {k} holds a non-finite value "
                                      f"or target")
-                marks = triples[:, 1:]
+                marks = tokens[:, 1:]
                 if not ((marks == 0.0) | (marks == 1.0)).all():
                     raise ValueError(f"{path}: sequence {k} holds an indicator "
                                      f"outside {{0, 1}}")
                 out.append(AddingSequence(
-                    triples[:, 0].astype(np.float64),
+                    tokens[:, 0].astype(np.float64),
                     marks.astype(np.uint8), float(target), n_ops))
             else:
                 frames = np.frombuffer(read_exact(f, t_or_l * h * w, "sequence"),

@@ -193,11 +193,11 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
     Step i predicts frame burn_in + i. The self-fed mode thresholds each
     predicted frame at probability 0.5 before re-encoding it. Both passes
     run in lockstep over blocks of at most ``ROLLOUT_BLOCK`` sequences: each
-    starts from one ``model.init_state()`` copied to every sequence of the
-    block, and each time step encodes the block's frames in one ``encode``,
-    advances the block in one ``model.step_block`` and, where the next frame
-    is scored (frame burn_in on), reads out its states in one ``readout``
-    and scores their frames in one array expression. The self-fed pass
+    starts from the block's ``model.init_state(n)``, one call per pass, and
+    each time step encodes the block's frames in one ``encode``, advances
+    the block in one ``model.step_block`` and, where the next frame is
+    scored (frame burn_in on), reads out its states in one ``readout`` and
+    scores their frames in one array expression. The self-fed pass
     repeats the burn-in steps on the teacher-forced pass's features, then
     encodes its thresholded predictions. The curves are summed in sequence
     order. Against one sequence at a time, a block's batched matrix products
@@ -213,7 +213,7 @@ def eval_rollout(model, sequences: list, burn_in: int, horizon: int):
         n = len(frames)
         burn = []  # the teacher-forced pass's burn-in features
         for total, fed_back in ((teacher, False), (self_fed, True)):
-            state = nm.record(np.tile(model.init_state().data, (n, 1)), (), None)
+            state = model.init_state(n)
             curves = np.empty((n, horizon))
             for t in range(burn_in + horizon - 1):
                 if fed_back and t < burn_in:
@@ -272,8 +272,8 @@ def eval_adding(model, sequences: list) -> float:
     return total / len(sequences)
 
 
-def collect_traces(model, sequences: list, burn_in: int = 0):
-    """Greedy-mode traces and per-step labels, burn-in steps dropped.
+def collect_traces(model, sequences: list, burn_in: int = 0) -> list:
+    """Greedy-mode traces, one list per sequence, burn-in steps dropped.
 
     Runs the steps of each sequence's loss pass, with no readout and no loss.
     """
@@ -281,7 +281,7 @@ def collect_traces(model, sequences: list, burn_in: int = 0):
     for seq in sequences:
         inputs = seq.tokens() if isinstance(seq, AddingSequence) else seq.frames[:-1]
         all_traces.append(run_steps(model, inputs)[1][burn_in:])
-    return all_traces, [_step_labels(seq, burn_in) for seq in sequences]
+    return all_traces
 
 
 def _step_labels(seq, burn_in: int) -> np.ndarray:
@@ -406,7 +406,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
                 # share: it is left null, and the traces are not collected
                 if np.count_nonzero(modes) > 1:
                     chance = modes.max() / modes.sum()
-                    traces, _ = collect_traces(model, subset, cfg.burn_in)
+                    traces = collect_traces(model, subset, cfg.burn_in)
                     try:
                         purity = schema_alignment_purity(traces, labels)
                     except ValueError:

@@ -515,8 +515,8 @@ class OracleModel:
         xs = np.asarray(xs, dtype=np.float64)
         return Tensor(xs.reshape(len(xs), -1))
 
-    def init_state(self):
-        return Tensor(np.zeros((1, 1)))
+    def init_state(self, n=1):
+        return Tensor(np.zeros((n, 1)))
 
     def step_block(self, features, state, n):
         return Tensor(state.data + 1.0)
@@ -739,6 +739,31 @@ def test_gru_eval_rollout_makes_one_cell_call_per_block_step(monkeypatch):
     assert calls == [2] * 2 * steps + [2] * 2 * steps + [1] * 2 * steps
 
 
+@pytest.mark.parametrize("kind", ["scoff", "gru"])
+def test_init_state_of_n_sequences_stacks_n_one_sequence_states(kind):
+    cfg = tiny_train_config(model=kind)
+    model = build_model(cfg, Rng(cfg.seed))
+    one = model.init_state()
+    want_rows = cfg.scoff.n_f if kind == "scoff" else 1
+    assert one.shape[0] == want_rows
+    for n in (1, 2, 5):
+        assert np.array_equal(model.init_state(n).data, np.tile(one.data, (n, 1)))
+
+
+@pytest.mark.parametrize("kind", ["scoff", "gru"])
+def test_eval_rollout_starts_each_pass_of_a_block_with_one_init_state(kind, monkeypatch):
+    # the benchmark's tracer begins a pass at each init_state call and pairs a
+    # block's teacher-forced and self-fed passes by that count
+    cfg = tiny_train_config(model=kind)
+    model = build_model(cfg, Rng(cfg.seed))
+    monkeypatch.setattr(training, "ROLLOUT_BLOCK", 2)
+    calls = []
+    init_state = model.init_state
+    monkeypatch.setattr(model, "init_state", lambda n=1: calls.append(n) or init_state(n))
+    eval_rollout(model, make_switching_data(3, length=11), burn_in=3, horizon=6)
+    assert calls == [2, 2, 1, 1]
+
+
 def test_eval_rollout_memory_is_bounded_by_the_block():
     # a block's readout holds decoder rows for each of its states, so eval
     # holds at most ROLLOUT_BLOCK sequences' worth at once: three blocks
@@ -793,10 +818,12 @@ def test_collect_traces_shapes_and_burn_in():
     data = make_switching_data(2, length=13)
     cfg = tiny_train_config(epochs=1)
     _, model = train_model(cfg, data, None)
-    traces, labels = collect_traces(model, data, burn_in=4)
+    traces = collect_traces(model, data, burn_in=4)
     assert len(traces) == 2
     assert len(traces[0]) == 12 - 4  # T-1 steps minus burn-in
-    assert len(labels[0]) == len(traces[0])
+    # train_model scores purity against the labels _step_labels gives
+    for seq, seq_traces in zip(data, traces):
+        assert len(training._step_labels(seq, 4)) == len(seq_traces)
 
 
 @pytest.mark.parametrize("task", ["switching", "adding"])
@@ -813,7 +840,7 @@ def test_collect_traces_equal_the_loss_pass_traces_without_a_readout(task, monke
         raise AssertionError("collect_traces read a state out")
 
     monkeypatch.setattr(model, "readout", no_readout)
-    got, _ = collect_traces(model, data)
+    got = collect_traces(model, data)
     assert len(got) == len(want)
     for seq_got, seq_want in zip(got, want):
         assert len(seq_got) == len(seq_want)
