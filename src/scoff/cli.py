@@ -267,7 +267,7 @@ def cmd_eval(args, resolved: dict) -> int:
 def cmd_trace(args, resolved: dict) -> int:
     _missing_dirs(args.out_dir)
     model, cfg, snapshot, test = _restore(resolved)
-    if model.kind != "scoff":
+    if cfg.model != "scoff":
         raise ValueError("trace requires a scoff checkpoint")
     subset = test[:cfg.eval_subset]
     traces = collect_traces(model, subset)

@@ -39,7 +39,6 @@ class ScoffConfig:
     comm_heads: int = 2
     comm_keys: int = 16
     n_sel: int = 0  # slots updated per step; 0: all of them
-    tau: float = 1.0
     hard_selection: bool = True
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class ScoffConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.n_sel <= self.n_f:
             raise ValueError(f"n_sel must lie in [0, {self.n_f}], got {self.n_sel}")
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.inp_values % self.inp_heads:
             raise ValueError("inp_values must divide evenly across inp_heads")
         if self.d_h % self.comm_heads:
@@ -135,10 +132,10 @@ class ScoffLayer:
         pick is the argmax of the scores, ties to the lowest schema. Hard mode
         forwards each slot's picked row by a gather, the one-hot mix without
         its products by zero; only its backward pass builds the one-hot and
-        computes softmax(scores / tau)."""
+        computes softmax(scores)."""
         n_f, d_h = state.shape
         n_s, hard = len(hyps), self.config.hard_selection
-        sel_query, sel_key, inv_tau = self.sel_query, self.sel_key, 1.0 / self.config.tau
+        sel_query, sel_key = self.sel_query, self.sel_key
         hstack = np.concatenate([h.data for h in hyps], axis=1).reshape(n_f, n_s, d_h)
         flat = hstack.reshape(n_f * n_s, d_h)
         keys = flat.dot(sel_key.data).reshape(n_f, n_s, -1)
@@ -149,7 +146,7 @@ class ScoffLayer:
         if hard:
             out = hstack[self._slots, indices]
         else:
-            weights = nm.stable_softmax(scores * inv_tau, -1)
+            weights = nm.stable_softmax(scores.copy(), -1)
             out = (weights[:, :, None] * hstack).sum(axis=1)
 
         def back(g):
@@ -157,7 +154,7 @@ class ScoffLayer:
             # the Gumbel selection, then the scoring. Each hypothesis takes
             # its mix and scoring parts as one sum, in that order
             if hard:
-                sel, soft = self._eye[indices], nm.stable_softmax(scores * inv_tau, -1)
+                sel, soft = self._eye[indices], nm.stable_softmax(scores.copy(), -1)
             else:
                 sel = soft = weights
             g = g[:, None]
@@ -165,7 +162,6 @@ class ScoffLayer:
             g_s = (g * hstack).sum(axis=2)
             g_s -= (g_s * soft).sum(axis=-1, keepdims=True)
             g_s *= soft
-            g_s *= inv_tau
             nm.accum(noise, g_s)
             g_s = g_s[:, :, None]
             g_q = (g_s * keys).sum(axis=1)

@@ -1,11 +1,13 @@
 """Trainable models sharing one sequence interface.
 
 Both models expose encode / init_state / step / step_block / readout /
-parameters, so the training loop and evaluators cannot tell them apart. They
-share the encoder, the readout head and the parameter naming, and differ only
-in the recurrent core: the scoff layer, or for the baseline a single
-monolithic GRU cell over mean-pooled features. The baseline's state is one
-row, its own pool, so its head draws no pooling query.
+parameters, so the training loop and evaluators cannot tell them apart; a
+model carries no tag naming its kind, and a caller that must know it reads
+``TrainConfig.model``, the setting that chose it. They share the encoder,
+the readout head and the parameter naming, and differ only in the recurrent
+core: the scoff layer, or for the baseline a single monolithic GRU cell over
+mean-pooled features. The baseline's state is one row, its own pool, so its
+head draws no pooling query.
 
 ``init_state``, ``encode`` and ``readout`` work on blocks of rows, as the
 codec does. ``init_state(n)`` stacks the zero states of n sequences
@@ -43,7 +45,6 @@ class SequenceModel:
     rng. Subclasses build the core in ``_build_core`` and name its parameters
     in ``_core_parameters``."""
 
-    kind = ""
     # whether a state has several rows for the head to pool (scoff's slots);
     # a one-row state is its own pool, and its head draws no pooling query
     pooled_state = True
@@ -82,8 +83,6 @@ class SequenceModel:
 
 
 class ScoffModel(SequenceModel):
-    kind = "scoff"
-
     def __init__(self, task: str, scoff_cfg: ScoffConfig, codec_cfg: CodecConfig,
                  rng: Rng):
         if scoff_cfg.d_in != codec_cfg.d_a:
@@ -120,7 +119,6 @@ class ScoffModel(SequenceModel):
 
 
 class GruBaseline(SequenceModel):
-    kind = "gru"
     pooled_state = False
 
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):

@@ -30,7 +30,7 @@ one node instead of one per op. The fused ops are:
   rows) and ``FrameReadout._unpatch`` (patch rows back to frames);
 - ``layer.ScoffLayer._select``, the whole schema selection: the scoring of
   the stacked hypotheses (key and query projections, logits), the Gumbel pick
-  (noise, temperature, softmax and the straight-through one-hot) and their
+  (noise, softmax and the straight-through one-hot) and their
   mixing by the selection.
 
 A fused op must give the same bits as the chain it replaces: its forward

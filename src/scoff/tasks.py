@@ -17,13 +17,11 @@ arrays this small.
 
 Datasets are streamed: ``generate`` yields one sequence at a time and
 ``write_dataset`` writes each as it arrives, so a set is never held whole
-in memory. A dataset file is published whole: it is written
-beside its path and moved onto it only once complete.
+in memory. A dataset file's header count is written last, so a file cut
+short holds no sequences; publishing a complete file is the caller's step.
 """
 
-import contextlib
 import itertools
-import os
 import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -80,7 +78,6 @@ class FrameSequence:
     positions: "np.ndarray | None" = None  # int64 [T, n_balls, 2]
     velocities: "np.ndarray | None" = None
     occluder: "tuple | None" = None
-    indicators: bool = False
 
     @property
     def length(self) -> int:
@@ -280,8 +277,7 @@ def gen_switching_dynamics(rng: Rng, length: int) -> FrameSequence:
 
     positions, velocities = _tracks(track, speeds, 1)
     frames = render_frames(positions, indicator_modes=labels)
-    return FrameSequence("switching", frames, labels, positions, velocities,
-                         indicators=True)
+    return FrameSequence("switching", frames, labels, positions, velocities)
 
 
 def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
@@ -391,39 +387,34 @@ def write_dataset(path, sequences: Iterable) -> None:
 
     ``sequences`` may be any iterable, a generator included: each sequence is
     written as it arrives, so a generator's set is never held whole, and the
-    count is patched into the header at the end. The file is written beside ``path``
-    and moved onto it only when complete, so an empty iterable, sequences of
-    mixed lengths or a failure while writing leave ``path`` as it was."""
+    count is patched into the header at the end. The file is written at
+    ``path`` itself: one cut short by a failure or by sequences of mixed
+    lengths holds count 0, which ``read_dataset`` refuses, and a caller that
+    must not disturb an existing file writes elsewhere and moves it into
+    place (``scoff gen-data`` does)."""
     seqs = iter(sequences)
     first = next(seqs, None)
     if first is None:
         raise ValueError("refusing to write an empty dataset")
     t_or_l = first.length
     h, w = (0, 0) if first.task == "adding" else first.frames.shape[1:]
-    partial = f"{os.fspath(path)}.partial"
-    try:
-        with open(partial, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<IIIII", TASKS[first.task]["id"], 0, t_or_l, h, w))
-            count = 0
-            for seq in itertools.chain((first,), seqs):
-                if seq.length != t_or_l:
-                    raise ValueError("all sequences in a dataset must share length")
-                if isinstance(seq, AddingSequence):
-                    f.write(seq.tokens().astype("<f8").tobytes(order="C"))
-                    f.write(struct.pack("<d", seq.target))
-                    f.write(struct.pack("<I", seq.n_operands))
-                else:
-                    f.write(seq.frames.astype(np.uint8).tobytes(order="C"))
-                    f.write(seq.labels.astype(np.uint8).tobytes(order="C"))
-                count += 1
-            f.seek(len(_MAGIC) + 4)
-            f.write(struct.pack("<I", count))
-        os.replace(partial, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
-        raise
+    with open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<IIIII", TASKS[first.task]["id"], 0, t_or_l, h, w))
+        count = 0
+        for seq in itertools.chain((first,), seqs):
+            if seq.length != t_or_l:
+                raise ValueError("all sequences in a dataset must share length")
+            if isinstance(seq, AddingSequence):
+                f.write(seq.tokens().astype("<f8").tobytes(order="C"))
+                f.write(struct.pack("<d", seq.target))
+                f.write(struct.pack("<I", seq.n_operands))
+            else:
+                f.write(seq.frames.astype(np.uint8).tobytes(order="C"))
+                f.write(seq.labels.astype(np.uint8).tobytes(order="C"))
+            count += 1
+        f.seek(len(_MAGIC) + 4)
+        f.write(struct.pack("<I", count))
 
 
 def read_exact(f, n: int, what: str) -> bytes:
@@ -491,10 +482,7 @@ def read_dataset(path, task: str) -> list:
                 if (labels >= modes).any():
                     raise ValueError(f"{path}: sequence {k} holds label {labels.max()}, "
                                      f"but {task} has {modes} modes")
-                out.append(FrameSequence(
-                    task, frames, labels.astype(np.int64),
-                    indicators=(task == "switching"),
-                    occluder=None))
+                out.append(FrameSequence(task, frames, labels.astype(np.int64)))
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last sequence")
         return out

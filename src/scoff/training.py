@@ -384,7 +384,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
         epoch_loss /= len(order)
 
         usage_frac = dead = None
-        if model.kind == "scoff":
+        if cfg.model == "scoff":
             usage_frac = (usage / usage.sum()).tolist() if usage.sum() else [0.0] * n_s
             dead = [j for j, frac in enumerate(usage_frac) if frac < 0.01] \
                 if usage.sum() else []
@@ -399,7 +399,7 @@ def train_model(cfg: TrainConfig, train_data: list, eval_data: "list | None" = N
             else:
                 eval_self = [eval_adding(model, subset)]
                 eval_teacher = list(eval_self)
-            if model.kind == "scoff":
+            if cfg.model == "scoff":
                 labels = [_step_labels(seq, cfg.burn_in) for seq in subset]
                 modes = np.bincount(np.concatenate(labels))
                 # against one mode, purity is only the most-used schema's

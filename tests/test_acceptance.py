@@ -45,7 +45,7 @@ def switching_config(n_s, seed, epochs, d_h=16):
     codec = CodecConfig()
     scoff = ScoffConfig(n_f=1, n_s=n_s, d_h=d_h, d_in=codec.d_a, inp_heads=1,
                         inp_keys=16, inp_values=d_h, sel_keys=16,
-                        comm_heads=1, comm_keys=16, tau=1.0)
+                        comm_heads=1, comm_keys=16)
     return TrainConfig(task="switching", model="scoff", scoff=scoff,
                        codec=codec, lr=2e-3, batch_size=8, epochs=epochs,
                        seed=seed, burn_in=SWITCHING_BURN_IN, horizon=10,
@@ -180,13 +180,13 @@ def test_criterion_3_parameter_reduction():
 def test_criterion_4_straight_through_contract():
     """The layer's own selection: each slot's row is exactly the GRU update of
     the schema that wins argmax(q·k + noise), and the noise receives the
-    gradient of the soft objective Σ softmax((q·k + noise)/τ)·(W·h)."""
+    gradient of the soft objective Σ softmax(q·k + noise)·(W·h)."""
     rng = Rng(4040)
     worst = 0.0
     for trial in range(20):
-        n_f, n_s, tau = 1 + rng.randint(4), 2 + rng.randint(4), 0.5 + rng.uniform()
+        n_f, n_s = 1 + rng.randint(4), 2 + rng.randint(4)
         layer = ScoffLayer(ScoffConfig(n_f=n_f, n_s=n_s, d_h=6, d_in=4, inp_keys=3,
-                                       inp_values=4, sel_keys=3, comm_keys=3, tau=tau), rng)
+                                       inp_values=4, sel_keys=3, comm_keys=3), rng)
         z, state = Tensor(rand(rng, (n_f, 4))), Tensor(rand(rng, (n_f, 6)))
         noise_v = np.asarray(rng.gumbel((n_f, n_s)))
         w = rand(rng, (n_f, 6))
@@ -205,7 +205,7 @@ def test_criterion_4_straight_through_contract():
         terms = (hyps * w[:, None]).sum(axis=2)  # W·h for every slot and schema
 
         def soft_objective(x):
-            s = (dots + x) / tau
+            s = dots + x
             e = np.exp(s - s.max(axis=1, keepdims=True))
             return float((e / e.sum(axis=1, keepdims=True) * terms).sum())
 

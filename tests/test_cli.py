@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scoff.cli import ConfigError, main, parse_config, to_train_config
+from scoff.model import GruBaseline, ScoffModel
 from scoff.numerics import Tensor
 from scoff.rng import Rng
 from scoff.tasks import gen_bouncing_mini, read_dataset, write_dataset
@@ -47,7 +48,7 @@ SWITCHING_DEFAULTS = {
     "inp_values": 32, "length": 21, "lr": 0.0001, "model": "scoff",
     "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0, "occluder": False,
     "operands": "2,4", "patch": 4, "readout_hidden": 32, "readout_width": 32,
-    "seed": 0, "sel_keys": 16, "task": "switching", "tau": 1.0,
+    "seed": 0, "sel_keys": 16, "task": "switching",
     "test_count": 500, "train_count": 2000,
 }
 
@@ -100,11 +101,12 @@ def test_comm_values_must_match_d_h():
     # keys retired since, each at the one value every run used: the GRU
     # baseline is n_f * d_h wide, Adam's moment decays, epsilon and clipping
     # norm are fixed, communication reaches every slot, both attention steps
-    # drop at ScoffLayer.DROPOUT, and a single sequence draws its mode
+    # drop at ScoffLayer.DROPOUT, a single sequence draws its mode, and the
+    # selection temperature is 1
     for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
                      "beta2=0.999", "epsilon=1e-8", "comm_sparse=false",
                      "clip_norm=1.0", "inp_dropout=0.1", "comm_dropout=0.1",
-                     "mode=mixed"):
+                     "mode=mixed", "tau=1.0"):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(None, [override, "d_h=32"])
@@ -159,7 +161,7 @@ def test_seed_flag_overrides():
     assert resolved["seed"] == 99
 
 
-@pytest.mark.parametrize("key", ["lr", "tau"])
+@pytest.mark.parametrize("key", ["lr"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_float_rejected(key, raw):
     with pytest.raises(ConfigError, match="finite"):
@@ -782,7 +784,9 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     # a key retired at the one value every run used: the checkpoints of
     # that time store it
     ("clip_norm", lambda config: config.update(clip_norm=1.0)),
-], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired"])
+    ("tau", lambda config: config.update(tau=1.0)),
+], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired",
+        "retired-tau"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
                                                       key, edit):
     copy = tmp_path / "copy"
@@ -812,7 +816,7 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pa
 def test_shipped_config_parses_and_builds_its_model(path):
     resolved = parse_config(path)
     model = build_model(to_train_config(resolved), Rng(resolved["seed"]).spawn(0))
-    assert model.kind == resolved["model"]
+    assert isinstance(model, ScoffModel if resolved["model"] == "scoff" else GruBaseline)
 
 
 @pytest.mark.parametrize("task", TASKS_ALL)

@@ -80,7 +80,7 @@ def test_select_leaves_its_parents_unchanged(hard, drawn_noise):
     rng = Rng(207)
     cfg = ScoffConfig(n_f=3, n_s=3, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
                       inp_values=8, sel_keys=4, comm_heads=1, comm_keys=4,
-                      tau=0.7, hard_selection=hard)
+                      hard_selection=hard)
     layer = ScoffLayer(cfg, rng)
     hyps = [leaf(rng, (3, 8)) for _ in range(3)]
     state = leaf(rng, (3, 8))

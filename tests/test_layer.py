@@ -149,7 +149,7 @@ def test_selection_frequencies_follow_categorical_law():
     z = Tensor(rand(rng, (1, 8)))
     logits, _ = chain_logits(layer, hypotheses(layer, z, state), state)
     _, soft, _ = gumbel_chain(logits, Tensor(np.zeros((1, 2))))
-    law = soft[0]  # softmax of the actual logits at tau=1
+    law = soft[0]  # softmax of the actual logits
 
     noise_rng = Rng(14)
     counts = np.zeros(2)
@@ -394,13 +394,13 @@ def chain_logits(layer, hyps, state):
     return (q * keys).sum(axis=2), hstack
 
 
-def gumbel_chain(logits, noise, tau=1.0, hard=True):
+def gumbel_chain(logits, noise, hard=True):
     """Reference: Gumbel selection along the last axis as a chain of
     elementary taped ops, its one-hot built by zeros and
     ``np.put_along_axis``. Returns (selection, soft as an ndarray, index)."""
     scores = logits + noise
     index = np.argmax(scores.data, axis=-1)
-    soft = nm.softmax(scores * (1.0 / tau), axis=-1)
+    soft = nm.softmax(scores, axis=-1)
     if not hard:
         return soft, soft.data, index
     onehot = np.zeros(logits.shape)
@@ -414,16 +414,16 @@ def select_update_chain(layer, z, state, rng):
     c = layer.config
     logits, hstack = chain_logits(layer, hypotheses(layer, z, state), state)
     noise = nm.sample_gumbel(rng, (c.n_f, c.n_s))
-    sel, _, indices = gumbel_chain(logits, noise, c.tau, c.hard_selection)
+    sel, _, indices = gumbel_chain(logits, noise, c.hard_selection)
     return (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1), indices
 
 
-def selection_graph(select_update, n_s, tau, hard):
+def selection_graph(select_update, n_s, hard):
     """Two selection steps that share z and the bank, with the state also
     used by the loss, so that every leaf collects several contributions.
     Returns (outputs, next rng draw, leaves)."""
     rng = Rng(65)
-    layer = ScoffLayer(tiny_config(n_s=n_s, tau=tau, hard_selection=hard), rng)
+    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard), rng)
     for t in layer.parameters().values():
         t.data[...] = rand(rng, t.shape)
     z = Tensor(rand(rng, (3, 8)), requires_grad=True)
@@ -442,14 +442,13 @@ def selection_graph(select_update, n_s, tau, hard):
 
 
 @pytest.mark.parametrize("n_s", [1, 3])
-@pytest.mark.parametrize("tau", [1.0, 0.7])
 @pytest.mark.parametrize("hard", [True, False])
-def test_fused_selection_matches_op_chain_bit_for_bit(n_s, tau, hard):
+def test_fused_selection_matches_op_chain_bit_for_bit(n_s, hard):
     def fused(layer, z, state, rng):
         return layer.schema_select_update(z, state, rng=rng)
 
-    outs, draw, leaves = selection_graph(fused, n_s, tau, hard)
-    ref_outs, ref_draw, ref_leaves = selection_graph(select_update_chain, n_s, tau, hard)
+    outs, draw, leaves = selection_graph(fused, n_s, hard)
+    ref_outs, ref_draw, ref_leaves = selection_graph(select_update_chain, n_s, hard)
     for got, want in zip(outs, ref_outs):
         assert np.array_equal(got, want)
     assert draw == ref_draw  # the Gumbel draws took the same share of the stream
@@ -484,7 +483,7 @@ def test_greedy_steps_without_tape_match_the_chain_bit_for_bit(n_s, hard, n_sel)
     def chain(z, state, rng=None, noise=None):
         c = layer.config
         logits, hstack = chain_logits(layer, hypotheses(layer, z, state), state)
-        sel, _, indices = gumbel_chain(logits, nm.zeros((c.n_f, c.n_s)), c.tau, hard)
+        sel, _, indices = gumbel_chain(logits, nm.zeros((c.n_f, c.n_s)), hard)
         return (nm.reshape(sel, (c.n_f, c.n_s, 1)) * hstack).sum(axis=1), indices
 
     layer.schema_select_update = chain
@@ -508,14 +507,14 @@ def test_fused_selection_ops_grad_check():
     w = Tensor(rand(rng, (3, 8)))
     terms = np.stack([(h.data * w.data).sum(axis=1) for h in hyps], axis=1)
     for hard in (False, True):
-        layer = make_layer(seed=68, n_f=3, n_s=2, tau=0.7, hard_selection=hard)
+        layer = make_layer(seed=68, n_f=3, n_s=2, hard_selection=hard)
 
         def f(p):
             out, _ = layer._select(p[:2], p[2], p[5])
             loss = (out * w).sum()
             if hard:
                 logits, _ = chain_logits(layer, p[:2], p[2])
-                soft = nm.stable_softmax((logits.data + p[5].data) / 0.7, -1)
+                soft = nm.stable_softmax(logits.data + p[5].data, -1)
                 loss = loss + float((soft * terms).sum())
             return loss
 

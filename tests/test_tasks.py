@@ -305,7 +305,7 @@ def rerender(seq: FrameSequence) -> np.ndarray:
     """Frames recomputed from the recorded ball states."""
     out = np.zeros_like(seq.frames)
     for t in range(seq.length):
-        mode = int(seq.labels[t]) if seq.indicators else None
+        mode = int(seq.labels[t]) if seq.task == "switching" else None
         out[t] = reference_frame(seq.positions[t], indicator_mode=mode,
                                  occluder=seq.occluder)
     return out
@@ -386,7 +386,7 @@ def test_dataset_roundtrip_any_task_count_and_length(seqs):
             assert np.array_equal(a.indicators, b.indicators)
             assert a.target == b.target and a.n_operands == b.n_operands
         else:
-            assert (a.task, a.indicators) == (b.task, b.indicators)
+            assert a.task == b.task
             assert np.array_equal(a.frames, b.frames)
             assert np.array_equal(a.labels, b.labels)
 
@@ -452,16 +452,6 @@ def test_read_dataset_rejects_sequences_shorter_than_the_task_minimum_naming_the
         read_dataset(p, task)
 
 
-def test_mixed_lengths_leave_an_existing_dataset_as_it_was(tmp_path):
-    p = tmp_path / "data.scfd"
-    write_dataset(p, [gen_switching_dynamics(Rng(s), 13) for s in range(2)])
-    before = p.read_bytes()
-    mixed = [gen_switching_dynamics(Rng(0), 13), gen_switching_dynamics(Rng(1), 15)]
-    with pytest.raises(ValueError, match="share length"):
-        write_dataset(p, mixed)
-    assert p.read_bytes() == before
-
-
 @pytest.mark.parametrize("task", ["bouncing", "adding"])
 def test_write_dataset_streams_a_generator_to_the_bytes_of_the_list(tmp_path, task):
     cfg = DataConfig(task=task, length=TASKS[task]["length"])
@@ -476,19 +466,24 @@ def test_empty_iterable_raises_and_creates_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_stream_leaves_an_existing_dataset_as_it_was(tmp_path):
+def failing_stream():
+    yield gen_switching_dynamics(Rng(0), 13)
+    raise RuntimeError("generator failed")
+
+
+@pytest.mark.parametrize("sequences,error,message", [
+    (failing_stream, RuntimeError, "generator failed"),
+    (lambda: [gen_switching_dynamics(Rng(0), 13), gen_switching_dynamics(Rng(1), 15)],
+     ValueError, "all sequences in a dataset must share length"),
+], ids=["failed_stream", "mixed_lengths"])
+def test_write_cut_short_leaves_no_readable_dataset(tmp_path, sequences, error, message):
+    # the header's count is written last: publishing only a complete file is
+    # the caller's step (gen-data's staging directory)
     p = tmp_path / "data.scfd"
-    write_dataset(p, [gen_switching_dynamics(Rng(s), 13) for s in range(2)])
-    before = p.read_bytes()
-
-    def failing():
-        yield gen_switching_dynamics(Rng(0), 13)
-        raise RuntimeError("generator failed")
-
-    with pytest.raises(RuntimeError, match="generator failed"):
-        write_dataset(p, failing())
-    assert p.read_bytes() == before
-    assert [q.name for q in tmp_path.iterdir()] == ["data.scfd"]
+    with pytest.raises(error, match=message):
+        write_dataset(p, sequences())
+    with pytest.raises(ValueError, match="data.scfd holds no sequences"):
+        read_dataset(p, "switching")
 
 
 def test_data_config_checks_the_task():

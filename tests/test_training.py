@@ -18,6 +18,7 @@ import scoff.numerics as nm
 import scoff.training as training
 from scoff.codec import CodecConfig
 from scoff.layer import ScoffConfig, StepTrace
+from scoff.model import GruBaseline
 from scoff.numerics import Tape, Tensor, backward
 from scoff.cli import parse_config, to_train_config
 from scoff.rng import Rng
@@ -385,7 +386,7 @@ def test_train_gru_baseline_same_interface():
     data = make_switching_data(6)
     cfg = tiny_train_config(model="gru", epochs=1, batch_size=3)
     metrics, model = train_model(cfg, data, data[:2])
-    assert model.kind == "gru"
+    assert isinstance(model, GruBaseline)
     assert math.isfinite(metrics[0].train_loss)
     # the baseline's hidden width is always the factorized total
     assert model.width == cfg.scoff.n_f * cfg.scoff.d_h
@@ -505,8 +506,6 @@ def test_train_rejects_update_that_overflows_a_parameter(monkeypatch):
 class OracleModel:
     """Predicts the next frame perfectly by peeking at the sequence: its
     state counts the steps taken, one row per sequence of a block."""
-
-    kind = "oracle"
 
     def __init__(self, frames):
         self.frames = frames
