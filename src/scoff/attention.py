@@ -13,15 +13,11 @@ from .rng import Rng
 
 class AttentionProjections:
     """Per-head query/key/value maps. Head outputs are concatenated, with no
-    output mixing matrix.
-    """
+    output mixing matrix. ``ScoffConfig`` owns the ranges: at least one head,
+    and a value width the heads divide evenly."""
 
     def __init__(self, rng: Rng, query_in: int, key_in: int, value_in: int,
                  heads: int, key_width: int, value_width: int):
-        if heads < 1:
-            raise ValueError(f"head count must be >= 1, got {heads}")
-        if value_width % heads:
-            raise ValueError(f"value width {value_width} not divisible by {heads} heads")
         per_head = value_width // heads
         self.query = [nm.glorot(rng, query_in, key_width) for _ in range(heads)]
         self.key = [nm.glorot(rng, key_in, key_width) for _ in range(heads)]

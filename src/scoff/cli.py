@@ -216,10 +216,11 @@ def cmd_train(args, resolved: dict) -> int:
     return 0
 
 
-def _restore(resolved: dict):
+def _restore(resolved: dict, scoff_only: bool = False):
     """eval's and trace's model, train config and snapshot (the stored config
     with this command's data and checkpoint), and the stored task's test set.
-    A stored config must hold exactly the known keys, each of its key's type."""
+    A stored config must hold exactly the known keys, each of its key's type;
+    with ``scoff_only`` (trace), a GRU one is refused before any data is read."""
     data_dir = _require(resolved, "data")
     ckpt_dir = _require(resolved, "checkpoint")
     tensors, stored = load_checkpoint(ckpt_dir)
@@ -236,6 +237,8 @@ def _restore(resolved: dict):
         cfg = to_train_config(stored)
     except KeyError as e:
         raise ValueError(f"{manifest}: stored config lacks key {e}") from None
+    if scoff_only and cfg.model != "scoff":
+        raise ValueError("trace requires a scoff checkpoint")
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     model = build_model(cfg, Rng(stored["seed"]).spawn(0))
     restore_model(model, tensors)
@@ -266,9 +269,7 @@ def cmd_eval(args, resolved: dict) -> int:
 
 def cmd_trace(args, resolved: dict) -> int:
     _missing_dirs(args.out_dir)
-    model, cfg, snapshot, test = _restore(resolved)
-    if cfg.model != "scoff":
-        raise ValueError("trace requires a scoff checkpoint")
+    model, cfg, snapshot, test = _restore(resolved, scoff_only=True)
     subset = test[:cfg.eval_subset]
     traces = collect_traces(model, subset)
     os.makedirs(args.out_dir, exist_ok=True)

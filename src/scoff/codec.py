@@ -98,10 +98,6 @@ class EncoderBase:
         self.mlp = Perceptron(rng, n_in, cfg.enc_hidden, cfg.d_c, "enc_")
         self.pos_table = nm.glorot(rng, positions, cfg.d_pos)
 
-    @property
-    def d_a(self) -> int:
-        return self.cfg.d_a
-
     def beside_positions(self, left: Tensor) -> Tensor:
         """[n·P, w + d_pos]: each step's P rows of left [n·P, w] beside the
         position table, as one fused tape op."""

@@ -85,9 +85,6 @@ class SequenceModel:
 class ScoffModel(SequenceModel):
     def __init__(self, task: str, scoff_cfg: ScoffConfig, codec_cfg: CodecConfig,
                  rng: Rng):
-        if scoff_cfg.d_in != codec_cfg.d_a:
-            raise ValueError(
-                f"layer d_in {scoff_cfg.d_in} must equal encoder width {codec_cfg.d_a}")
         self.config = scoff_cfg
         super().__init__(task, scoff_cfg.d_h, codec_cfg, rng)
 
@@ -126,7 +123,7 @@ class GruBaseline(SequenceModel):
         super().__init__(task, width, codec_cfg, rng)
 
     def _build_core(self, rng: Rng) -> None:
-        self.cell = init_schema(rng, self.encoder.d_a, self.width)
+        self.cell = init_schema(rng, self.encoder.cfg.d_a, self.width)
 
     def _core_parameters(self) -> dict:
         return self.cell.named("cell.")

@@ -43,9 +43,6 @@ class SchemaParams:
                 raise ValueError(f"{name} must be {list(shape)}, "
                                  f"got {list(getattr(self, name).shape)}")
 
-    def params(self) -> list:
-        return [getattr(self, name) for name in self._FIELDS]
-
     def named(self, prefix: str) -> dict:
         return {prefix + name: getattr(self, name) for name in self._FIELDS}
 
@@ -118,9 +115,8 @@ def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
 def init_schema(rng: Rng, d_in: int, d_h: int) -> SchemaParams:
     """Glorot-uniform matrices drawn gate by gate (input weights of the
     reset, update and candidate gates, then their recurrent weights) and
-    stacked; zero biases."""
-    if d_in < 1 or d_h < 1:
-        raise ValueError(f"dimensions must be positive, got d_in={d_in}, d_h={d_h}")
+    stacked; zero biases. ``ScoffConfig`` owns the widths' ranges
+    (``CodecConfig`` the baseline cell's input width, ``d_a``)."""
     w = [nm.glorot(rng, d_in, d_h).data for _ in range(3)]
     u = [nm.glorot(rng, d_h, d_h).data for _ in range(3)]
     return SchemaParams(

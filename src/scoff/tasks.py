@@ -15,6 +15,9 @@ then fills each [T, n_balls, 2] array from its list, and one
 render per frame costs more in call overhead than the physics itself on
 arrays this small.
 
+The generators check none of their settings: ``generate``, their one caller,
+passes them from a ``DataConfig``, which checked each range.
+
 Datasets are streamed: ``generate`` yields one sequence at a time and
 ``write_dataset`` writes each as it arrives, so a set is never held whole
 in memory. A dataset file's header count is written last, so a file cut
@@ -128,12 +131,6 @@ def render_frames(positions, indicator_modes=None, occluder=None) -> np.ndarray:
     return frames
 
 
-def _check_length(task: str, length: int) -> None:
-    least = TASKS[task]["min_length"]
-    if length < least:
-        raise ValueError(f"length must be >= {least}, got {length}")
-
-
 def _tracks(track: list, speeds: list, n_balls: int) -> tuple:
     """int64 positions and velocities [T, n_balls, 2] of flat per-step lists.
     Each is filled in place rather than reshaped, so that it owns its data:
@@ -237,10 +234,8 @@ def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
 
 def gen_single_dynamics(rng: Rng, length: int, mode: str) -> FrameSequence:
     """One ball under a fixed dynamics mode of SINGLE_MODES (see
-    ``_ball_tracks``), labelled with that mode at every step."""
-    _check_length("single", length)
-    if mode not in SINGLE_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    ``_ball_tracks``), labelled with that mode at every step. ``generate``
+    draws the mode and passes a length ``DataConfig`` checked."""
     positions, velocities = _ball_tracks(rng, length, 1, mode)
     labels = np.full(length, MODE_IDS[mode], dtype=np.int64)
     return FrameSequence("single", render_frames(positions), labels,
@@ -250,11 +245,8 @@ def gen_single_dynamics(rng: Rng, length: int, mode: str) -> FrameSequence:
 def gen_switching_dynamics(rng: Rng, length: int) -> FrameSequence:
     """One ball oscillating horizontally then vertically (or the reverse),
     switching exactly once at the midpoint. The pixel at (15, mode) marks the
-    current dynamics.
+    current dynamics. ``generate`` passes an odd length ``DataConfig`` checked.
     """
-    _check_length("switching", length)
-    if length % 2 == 0:
-        raise ValueError(f"length must be odd, got {length}")
     first = rng.randint(2)  # 0 horizontal, 1 vertical
     span = OSC_HI - OSC_LO + 1
     fixed = rng.randint(span) + OSC_LO
@@ -284,11 +276,9 @@ def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
                       occluder: "tuple | None" = None) -> FrameSequence:
     """Equal 2x2 balls at constant velocity with wall reflection and velocity
     exchange on contact (see ``_ball_tracks``). Occluder pixels are forced to
-    background so balls pass behind.
+    background so balls pass behind. ``generate`` passes a length and a ball
+    count ``DataConfig`` checked.
     """
-    _check_length("bouncing", length)
-    if not 1 <= n_balls <= 4:
-        raise ValueError(f"n_balls must lie in [1, 4], got {n_balls}")
     positions, velocities = _ball_tracks(rng, length, n_balls, "constant")
     frames = render_frames(positions, occluder=occluder)
     labels = np.zeros(length, dtype=np.int64)
@@ -298,8 +288,6 @@ def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
 
 def _sample_distinct(rng: Rng, lo: int, hi: int, count: int) -> list:
     pool = list(range(lo, hi))
-    if count > len(pool):
-        raise ValueError(f"cannot pick {count} distinct positions from [{lo},{hi})")
     for i in range(count):
         j = i + rng.randint(len(pool) - i)
         pool[i], pool[j] = pool[j], pool[i]
@@ -309,9 +297,8 @@ def _sample_distinct(rng: Rng, lo: int, hi: int, count: int) -> list:
 def gen_adding(rng: Rng, length: int, n_operands: int) -> AddingSequence:
     """Uniform values with ceil(N/2) operands marked in the first half of the
     sequence and floor(N/2) in the second; the target is their exact sum.
+    ``generate`` passes a length and an operand count ``DataConfig`` checked.
     """
-    if n_operands < 1 or n_operands > length:
-        raise ValueError(f"n_operands must lie in [1, {length}], got {n_operands}")
     values = np.asarray(rng.uniform(length))
     half = (length + 1) // 2
     first = _sample_distinct(rng, 0, half, (n_operands + 1) // 2)

@@ -216,6 +216,9 @@ def test_gen_data_byte_identical(tmp_path):
     ("length", ["task=bouncing", "length=1"]),
     ("train_count", ["task=switching", "train_count=0"]),
     ("test_count", ["task=switching", "test_count=0"]),
+    # the low ends: DataConfig is the only check the generators get
+    ("n_balls", ["task=bouncing", "n_balls=0"]),
+    ("length", ["task=switching", "length=9"]),  # odd, but under 11
 ])
 def test_gen_data_bad_data_key_exits_1_naming_it_and_writes_nothing(tmp_path, capsys,
                                                                     key, overrides):
@@ -800,6 +803,24 @@ def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys
                    "--set", f"checkpoint={path.parent}", "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "manifest.json" in err
+    assert not out.exists()
+
+
+def test_trace_of_a_gru_checkpoint_exits_2_before_reading_data(tiny_run, tmp_path, capsys):
+    # the stored config alone decides it: no test set is read, no model built
+    run_dir = tmp_path / "gru"
+    assert run_cli("train", "--set", "task=switching", "--set", f"data={tiny_run / 'data'}",
+                   "--set", "model=gru", "--set", "n_f=1", "--set", "d_h=4",
+                   "--set", "d_c=4", "--set", "d_pos=2", "--set", "enc_hidden=4",
+                   "--set", "dec_hidden=4", "--set", "readout_hidden=4",
+                   "--set", "readout_width=4", "--set", "epochs=1", "--set", "burn_in=2",
+                   "--set", "horizon=3", "--out", str(run_dir)) == 0
+    capsys.readouterr()
+    out = tmp_path / "trace"
+    assert run_cli("trace", "--set", f"data={tmp_path / 'missing'}",
+                   "--set", f"checkpoint={run_dir / 'checkpoint'}", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "trace requires a scoff checkpoint" in err and "test.scfd" not in err
     assert not out.exists()
 
 

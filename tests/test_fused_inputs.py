@@ -51,10 +51,11 @@ def run_and_check(forward, tensors, rng):
 def test_gru_step_leaves_its_parents_unchanged(rows):
     rng = Rng(201)
     theta = init_schema(rng, 5, 3)
-    for t in theta.params():
+    for t in theta.named("").values():
         t.data[...] = rand(rng, t.shape)  # non-zero biases too
     z, h = leaf(rng, (rows, 5)), leaf(rng, (rows, 3))
-    run_and_check(lambda: (gru_step(z, h, theta), None), [z, h, *theta.params()], rng)
+    run_and_check(lambda: (gru_step(z, h, theta), None),
+                  [z, h, *theta.named("").values()], rng)
 
 
 @pytest.mark.parametrize("axis", ["queriers", "candidates"])

@@ -116,7 +116,7 @@ def test_single_schema_reduces_to_plain_gru():
 def test_identical_schemata_give_identical_updates():
     layer = make_layer(seed=10)
     # overwrite schema 1 with schema 0's parameters
-    for a, b in zip(layer.bank[0].params(), layer.bank[1].params()):
+    for a, b in zip(layer.bank[0].named("").values(), layer.bank[1].named("").values()):
         b.data[...] = a.data
     rng = Rng(11)
     state = Tensor(rand(rng, (3, 8)))
@@ -373,7 +373,7 @@ def test_hard_selection_forward_onehot_soft_backward():
     # every schema received gradient through the soft path
     for j in range(3):
         any_grad = any(t.grad is not None and np.abs(t.grad).sum() > 0
-                       for t in layer.bank[j].params())
+                       for t in layer.bank[j].named("").values())
         assert any_grad, f"schema {j} got no gradient"
 
 

@@ -10,26 +10,38 @@ SRC = os.path.dirname(scoff.__file__)
 UNCALLED = {
     "cli._Parser.error": "argparse calls it",
     # the benchmark's tracer wraps each of these by name (ROADMAP item 2)
+    "numerics.exp": "perfbench/tracer.py COUNTED_OPS",
     "numerics.sigmoid": "perfbench/tracer.py COUNTED_OPS",
     "numerics.softmax": "perfbench/tracer.py COUNTED_OPS",
+    "numerics.stack": "perfbench/tracer.py COUNTED_OPS",
     "numerics.straight_through": "perfbench/tracer.py COUNTED_OPS",
+    "numerics.tanh": "perfbench/tracer.py COUNTED_OPS",
     "rng.Rng.bernoulli": "perfbench/tracer.py TRACED",
 }
+
+
+# modules outside the package whose attributes share names with its own
+FOREIGN = ("np", "math")
+
+
+def _modules():
+    """(module name, AST) of each module of the package."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as f:
+                yield name[:-3], ast.parse(f.read())
 
 
 def test_every_defined_name_is_used_by_the_package():
     """Every top-level function and class of the package, and every method
     that is not a dunder, is named by a Name, an Attribute or an import in
-    the package, so no code in src is kept only for the tests. Names are
-    matched bare, so one shared with a numpy attribute (``numerics.tanh``
-    beside ``np.tanh``) counts as used."""
+    the package, so no code in src is kept only for the tests. An attribute
+    of ``np`` or ``math`` is no use (``np.tanh`` does not use
+    ``numerics.tanh``); other names are matched bare, so ``numerics.log``
+    passes through the ``log`` parameter of ``train_model`` and
+    ``numerics.transpose`` through the array method."""
     defined, used = [], set()
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name)) as f:
-            tree = ast.parse(f.read())
-        module = name[:-3]
+    for module, tree in _modules():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((f"{module}.{node.name}", node.name))
@@ -40,7 +52,8 @@ def test_every_defined_name_is_used_by_the_package():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in FOREIGN):
                 used.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 used.update(alias.name.split(".")[-1] for alias in node.names)
@@ -48,21 +61,39 @@ def test_every_defined_name_is_used_by_the_package():
     assert unused == sorted(UNCALLED)
 
 
+def test_only_generate_calls_the_generators():
+    """The ``gen_*`` functions of ``tasks`` check none of their settings:
+    they trust ``DataConfig``, whose settings reach them only through
+    ``tasks.generate``. So no other code in the package may name one."""
+    tasks = dict(_modules())["tasks"]
+    generators = {node.name for node in tasks.body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("gen_")}
+    callers = {}
+    for module, tree in _modules():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name.split(".")[-1] for alias in node.names}
+                else:
+                    names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                for found in names & generators:
+                    callers.setdefault(found, set()).add(
+                        f"{module}.{getattr(top, 'name', type(top).__name__)}")
+    assert callers == {name: {"tasks.generate"} for name in generators}
+
+
 def test_no_module_imports_threading():
     # the engine is single-threaded: one module-level tape stack serves
     # every pass
     importers = []
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC, name)) as f:
-                tree = ast.parse(f.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    modules = [node.module or ""]
-                else:
-                    continue
-                if any(m.split(".")[0] == "threading" for m in modules):
-                    importers.append(name)
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "threading" for m in modules):
+                importers.append(module)
     assert importers == []

@@ -71,7 +71,7 @@ def test_gru_zero_inputs_closed_form():
 def test_gru_matches_scalar_oracle():
     rng = Rng(17)
     th = init_schema(rng, 3, 4)
-    for t in th.params():
+    for t in th.named("").values():
         t.data[...] = rand(rng, t.shape)
     z, h = rand(rng, (3,)), rand(rng, (4,))
     got = gru_step(Tensor(z[None]), Tensor(h[None]), th).data[0]
@@ -83,7 +83,7 @@ def test_gru_bounded_state_stays_bounded():
     rng = Rng(23)
     for _ in range(20):
         th = init_schema(rng, 2, 5)
-        for t in th.params():
+        for t in th.named("").values():
             t.data[...] = rand(rng, t.shape) * 3.0
         h = rand(rng, (1, 5))  # components within [-1, 1]
         z = rand(rng, (1, 2)) * 10.0
@@ -137,7 +137,7 @@ def test_gru_backward_is_finite_difference_clean():
         out = gru_step(z, h, th)
         return (out * out).sum()
 
-    assert nm.grad_check(f, th.params(), eps=1e-5) < 1e-4
+    assert nm.grad_check(f, list(th.named("").values()), eps=1e-5) < 1e-4
 
 
 def cols(t, lo, hi):
@@ -179,7 +179,7 @@ def nine_matrix_chain(z, h, th):
 
 def random_cell(rng, d_in, d_h):
     th = init_schema(rng, d_in, d_h)
-    for t in th.params():
+    for t in th.named("").values():
         t.data[...] = rand(rng, t.shape)
     return th
 
@@ -199,7 +199,7 @@ def unrolled_loss(cell, rows, h_grad):
         h3 = cell(z, h1, th_a)
         loss = (h2 * h3).sum() + (h1 * w).sum() + (h0 * h0).sum()
     backward(loss, tape)
-    return (h1, h2, h3, loss), [z, h0, *th_a.params(), *th_b.params()]
+    return (h1, h2, h3, loss), [z, h0, *th_a.named("").values(), *th_b.named("").values()]
 
 
 @pytest.mark.parametrize("rows", [1, 4])
@@ -260,7 +260,7 @@ def test_fused_gru_grad_check_all_parents():
     def f(params):
         return (gru_step(params[0], params[1], th) * w).sum()
 
-    assert nm.grad_check(f, [z, h, *th.params()], eps=1e-5) < 1e-6
+    assert nm.grad_check(f, [z, h, *th.named("").values()], eps=1e-5) < 1e-6
 
 
 def test_fused_gru_grad_check_two_steps_one_schema():
@@ -274,7 +274,7 @@ def test_fused_gru_grad_check_two_steps_one_schema():
     def f(params):
         return (gru_step(params[0], gru_step(params[0], params[1], th), th) * w).sum()
 
-    assert nm.grad_check(f, [z, h, *th.params()], eps=1e-5) < 1e-6
+    assert nm.grad_check(f, [z, h, *th.named("").values()], eps=1e-5) < 1e-6
 
 
 def test_gru_step_appends_one_tape_node():
@@ -293,7 +293,7 @@ def test_init_schema_biases_zero_and_bounds():
     assert np.array_equal(th.b.data, np.zeros(12))
     assert (np.abs(th.w.data) <= math.sqrt(6.0 / (3 + 4))).all()
     assert (np.abs(th.u_ru.data) <= math.sqrt(6.0 / (4 + 4))).all()
-    assert all(t.requires_grad for t in th.params())
+    assert all(t.requires_grad for t in th.named("").values())
 
 
 def test_init_schema_equals_six_gate_draws_bit_for_bit():
@@ -313,12 +313,12 @@ def test_init_schema_equals_six_gate_draws_bit_for_bit():
 def test_init_schema_deterministic():
     a = init_schema(Rng(9), 3, 4)
     b = init_schema(Rng(9), 3, 4)
-    for x, y in zip(a.params(), b.params()):
+    for x, y in zip(a.named("").values(), b.named("").values()):
         assert np.array_equal(x.data, y.data)
 
 
 def enumerate_cell_size(d_in, d_h):
-    return sum(t.data.size for t in init_schema(Rng(0), d_in, d_h).params())
+    return sum(t.data.size for t in init_schema(Rng(0), d_in, d_h).named("").values())
 
 
 def test_param_count_single_schema_case():

@@ -109,13 +109,6 @@ def test_random_walk_step_law_matches_uniform_categorical():
         assert abs(f - 0.25) < 0.03, (k, f)
 
 
-def test_single_dynamics_validation():
-    with pytest.raises(ValueError):
-        gen_single_dynamics(Rng(0), 1, "constant")
-    with pytest.raises(ValueError):
-        gen_single_dynamics(Rng(0), 5, "warp")
-
-
 # ------------------------------------------------------------------- switching
 
 def test_switching_indicator_always_matches_label():
@@ -155,13 +148,6 @@ def test_switching_oscillation_matches_triangle_closed_form():
         assert moving[t] == expect
 
 
-def test_switching_validation():
-    with pytest.raises(ValueError):
-        gen_switching_dynamics(Rng(0), 20)  # even
-    with pytest.raises(ValueError):
-        gen_switching_dynamics(Rng(0), 9)   # too short
-
-
 # -------------------------------------------------------------------- adding
 
 def test_adding_trivial_targets():
@@ -195,13 +181,6 @@ def test_adding_mean_target_two_operands():
     for i in range(n):
         total += gen_adding(root.spawn(i), 8, 2).target
     assert abs(total / n - 1.0) < 0.01
-
-
-def test_adding_validation():
-    with pytest.raises(ValueError):
-        gen_adding(Rng(0), 4, 5)
-    with pytest.raises(ValueError):
-        gen_adding(Rng(0), 4, 0)
 
 
 # ------------------------------------------------------------------- bouncing
@@ -264,13 +243,6 @@ def test_bouncing_balls_pass_behind_occluder():
     seq = gen_bouncing_mini(Rng(11), 25, 2, occluder=OCCLUDER)
     top, left, h, w = OCCLUDER
     assert (seq.frames[:, top:top + h, left:left + w] == 0).all()
-
-
-def test_bouncing_validation():
-    with pytest.raises(ValueError):
-        gen_bouncing_mini(Rng(0), 10, 0)
-    with pytest.raises(ValueError):
-        gen_bouncing_mini(Rng(0), 10, 5)
 
 
 # ------------------------------------------------------------------ invariants
