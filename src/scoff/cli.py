@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Commands: gen-data, train, eval, trace, check-grad, param-count. Config files
+Commands: gen-data, train, eval, check-grad, param-count. Config files
 are plain ``key = value`` lines with optional ``[section]`` headers and ``#``
 comments; ``--set key=value`` overrides win over file values. Every key but
 the paths ``data`` and ``checkpoint`` is a field of a config dataclass. Every
@@ -8,8 +8,8 @@ command that writes artifacts also writes the resolved configuration beside
 them, and every artifact is reproducible byte for byte from (command, config,
 seed). gen-data streams each set to disk and publishes both files only once
 both are complete; train keeps only the first ``eval_subset`` sequences of the
-test set, the ones each epoch evaluates. gen-data, train, eval and trace
-reject an ``--out`` inside a file before reading any data.
+test set, the ones each epoch evaluates. gen-data, train and eval reject an
+``--out`` inside a file before reading any data.
 
 A process that imports this module freezes its heap at exit (``gc.freeze``
 through ``atexit``): the interpreter's shutdown collections would otherwise
@@ -216,11 +216,10 @@ def cmd_train(args, resolved: dict) -> int:
     return 0
 
 
-def _restore(resolved: dict, scoff_only: bool = False):
-    """eval's and trace's model, train config and snapshot (the stored config
-    with this command's data and checkpoint), and the stored task's test set.
-    A stored config must hold exactly the known keys, each of its key's type;
-    with ``scoff_only`` (trace), a GRU one is refused before any data is read."""
+def _restore(resolved: dict):
+    """eval's model, train config and snapshot (the stored config with this
+    command's data and checkpoint), and the stored task's test set. A stored
+    config must hold exactly the known keys, each of its key's type."""
     data_dir = _require(resolved, "data")
     ckpt_dir = _require(resolved, "checkpoint")
     tensors, stored = load_checkpoint(ckpt_dir)
@@ -237,8 +236,6 @@ def _restore(resolved: dict, scoff_only: bool = False):
         cfg = to_train_config(stored)
     except KeyError as e:
         raise ValueError(f"{manifest}: stored config lacks key {e}") from None
-    if scoff_only and cfg.model != "scoff":
-        raise ValueError("trace requires a scoff checkpoint")
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     model = build_model(cfg, Rng(stored["seed"]).spawn(0))
     restore_model(model, tensors)
@@ -246,11 +243,16 @@ def _restore(resolved: dict, scoff_only: bool = False):
 
 
 def cmd_eval(args, resolved: dict) -> int:
+    """The loss curve and, of a scoff checkpoint, the selection traces of the
+    first ``eval_subset`` test sequences with their slot-by-schema usage. All
+    are computed before ``--out`` is created, so a failure writes nothing."""
     _missing_dirs(args.out_dir)
     model, cfg, snapshot, test = _restore(resolved)
     if cfg.task == "adding":
         mse = eval_adding(model, test)
-        rows, summary = ["step,mse", f"0,{mse}"], f"test mse {mse:.6f}"
+        floor = np.var([seq.target for seq in test])  # the MSE of their mean
+        rows = ["step,mse", f"0,{mse}"]
+        summary = f"test mse {mse:.6f} (mean-target floor {floor:.6f})"
     else:
         teacher, self_fed = eval_rollout(model, test, cfg.burn_in, cfg.horizon)
         rows = ["step,teacher_forced,self_fed"] + [
@@ -258,29 +260,22 @@ def cmd_eval(args, resolved: dict) -> int:
         floor = constant_rate_bce(test, cfg.burn_in, cfg.horizon)
         summary = (f"mean self-fed bce {np.mean(self_fed):.6f} "
                    f"(constant-rate floor {floor:.6f})")
-    os.makedirs(args.out_dir, exist_ok=True)  # the curve exists: now write
+    traces = []  # a GRU checkpoint has no slots or schemata to trace
+    if cfg.model == "scoff":
+        traces = collect_traces(model, test[:cfg.eval_subset])
+        usage = schema_usage([t for seq in traces for t in seq], cfg.scoff.n_s)
+    os.makedirs(args.out_dir, exist_ok=True)  # every result exists: now write
     path = os.path.join(args.out_dir, "rollout_curve.csv")
     with open(path, "w") as f:
         f.writelines(row + "\n" for row in rows)
     print(f"{summary}; curve in {path}")
+    if traces:
+        with open(os.path.join(args.out_dir, "traces.jsonl"), "w") as f:
+            write_traces(f, traces)
+        with open(os.path.join(args.out_dir, "schema_usage.csv"), "w") as f:
+            f.writelines(",".join(str(v) for v in row) + "\n" for row in usage)
+        print(f"traced {len(traces)} sequences into {args.out_dir}")
     _write_snapshot(args.out_dir, snapshot)
-    return 0
-
-
-def cmd_trace(args, resolved: dict) -> int:
-    _missing_dirs(args.out_dir)
-    model, cfg, snapshot, test = _restore(resolved, scoff_only=True)
-    subset = test[:cfg.eval_subset]
-    traces = collect_traces(model, subset)
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "traces.jsonl"), "w") as f:
-        write_traces(f, traces)
-    flat = [t for seq in traces for t in seq]
-    usage = schema_usage(flat, cfg.scoff.n_s)
-    with open(os.path.join(args.out_dir, "schema_usage.csv"), "w") as f:
-        f.writelines(",".join(str(v) for v in row) + "\n" for row in usage)
-    _write_snapshot(args.out_dir, snapshot)
-    print(f"traced {len(subset)} sequences into {args.out_dir}")
     return 0
 
 
@@ -322,7 +317,6 @@ _COMMANDS = {
     "gen-data": cmd_gen_data,
     "train": cmd_train,
     "eval": cmd_eval,
-    "trace": cmd_trace,
     "check-grad": cmd_check_grad,
     "param-count": cmd_param_count,
 }

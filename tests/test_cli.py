@@ -359,11 +359,9 @@ def test_train_eval_trace_pipeline(tmp_path, capsys):
     assert lines[0] == "step,teacher_forced,self_fed"
     assert len(lines) == 1 + 5  # header + horizon rows
 
-    trace_dir = str(tmp_path / "trace")
-    assert run_cli("trace", "--set", f"data={data_dir}",
-                   "--set", f"checkpoint={os.path.join(run_dir, 'checkpoint')}",
-                   "--out", trace_dir) == 0
-    trace_lines = open(os.path.join(trace_dir, "traces.jsonl")).read().splitlines()
+    # eval of a scoff checkpoint also traces the first eval_subset sequences
+    assert f"traced 2 sequences into {eval_dir}" in capsys.readouterr().out
+    trace_lines = open(os.path.join(eval_dir, "traces.jsonl")).read().splitlines()
     # every traced sequence (2), each of length 13 -> 12 prediction steps
     assert len(trace_lines) == 2 * 12
     recs = [json.loads(line) for line in trace_lines]
@@ -373,7 +371,7 @@ def test_train_eval_trace_pipeline(tmp_path, capsys):
     assert len(rec["active"]) == 2
     assert len(rec["input_weights"]) == 2      # n_f rows
     assert len(rec["input_weights"][0]) == 16  # P columns
-    usage = open(os.path.join(trace_dir, "schema_usage.csv")).read().splitlines()
+    usage = open(os.path.join(eval_dir, "schema_usage.csv")).read().splitlines()
     assert len(usage) == 2                     # n_f rows
     assert len(usage[0].split(",")) == 2       # n_s columns
 
@@ -400,8 +398,12 @@ def test_adding_checkpoint_evaluates_on_a_held_out_longer_test_set(tmp_path, cap
     assert [len(s.values) for s in read_dataset(os.path.join(data_dir, "test.scfd"),
                                                 "adding")] == [50, 50]
     eval_dir = str(tmp_path / "eval_200")
+    capsys.readouterr()
     assert run_cli("eval", "--set", f"checkpoint={os.path.join(run_dir, 'checkpoint')}",
                    "--set", f"data={held_out}", "--out", eval_dir) == 0
+    # the floor is the MSE of predicting the evaluated targets' mean
+    printed = capsys.readouterr().out.split("mean-target floor ")[1].split(")")[0]
+    assert printed == f"{np.var([s.target for s in test]):.6f}"
     lines = open(os.path.join(eval_dir, "rollout_curve.csv")).read().splitlines()
     assert lines[0] == "step,mse"
     assert len(lines) == 2
@@ -416,17 +418,18 @@ def _snapshot(run_dir):
 
 
 def test_eval_and_trace_snapshot_the_config_that_ran(tmp_path, capsys):
-    # the checkpoint's stored config, with the command's own data and
-    # checkpoint, not the parsed defaults (n_f 6, seed 0, switching horizon 10)
+    # eval, which also traces a scoff checkpoint, snapshots the checkpoint's
+    # stored config with the command's own data and checkpoint, not the
+    # parsed defaults (n_f 6, seed 0, switching horizon 10)
     data_dir, run_dir, _ = _gen_and_train(tmp_path)
     ckpt = os.path.join(run_dir, "checkpoint")
-    for command in ("eval", "trace"):
-        out = str(tmp_path / command)
-        assert run_cli(command, "--set", f"data={data_dir}", "--set", f"checkpoint={ckpt}",
-                       "--out", out) == 0
-        snap = _snapshot(out)
-        assert (snap["n_f"], snap["seed"], snap["horizon"]) == ("2", "11", "5")
-        assert snap == {**_snapshot(run_dir), "checkpoint": ckpt}
+    out = str(tmp_path / "eval")
+    assert run_cli("eval", "--set", f"data={data_dir}", "--set", f"checkpoint={ckpt}",
+                   "--out", out) == 0
+    assert os.path.exists(os.path.join(out, "traces.jsonl"))
+    snap = _snapshot(out)
+    assert (snap["n_f"], snap["seed"], snap["horizon"]) == ("2", "11", "5")
+    assert snap == {**_snapshot(run_dir), "checkpoint": ckpt}
 
 
 def test_train_reruns_byte_identical(tmp_path, capsys):
@@ -806,8 +809,8 @@ def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys
     assert not out.exists()
 
 
-def test_trace_of_a_gru_checkpoint_exits_2_before_reading_data(tiny_run, tmp_path, capsys):
-    # the stored config alone decides it: no test set is read, no model built
+def test_eval_of_a_gru_checkpoint_writes_only_the_curve(tiny_run, tmp_path, capsys):
+    # a GRU has no slots or schemata, so there is nothing to trace
     run_dir = tmp_path / "gru"
     assert run_cli("train", "--set", "task=switching", "--set", f"data={tiny_run / 'data'}",
                    "--set", "model=gru", "--set", "n_f=1", "--set", "d_h=4",
@@ -816,11 +819,36 @@ def test_trace_of_a_gru_checkpoint_exits_2_before_reading_data(tiny_run, tmp_pat
                    "--set", "readout_width=4", "--set", "epochs=1", "--set", "burn_in=2",
                    "--set", "horizon=3", "--out", str(run_dir)) == 0
     capsys.readouterr()
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--set", f"data={tiny_run / 'data'}",
+                   "--set", f"checkpoint={run_dir / 'checkpoint'}", "--out", str(out)) == 0
+    assert "traced" not in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == ["resolved_config.cfg", "rollout_curve.csv"]
+
+
+def test_eval_whose_tracing_fails_writes_nothing(tiny_run, tmp_path, capsys, monkeypatch):
+    # the curve is already computed; the traces come before --out too
+    from scoff import cli
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("tracing failed")
+
+    monkeypatch.setattr(cli, "collect_traces", fail)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--set", f"data={tiny_run / 'data'}",
+                   "--set", f"checkpoint={tiny_run / 'run' / 'checkpoint'}",
+                   "--out", str(out)) == 2
+    assert "tracing failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trace_is_an_unknown_command(tiny_run, tmp_path, capsys):
     out = tmp_path / "trace"
-    assert run_cli("trace", "--set", f"data={tmp_path / 'missing'}",
-                   "--set", f"checkpoint={run_dir / 'checkpoint'}", "--out", str(out)) == 2
+    assert run_cli("trace", "--set", f"data={tiny_run / 'data'}",
+                   "--set", f"checkpoint={tiny_run / 'run' / 'checkpoint'}",
+                   "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert "trace requires a scoff checkpoint" in err and "test.scfd" not in err
+    assert "usage error" in err and "invalid choice: 'trace'" in err
     assert not out.exists()
 
 
@@ -876,8 +904,7 @@ def test_optimizer_key_out_of_range_exits_1_naming_it_and_writes_nothing(
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("command,other", [("train", "bouncing"), ("eval", "adding"),
-                                           ("trace", "bouncing")])
+@pytest.mark.parametrize("command,other", [("train", "bouncing"), ("eval", "adding")])
 def test_dataset_of_another_task_exits_2_naming_it_and_writes_nothing(
         tiny_run, tmp_path, capsys, command, other):
     data = tmp_path / other
@@ -906,7 +933,7 @@ def test_dataset_of_no_sequences_exits_2_naming_it(tiny_run):
 
 
 @pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
-@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "trace"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
 def test_out_in_a_file_exits_2_naming_it_before_any_work(tiny_run, tmp_path, capsys,
                                                          monkeypatch, command, inside):
     # a train that finds out only when it writes has run every epoch

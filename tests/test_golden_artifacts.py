@@ -3,8 +3,8 @@ bytes, so a refactor that claims to keep every artifact byte-identical is
 checked by the unit suite rather than by hand.
 
 The recipe runs, in this process, ``gen-data`` (8 train / 4 test sequences),
-``train`` (2 epochs, batch 4, eval subset 2), ``eval`` and, for scoff
-checkpoints, ``trace`` on ``switching_mini``, ``bouncing_mini`` (scoff and
+``train`` (2 epochs, batch 4, eval subset 2) and ``eval``, which also traces
+a scoff checkpoint, on ``switching_mini``, ``bouncing_mini`` (scoff and
 ``model=gru``) and ``adding_mini``, then ``check-grad``. A gen-data-only run
 of ``bouncing_mini`` with three balls and the occluder, and one of the
 ``single`` task on ``switching_mini``'s sizes, pin the generator paths the
@@ -55,16 +55,16 @@ GOLDEN = {
     "switching/train/checkpoint/tensors.bin": "5b1561371799",
     "switching/train/checkpoint/manifest.json:tensors": "2643d619f217",
     "switching/eval/rollout_curve.csv": "3fb4d76e2e6d",
-    "switching/trace/schema_usage.csv": "f19a02de582b",
-    "switching/trace/traces.jsonl": "54a2c4d3f275",
+    "switching/eval/schema_usage.csv": "f19a02de582b",
+    "switching/eval/traces.jsonl": "54a2c4d3f275",
     "bouncing/data/train.scfd": "677a533d3700",
     "bouncing/data/test.scfd": "ff0731ea192d",
     "bouncing/train/metrics.jsonl": "e78bc3702e2c",
     "bouncing/train/checkpoint/tensors.bin": "bebc42c59202",
     "bouncing/train/checkpoint/manifest.json:tensors": "783cbb200c62",
     "bouncing/eval/rollout_curve.csv": "0575a538471e",
-    "bouncing/trace/schema_usage.csv": "23a56d3b073d",
-    "bouncing/trace/traces.jsonl": "44957d46638f",
+    "bouncing/eval/schema_usage.csv": "23a56d3b073d",
+    "bouncing/eval/traces.jsonl": "44957d46638f",
     "bouncing_gru/data/train.scfd": "677a533d3700",
     "bouncing_gru/data/test.scfd": "ff0731ea192d",
     "bouncing_gru/train/metrics.jsonl": "74a549560de5",
@@ -77,8 +77,8 @@ GOLDEN = {
     "adding/train/checkpoint/tensors.bin": "5cbe99de2e28",
     "adding/train/checkpoint/manifest.json:tensors": "9539d31bad95",
     "adding/eval/rollout_curve.csv": "2a3bdd44ea76",
-    "adding/trace/schema_usage.csv": "c1733e2643e2",
-    "adding/trace/traces.jsonl": "39c1a70cf670",
+    "adding/eval/schema_usage.csv": "c1733e2643e2",
+    "adding/eval/traces.jsonl": "39c1a70cf670",
     "check-grad:stdout": "626cc580d817",
     "bouncing_occluded/data/train.scfd": "2ea91268c084",
     "bouncing_occluded/data/test.scfd": "a005697b0116",
@@ -115,9 +115,8 @@ def _recipe(run, tmp_path, name, cfg, extra) -> None:
     run("train", "--config", config, *extra, "--set", f"data={data}",
         "--set", "epochs=2", "--set", "batch_size=4", "--set", "eval_subset=2",
         "--out", str(out / "train"))
-    for command in ("eval", "trace") if not extra else ("eval",):
-        run(command, "--config", config, "--set", f"checkpoint={ckpt}",
-            "--set", f"data={data}", "--out", str(out / command))
+    run("eval", "--config", config, "--set", f"checkpoint={ckpt}",
+        "--set", f"data={data}", "--out", str(out / "eval"))
 
 
 def _file_digests(tmp_path, keys) -> dict:

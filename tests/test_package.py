@@ -1,9 +1,13 @@
 import ast
 import os
+import re
 
 import scoff
+from scoff.cli import _COMMANDS
 
 SRC = os.path.dirname(scoff.__file__)
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 # names no code in the package calls, each kept for a caller outside it
@@ -97,3 +101,13 @@ def test_no_module_imports_threading():
             if any(m.split(".")[0] == "threading" for m in modules):
                 importers.append(module)
     assert importers == []
+
+
+def test_readme_lists_exactly_the_cli_commands():
+    """The ``- `name` -`` items under the README's ``## CLI`` heading name
+    the keys of ``cli._COMMANDS``, so no command is added or retired while
+    the docs keep the old list."""
+    with open(README, encoding="utf-8") as f:
+        section = f.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([^`]+)` - ", section, re.MULTILINE)
+    assert sorted(listed) == sorted(_COMMANDS)
