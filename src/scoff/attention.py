@@ -48,19 +48,7 @@ def attend(queriers: Tensor, candidates: Tensor, w_query: Tensor, w_key: Tensor,
     projection matmuls followed by the head's chain of elementary ops (see the
     numerics module docstring).
     """
-    if normalize_axis not in ("queriers", "candidates"):
-        raise ValueError(f"unknown normalize_axis {normalize_axis!r}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     xq, xc = queriers.data, candidates.data
-    if (xq.ndim != 2 or xc.ndim != 2 or xq.shape[1] != w_query.shape[0]
-            or xc.shape[1] != w_key.shape[0] or xc.shape[1] != w_value.shape[0]):
-        raise ValueError(f"queriers {queriers.shape} and candidates {candidates.shape} "
-                         f"do not fit projections {w_query.shape}, {w_key.shape}, "
-                         f"{w_value.shape}")
-    if w_query.shape[1] != w_key.shape[1]:
-        raise ValueError(f"query width {w_query.shape} does not match key width "
-                         f"{w_key.shape}")
     axis = 0 if normalize_axis == "queriers" else 1
     qd = xq.dot(w_query.data)
     kd = xc.dot(w_key.data)
@@ -101,12 +89,7 @@ def attend(queriers: Tensor, candidates: Tensor, w_query: Tensor, w_key: Tensor,
 def topk_mask(scores: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask marking the k largest entries of the vector ``scores``,
     ties to the lowest index."""
-    if scores.ndim != 1:
-        raise ValueError(f"topk_mask expects a vector, got shape {scores.shape}")
-    n = scores.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
     order = np.argsort(-scores, kind="stable")
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(scores.size, dtype=bool)
     mask[order[:k]] = True
     return mask

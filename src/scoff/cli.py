@@ -60,7 +60,9 @@ def _field_keys(cls, skip=()) -> dict:
 # key -> (type, default); parse_config fills a None default from tasks.TASKS
 _KEYS = {
     **_field_keys(TrainConfig),
-    **_field_keys(ScoffConfig, skip=("d_in",)),  # d_in is the encoder width
+    # d_in is the encoder width; every run selects hard (soft selection is
+    # check-grad's, which builds its ScoffConfig directly)
+    **_field_keys(ScoffConfig, skip=("d_in", "hard_selection")),
     **_field_keys(CodecConfig),
     **_field_keys(tasks.DataConfig, skip=("task",)),  # task is TrainConfig's
     "data": (str, ""),
@@ -136,7 +138,8 @@ def _from_fields(cls, r: dict, **given):
 
 def to_train_config(r: dict) -> TrainConfig:
     codec = _from_fields(CodecConfig, r)
-    scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a)
+    scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a,
+                         hard_selection=ScoffConfig.hard_selection)
     return _from_fields(TrainConfig, r, scoff=scoff, codec=codec)
 
 

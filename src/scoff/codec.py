@@ -58,9 +58,6 @@ class Perceptron:
     def __call__(self, x: Tensor) -> Tensor:
         """One fused tape op over the rows of x [n, n_in]."""
         xd = x.data
-        if xd.ndim != 2 or xd.shape[1] != self.w1.shape[0]:
-            raise ValueError(f"perceptron {self.prefix!r} takes [n, {self.w1.shape[0]}] "
-                             f"rows, got {x.shape}")
         hid = xd.dot(self.w1.data)
         hid += self.b1.data
         np.tanh(hid, out=hid)
@@ -118,12 +115,10 @@ class EncoderBase:
 
 
 class PositionEncoder(EncoderBase):
-    """Frames cut into square patches, one position per patch."""
+    """Frames cut into square patches, one position per patch; ``TrainConfig``
+    checks that the patch divides the frame."""
 
     def __init__(self, rng: Rng, height: int, width: int, cfg: CodecConfig):
-        if height % cfg.patch or width % cfg.patch:
-            raise ValueError(
-                f"frame {height}x{width} not divisible by patch size {cfg.patch}")
         self.height = height
         self.width = width
         s = cfg.patch
@@ -142,13 +137,6 @@ class PositionEncoder(EncoderBase):
     def encode_frame(self, frames: np.ndarray) -> Tensor:
         """[n·P, d_a]: each patch of frames [n, H, W] encoded, beside its
         position's embedding, frame by frame."""
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 3 or not len(frames) or frames.shape[1:] != (self.height,
-                                                                        self.width):
-            raise ValueError(f"expected [n, {self.height}, {self.width}] frames, "
-                             f"got {frames.shape}")
-        if frames.min() < 0.0 or frames.max() > 1.0:
-            raise ValueError("frame values must lie in [0, 1]")
         return self.beside_positions(self.mlp(nm.record(self.patch_rows(frames), (), None)))
 
 
@@ -156,15 +144,11 @@ class TokenEncoder(EncoderBase):
     """Lifts each input token to a single feature row (P = 1)."""
 
     def __init__(self, rng: Rng, n_features: int, cfg: CodecConfig):
-        self.n_features = n_features
         super().__init__(rng, n_features, 1, cfg)
 
     def encode_token(self, tokens: np.ndarray) -> Tensor:
         """[n, d_a]: each token of tokens [n, n_features] encoded, beside the
         one position's embedding."""
-        tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.ndim != 2 or not len(tokens) or tokens.shape[1] != self.n_features:
-            raise ValueError(f"expected [n, {self.n_features}] tokens, got {tokens.shape}")
         return self.beside_positions(self.mlp(Tensor(tokens)))
 
 

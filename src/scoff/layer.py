@@ -97,11 +97,8 @@ class ScoffLayer:
 
         Returns (z [n_f, inp_values], head-mean weights [n_f, P]).
         """
-        c = self.config
-        if features.shape[1] != c.d_in:
-            raise ValueError(f"feature width {features.shape[1]} != configured d_in {c.d_in}")
         return _heads(self.input_proj, state, features, "queriers",
-                      1.0 / math.sqrt(c.inp_keys), rng)
+                      1.0 / math.sqrt(self.config.inp_keys), rng)
 
     # ---- step 3: schema selection and update ----------------------------
 
@@ -121,8 +118,6 @@ class ScoffLayer:
         hyps = [gru_step(z, state, theta) for theta in self.bank]
         if noise is None:
             noise = self._zero_noise if rng is None else nm.sample_gumbel(rng, (c.n_f, c.n_s))
-        if noise.shape != (c.n_f, c.n_s):
-            raise ValueError(f"noise must be [{c.n_f}, {c.n_s}], got {noise.shape}")
         return self._select(hyps, state, noise)
 
     def _select(self, hyps: list, state: Tensor, noise: Tensor):

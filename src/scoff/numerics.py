@@ -97,8 +97,14 @@ The logistic function is evaluated as 0.5·tanh(0.5·x) + 0.5
 (:func:`stable_sigmoid`): it never overflows, takes one transcendental call and
 no branch, and lies within 2⁻⁵² of the exp form 1/(1 + e⁻ˣ).
 
-Interior op results skip the finiteness check for speed; tensors built from
-external data are always validated.
+Ops trust their callers. The config dataclasses own every width and range,
+and the file readers (``tasks.read_dataset``, ``training.restore_model``)
+every shape and value that comes from disk, so no op checks its operands'
+shapes again on each call; a mismatch is left to numpy. The checks that
+stay guard the engine: a Tensor built from outside data rejects empty
+extents and non-finite entries (interior op results skip that check for
+speed), ``backward`` refuses a non-scalar loss, a loss from another tape and
+a consumed tape, and ``log`` refuses a non-positive input.
 """
 
 import math
@@ -157,9 +163,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return float(self.data.item())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -373,8 +377,6 @@ def transpose(a, axes=None) -> Tensor:
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("concat needs at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
 
     def back(g):
@@ -398,8 +400,6 @@ def split_rows(x, n: int) -> list:
     x's size is made per backward pass, however many pieces there are.
     """
     x = as_tensor(x)
-    if x.data.ndim != 2 or n < 1 or x.data.shape[0] % n:
-        raise ValueError(f"split_rows cannot cut {x.shape} into {n} equal row blocks")
     r = x.data.shape[0] // n
     gather = record(x.data, (x,), lambda g: accum(x, g))
 
@@ -416,8 +416,6 @@ def split_rows(x, n: int) -> list:
 
 def stack(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise ValueError("stack needs at least one tensor")
     out = np.stack([p.data for p in parts], axis=axis)
 
     def back(g):
@@ -461,10 +459,8 @@ def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Strict 2-D matrix product; backward dA = g·Bᵀ, dB = Aᵀ·g."""
+    """2-D matrix product; backward dA = g·Bᵀ, dB = Aᵀ·g."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def back(g):
@@ -486,11 +482,6 @@ def stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
 def softmax(x, axis: int) -> Tensor:
     """Exp-normalization along ``axis`` with max-subtraction for stability."""
     x = as_tensor(x)
-    nd = x.data.ndim
-    if not -nd <= axis < nd:
-        raise ValueError(f"softmax axis {axis} out of range for rank {nd}")
-    if x.data.shape[axis] == 0:
-        raise ValueError("softmax over an empty axis")
     s = stable_softmax(x.data.copy(), axis)
 
     def back(g):
@@ -503,8 +494,6 @@ def straight_through(x, forward_values) -> Tensor:
     """Forward takes ``forward_values``; the gradient passes to ``x`` unchanged."""
     x = as_tensor(x)
     vals = np.asarray(forward_values, dtype=np.float64)
-    if vals.shape != x.data.shape:
-        raise ValueError(f"straight_through shape mismatch: {vals.shape} vs {x.shape}")
 
     def back(g):
         accum(x, g)
@@ -522,8 +511,6 @@ def logistic_loss_mean(logits, targets) -> Tensor:
     """Mean binary cross entropy against {0,1} targets, in stable logit form."""
     lt = as_tensor(logits)
     y = np.asarray(targets, dtype=np.float64)
-    if y.shape != lt.data.shape:
-        raise ValueError(f"target shape {y.shape} does not match logits {lt.shape}")
     d = lt.data
     out = np.asarray(logistic_loss(d, y).mean())
     n = d.size
@@ -578,14 +565,10 @@ def grad_check(f, params: list, eps: float = 1e-5) -> float:
     ``f`` maps the given parameter tensors to a scalar Tensor and must be
     deterministic across calls (fix any noise before calling).
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps}")
     for p in params:
         p.zero_grad()
     with Tape() as tape:
         loss = f(params)
-        if loss.data.size != 1:
-            raise ValueError("grad_check requires a scalar-valued function")
     backward(loss, tape)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 

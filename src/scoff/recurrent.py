@@ -34,15 +34,6 @@ class SchemaParams:
 
     _FIELDS = ("w", "u_ru", "u_c", "b")
 
-    def __post_init__(self):
-        d_in, d_h = self.w.shape[0], self.u_c.shape[0]
-        shapes = {"w": (d_in, 3 * d_h), "u_ru": (d_h, 2 * d_h), "u_c": (d_h, d_h),
-                  "b": (3 * d_h,)}
-        for name, shape in shapes.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must be {list(shape)}, "
-                                 f"got {list(getattr(self, name).shape)}")
-
     def named(self, prefix: str) -> dict:
         return {prefix + name: getattr(self, name) for name in self._FIELDS}
 
@@ -64,13 +55,7 @@ def gru_step(z: Tensor, h: Tensor, theta: SchemaParams) -> Tensor:
     the numerics module docstring).
     """
     zd, hd = z.data, h.data
-    d_in, d_h = theta.w.data.shape[0], theta.u_c.data.shape[0]
-    if zd.ndim != 2 or hd.ndim != 2 or zd.shape[1] != d_in \
-            or hd.shape != (zd.shape[0], d_h):
-        raise ValueError(
-            f"gru_step shapes z={z.shape} h={h.shape} do not fit cell "
-            f"d_in={d_in} d_h={d_h}"
-        )
+    d_h = theta.u_c.data.shape[0]
     # every in-place write goes into an array allocated just above it
     a = zd.dot(theta.w.data)
     a += theta.b.data

@@ -44,7 +44,7 @@ SWITCHING_DEFAULTS = {
     "batch_size": 64, "burn_in": 5, "checkpoint": "", "comm_heads": 2,
     "comm_keys": 16, "d_c": 16, "d_h": 32, "d_pos": 8, "data": "",
     "dec_hidden": 64, "enc_hidden": 32, "epochs": 10, "eval_subset": 32,
-    "hard_selection": True, "horizon": 10, "inp_heads": 1, "inp_keys": 16,
+    "horizon": 10, "inp_heads": 1, "inp_keys": 16,
     "inp_values": 32, "length": 21, "lr": 0.0001, "model": "scoff",
     "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0, "occluder": False,
     "operands": "2,4", "patch": 4, "readout_hidden": 32, "readout_width": 32,
@@ -101,12 +101,12 @@ def test_comm_values_must_match_d_h():
     # keys retired since, each at the one value every run used: the GRU
     # baseline is n_f * d_h wide, Adam's moment decays, epsilon and clipping
     # norm are fixed, communication reaches every slot, both attention steps
-    # drop at ScoffLayer.DROPOUT, a single sequence draws its mode, and the
-    # selection temperature is 1
+    # drop at ScoffLayer.DROPOUT, a single sequence draws its mode, the
+    # selection temperature is 1, and selection is hard
     for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
                      "beta2=0.999", "epsilon=1e-8", "comm_sparse=false",
                      "clip_norm=1.0", "inp_dropout=0.1", "comm_dropout=0.1",
-                     "mode=mixed", "tau=1.0"):
+                     "mode=mixed", "tau=1.0", "hard_selection=false"):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(None, [override, "d_h=32"])
@@ -791,8 +791,9 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     # that time store it
     ("clip_norm", lambda config: config.update(clip_norm=1.0)),
     ("tau", lambda config: config.update(tau=1.0)),
+    ("hard_selection", lambda config: config.update(hard_selection=True)),
 ], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired",
-        "retired-tau"])
+        "retired-tau", "retired-hard-selection"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
                                                       key, edit):
     copy = tmp_path / "copy"

@@ -84,11 +84,6 @@ def test_matmul_matches_triple_loop_oracle():
     assert np.max(np.abs(got - naive_matmul(a, b))) < 1e-12
 
 
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
-
-
 def test_matmul_identity_associativity_bitwise():
     rng = Rng(7)
     a = rand(rng, (3, 3))
@@ -301,12 +296,6 @@ def test_split_rows_grad_check_with_unused_pieces():
         return (pieces[0] * c[0]).sum() + (pieces[4] * pieces[4] * c[4]).sum()
 
     assert grad_check(f, [x], eps=1e-5) < 1e-8
-
-
-def test_split_rows_rejects_uneven_blocks():
-    for shape, n in (((7, 2), 2), ((6,), 2), ((6, 2), 0)):
-        with pytest.raises(ValueError, match="split_rows"):
-            nm.split_rows(Tensor(np.ones(shape)), n)
 
 
 @pytest.mark.parametrize("axis", [0, 1, -1])
@@ -602,12 +591,6 @@ def test_grad_check_linear():
         return (p * Tensor(c)).sum()
 
     assert grad_check(f, [x], eps=1e-4) < 1e-10
-
-
-def test_grad_check_eps_bounds():
-    x = Tensor([1.0], requires_grad=True)
-    with pytest.raises(ValueError):
-        grad_check(lambda p: (p[0] * p[0]).sum(), [x], eps=1.0)
 
 
 def test_grad_check_reports_non_finite_coordinate():

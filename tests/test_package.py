@@ -86,6 +86,33 @@ def test_only_generate_calls_the_generators():
     assert callers == {name: {"tasks.generate"} for name in generators}
 
 
+# the ops one step runs: each trusts the configs and file readers that
+# built its operands, so none checks them again per call
+STEP_OPS = ("attention.attend", "attention.topk_mask", "recurrent.gru_step",
+            "codec.Perceptron.__call__", "codec.PositionEncoder.encode_frame",
+            "codec.TokenEncoder.encode_token", "numerics.split_rows",
+            "layer.ScoffLayer.input_read", "layer.ScoffLayer.schema_select_update",
+            "layer.ScoffLayer._select", "layer.ScoffLayer.communicate",
+            "layer.ScoffLayer.step")
+
+
+def test_step_ops_raise_nothing():
+    """No op in ``STEP_OPS`` holds a ``raise``: the config dataclasses own
+    every width and range, ``tasks.read_dataset`` the data's shapes and
+    values and ``training.restore_model`` the parameters' shapes."""
+    functions = {}
+    for module, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[f"{module}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                functions.update((f"{module}.{node.name}.{item.name}", item)
+                                 for item in node.body if isinstance(item, ast.FunctionDef))
+    raising = sorted(name for name in STEP_OPS
+                     if any(isinstance(node, ast.Raise) for node in ast.walk(functions[name])))
+    assert raising == []
+
+
 def test_no_module_imports_threading():
     # the engine is single-threaded: one module-level tape stack serves
     # every pass

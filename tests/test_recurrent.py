@@ -105,28 +105,6 @@ def test_gru_is_slot_blind():
     assert np.max(np.abs(out[0] - single)) < 1e-15
 
 
-def test_gru_shape_errors():
-    th = zero_schema(2, 3)
-    with pytest.raises(ValueError):  # input width
-        gru_step(Tensor([[1.0, 2.0, 3.0]]), Tensor([[0.0, 0.0, 0.0]]), th)
-    with pytest.raises(ValueError):  # state width
-        gru_step(Tensor([[1.0, 2.0]]), Tensor([[0.0, 0.0]]), th)
-    with pytest.raises(ValueError):  # row counts
-        gru_step(Tensor([[1.0, 2.0]]), Tensor(np.zeros((2, 3))), th)
-    with pytest.raises(ValueError):  # rows only, no vectors
-        gru_step(Tensor([1.0, 2.0]), Tensor([0.0, 0.0, 0.0]), th)
-
-
-@pytest.mark.parametrize("field,shape", [("w", (2, 6)), ("u_ru", (3, 3)),
-                                         ("u_c", (3, 6)), ("b", (3,))])
-def test_schema_params_reject_unstacked_shapes(field, shape):
-    th = zero_schema(2, 3)
-    parts = {name: getattr(th, name) for name in ("w", "u_ru", "u_c", "b")}
-    parts[field] = Tensor(np.zeros(shape))
-    with pytest.raises(ValueError, match=field):
-        SchemaParams(**parts)
-
-
 def test_gru_backward_is_finite_difference_clean():
     rng = Rng(31)
     th = init_schema(rng, 2, 3)
@@ -352,4 +330,3 @@ def test_param_count_linear_in_bank_size_independent_of_slots():
     a, _ = recurrent_param_count(2, 3, 7, 5)
     b, _ = recurrent_param_count(9, 3, 7, 5)
     assert a == b
-
