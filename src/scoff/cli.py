@@ -222,23 +222,23 @@ def cmd_train(args, resolved: dict) -> int:
 def _restore(resolved: dict):
     """eval's model, train config and snapshot (the stored config with this
     command's data and checkpoint), and the stored task's test set. A stored
-    config must hold exactly the known keys, each of its key's type."""
+    config must hold exactly the known keys, each of its key's type and range."""
     data_dir = _require(resolved, "data")
     ckpt_dir = _require(resolved, "checkpoint")
     tensors, stored = load_checkpoint(ckpt_dir)
     manifest = os.path.join(ckpt_dir, "manifest.json")
-    unknown = sorted(set(stored) - set(_KEYS))
-    if unknown:
-        raise ValueError(f"{manifest}: stored config holds unknown keys "
-                         f"{', '.join(map(repr, unknown))}")
+    if set(stored) != set(_KEYS):
+        raise ValueError(f"{manifest}: stored config lacks keys {sorted(set(_KEYS) - set(stored))}"
+                         f" and holds unknown keys {sorted(set(stored) - set(_KEYS))}")
     for key, value in stored.items():
         if type(value) is not _KEYS[key][0]:
             raise ValueError(f"{manifest}: stored config key {key!r} holds {value!r}, "
                              f"not a {_KEYS[key][0].__name__}")
     try:
         cfg = to_train_config(stored)
-    except KeyError as e:
-        raise ValueError(f"{manifest}: stored config lacks key {e}") from None
+        _from_fields(tasks.DataConfig, stored)
+    except ValueError as e:
+        raise ValueError(f"{manifest}: {e}") from None
     test = tasks.read_dataset(os.path.join(data_dir, "test.scfd"), cfg.task)
     model = build_model(cfg, Rng(stored["seed"]).spawn(0))
     restore_model(model, tensors)

@@ -5,10 +5,10 @@ velocities, so the physics is exact and every frame can be re-rendered from
 the recorded ball states. The adding task produces value/indicator channel
 sequences with an exact scalar target.
 
-A frame generator tracks, then renders. The single and bouncing tasks share
-one ball-motion loop, ``_ball_tracks``: placement, each dynamics mode's
-velocity rule, wall reflection and the velocity swap on contact. It and the
-switching task's loop are plain integer arithmetic on Python ints that
+A frame generator tracks, then renders. The bouncing task's one ball-motion
+loop, ``_ball_tracks``, places the balls and moves them at constant velocity,
+with wall reflection and the velocity swap on contact. It and the switching
+task's loop are plain integer arithmetic on Python ints that
 appends each step's positions and velocities to flat lists; one bulk copy
 then fills each [T, n_balls, 2] array from its list, and one
 ``render_frames`` call draws all T frames. A numpy write per step or a
@@ -46,17 +46,11 @@ INDICATOR_ROW = GRID - 1
 # centered 4-row by 8-column occluder, drawn as background
 OCCLUDER = (6, 4, 4, 8)
 
-SINGLE_MODES = ("accelerate", "constant", "random_walk")
-MODE_IDS = {name: i for i, name in enumerate(SINGLE_MODES)}
-V_CLAMP = 3  # accelerate mode keeps each velocity component in [-3, 3]
-
 # each task's dataset-file id, a frame task's count of dynamics modes (its
 # labels lie below it; only frame tasks have one), the shortest sequence it
 # has (what the generator needs and a model can step through) and the
 # defaults that depend on the task
 TASKS = {
-    "single": {"id": 1, "modes": len(SINGLE_MODES), "min_length": 2,
-               "length": 20, "lr": 1e-4, "burn_in": 5, "horizon": 10},
     "switching": {"id": 2, "modes": 2, "min_length": 11,
                   "length": 21, "lr": 1e-4, "burn_in": 5, "horizon": 10},
     "bouncing": {"id": 3, "modes": 1, "min_length": 2,
@@ -65,7 +59,6 @@ TASKS = {
                "length": 50, "lr": 1e-2, "burn_in": 5, "horizon": 10},
 }
 FRAME_TASKS = tuple(name for name, spec in TASKS.items() if "modes" in spec)
-_WALK_STEPS = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 
 def check_task(task: str) -> None:
@@ -154,31 +147,27 @@ def _reflect(p: int, v: int, lo: int = 0, hi: int = POS_MAX) -> tuple:
     return p, v
 
 
-def _sample_step(rng: Rng, most: int) -> tuple:
-    """A nonzero pair of ints, each drawn uniformly from [-most, most]."""
+def _sample_step(rng: Rng) -> tuple:
+    """A nonzero pair of ints, each drawn uniformly from [-2, 2]."""
     while True:
-        v = (rng.randint(2 * most + 1) - most, rng.randint(2 * most + 1) - most)
+        v = (rng.randint(5) - 2, rng.randint(5) - 2)
         if v != (0, 0):
             return v
 
 
-def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
-    """int64 positions and velocities [T, n_balls, 2] of 2x2 balls under one
-    dynamics mode of SINGLE_MODES.
+def _ball_tracks(rng: Rng, length: int, n_balls: int) -> tuple:
+    """int64 positions and velocities [T, n_balls, 2] of 2x2 balls at constant
+    velocity.
 
-    The balls are placed without overlap, then each gets a nonzero velocity
-    (random_walk: none). Each step first sets a ball's velocity by its mode
-    (accelerate: add the sequence's one nonzero increment, clamped to
-    +-V_CLAMP; constant: keep it; random_walk: a fresh unit direction), then
-    moves it with wall reflection. Contacts are then resolved in passes over
-    the pairs (i < j, in order) until a pass finds none: a pair whose squares
-    overlap swaps velocity vectors, and both balls go back to their previous
-    squares for that step, so a ball that overlaps a held ball is held as
-    well. Previous squares never overlap, so each further pass holds at
-    least one more ball and the passes end with no two balls overlapping.
-    Every exchange is a swap, which conserves kinetic energy exactly. Only
-    constant mode runs with more than one ball; how the other modes meet
-    collisions is not yet set.
+    The balls are placed without overlap, then each gets a nonzero velocity.
+    Each step moves every ball with wall reflection. Contacts are then
+    resolved in passes over the pairs (i < j, in order) until a pass finds
+    none: a pair whose squares overlap swaps velocity vectors, and both balls
+    go back to their previous squares for that step, so a ball that overlaps
+    a held ball is held as well. Previous squares never overlap, so each
+    further pass holds at least one more ball and the passes end with no two
+    balls overlapping. Every exchange is a swap, which conserves kinetic
+    energy exactly.
 
     The state is two flat lists of Python ints, ``pos`` and ``vel``, with
     ball i's row and column at 2i and 2i + 1. A move is one addition and a
@@ -196,21 +185,14 @@ def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
                 break
         else:
             raise RuntimeError("could not place balls without overlap")
-    walk, accelerate = mode == "random_walk", mode == "accelerate"
     vel = []
     for _ in range(n_balls):
-        vel += (0, 0) if walk else _sample_step(rng, 2)
-    acc = (_sample_step(rng, 1) if accelerate else (0, 0)) * n_balls
+        vel += _sample_step(rng)
 
     coords = range(2 * n_balls)
     pairs = [(i, j) for i in range(0, 2 * n_balls, 2) for j in range(i + 2, 2 * n_balls, 2)]
     track, speeds = pos[:], vel[:]
     for _ in range(1, length):
-        if walk:
-            for k in range(0, 2 * n_balls, 2):
-                vel[k:k + 2] = _WALK_STEPS[rng.randint(4)]
-        elif accelerate:
-            vel = [max(-V_CLAMP, min(V_CLAMP, v + a)) for v, a in zip(vel, acc)]
         moved = []
         for k in coords:
             p = pos[k] + vel[k]
@@ -230,16 +212,6 @@ def _ball_tracks(rng: Rng, length: int, n_balls: int, mode: str) -> tuple:
         track += pos
         speeds += vel
     return _tracks(track, speeds, n_balls)
-
-
-def gen_single_dynamics(rng: Rng, length: int, mode: str) -> FrameSequence:
-    """One ball under a fixed dynamics mode of SINGLE_MODES (see
-    ``_ball_tracks``), labelled with that mode at every step. ``generate``
-    draws the mode and passes a length ``DataConfig`` checked."""
-    positions, velocities = _ball_tracks(rng, length, 1, mode)
-    labels = np.full(length, MODE_IDS[mode], dtype=np.int64)
-    return FrameSequence("single", render_frames(positions), labels,
-                         positions, velocities)
 
 
 def gen_switching_dynamics(rng: Rng, length: int) -> FrameSequence:
@@ -279,7 +251,7 @@ def gen_bouncing_mini(rng: Rng, length: int, n_balls: int,
     background so balls pass behind. ``generate`` passes a length and a ball
     count ``DataConfig`` checked.
     """
-    positions, velocities = _ball_tracks(rng, length, n_balls, "constant")
+    positions, velocities = _ball_tracks(rng, length, n_balls)
     frames = render_frames(positions, occluder=occluder)
     labels = np.zeros(length, dtype=np.int64)
     return FrameSequence("bouncing", frames, labels, positions, velocities,
@@ -348,15 +320,12 @@ class DataConfig:
 
 def generate(cfg: DataConfig, seed: int, count: int, offset: int) -> Iterator:
     """``count`` sequences of ``cfg``'s task, yielded one at a time; sequence
-    i draws from ``Rng(seed).spawn(offset + i)`` alone, a ``single`` sequence
-    its dynamics mode first."""
+    i draws from ``Rng(seed).spawn(offset + i)`` alone."""
     root = Rng(seed)
     occluder = OCCLUDER if cfg.occluder else None
     for i in range(count):
         child = root.spawn(offset + i)
-        if cfg.task == "single":
-            yield gen_single_dynamics(child, cfg.length, child.choice(SINGLE_MODES))
-        elif cfg.task == "switching":
+        if cfg.task == "switching":
             yield gen_switching_dynamics(child, cfg.length)
         elif cfg.task == "bouncing":
             yield gen_bouncing_mini(child, cfg.length, cfg.n_balls, occluder)

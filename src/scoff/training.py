@@ -92,8 +92,7 @@ def bce_per_frame(logits: Tensor, target) -> Tensor:
 
 
 def mse_scalar(pred: Tensor, target: float) -> Tensor:
-    if pred.data.size != 1:
-        raise ValueError(f"mse_scalar expects a scalar prediction, got {pred.shape}")
+    """Squared error of a one-element prediction, which the caller builds."""
     d = pred - float(target)
     return d * d
 

@@ -20,7 +20,7 @@ from scoff.cli import ConfigError, main, parse_config, to_train_config
 from scoff.model import GruBaseline, ScoffModel
 from scoff.numerics import Tensor
 from scoff.rng import Rng
-from scoff.tasks import gen_bouncing_mini, read_dataset, write_dataset
+from scoff.tasks import TASKS, gen_bouncing_mini, read_dataset, write_dataset
 from scoff.training import build_model, load_checkpoint, save_checkpoint
 
 
@@ -54,7 +54,6 @@ SWITCHING_DEFAULTS = {
 
 # the task-dependent entries on top of the switching defaults
 TASK_DEFAULTS = {
-    "single": {"task": "single", "length": 20},
     "switching": {},
     "bouncing": {"task": "bouncing", "burn_in": 10, "horizon": 15, "length": 30},
     "adding": {"task": "adding", "lr": 0.01, "length": 50},
@@ -101,8 +100,8 @@ def test_comm_values_must_match_d_h():
     # keys retired since, each at the one value every run used: the GRU
     # baseline is n_f * d_h wide, Adam's moment decays, epsilon and clipping
     # norm are fixed, communication reaches every slot, both attention steps
-    # drop at ScoffLayer.DROPOUT, a single sequence draws its mode, the
-    # selection temperature is 1, and selection is hard
+    # drop at ScoffLayer.DROPOUT, a sequence of the retired single-ball task
+    # drew its mode, the selection temperature is 1, and selection is hard
     for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
                      "beta2=0.999", "epsilon=1e-8", "comm_sparse=false",
                      "clip_norm=1.0", "inp_dropout=0.1", "comm_dropout=0.1",
@@ -211,7 +210,7 @@ def test_gen_data_byte_identical(tmp_path):
     ("operands", ["task=adding", "operands=2,x"]),
     ("operands", ["task=adding", "operands=0"]),
     ("operands", ["task=adding", "operands=60"]),  # length 50
-    ("mode", ["task=single", "mode=warp"]),  # retired: now an unknown key
+    ("mode", ["task=bouncing", "mode=warp"]),  # retired: now an unknown key
     ("length", ["task=switching", "length=12"]),
     ("length", ["task=bouncing", "length=1"]),
     ("train_count", ["task=switching", "train_count=0"]),
@@ -219,6 +218,9 @@ def test_gen_data_byte_identical(tmp_path):
     # the low ends: DataConfig is the only check the generators get
     ("n_balls", ["task=bouncing", "n_balls=0"]),
     ("length", ["task=switching", "length=9"]),  # odd, but under 11
+    # the retired single-ball task
+    pytest.param("task must be one of ('switching', 'bouncing', 'adding')",
+                 ["task=single"], id="retired-task"),
 ])
 def test_gen_data_bad_data_key_exits_1_naming_it_and_writes_nothing(tmp_path, capsys,
                                                                     key, overrides):
@@ -778,24 +780,33 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,edit", [
-    ("d_h", lambda config: config.pop("d_h")),
+@pytest.mark.parametrize("named,edit", [
+    ("'d_h'", lambda config: config.pop("d_h")),
     # a key the program no longer reads: the run it names would not be the
     # one evaluated
-    ("comm_sparse", lambda config: config.update(comm_sparse=True)),
+    ("'comm_sparse'", lambda config: config.update(comm_sparse=True)),
     # a value of the wrong type: each would reach the model unchecked
-    ("d_h", lambda config: config.update(d_h="32")),
-    ("n_sel", lambda config: config.update(n_sel=1.5)),
-    ("occluder", lambda config: config.update(occluder=1)),
+    ("'d_h'", lambda config: config.update(d_h="32")),
+    ("'n_sel'", lambda config: config.update(n_sel=1.5)),
+    ("'occluder'", lambda config: config.update(occluder=1)),
     # a key retired at the one value every run used: the checkpoints of
     # that time store it
-    ("clip_norm", lambda config: config.update(clip_norm=1.0)),
-    ("tau", lambda config: config.update(tau=1.0)),
-    ("hard_selection", lambda config: config.update(hard_selection=True)),
+    ("'clip_norm'", lambda config: config.update(clip_norm=1.0)),
+    ("'tau'", lambda config: config.update(tau=1.0)),
+    ("'hard_selection'", lambda config: config.update(hard_selection=True)),
+    # a key gen-data reads, which the model never does
+    ("'length'", lambda config: config.pop("length")),
+    # values out of their range, one of them a key only gen-data reads,
+    # and a task retired since the run
+    ("n_sel must lie in [0, 1], got 99", lambda config: config.update(n_sel=99)),
+    ("train_count must be >= 1", lambda config: config.update(train_count=0)),
+    ("task must be one of ('switching', 'bouncing', 'adding'), got 'single'",
+     lambda config: config.update(task="single")),
 ], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired",
-        "retired-tau", "retired-hard-selection"])
+        "retired-tau", "retired-hard-selection", "missing-length", "out-of-range",
+        "out-of-range-data", "retired-task"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
-                                                      key, edit):
+                                                      named, edit):
     copy = tmp_path / "copy"
     shutil.copytree(str(tiny_run), str(copy))
     path = copy / "run" / "checkpoint" / "manifest.json"
@@ -806,7 +817,7 @@ def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys
     assert run_cli("eval", "--set", f"data={copy / 'data'}",
                    "--set", f"checkpoint={path.parent}", "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert f"'{key}'" in err and "manifest.json" in err
+    assert named in err and "manifest.json" in err
     assert not out.exists()
 
 
@@ -855,7 +866,7 @@ def test_trace_is_an_unknown_command(tiny_run, tmp_path, capsys):
 
 # --------------------------------------------------------- the config schema
 
-TASKS_ALL = ["single", "switching", "bouncing", "adding"]
+TASKS_ALL = list(TASKS)
 
 
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
@@ -867,6 +878,12 @@ def test_shipped_config_parses_and_builds_its_model(path):
     resolved = parse_config(path)
     model = build_model(to_train_config(resolved), Rng(resolved["seed"]).spawn(0))
     assert isinstance(model, ScoffModel if resolved["model"] == "scoff" else GruBaseline)
+
+
+def test_every_task_has_a_shipped_config():
+    # a task that no shipped config runs is code that no run exercises
+    shipped = {parse_config(path)["task"] for path in SHIPPED_CONFIGS}
+    assert sorted(set(TASKS) - shipped) == []
 
 
 @pytest.mark.parametrize("task", TASKS_ALL)

@@ -5,11 +5,10 @@ checked by the unit suite rather than by hand.
 The recipe runs, in this process, ``gen-data`` (8 train / 4 test sequences),
 ``train`` (2 epochs, batch 4, eval subset 2) and ``eval``, which also traces
 a scoff checkpoint, on ``switching_mini``, ``bouncing_mini`` (scoff and
-``model=gru``) and ``adding_mini``, then ``check-grad``. A gen-data-only run
-of ``bouncing_mini`` with three balls and the occluder, and one of the
-``single`` task on ``switching_mini``'s sizes, pin the generator paths the
-recipe does not reach: collisions among three balls, the occluded render
-and the three single-ball dynamics modes. The ``bouncing_gru`` run is
+``model=gru``) and ``adding_mini``, then ``check-grad``. One gen-data-only
+run, of ``bouncing_mini`` with three balls and the occluder, pins the
+generator paths the recipe does not reach: collisions among three balls and
+the occluded render. The ``bouncing_gru`` run is
 repeated with each command in its own ``python -m scoff.cli`` process, so
 its files are also checked as a process that ends normally leaves them.
 Each artifact is compared by SHA-256. ``resolved_config.cfg`` and the
@@ -43,8 +42,7 @@ RUNS = (("switching", "switching_mini", ()),
 
 # runs of gen-data alone, same sizes as RUNS
 GEN_ONLY_RUNS = (("bouncing_occluded", "bouncing_mini",
-                  ("--set", "n_balls=3", "--set", "occluder=true")),
-                 ("single", "switching_mini", ("--set", "task=single")))
+                  ("--set", "n_balls=3", "--set", "occluder=true")),)
 
 # SHA-256 prefixes (12 hex digits) by artifact; "file:key" hashes one key
 # of a JSON file, re-serialized with sorted keys
@@ -82,8 +80,6 @@ GOLDEN = {
     "check-grad:stdout": "626cc580d817",
     "bouncing_occluded/data/train.scfd": "2ea91268c084",
     "bouncing_occluded/data/test.scfd": "a005697b0116",
-    "single/data/train.scfd": "54308caab62f",
-    "single/data/test.scfd": "305b475dd14b",
 }
 
 

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from scoff.rng import Rng
 from scoff.tasks import (BALL, GRID, INDICATOR_ROW, OCCLUDER, OSC_HI, OSC_LO, POS_MAX,
-                         SINGLE_MODES, TASKS, V_CLAMP, AddingSequence, DataConfig,
-                         FrameSequence, _reflect, gen_adding, gen_bouncing_mini,
-                         gen_single_dynamics, gen_switching_dynamics, generate,
+                         TASKS, AddingSequence, DataConfig, FrameSequence, _reflect,
+                         gen_adding, gen_bouncing_mini, gen_switching_dynamics, generate,
                          read_dataset, write_dataset)
 
 
-# --------------------------------------------------------------- single object
+# ------------------------------------------------------------------ one ball
 
 def _steps(seq):
     """(previous position, previous velocity, position, velocity) per step of
@@ -35,7 +34,7 @@ def test_constant_mode_advances_one_column_per_frame():
     # column each frame, a wall bounce included
     horizontal = 0
     for seed in range(300):
-        seq = gen_single_dynamics(Rng(seed), 20, "constant")
+        seq = gen_bouncing_mini(Rng(seed), 20, 1)
         if abs(seq.velocities[0, 0]).tolist() != [0, 1]:
             continue
         horizontal += 1
@@ -52,61 +51,13 @@ def test_constant_mode_reflects_at_wall():
     assert _reflect(1, -2) == (1, 2)
     reflections = 0
     for seed in range(300):
-        seq = gen_single_dynamics(Rng(seed), 20, "constant")
+        seq = gen_bouncing_mini(Rng(seed), 20, 1)
         assert seq.velocities[0, 0].tolist() != [0, 0]
         for p, v, p_next, v_next in _steps(seq):
             assert [p_next, v_next] == [*_moved(p, v)]
             reflections += v_next != v
         assert (0 <= seq.positions).all() and (seq.positions <= POS_MAX).all()
     assert reflections > 0
-
-
-def _accelerates_by(steps, a) -> bool:
-    """Whether each step is the reflected move at velocity v + a, clamped."""
-    return all([p_next, v_next] == [*_moved(p, [max(-V_CLAMP, min(V_CLAMP, x + d))
-                                                for x, d in zip(v, a)])]
-               for p, v, p_next, v_next in steps)
-
-
-def test_accelerate_mode_adds_one_fixed_increment_and_clamps():
-    increments = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
-    reached = 0
-    for seed in range(300):
-        seq = gen_single_dynamics(Rng(seed), 20, "accelerate")
-        assert any(_accelerates_by(_steps(seq), a) for a in increments), seed
-        top = np.abs(seq.velocities).max()
-        assert top <= V_CLAMP
-        reached += top == V_CLAMP
-    assert reached > 0
-
-
-def test_accelerate_and_constant_draw_the_same_start():
-    # both modes draw the position, then the velocity; accelerate draws its
-    # increment only after them
-    for seed in range(200):
-        a = gen_single_dynamics(Rng(seed), 10, "accelerate")
-        b = gen_single_dynamics(Rng(seed), 10, "constant")
-        assert np.array_equal(a.positions[0], b.positions[0])
-        assert np.array_equal(a.velocities[0], b.velocities[0])
-
-
-def test_random_walk_step_law_matches_uniform_categorical():
-    # [DERIVED] empirical histogram of interior displacements vs the uniform
-    # law over the four unit steps
-    counts = {(0, 1): 0, (0, -1): 0, (1, 0): 0, (-1, 0): 0}
-    total = 0
-    for seed in range(1000):
-        seq = gen_single_dynamics(Rng(seed), 12, "random_walk")
-        pos = seq.positions[:, 0, :]
-        for t in range(1, 12):
-            prev = pos[t - 1]
-            if 1 <= prev[0] <= 13 and 1 <= prev[1] <= 13:  # no wall in reach
-                d = tuple((pos[t] - prev).tolist())
-                counts[d] += 1
-                total += 1
-    freqs = {k: v / total for k, v in counts.items()}
-    for k, f in freqs.items():
-        assert abs(f - 0.25) < 0.03, (k, f)
 
 
 # ------------------------------------------------------------------- switching
@@ -185,13 +136,6 @@ def test_adding_mean_target_two_operands():
 
 # ------------------------------------------------------------------- bouncing
 
-def test_single_ball_bouncing_equals_constant_dynamics():
-    a = gen_bouncing_mini(Rng(77), 12, 1)
-    b = gen_single_dynamics(Rng(77), 12, "constant")
-    assert np.array_equal(a.frames, b.frames)
-    assert np.array_equal(a.positions, b.positions)
-
-
 def test_bouncing_kinetic_energy_exactly_conserved():
     for seed in range(15):
         seq = gen_bouncing_mini(Rng(seed), 30, 3)
@@ -248,8 +192,7 @@ def test_bouncing_balls_pass_behind_occluder():
 # ------------------------------------------------------------------ invariants
 
 def test_generators_bit_deterministic():
-    for gen in (lambda r: gen_single_dynamics(r, 10, "random_walk"),
-                lambda r: gen_switching_dynamics(r, 13),
+    for gen in (lambda r: gen_switching_dynamics(r, 13),
                 lambda r: gen_bouncing_mini(r, 10, 2)):
         a, b = gen(Rng(31)), gen(Rng(31))
         assert np.array_equal(a.frames, b.frames)
@@ -285,7 +228,6 @@ def rerender(seq: FrameSequence) -> np.ndarray:
 
 def test_frames_are_binary_and_rerender_exactly():
     seqs = [gen_switching_dynamics(Rng(4), 15)]
-    seqs += [gen_single_dynamics(Rng(3 + i), 10, mode) for i, mode in enumerate(SINGLE_MODES)]
     seqs += [gen_bouncing_mini(Rng(5 + n_balls), 15, n_balls, occluder=occluder)
              for n_balls in range(1, 5) for occluder in (None, OCCLUDER)]
     for seq in seqs:
@@ -324,14 +266,10 @@ def test_adding_dataset_roundtrip(tmp_path):
 @st.composite
 def datasets(draw):
     """A list of generated sequences of one task, sharing one length."""
-    task = draw(st.sampled_from(("single", "switching", "bouncing", "adding")))
+    task = draw(st.sampled_from(tuple(TASKS)))
     count = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32))
     rngs = [Rng(seed).spawn(i) for i in range(count)]
-    if task == "single":
-        length = draw(st.integers(2, 24))
-        return [gen_single_dynamics(r, length, draw(st.sampled_from(SINGLE_MODES)))
-                for r in rngs]
     if task == "switching":
         length = 2 * draw(st.integers(5, 12)) + 1
         return [gen_switching_dynamics(r, length) for r in rngs]
@@ -407,6 +345,11 @@ def test_read_dataset_rejects_another_task_an_unknown_task_or_no_sequences(tmp_p
     unknown.write_bytes(b"SCFD" + struct.pack("<IIIII", 9, 1, 50, 0, 0))
     with pytest.raises(ValueError, match="unknown.scfd: unknown task id 9"):
         read_dataset(unknown, "adding")
+    # the retired single-ball task's id
+    retired = tmp_path / "retired.scfd"
+    retired.write_bytes(b"SCFD" + struct.pack("<IIIII", 1, 1, 20, 16, 16))
+    with pytest.raises(ValueError, match="retired.scfd: unknown task id 1"):
+        read_dataset(retired, "bouncing")
 
 
 @pytest.mark.parametrize("task,length", [("adding", 0), ("bouncing", 1)])
@@ -462,4 +405,4 @@ def test_data_config_checks_the_task():
     with pytest.raises(ValueError, match="task must be one of"):
         DataConfig(task="pong", length=20)
     with pytest.raises(TypeError):
-        DataConfig(task="single")  # length has no default
+        DataConfig(task="bouncing")  # length has no default
