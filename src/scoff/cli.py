@@ -38,9 +38,9 @@ from .layer import ScoffConfig, ScoffLayer, schema_usage, write_traces
 from .numerics import Tensor, grad_check
 from .recurrent import recurrent_param_count
 from .rng import Rng
-from .training import (MetricsRecord, TrainConfig, build_model, collect_traces,
-                       constant_rate_bce, eval_adding, eval_rollout, load_checkpoint,
-                       restore_model, save_checkpoint, train_model)
+from .training import (MetricsRecord, TrainConfig, build_model, check_rollout_window,
+                       collect_traces, constant_rate_bce, eval_adding, eval_rollout,
+                       load_checkpoint, restore_model, save_checkpoint, train_model)
 
 # the interpreter's shutdown collections skip frozen objects; they would free none
 atexit.register(gc.freeze)
@@ -257,6 +257,7 @@ def cmd_eval(args, resolved: dict) -> int:
         rows = ["step,mse", f"0,{mse}"]
         summary = f"test mse {mse:.6f} (mean-target floor {floor:.6f})"
     else:
+        check_rollout_window(test, cfg.burn_in, cfg.horizon)
         teacher, self_fed = eval_rollout(model, test, cfg.burn_in, cfg.horizon)
         rows = ["step,teacher_forced,self_fed"] + [
             f"{i},{a},{b}" for i, (a, b) in enumerate(zip(teacher, self_fed))]

@@ -235,8 +235,6 @@ def write_traces(f, traces: list) -> None:
 
 def schema_usage(traces: list, n_s: int) -> np.ndarray:
     """[n_f, n_s] matrix of selection frequencies over a trace stream."""
-    if not traces:
-        raise ValueError("no traces")
     schema = np.stack([trace.schema for trace in traces])  # [steps, n_f]
     slot, chosen = np.indices(schema.shape)[1], schema >= 0
     counts = np.zeros((schema.shape[1], n_s))

@@ -380,8 +380,7 @@ def read_exact(f, n: int, what: str) -> bytes:
     left = f.seek(0, 2) - pos
     f.seek(pos)
     if n > left:
-        raise ValueError(f"{getattr(f, 'name', '<stream>')}: truncated {what} "
-                         f"(wanted {n} bytes, {left} left)")
+        raise ValueError(f"{f.name}: truncated {what} (wanted {n} bytes, {left} left)")
     return f.read(n)
 
 

@@ -754,6 +754,23 @@ def test_eval_window_past_the_data_exits_2_and_writes_nothing(tiny_run, tmp_path
     assert not out.exists()
 
 
+def test_eval_checks_the_rollout_window_once(tiny_run, tmp_path, monkeypatch):
+    from scoff import cli, training
+    calls, check = [], training.check_rollout_window
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    # the cli calls it by its imported name, the training module by its own
+    monkeypatch.setattr(cli, "check_rollout_window", counted)
+    monkeypatch.setattr(training, "check_rollout_window", counted)
+    assert run_cli("eval", "--set", f"data={tiny_run / 'data'}",
+                   "--set", f"checkpoint={tiny_run / 'run' / 'checkpoint'}",
+                   "--out", str(tmp_path / "eval")) == 0
+    assert len(calls) == 1
+
+
 def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run, tmp_path,
                                                                      capsys):
     # the layout from before the gates were stacked: nine tensors per schema
