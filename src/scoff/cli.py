@@ -285,12 +285,12 @@ def cmd_eval(args, resolved: dict) -> int:
 
 def cmd_check_grad(args, resolved: dict) -> int:
     """Two unrolled soft-selection steps over the fixed verification layer
-    (3 slots, 2 schemata, width 8, 4 positions; no rng, so no dropout),
-    against central differences at eps=1e-5; threshold 1e-4."""
+    (3 slots, 2 schemata, width 8, 4 positions of 6 features, input and
+    communication keys 4 wide, selection keys ``ScoffLayer.SEL_KEYS``; no rng,
+    so no dropout), against central differences at eps=1e-5; threshold 1e-4."""
     n_f, n_s, d_h, positions = 3, 2, 8, 4
     cfg = ScoffConfig(n_f=n_f, n_s=n_s, d_h=d_h, d_in=6, inp_heads=1,
-                      inp_keys=4, inp_values=6, sel_keys=4, comm_heads=1,
-                      comm_keys=4, hard_selection=False)
+                      inp_keys=4, comm_heads=1, comm_keys=4, hard_selection=False)
     rng = Rng(resolved["seed"])
     layer = ScoffLayer(cfg, rng)
     feats = [Tensor(np.asarray(rng.uniform((positions, cfg.d_in)))) for _ in range(2)]
@@ -309,8 +309,8 @@ def cmd_check_grad(args, resolved: dict) -> int:
 
 
 def cmd_param_count(args, resolved: dict) -> int:
-    bank, mono = recurrent_param_count(resolved["n_f"], resolved["n_s"],
-                                       resolved["d_h"], resolved["inp_values"])
+    d_h = resolved["d_h"]  # every cell, the bank's and the reference, takes d_h inputs
+    bank, mono = recurrent_param_count(resolved["n_f"], resolved["n_s"], d_h, d_h)
     print(f"schema-bank recurrent parameters: {bank}")
     print(f"monolithic recurrent parameters: {mono}")
     print(f"ratio: {bank / mono:.4f}")

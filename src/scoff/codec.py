@@ -24,9 +24,12 @@ from .numerics import Tensor
 from .rng import Rng
 
 
+# the side of the square patches a frame is cut into; it divides the 16x16 frame
+PATCH = 4
+
+
 @dataclass
 class CodecConfig:
-    patch: int = 4
     d_c: int = 16
     d_pos: int = 8
     enc_hidden: int = 32
@@ -35,8 +38,8 @@ class CodecConfig:
     readout_width: int = 32
 
     def __post_init__(self):
-        for name in ("patch", "d_c", "d_pos", "enc_hidden", "dec_hidden",
-                     "readout_hidden", "readout_width"):
+        for name in ("d_c", "d_pos", "enc_hidden", "dec_hidden", "readout_hidden",
+                     "readout_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -115,24 +118,21 @@ class EncoderBase:
 
 
 class PositionEncoder(EncoderBase):
-    """Frames cut into square patches, one position per patch; ``TrainConfig``
-    checks that the patch divides the frame."""
+    """Frames cut into ``PATCH``-square patches, one position per patch."""
 
     def __init__(self, rng: Rng, height: int, width: int, cfg: CodecConfig):
         self.height = height
         self.width = width
-        s = cfg.patch
-        self.grid = (height // s, width // s)
-        super().__init__(rng, s * s, self.grid[0] * self.grid[1], cfg)
+        self.grid = (height // PATCH, width // PATCH)
+        super().__init__(rng, PATCH * PATCH, self.grid[0] * self.grid[1], cfg)
 
     def patch_rows(self, frames: np.ndarray) -> np.ndarray:
         """[n·P, s·s]: the patches of frames [n, H, W], frame by frame."""
-        s = self.cfg.patch
         gh, gw = self.grid
         frames = np.asarray(frames, dtype=np.float64)
-        return (frames.reshape(-1, gh, s, gw, s)
+        return (frames.reshape(-1, gh, PATCH, gw, PATCH)
                 .transpose(0, 1, 3, 2, 4)
-                .reshape(-1, s * s))
+                .reshape(-1, PATCH * PATCH))
 
     def encode_frame(self, frames: np.ndarray) -> Tensor:
         """[n·P, d_a]: each patch of frames [n, H, W] encoded, beside its
@@ -218,7 +218,7 @@ class FrameReadout(ReadoutBase):
         super().__init__(rng, d_h, cfg, pool)
         self.encoder = encoder
         self.decoder = Perceptron(rng, cfg.readout_width + cfg.d_pos, cfg.dec_hidden,
-                                  cfg.patch * cfg.patch, "ro_dec_")
+                                  PATCH * PATCH, "ro_dec_")
 
     def readout(self, rows: Tensor, n: int) -> Tensor:
         """[n, H, W] logits, one frame per state of the rows of n states."""
@@ -269,20 +269,16 @@ class FrameReadout(ReadoutBase):
         return nm.record(out, (pooled, pos, dec.w1, dec.b1, dec.w2, dec.b2), back)
 
     def _unpatch(self, patches: Tensor) -> Tensor:
-        """[n·P, s·s] patch rows laid back out as n [H, W] frames, as one
-        fused tape op."""
-        gh, gw = self.encoder.grid
-        s = self.cfg.patch
-        shape = patches.shape
-        n = shape[0] // self.encoder.positions
+        """[n·P, s·s] patch rows laid back out as n [H, W] frames, the
+        inverse of ``PositionEncoder.patch_rows``, as one fused tape op."""
+        enc = self.encoder
+        n = patches.shape[0] // enc.positions
 
         def back(g):
-            nm.accum(patches, g.reshape(n, gh, s, gw, s).transpose(0, 1, 3, 2, 4)
-                     .reshape(shape))
+            nm.accum(patches, enc.patch_rows(g))
 
-        img = patches.data.reshape(n, gh, gw, s, s).transpose(0, 1, 3, 2, 4)
-        return nm.record(img.reshape(n, self.encoder.height, self.encoder.width),
-                         (patches,), back)
+        img = patches.data.reshape(n, *enc.grid, PATCH, PATCH).transpose(0, 1, 3, 2, 4)
+        return nm.record(img.reshape(n, enc.height, enc.width), (patches,), back)
 
     def params(self) -> dict:
         return {**super().params(), **self.decoder.params()}

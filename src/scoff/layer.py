@@ -22,10 +22,11 @@ from .rng import Rng
 class ScoffConfig:
     """Layer geometry and selection behavior.
 
-    ``inp_values`` doubles as the input width of every schema cell, and the
-    communication value width always equals d_h because the communication
-    result is added onto the state. Both attention steps drop weights at the
-    fixed rate ``ScoffLayer.DROPOUT`` when stepped with an rng.
+    Both attention steps take values d_h wide: the input read ``z`` [n_f, d_h]
+    is every schema cell's input, and the communication result is added onto
+    the state. Both drop weights at the fixed rate ``ScoffLayer.DROPOUT``
+    when stepped with an rng, and selection keys are ``ScoffLayer.SEL_KEYS``
+    wide.
     """
 
     n_f: int = 6
@@ -34,8 +35,6 @@ class ScoffConfig:
     d_in: int = 24
     inp_heads: int = 1
     inp_keys: int = 16
-    inp_values: int = 32
-    sel_keys: int = 16
     comm_heads: int = 2
     comm_keys: int = 16
     n_sel: int = 0  # slots updated per step; 0: all of them
@@ -43,15 +42,14 @@ class ScoffConfig:
 
     def __post_init__(self):
         for name in ("n_f", "n_s", "d_h", "d_in", "inp_heads", "inp_keys",
-                     "inp_values", "sel_keys", "comm_heads", "comm_keys"):
+                     "comm_heads", "comm_keys"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.n_sel <= self.n_f:
             raise ValueError(f"n_sel must lie in [0, {self.n_f}], got {self.n_sel}")
-        if self.inp_values % self.inp_heads:
-            raise ValueError("inp_values must divide evenly across inp_heads")
-        if self.d_h % self.comm_heads:
-            raise ValueError("d_h must divide evenly across comm_heads")
+        for name in ("inp_heads", "comm_heads"):
+            if self.d_h % getattr(self, name):
+                raise ValueError(f"d_h must divide evenly across {name}")
 
 
 @dataclass
@@ -71,17 +69,18 @@ class ScoffLayer:
     """Drop-in recurrent layer over position-encoded features."""
 
     DROPOUT = 0.1  # attention-weight dropout of input reads and communication
+    SEL_KEYS = 16  # width of the selection queries and keys
 
     def __init__(self, config: ScoffConfig, rng: Rng):
         self.config = config
         c = config
         self.input_proj = AttentionProjections(
-            rng, c.d_h, c.d_in, c.d_in, c.inp_heads, c.inp_keys, c.inp_values)
-        self.sel_query = nm.glorot(rng, c.d_h, c.sel_keys)
-        self.sel_key = nm.glorot(rng, c.d_h, c.sel_keys)
+            rng, c.d_h, c.d_in, c.d_in, c.inp_heads, c.inp_keys, c.d_h)
+        self.sel_query = nm.glorot(rng, c.d_h, self.SEL_KEYS)
+        self.sel_key = nm.glorot(rng, c.d_h, self.SEL_KEYS)
         self.comm_proj = AttentionProjections(
             rng, c.d_h, c.d_h, c.d_h, c.comm_heads, c.comm_keys, c.d_h)
-        self.bank = [init_schema(rng, c.inp_values, c.d_h) for _ in range(c.n_s)]
+        self.bank = [init_schema(rng, c.d_h, c.d_h) for _ in range(c.n_s)]
         self._zero_noise = nm.zeros((c.n_f, c.n_s))
         self._eye = np.eye(c.n_s)  # row j: the one-hot pick of schema j
         self._slots = np.arange(c.n_f)
@@ -95,7 +94,7 @@ class ScoffLayer:
     def input_read(self, features: Tensor, state: Tensor, rng: "Rng | None" = None):
         """Per-slot reads: softmax over slots splits each position's mass.
 
-        Returns (z [n_f, inp_values], head-mean weights [n_f, P]).
+        Returns (z [n_f, d_h], head-mean weights [n_f, P]).
         """
         return _heads(self.input_proj, state, features, "queriers",
                       1.0 / math.sqrt(self.config.inp_keys), rng)

@@ -25,7 +25,7 @@ from .layer import ScoffConfig
 from .model import GruBaseline, ScoffModel
 from .numerics import Tape, Tensor, backward
 from .rng import Rng
-from .tasks import FRAME_TASKS, GRID, AddingSequence, check_task, read_exact
+from .tasks import FRAME_TASKS, AddingSequence, check_task, read_exact
 
 
 @dataclass(kw_only=True)
@@ -51,9 +51,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.task in FRAME_TASKS and GRID % self.codec.patch:
-            raise ValueError(f"patch {self.codec.patch} must divide the "
-                             f"{GRID}x{GRID} frame")
 
 
 @dataclass
@@ -250,12 +247,13 @@ def _frame_bce(logits: np.ndarray, targets) -> np.ndarray:
 
 
 def check_rollout_window(sequences: list, burn_in: int, horizon: int) -> None:
-    """Refuses a rollout window that the shortest of ``sequences`` does not hold."""
+    """Refuses a rollout window that the shortest of ``sequences`` does not
+    hold; ``TrainConfig`` owns burn_in, horizon >= 1."""
     T = min(seq.frames.shape[0] for seq in sequences)
-    if burn_in < 1 or horizon < 1 or burn_in + horizon > T:
+    if burn_in + horizon > T:
         raise ValueError(
-            f"need 1 <= burn_in and burn_in + horizon <= {T}, the shortest eval "
-            f"sequence's length, got burn_in={burn_in}, horizon={horizon}")
+            f"need burn_in + horizon <= {T}, the shortest eval sequence's length, "
+            f"got burn_in={burn_in}, horizon={horizon}")
 
 
 def eval_adding(model, sequences: list) -> float:

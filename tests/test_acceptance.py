@@ -44,8 +44,7 @@ SWITCHING_BURN_IN = 5
 def switching_config(n_s, seed, epochs, d_h=16):
     codec = CodecConfig()
     scoff = ScoffConfig(n_f=1, n_s=n_s, d_h=d_h, d_in=codec.d_a, inp_heads=1,
-                        inp_keys=16, inp_values=d_h, sel_keys=16,
-                        comm_heads=1, comm_keys=16)
+                        inp_keys=16, comm_heads=1, comm_keys=16)
     return TrainConfig(task="switching", model="scoff", scoff=scoff,
                        codec=codec, lr=2e-3, batch_size=8, epochs=epochs,
                        seed=seed, burn_in=SWITCHING_BURN_IN, horizon=10,
@@ -77,8 +76,7 @@ def make_switching_data(count, offset=0, length=SWITCHING_LENGTH, base=2024):
 def test_criterion_1_gradient_fidelity():
     started = time.perf_counter()
     cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
-                      inp_values=6, sel_keys=4, comm_heads=1, comm_keys=4,
-                      hard_selection=False)
+                      comm_heads=1, comm_keys=4, hard_selection=False)
     rng = Rng(0)
     layer = ScoffLayer(cfg, rng)
     feats = [Tensor(np.asarray(rng.uniform((4, 6)))) for _ in range(2)]
@@ -110,8 +108,7 @@ def test_criterion_2_exchangeability_suite():
         d_in = 4 + rng.randint(5)
         heads = 1 + rng.randint(2)
         cfg = ScoffConfig(n_f=n_f, n_s=n_s, d_h=d_h, d_in=d_in,
-                          inp_heads=heads, inp_keys=4, inp_values=d_h,
-                          sel_keys=4,
+                          inp_heads=heads, inp_keys=4,
                           comm_heads=1 if d_h % 2 else 1 + rng.randint(2),
                           comm_keys=4, hard_selection=bool(rng.randint(2)))
         layer = ScoffLayer(cfg, Rng(9000 + trial))
@@ -186,8 +183,8 @@ def test_criterion_4_straight_through_contract():
     for trial in range(20):
         n_f, n_s = 1 + rng.randint(4), 2 + rng.randint(4)
         layer = ScoffLayer(ScoffConfig(n_f=n_f, n_s=n_s, d_h=6, d_in=4, inp_keys=3,
-                                       inp_values=4, sel_keys=3, comm_keys=3), rng)
-        z, state = Tensor(rand(rng, (n_f, 4))), Tensor(rand(rng, (n_f, 6)))
+                                       comm_keys=3), rng)
+        z, state = Tensor(rand(rng, (n_f, 6))), Tensor(rand(rng, (n_f, 6)))
         noise_v = np.asarray(rng.gumbel((n_f, n_s)))
         w = rand(rng, (n_f, 6))
 
@@ -239,8 +236,7 @@ def test_criterion_9_determinism(tmp_path):
         assert cli_main(["train", "--set", "task=switching",
                         "--set", f"data={data}", "--set", "n_f=2",
                         "--set", "n_s=2", "--set", "d_h=8",
-                        "--set", "inp_keys=4", "--set", "inp_values=8",
-                        "--set", "sel_keys=4", "--set", "comm_heads=1",
+                        "--set", "inp_keys=4", "--set", "comm_heads=1",
                         "--set", "comm_keys=4", "--set", "epochs=1",
                         "--set", "batch_size=3", "--set", "burn_in=3",
                         "--set", "horizon=5", "--set", "eval_subset=2",

@@ -45,10 +45,10 @@ SWITCHING_DEFAULTS = {
     "comm_keys": 16, "d_c": 16, "d_h": 32, "d_pos": 8, "data": "",
     "dec_hidden": 64, "enc_hidden": 32, "epochs": 10, "eval_subset": 32,
     "horizon": 10, "inp_heads": 1, "inp_keys": 16,
-    "inp_values": 32, "length": 21, "lr": 0.0001, "model": "scoff",
+    "length": 21, "lr": 0.0001, "model": "scoff",
     "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0, "occluder": False,
-    "operands": "2,4", "patch": 4, "readout_hidden": 32, "readout_width": 32,
-    "seed": 0, "sel_keys": 16, "task": "switching",
+    "operands": "2,4", "readout_hidden": 32, "readout_width": 32,
+    "seed": 0, "task": "switching",
     "test_count": 500, "train_count": 2000,
 }
 
@@ -101,11 +101,14 @@ def test_comm_values_must_match_d_h():
     # baseline is n_f * d_h wide, Adam's moment decays, epsilon and clipping
     # norm are fixed, communication reaches every slot, both attention steps
     # drop at ScoffLayer.DROPOUT, a sequence of the retired single-ball task
-    # drew its mode, the selection temperature is 1, and selection is hard
+    # drew its mode, the selection temperature is 1, selection is hard, frame
+    # patches are codec.PATCH square, selection keys ScoffLayer.SEL_KEYS wide,
+    # and input values d_h wide
     for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
                      "beta2=0.999", "epsilon=1e-8", "comm_sparse=false",
                      "clip_norm=1.0", "inp_dropout=0.1", "comm_dropout=0.1",
-                     "mode=mixed", "tau=1.0", "hard_selection=false"):
+                     "mode=mixed", "tau=1.0", "hard_selection=false", "patch=4",
+                     "sel_keys=16", "inp_values=24"):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(None, [override, "d_h=32"])
@@ -326,8 +329,7 @@ def _gen_and_train(tmp_path, extra_train=()):
     run_dir = str(tmp_path / "run")
     args = ["train", "--set", "task=switching", "--set", f"data={data_dir}",
             "--set", "n_f=2", "--set", "n_s=2", "--set", "d_h=8",
-            "--set", "inp_keys=4", "--set", "inp_values=8",
-            "--set", "sel_keys=4", "--set", "comm_heads=1",
+            "--set", "inp_keys=4", "--set", "comm_heads=1",
             "--set", "comm_keys=4", "--set", "epochs=1",
             "--set", "batch_size=3", "--set", "burn_in=3",
             "--set", "horizon=5", "--set", "eval_subset=2",
@@ -383,8 +385,7 @@ def test_adding_checkpoint_evaluates_on_a_held_out_longer_test_set(tmp_path, cap
     # gen-data a length-200 set into another directory and eval on it
     config = os.path.join(CONFIGS, "adding_mini.cfg")
     small = ["--set", "n_f=2", "--set", "d_h=8",
-             "--set", "inp_keys=4", "--set", "inp_values=8", "--set", "sel_keys=4",
-             "--set", "comm_keys=4"]
+             "--set", "inp_keys=4", "--set", "comm_keys=4"]
     data_dir, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
     assert run_cli("gen-data", "--config", config, "--set", "train_count=4",
                    "--set", "test_count=2", "--out", data_dir) == 0
@@ -627,8 +628,7 @@ def tiny_run(tmp_path_factory):
                    "--set", "test_count=1", "--set", "length=11", "--out", data_dir) == 0
     assert run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
                    "--set", "n_f=1", "--set", "n_s=2", "--set", "d_h=4",
-                   "--set", "inp_keys=2", "--set", "inp_values=4", "--set", "sel_keys=2",
-                   "--set", "comm_heads=1", "--set", "comm_keys=2", "--set", "d_c=4",
+                   "--set", "inp_keys=2", "--set", "comm_heads=1", "--set", "comm_keys=2", "--set", "d_c=4",
                    "--set", "d_pos=2", "--set", "enc_hidden=4", "--set", "dec_hidden=4",
                    "--set", "readout_hidden=4", "--set", "readout_width=4",
                    "--set", "epochs=1", "--set", "burn_in=2", "--set", "horizon=3",
@@ -811,6 +811,9 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     ("'clip_norm'", lambda config: config.update(clip_norm=1.0)),
     ("'tau'", lambda config: config.update(tau=1.0)),
     ("'hard_selection'", lambda config: config.update(hard_selection=True)),
+    ("'patch'", lambda config: config.update(patch=4)),
+    ("'sel_keys'", lambda config: config.update(sel_keys=16)),
+    ("'inp_values'", lambda config: config.update(inp_values=4)),
     # a key gen-data reads, which the model never does
     ("'length'", lambda config: config.pop("length")),
     # values out of their range, one of them a key only gen-data reads,
@@ -820,7 +823,8 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     ("task must be one of ('switching', 'bouncing', 'adding'), got 'single'",
      lambda config: config.update(task="single")),
 ], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired",
-        "retired-tau", "retired-hard-selection", "missing-length", "out-of-range",
+        "retired-tau", "retired-hard-selection", "retired-patch", "retired-sel-keys",
+        "retired-inp-values", "missing-length", "out-of-range",
         "out-of-range-data", "retired-task"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
                                                       named, edit):

@@ -6,7 +6,7 @@ import pytest
 
 import scoff.numerics as nm
 from scoff.cli import parse_config, to_train_config
-from scoff.codec import (CodecConfig, FrameReadout, Perceptron, PositionEncoder,
+from scoff.codec import (PATCH, CodecConfig, FrameReadout, Perceptron, PositionEncoder,
                          ScalarReadout, TokenEncoder)
 from scoff.layer import ScoffConfig, ScoffLayer
 from scoff.numerics import Tape, Tensor, backward, grad_check
@@ -23,7 +23,7 @@ def rand(rng, shape):
 
 
 def small_codec(**kw):
-    base = dict(patch=4, d_c=5, d_pos=3, enc_hidden=6, readout_hidden=5,
+    base = dict(d_c=5, d_pos=3, enc_hidden=6, readout_hidden=5,
                 readout_width=4)
     base.update(kw)
     return CodecConfig(**base)
@@ -41,7 +41,7 @@ def test_encoder_zero_frame_rows_differ_only_in_position_embedding():
 
 
 def test_encoder_position_count():
-    enc = PositionEncoder(Rng(2), 16, 16, small_codec(patch=4))
+    enc = PositionEncoder(Rng(2), 16, 16, small_codec())
     assert enc.positions == 16
     out = enc.encode_frame(np.zeros((3, 16, 16)))
     assert out.shape == (3 * 16, 8)
@@ -177,8 +177,7 @@ def test_encode_rollout_readout_gradcheck_soft_selection():
     codec_cfg = small_codec(d_c=4, d_pos=2, enc_hidden=4, readout_hidden=4,
                             readout_width=4)
     scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=4, d_in=codec_cfg.d_a,
-                            inp_heads=1, inp_keys=3, inp_values=4,
-                            sel_keys=3, comm_heads=1, comm_keys=3,
+                            inp_heads=1, inp_keys=3, comm_heads=1, comm_keys=3,
                             hard_selection=False)
     rng = Rng(22)
     enc = PositionEncoder(rng, 16, 16, codec_cfg)
@@ -239,7 +238,7 @@ def frame_readout_chain(head, state):
     hid = nm.tanh(nm.reshape(by_state + by_pos, (head.encoder.positions, -1)))
     patches = nm.matmul(hid, dec.w2) + dec.b2
     gh, gw = head.encoder.grid
-    s = head.cfg.patch
+    s = PATCH
     img = nm.transpose(nm.reshape(patches, (gh, gw, s, s)), (0, 2, 1, 3))
     return nm.reshape(img, (1, head.encoder.height, head.encoder.width))
 
@@ -364,7 +363,7 @@ def test_fused_codec_ops_grad_check():
     randomize(rng, [*enc.params().values(), *head.params().values()])
     x = Tensor(rand(rng, (6, 6)), requires_grad=True)
     pooled = Tensor(rand(rng, (2, cfg.readout_width)), requires_grad=True)
-    patches = Tensor(rand(rng, (2 * enc.positions, cfg.patch * cfg.patch)),
+    patches = Tensor(rand(rng, (2 * enc.positions, PATCH * PATCH)),
                      requires_grad=True)
     content = Tensor(rand(rng, (2 * enc.positions, cfg.d_c)), requires_grad=True)
     rows = Tensor(rand(rng, (6, cfg.readout_width)), requires_grad=True)

@@ -80,8 +80,7 @@ def test_attend_leaves_its_parents_and_weights_unchanged(axis, dropout):
 def test_select_leaves_its_parents_unchanged(hard, drawn_noise):
     rng = Rng(207)
     cfg = ScoffConfig(n_f=3, n_s=3, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
-                      inp_values=8, sel_keys=4, comm_heads=1, comm_keys=4,
-                      hard_selection=hard)
+                      comm_heads=1, comm_keys=4, hard_selection=hard)
     layer = ScoffLayer(cfg, rng)
     hyps = [leaf(rng, (3, 8)) for _ in range(3)]
     state = leaf(rng, (3, 8))
@@ -104,7 +103,7 @@ def test_perceptron_leaves_its_parents_unchanged():
 @pytest.mark.parametrize("n", [1, 3])
 def test_frame_readout_leaves_its_parents_unchanged(n):
     rng = Rng(211)
-    cfg = CodecConfig(patch=4, d_c=5, d_pos=3, enc_hidden=6, readout_hidden=5,
+    cfg = CodecConfig(d_c=5, d_pos=3, enc_hidden=6, readout_hidden=5,
                       readout_width=4)
     enc = PositionEncoder(rng, 16, 16, cfg)
     head = FrameReadout(rng, 6, cfg, enc)

@@ -16,7 +16,7 @@ def rand(rng, shape):
 
 def tiny_config(**kw):
     base = dict(n_f=3, n_s=2, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
-                inp_values=8, sel_keys=4, comm_heads=1, comm_keys=4)
+                comm_heads=1, comm_keys=4)
     base.update(kw)
     return ScoffConfig(**base)
 
@@ -80,7 +80,7 @@ def test_input_read_identical_slots_read_identically():
 
 
 def test_input_read_matches_scalar_oracle():
-    layer = make_layer(seed=6, inp_heads=2, inp_values=8)
+    layer = make_layer(seed=6, inp_heads=2)
     rng = Rng(7)
     state_np = rand(rng, (3, 8))
     feats_np = rand(rng, (5, 6))
@@ -279,7 +279,7 @@ def test_step_with_dropout_is_seed_deterministic():
 def test_slot_permutation_equivariance():
     rng = Rng(40)
     for trial in range(10):
-        layer = make_layer(seed=100 + trial, n_f=4, n_s=3, inp_values=8)
+        layer = make_layer(seed=100 + trial, n_f=4, n_s=3)
         state_np = rand(rng, (4, 8))
         feats = Tensor(rand(rng, (5, 6)))
         noise_np = np.asarray(rng.gumbel((4, 3)))
@@ -328,8 +328,8 @@ def test_systematicity_equal_slots_update_equally():
 # ---------------------------------------------------------------- gradients
 
 def test_two_step_soft_rollout_gradcheck():
-    cfg = tiny_config(n_f=2, n_s=2, d_h=4, d_in=4, inp_keys=3, inp_values=4,
-                      sel_keys=3, comm_keys=3, hard_selection=False)
+    cfg = tiny_config(n_f=2, n_s=2, d_h=4, d_in=4, inp_keys=3, comm_keys=3,
+                      hard_selection=False)
     rng = Rng(60)
     layer = ScoffLayer(cfg, rng)
     feats = [Tensor(rand(rng, (3, 4))) for _ in range(2)]
@@ -373,8 +373,8 @@ def chain_logits(layer, hyps, state):
     hstack = nm.stack(hyps, axis=1)
     keys = nm.reshape(
         nm.matmul(nm.reshape(hstack, (c.n_f * c.n_s, c.d_h)), layer.sel_key),
-        (c.n_f, c.n_s, c.sel_keys))
-    q = nm.reshape(nm.matmul(state, layer.sel_query), (c.n_f, 1, c.sel_keys))
+        (c.n_f, c.n_s, layer.SEL_KEYS))
+    q = nm.reshape(nm.matmul(state, layer.sel_query), (c.n_f, 1, layer.SEL_KEYS))
     return (q * keys).sum(axis=2), hstack
 
 

@@ -36,11 +36,10 @@ def rand(rng, shape):
 
 
 def tiny_train_config(task="switching", model="scoff", **kw):
-    codec = CodecConfig(patch=4, d_c=6, d_pos=4, enc_hidden=8,
+    codec = CodecConfig(d_c=6, d_pos=4, enc_hidden=8,
                         readout_hidden=8, readout_width=8)
     scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=8, d_in=codec.d_a, inp_heads=1,
-                            inp_keys=4, inp_values=8, sel_keys=4,
-                            comm_heads=1, comm_keys=4)
+                            inp_keys=4, comm_heads=1, comm_keys=4)
     base = dict(task=task, model=model, scoff=scoff_cfg, codec=codec,
                 lr=1e-3, batch_size=5, epochs=1, seed=7, burn_in=3, horizon=5,
                 eval_subset=4)
@@ -277,8 +276,7 @@ def test_rng_is_the_one_stochastic_mode_switch(monkeypatch):
     # draws nothing and runs no dropout; a step given an rng draws the input
     # dropout mask, the selection noise and the communication dropout mask
     scoff_cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, d_in=tiny_train_config().codec.d_a,
-                            inp_keys=4, inp_values=8, sel_keys=4,
-                            comm_heads=1, comm_keys=4)
+                            inp_keys=4, comm_heads=1, comm_keys=4)
     model = build_model(tiny_train_config(scoff=scoff_cfg), Rng(0))
     feats = nm.split_rows(model.encode(make_switching_data(1)[0].frames[:2]), 2)
     state, _ = model.step(feats[0], model.init_state())
@@ -970,11 +968,7 @@ def test_restore_rejects_unexpected_params(tmp_path):
         restore_model(model, tensors)
 
 
-def test_patch_must_divide_the_frame_only_on_frame_tasks():
-    window = dict(lr=1e-3, burn_in=3, horizon=5)
-    with pytest.raises(ValueError, match="patch 3 must divide the 16x16 frame"):
-        TrainConfig(task="bouncing", codec=CodecConfig(patch=3), **window)
-    TrainConfig(task="adding", codec=CodecConfig(patch=3), **window)  # tokens have no patches
+def test_codec_widths_must_be_at_least_1():
     with pytest.raises(ValueError, match="dec_hidden must be >= 1"):
         CodecConfig(dec_hidden=0)
 
