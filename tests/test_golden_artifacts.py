@@ -77,7 +77,7 @@ GOLDEN = {
     "adding/eval/rollout_curve.csv": "2a3bdd44ea76",
     "adding/eval/schema_usage.csv": "c1733e2643e2",
     "adding/eval/traces.jsonl": "39c1a70cf670",
-    "check-grad:stdout": "626cc580d817",
+    "check-grad:stdout": "7353f4b9a2d0",
     "bouncing_occluded/data/train.scfd": "2ea91268c084",
     "bouncing_occluded/data/test.scfd": "a005697b0116",
 }
