@@ -134,6 +134,13 @@ class PositionEncoder(EncoderBase):
                 .transpose(0, 1, 3, 2, 4)
                 .reshape(-1, PATCH * PATCH))
 
+    def frames(self, rows: np.ndarray) -> np.ndarray:
+        """[n, H, W]: the frames whose patches are rows [n·P, s·s], the
+        inverse of ``patch_rows``."""
+        gh, gw = self.grid
+        return (rows.reshape(-1, gh, gw, PATCH, PATCH).transpose(0, 1, 3, 2, 4)
+                .reshape(-1, self.height, self.width))
+
     def encode_frame(self, frames: np.ndarray) -> Tensor:
         """[n·P, d_a]: each patch of frames [n, H, W] encoded, beside its
         position's embedding, frame by frame."""
@@ -269,16 +276,12 @@ class FrameReadout(ReadoutBase):
         return nm.record(out, (pooled, pos, dec.w1, dec.b1, dec.w2, dec.b2), back)
 
     def _unpatch(self, patches: Tensor) -> Tensor:
-        """[n·P, s·s] patch rows laid back out as n [H, W] frames, the
-        inverse of ``PositionEncoder.patch_rows``, as one fused tape op."""
-        enc = self.encoder
-        n = patches.shape[0] // enc.positions
-
+        """[n·P, s·s] patch rows laid back out as n [H, W] frames, as one
+        fused tape op; the encoder owns the patch layout."""
         def back(g):
-            nm.accum(patches, enc.patch_rows(g))
+            nm.accum(patches, self.encoder.patch_rows(g))
 
-        img = patches.data.reshape(n, *enc.grid, PATCH, PATCH).transpose(0, 1, 3, 2, 4)
-        return nm.record(img.reshape(n, enc.height, enc.width), (patches,), back)
+        return nm.record(self.encoder.frames(patches.data), (patches,), back)
 
     def params(self) -> dict:
         return {**super().params(), **self.decoder.params()}
