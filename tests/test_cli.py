@@ -628,9 +628,10 @@ def tiny_run(tmp_path_factory):
                    "--set", "test_count=1", "--set", "length=11", "--out", data_dir) == 0
     assert run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
                    "--set", "n_f=1", "--set", "n_s=2", "--set", "d_h=4",
-                   "--set", "inp_keys=2", "--set", "comm_heads=1", "--set", "comm_keys=2", "--set", "d_c=4",
-                   "--set", "d_pos=2", "--set", "enc_hidden=4", "--set", "dec_hidden=4",
-                   "--set", "readout_hidden=4", "--set", "readout_width=4",
+                   "--set", "inp_keys=2", "--set", "comm_heads=1", "--set", "comm_keys=2",
+                   "--set", "d_c=4", "--set", "d_pos=2", "--set", "enc_hidden=4",
+                   "--set", "dec_hidden=4", "--set", "readout_hidden=4",
+                   "--set", "readout_width=4",
                    "--set", "epochs=1", "--set", "burn_in=2", "--set", "horizon=3",
                    "--out", run_dir) == 0
     return base

@@ -238,8 +238,7 @@ def frame_readout_chain(head, state):
     hid = nm.tanh(nm.reshape(by_state + by_pos, (head.encoder.positions, -1)))
     patches = nm.matmul(hid, dec.w2) + dec.b2
     gh, gw = head.encoder.grid
-    s = PATCH
-    img = nm.transpose(nm.reshape(patches, (gh, gw, s, s)), (0, 2, 1, 3))
+    img = nm.transpose(nm.reshape(patches, (gh, gw, PATCH, PATCH)), (0, 2, 1, 3))
     return nm.reshape(img, (1, head.encoder.height, head.encoder.width))
 
 
