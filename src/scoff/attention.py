@@ -12,16 +12,16 @@ from .rng import Rng
 
 
 class AttentionProjections:
-    """Per-head query/key/value maps. Head outputs are concatenated, with no
-    output mixing matrix. ``ScoffConfig`` owns the ranges: at least one head,
-    and a value width the heads divide evenly."""
+    """Per-head query/key/value maps. Queries map from the ``d_h``-wide
+    states, keys and values from the ``key_in``-wide candidates; the values
+    are ``d_h`` wide split across the heads, and head outputs are
+    concatenated, with no output mixing matrix. ``ScoffConfig`` owns the
+    ranges: at least one head, and a ``d_h`` the heads divide evenly."""
 
-    def __init__(self, rng: Rng, query_in: int, key_in: int, value_in: int,
-                 heads: int, key_width: int, value_width: int):
-        per_head = value_width // heads
-        self.query = [nm.glorot(rng, query_in, key_width) for _ in range(heads)]
+    def __init__(self, rng: Rng, d_h: int, key_in: int, heads: int, key_width: int):
+        self.query = [nm.glorot(rng, d_h, key_width) for _ in range(heads)]
         self.key = [nm.glorot(rng, key_in, key_width) for _ in range(heads)]
-        self.value = [nm.glorot(rng, value_in, per_head) for _ in range(heads)]
+        self.value = [nm.glorot(rng, key_in, d_h // heads) for _ in range(heads)]
 
     def named(self, prefix: str) -> dict:
         """{prefix}q{h}, {prefix}k{h}, {prefix}v{h}, head by head."""

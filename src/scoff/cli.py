@@ -63,7 +63,6 @@ _KEYS = {
     # d_in is the encoder width; every run selects hard (soft selection is
     # check-grad's, which builds its ScoffConfig directly)
     **_field_keys(ScoffConfig, skip=("d_in", "hard_selection")),
-    **_field_keys(CodecConfig),
     **_field_keys(tasks.DataConfig, skip=("task",)),  # task is TrainConfig's
     "data": (str, ""),
     "checkpoint": (str, ""),
@@ -137,7 +136,7 @@ def _from_fields(cls, r: dict, **given):
 
 
 def to_train_config(r: dict) -> TrainConfig:
-    codec = _from_fields(CodecConfig, r)
+    codec = CodecConfig()  # every run's codec widths are the defaults
     scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a,
                          hard_selection=ScoffConfig.hard_selection)
     return _from_fields(TrainConfig, r, scoff=scoff, codec=codec)

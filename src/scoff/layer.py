@@ -74,12 +74,10 @@ class ScoffLayer:
     def __init__(self, config: ScoffConfig, rng: Rng):
         self.config = config
         c = config
-        self.input_proj = AttentionProjections(
-            rng, c.d_h, c.d_in, c.d_in, c.inp_heads, c.inp_keys, c.d_h)
+        self.input_proj = AttentionProjections(rng, c.d_h, c.d_in, c.inp_heads, c.inp_keys)
         self.sel_query = nm.glorot(rng, c.d_h, self.SEL_KEYS)
         self.sel_key = nm.glorot(rng, c.d_h, self.SEL_KEYS)
-        self.comm_proj = AttentionProjections(
-            rng, c.d_h, c.d_h, c.d_h, c.comm_heads, c.comm_keys, c.d_h)
+        self.comm_proj = AttentionProjections(rng, c.d_h, c.d_h, c.comm_heads, c.comm_keys)
         self.bank = [init_schema(rng, c.d_h, c.d_h) for _ in range(c.n_s)]
         self._zero_noise = nm.zeros((c.n_f, c.n_s))
         self._eye = np.eye(c.n_s)  # row j: the one-hot pick of schema j

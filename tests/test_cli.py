@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scoff.cli import ConfigError, main, parse_config, to_train_config
+from scoff.cli import _KEYS, ConfigError, main, parse_config, to_train_config
 from scoff.model import GruBaseline, ScoffModel
 from scoff.numerics import Tensor
 from scoff.rng import Rng
@@ -42,13 +42,11 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 SWITCHING_DEFAULTS = {
     "batch_size": 64, "burn_in": 5, "checkpoint": "", "comm_heads": 2,
-    "comm_keys": 16, "d_c": 16, "d_h": 32, "d_pos": 8, "data": "",
-    "dec_hidden": 64, "enc_hidden": 32, "epochs": 10, "eval_subset": 32,
+    "comm_keys": 16, "d_h": 32, "data": "", "epochs": 10, "eval_subset": 32,
     "horizon": 10, "inp_heads": 1, "inp_keys": 16,
     "length": 21, "lr": 0.0001, "model": "scoff",
     "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0, "occluder": False,
-    "operands": "2,4", "readout_hidden": 32, "readout_width": 32,
-    "seed": 0, "task": "switching",
+    "operands": "2,4", "seed": 0, "task": "switching",
     "test_count": 500, "train_count": 2000,
 }
 
@@ -103,12 +101,14 @@ def test_comm_values_must_match_d_h():
     # drop at ScoffLayer.DROPOUT, a sequence of the retired single-ball task
     # drew its mode, the selection temperature is 1, selection is hard, frame
     # patches are codec.PATCH square, selection keys ScoffLayer.SEL_KEYS wide,
-    # and input values d_h wide
+    # input values d_h wide, and the codec at CodecConfig's default widths
     for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
                      "beta2=0.999", "epsilon=1e-8", "comm_sparse=false",
                      "clip_norm=1.0", "inp_dropout=0.1", "comm_dropout=0.1",
                      "mode=mixed", "tau=1.0", "hard_selection=false", "patch=4",
-                     "sel_keys=16", "inp_values=24"):
+                     "sel_keys=16", "inp_values=24", "d_c=16", "d_pos=8",
+                     "enc_hidden=32", "dec_hidden=64", "readout_hidden=32",
+                     "readout_width=32"):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(None, [override, "d_h=32"])
@@ -629,9 +629,6 @@ def tiny_run(tmp_path_factory):
     assert run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
                    "--set", "n_f=1", "--set", "n_s=2", "--set", "d_h=4",
                    "--set", "inp_keys=2", "--set", "comm_heads=1", "--set", "comm_keys=2",
-                   "--set", "d_c=4", "--set", "d_pos=2", "--set", "enc_hidden=4",
-                   "--set", "dec_hidden=4", "--set", "readout_hidden=4",
-                   "--set", "readout_width=4",
                    "--set", "epochs=1", "--set", "burn_in=2", "--set", "horizon=3",
                    "--out", run_dir) == 0
     return base
@@ -815,6 +812,7 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     ("'patch'", lambda config: config.update(patch=4)),
     ("'sel_keys'", lambda config: config.update(sel_keys=16)),
     ("'inp_values'", lambda config: config.update(inp_values=4)),
+    ("'readout_width'", lambda config: config.update(readout_width=32)),
     # a key gen-data reads, which the model never does
     ("'length'", lambda config: config.pop("length")),
     # values out of their range, one of them a key only gen-data reads,
@@ -825,7 +823,7 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
      lambda config: config.update(task="single")),
 ], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired",
         "retired-tau", "retired-hard-selection", "retired-patch", "retired-sel-keys",
-        "retired-inp-values", "missing-length", "out-of-range",
+        "retired-inp-values", "retired-codec-width", "missing-length", "out-of-range",
         "out-of-range-data", "retired-task"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
                                                       named, edit):
@@ -848,10 +846,8 @@ def test_eval_of_a_gru_checkpoint_writes_only_the_curve(tiny_run, tmp_path, caps
     run_dir = tmp_path / "gru"
     assert run_cli("train", "--set", "task=switching", "--set", f"data={tiny_run / 'data'}",
                    "--set", "model=gru", "--set", "n_f=1", "--set", "d_h=4",
-                   "--set", "d_c=4", "--set", "d_pos=2", "--set", "enc_hidden=4",
-                   "--set", "dec_hidden=4", "--set", "readout_hidden=4",
-                   "--set", "readout_width=4", "--set", "epochs=1", "--set", "burn_in=2",
-                   "--set", "horizon=3", "--out", str(run_dir)) == 0
+                   "--set", "epochs=1", "--set", "burn_in=2", "--set", "horizon=3",
+                   "--out", str(run_dir)) == 0
     capsys.readouterr()
     out = tmp_path / "eval"
     assert run_cli("eval", "--set", f"data={tiny_run / 'data'}",
@@ -906,6 +902,30 @@ def test_every_task_has_a_shipped_config():
     # a task that no shipped config runs is code that no run exercises
     shipped = {parse_config(path)["task"] for path in SHIPPED_CONFIGS}
     assert sorted(set(TASKS) - shipped) == []
+
+
+# the keys no shipped config sets, each with the run that does set it
+UNSHIPPED_KEYS = {
+    "data": "a path each command is given",
+    "checkpoint": "a path each command is given",
+    "occluder": "the golden gen-only run sets occluder=true",
+    "n_sel": "perfbench/selftest.py's n_sel=2 variant",
+}
+
+
+def test_every_key_is_set_by_a_shipped_config():
+    # a key that no run sets is a constant dressed as a setting
+    shipped = set()
+    for path in SHIPPED_CONFIGS:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                key, eq, _ = line.split("#", 1)[0].partition("=")
+                if eq:
+                    shipped.add(key.strip())
+    unshipped = set(_KEYS) - shipped
+    assert sorted(unshipped - set(UNSHIPPED_KEYS)) == []
+    # and the table names only keys that no shipped config sets
+    assert sorted(set(UNSHIPPED_KEYS) - unshipped) == []
 
 
 @pytest.mark.parametrize("task", TASKS_ALL)

@@ -99,7 +99,6 @@ RAISERS = {
     "cli.cmd_gen_data": "artifact integrity: re-raised after its staging is removed",
     "cli._restore": "outside input: a checkpoint's stored config",
     "cli._Parser.error": "outside input: the command line",
-    "codec.CodecConfig.__post_init__": "outside input: codec settings",
     "layer.ScoffConfig.__post_init__": "outside input: layer settings",
     "tasks.DataConfig.__post_init__": "outside input: dataset settings",
     "training.TrainConfig.__post_init__": "outside input: training settings",
