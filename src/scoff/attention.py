@@ -4,6 +4,8 @@ between slots. The hard Gumbel selection over the schema bank lives in the
 layer (``layer.ScoffLayer._select``).
 """
 
+import math
+
 import numpy as np
 
 from . import numerics as nm
@@ -13,12 +15,15 @@ from .rng import Rng
 
 class AttentionProjections:
     """Per-head query/key/value maps. Queries map from the ``d_h``-wide
-    states, keys and values from the ``key_in``-wide candidates; the values
-    are ``d_h`` wide split across the heads, and head outputs are
-    concatenated, with no output mixing matrix. ``ScoffConfig`` owns the
-    ranges: at least one head, and a ``d_h`` the heads divide evenly."""
+    states, keys and values from the ``key_in``-wide candidates; queries and
+    keys are ``key_width`` wide, and ``scale`` = 1/sqrt(key_width) scales
+    their dots. The values are ``d_h`` wide split across the heads, and head
+    outputs are concatenated, with no output mixing matrix. ``ScoffConfig``
+    owns the ranges: at least one head, and a ``d_h`` the heads divide
+    evenly."""
 
     def __init__(self, rng: Rng, d_h: int, key_in: int, heads: int, key_width: int):
+        self.scale = 1.0 / math.sqrt(key_width)
         self.query = [nm.glorot(rng, d_h, key_width) for _ in range(heads)]
         self.key = [nm.glorot(rng, key_in, key_width) for _ in range(heads)]
         self.value = [nm.glorot(rng, key_in, d_h // heads) for _ in range(heads)]

@@ -23,7 +23,6 @@ import argparse
 import atexit
 import contextlib
 import gc
-import math
 import os
 import sys
 import tempfile
@@ -61,8 +60,9 @@ def _field_keys(cls, skip=()) -> dict:
 _KEYS = {
     **_field_keys(TrainConfig),
     # d_in is the encoder width; every run selects hard (soft selection is
-    # check-grad's, which builds its ScoffConfig directly)
-    **_field_keys(ScoffConfig, skip=("d_in", "hard_selection")),
+    # check-grad's, which builds its ScoffConfig directly) and every run's
+    # attention keys are 16 wide (check-grad and the tests pass smaller ones)
+    **_field_keys(ScoffConfig, skip=("d_in", "hard_selection", "key_width")),
     **_field_keys(tasks.DataConfig, skip=("task",)),  # task is TrainConfig's
     "data": (str, ""),
     "checkpoint": (str, ""),
@@ -83,8 +83,6 @@ def _coerce(key: str, raw: str, where: str):
         value = kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: malformed value for {key!r}: {raw!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{where}: {key!r} must be finite, got {raw!r}")
     return value
 
 
@@ -138,7 +136,8 @@ def _from_fields(cls, r: dict, **given):
 def to_train_config(r: dict) -> TrainConfig:
     codec = CodecConfig()  # every run's codec widths are the defaults
     scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a,
-                         hard_selection=ScoffConfig.hard_selection)
+                         hard_selection=ScoffConfig.hard_selection,
+                         key_width=ScoffConfig.key_width)
     return _from_fields(TrainConfig, r, scoff=scoff, codec=codec)
 
 
@@ -284,12 +283,12 @@ def cmd_eval(args, resolved: dict) -> int:
 
 def cmd_check_grad(args, resolved: dict) -> int:
     """Two unrolled soft-selection steps over the fixed verification layer
-    (3 slots, 2 schemata, width 8, 4 positions of 6 features, input and
-    communication keys 4 wide, selection keys ``ScoffLayer.SEL_KEYS``; no rng,
-    so no dropout), against central differences at eps=1e-5; threshold 1e-4."""
+    (3 slots, 2 schemata, width 8, 4 positions of 6 features, every attention
+    key 4 wide; no rng, so no dropout), against central differences at
+    eps=1e-5; threshold 1e-4."""
     n_f, n_s, d_h, positions = 3, 2, 8, 4
     cfg = ScoffConfig(n_f=n_f, n_s=n_s, d_h=d_h, d_in=6, inp_heads=1,
-                      inp_keys=4, comm_heads=1, comm_keys=4, hard_selection=False)
+                      comm_heads=1, key_width=4, hard_selection=False)
     rng = Rng(resolved["seed"])
     layer = ScoffLayer(cfg, rng)
     feats = [Tensor(np.asarray(rng.uniform((positions, cfg.d_in)))) for _ in range(2)]

@@ -6,7 +6,6 @@ State is a plain [n_f, d_h] Tensor, one row per slot.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,8 @@ class ScoffConfig:
     Both attention steps take values d_h wide: the input read ``z`` [n_f, d_h]
     is every schema cell's input, and the communication result is added onto
     the state. Both drop weights at the fixed rate ``ScoffLayer.DROPOUT``
-    when stepped with an rng, and selection keys are ``ScoffLayer.SEL_KEYS``
-    wide.
+    when stepped with an rng. The input, selection and communication queries
+    and keys are all ``key_width`` wide.
     """
 
     n_f: int = 6
@@ -34,15 +33,13 @@ class ScoffConfig:
     d_h: int = 32
     d_in: int = 24
     inp_heads: int = 1
-    inp_keys: int = 16
     comm_heads: int = 2
-    comm_keys: int = 16
+    key_width: int = 16
     n_sel: int = 0  # slots updated per step; 0: all of them
     hard_selection: bool = True
 
     def __post_init__(self):
-        for name in ("n_f", "n_s", "d_h", "d_in", "inp_heads", "inp_keys",
-                     "comm_heads", "comm_keys"):
+        for name in ("n_f", "n_s", "d_h", "d_in", "inp_heads", "comm_heads", "key_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.n_sel <= self.n_f:
@@ -69,15 +66,14 @@ class ScoffLayer:
     """Drop-in recurrent layer over position-encoded features."""
 
     DROPOUT = 0.1  # attention-weight dropout of input reads and communication
-    SEL_KEYS = 16  # width of the selection queries and keys
 
     def __init__(self, config: ScoffConfig, rng: Rng):
         self.config = config
         c = config
-        self.input_proj = AttentionProjections(rng, c.d_h, c.d_in, c.inp_heads, c.inp_keys)
-        self.sel_query = nm.glorot(rng, c.d_h, self.SEL_KEYS)
-        self.sel_key = nm.glorot(rng, c.d_h, self.SEL_KEYS)
-        self.comm_proj = AttentionProjections(rng, c.d_h, c.d_h, c.comm_heads, c.comm_keys)
+        self.input_proj = AttentionProjections(rng, c.d_h, c.d_in, c.inp_heads, c.key_width)
+        self.sel_query = nm.glorot(rng, c.d_h, c.key_width)
+        self.sel_key = nm.glorot(rng, c.d_h, c.key_width)
+        self.comm_proj = AttentionProjections(rng, c.d_h, c.d_h, c.comm_heads, c.key_width)
         self.bank = [init_schema(rng, c.d_h, c.d_h) for _ in range(c.n_s)]
         self._zero_noise = nm.zeros((c.n_f, c.n_s))
         self._eye = np.eye(c.n_s)  # row j: the one-hot pick of schema j
@@ -94,8 +90,7 @@ class ScoffLayer:
 
         Returns (z [n_f, d_h], head-mean weights [n_f, P]).
         """
-        return _heads(self.input_proj, state, features, "queriers",
-                      1.0 / math.sqrt(self.config.inp_keys), rng)
+        return _heads(self.input_proj, state, features, "queriers", rng)
 
     # ---- step 3: schema selection and update ----------------------------
 
@@ -175,8 +170,7 @@ class ScoffLayer:
         state, keys and values from the post-update state, normalized over
         sources.
         """
-        update, mean_w = _heads(self.comm_proj, state_prev, state_new, "candidates",
-                                1.0 / math.sqrt(self.config.comm_keys), rng)
+        update, mean_w = _heads(self.comm_proj, state_prev, state_new, "candidates", rng)
         return state_new + update, mean_w
 
     # ---- one full step ----------------------------------------------------
@@ -209,11 +203,11 @@ class ScoffLayer:
 
 
 def _heads(proj: AttentionProjections, queriers: Tensor, candidates: Tensor,
-           normalize_axis: str, scale: float, rng: "Rng | None"):
+           normalize_axis: str, rng: "Rng | None"):
     """Every head of ``proj``: queries from ``queriers``, keys and values from
     ``candidates``, dropping at ``ScoffLayer.DROPOUT`` if given an rng.
     Returns (head outputs concatenated, head-mean weights as an ndarray)."""
-    heads = [attend(queriers, candidates, *mats, normalize_axis, scale,
+    heads = [attend(queriers, candidates, *mats, normalize_axis, proj.scale,
                     ScoffLayer.DROPOUT, rng)
              for mats in zip(proj.query, proj.key, proj.value)]
     if len(heads) == 1:

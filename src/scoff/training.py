@@ -49,8 +49,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "eval_subset", "burn_in", "horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass

@@ -224,6 +224,7 @@ def test_projections_validation():
     assert [(q.shape, k.shape, v.shape) for q, k, v in
             zip(proj.query, proj.key, proj.value)] == [((8, 3), (6, 3), (6, 4))] * 2
     assert list(proj.named("p_")) == ["p_q0", "p_k0", "p_v0", "p_q1", "p_k1", "p_v1"]
+    assert proj.scale == 1 / math.sqrt(3)
 
 
 # ------------------------------------------------------------------- topk mask

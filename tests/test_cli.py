@@ -42,9 +42,8 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 SWITCHING_DEFAULTS = {
     "batch_size": 64, "burn_in": 5, "checkpoint": "", "comm_heads": 2,
-    "comm_keys": 16, "d_h": 32, "data": "", "epochs": 10, "eval_subset": 32,
-    "horizon": 10, "inp_heads": 1, "inp_keys": 16,
-    "length": 21, "lr": 0.0001, "model": "scoff",
+    "d_h": 32, "data": "", "epochs": 10, "eval_subset": 32,
+    "horizon": 10, "inp_heads": 1, "length": 21, "lr": 0.0001, "model": "scoff",
     "n_balls": 2, "n_f": 6, "n_s": 4, "n_sel": 0, "occluder": False,
     "operands": "2,4", "seed": 0, "task": "switching",
     "test_count": 500, "train_count": 2000,
@@ -100,15 +99,16 @@ def test_comm_values_must_match_d_h():
     # norm are fixed, communication reaches every slot, both attention steps
     # drop at ScoffLayer.DROPOUT, a sequence of the retired single-ball task
     # drew its mode, the selection temperature is 1, selection is hard, frame
-    # patches are codec.PATCH square, selection keys ScoffLayer.SEL_KEYS wide,
-    # input values d_h wide, and the codec at CodecConfig's default widths
+    # patches are codec.PATCH square, input values d_h wide, the codec at
+    # CodecConfig's default widths, and every attention key 16 wide
+    # (ScoffConfig.key_width)
     for override in ("comm_values=16", "comm_values=32", "baseline_width=0", "beta1=0.9",
                      "beta2=0.999", "epsilon=1e-8", "comm_sparse=false",
                      "clip_norm=1.0", "inp_dropout=0.1", "comm_dropout=0.1",
                      "mode=mixed", "tau=1.0", "hard_selection=false", "patch=4",
                      "sel_keys=16", "inp_values=24", "d_c=16", "d_pos=8",
                      "enc_hidden=32", "dec_hidden=64", "readout_hidden=32",
-                     "readout_width=32"):
+                     "readout_width=32", "inp_keys=16", "comm_keys=16"):
         key = override.split("=")[0]
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(None, [override, "d_h=32"])
@@ -329,8 +329,7 @@ def _gen_and_train(tmp_path, extra_train=()):
     run_dir = str(tmp_path / "run")
     args = ["train", "--set", "task=switching", "--set", f"data={data_dir}",
             "--set", "n_f=2", "--set", "n_s=2", "--set", "d_h=8",
-            "--set", "inp_keys=4", "--set", "comm_heads=1",
-            "--set", "comm_keys=4", "--set", "epochs=1",
+            "--set", "comm_heads=1", "--set", "epochs=1",
             "--set", "batch_size=3", "--set", "burn_in=3",
             "--set", "horizon=5", "--set", "eval_subset=2",
             "--set", "lr=0.001", "--seed", "11", "--out", run_dir]
@@ -384,8 +383,7 @@ def test_adding_checkpoint_evaluates_on_a_held_out_longer_test_set(tmp_path, cap
     # the route configs/adding_mini.cfg documents: train at length 50, then
     # gen-data a length-200 set into another directory and eval on it
     config = os.path.join(CONFIGS, "adding_mini.cfg")
-    small = ["--set", "n_f=2", "--set", "d_h=8",
-             "--set", "inp_keys=4", "--set", "comm_keys=4"]
+    small = ["--set", "n_f=2", "--set", "d_h=8"]
     data_dir, run_dir = str(tmp_path / "data"), str(tmp_path / "run")
     assert run_cli("gen-data", "--config", config, "--set", "train_count=4",
                    "--set", "test_count=2", "--out", data_dir) == 0
@@ -628,8 +626,8 @@ def tiny_run(tmp_path_factory):
                    "--set", "test_count=1", "--set", "length=11", "--out", data_dir) == 0
     assert run_cli("train", "--set", "task=switching", "--set", f"data={data_dir}",
                    "--set", "n_f=1", "--set", "n_s=2", "--set", "d_h=4",
-                   "--set", "inp_keys=2", "--set", "comm_heads=1", "--set", "comm_keys=2",
-                   "--set", "epochs=1", "--set", "burn_in=2", "--set", "horizon=3",
+                   "--set", "comm_heads=1", "--set", "epochs=1",
+                   "--set", "burn_in=2", "--set", "horizon=3",
                    "--out", run_dir) == 0
     return base
 
@@ -813,18 +811,21 @@ def test_checkpoint_with_per_gate_schema_names_exits_2_writing_nothing(tiny_run,
     ("'sel_keys'", lambda config: config.update(sel_keys=16)),
     ("'inp_values'", lambda config: config.update(inp_values=4)),
     ("'readout_width'", lambda config: config.update(readout_width=32)),
+    ("['comm_keys', 'inp_keys']", lambda config: config.update(inp_keys=16, comm_keys=16)),
     # a key gen-data reads, which the model never does
     ("'length'", lambda config: config.pop("length")),
     # values out of their range, one of them a key only gen-data reads,
     # and a task retired since the run
     ("n_sel must lie in [0, 1], got 99", lambda config: config.update(n_sel=99)),
     ("train_count must be >= 1", lambda config: config.update(train_count=0)),
+    ("lr must be finite and > 0, got inf", lambda config: config.update(lr=float("inf"))),
     ("task must be one of ('switching', 'bouncing', 'adding'), got 'single'",
      lambda config: config.update(task="single")),
 ], ids=["missing", "unknown", "str-for-int", "float-for-int", "int-for-bool", "retired",
         "retired-tau", "retired-hard-selection", "retired-patch", "retired-sel-keys",
-        "retired-inp-values", "retired-codec-width", "missing-length", "out-of-range",
-        "out-of-range-data", "retired-task"])
+        "retired-inp-values", "retired-codec-width", "retired-key-widths",
+        "missing-length", "out-of-range", "out-of-range-data", "non-finite-lr",
+        "retired-task"])
 def test_stored_config_missing_or_unknown_key_exits_2(tiny_run, tmp_path, capsys,
                                                       named, edit):
     copy = tmp_path / "copy"
@@ -904,28 +905,33 @@ def test_every_task_has_a_shipped_config():
     assert sorted(set(TASKS) - shipped) == []
 
 
-# the keys no shipped config sets, each with the run that does set it
-UNSHIPPED_KEYS = {
+# the keys that hold one value in every configs/*_mini.cfg, each with the run
+# that sets it otherwise
+ONE_VALUE_KEYS = {
     "data": "a path each command is given",
     "checkpoint": "a path each command is given",
+    "seed": "--seed",
+    "model": "model=gru in the bouncing-gru benchmark and golden runs",
+    "batch_size": "the benchmark's TRAIN_SET sets batch_size=8",
+    "eval_subset": "the benchmark's TRAIN_SET sets eval_subset=1",
+    "n_balls": "the golden gen-only run sets n_balls=3",
     "occluder": "the golden gen-only run sets occluder=true",
-    "n_sel": "perfbench/selftest.py's n_sel=2 variant",
+    "n_sel": "perfbench/selftest.py's n_sel=2 variant (ROADMAP item 15)",
+    "inp_heads": "perfbench/selftest.py reads it (ROADMAP item 20)",
+    "comm_heads": "perfbench/selftest.py reads it (ROADMAP item 20)",
+    "operands": "ROADMAP item 7 generates a held-out set per count in ADDING_OPERANDS",
 }
 
 
-def test_every_key_is_set_by_a_shipped_config():
-    # a key that no run sets is a constant dressed as a setting
-    shipped = set()
-    for path in SHIPPED_CONFIGS:
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                key, eq, _ = line.split("#", 1)[0].partition("=")
-                if eq:
-                    shipped.add(key.strip())
-    unshipped = set(_KEYS) - shipped
-    assert sorted(unshipped - set(UNSHIPPED_KEYS)) == []
-    # and the table names only keys that no shipped config sets
-    assert sorted(set(UNSHIPPED_KEYS) - unshipped) == []
+def test_every_key_varies_across_the_mini_configs():
+    # a key that every run sets to one value, or that no run sets at all, is
+    # a constant dressed as a setting unless some other run sets it otherwise
+    minis = [parse_config(path) for path in SHIPPED_CONFIGS
+             if path.endswith("_mini.cfg")]
+    one_value = {key for key in _KEYS if len({r[key] for r in minis}) == 1}
+    assert sorted(one_value - set(ONE_VALUE_KEYS)) == []
+    # and the table names only such keys
+    assert sorted(set(ONE_VALUE_KEYS) - one_value) == []
 
 
 @pytest.mark.parametrize("task", TASKS_ALL)

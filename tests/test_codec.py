@@ -177,7 +177,7 @@ def test_encode_rollout_readout_gradcheck_soft_selection():
     codec_cfg = small_codec(d_c=4, d_pos=2, enc_hidden=4, readout_hidden=4,
                             readout_width=4)
     scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=4, d_in=codec_cfg.d_a,
-                            inp_heads=1, inp_keys=3, comm_heads=1, comm_keys=3,
+                            inp_heads=1, comm_heads=1, key_width=3,
                             hard_selection=False)
     rng = Rng(22)
     enc = PositionEncoder(rng, 16, 16, codec_cfg)

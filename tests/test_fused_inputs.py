@@ -79,8 +79,8 @@ def test_attend_leaves_its_parents_and_weights_unchanged(axis, dropout):
 @pytest.mark.parametrize("drawn_noise", [True, False])
 def test_select_leaves_its_parents_unchanged(hard, drawn_noise):
     rng = Rng(207)
-    cfg = ScoffConfig(n_f=3, n_s=3, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
-                      comm_heads=1, comm_keys=4, hard_selection=hard)
+    cfg = ScoffConfig(n_f=3, n_s=3, d_h=8, d_in=6, inp_heads=1, comm_heads=1,
+                      key_width=4, hard_selection=hard)
     layer = ScoffLayer(cfg, rng)
     hyps = [leaf(rng, (3, 8)) for _ in range(3)]
     state = leaf(rng, (3, 8))

@@ -15,8 +15,7 @@ def rand(rng, shape):
 
 
 def tiny_config(**kw):
-    base = dict(n_f=3, n_s=2, d_h=8, d_in=6, inp_heads=1, inp_keys=4,
-                comm_heads=1, comm_keys=4)
+    base = dict(n_f=3, n_s=2, d_h=8, d_in=6, inp_heads=1, comm_heads=1, key_width=4)
     base.update(kw)
     return ScoffConfig(**base)
 
@@ -25,12 +24,21 @@ def make_layer(seed=0, **kw):
     return ScoffLayer(tiny_config(**kw), Rng(seed))
 
 
+def test_every_query_and_key_is_key_width_wide():
+    for width in (3, 16):
+        layer = make_layer(key_width=width, inp_heads=2, comm_heads=2)
+        mats = [layer.sel_query, layer.sel_key]
+        for proj in (layer.input_proj, layer.comm_proj):
+            mats += proj.query + proj.key
+        assert [m.shape[1] for m in mats] == [width] * 10
+
+
 # -------------------------------------------------------------- input reading
 
 def input_read_oracle(layer, feats, state):
     """Scalar double-loop reference for the slot competition."""
     c = layer.config
-    scale = 1.0 / math.sqrt(c.inp_keys)
+    scale = 1.0 / math.sqrt(c.key_width)
     z = np.zeros((c.n_f, 0))
     weights_by_head = []
     for h in range(c.inp_heads):
@@ -42,7 +50,7 @@ def input_read_oracle(layer, feats, state):
         for k in range(c.n_f):
             for p in range(P):
                 scores[k, p] = sum(q[k, e] * kappa[p, e]
-                                   for e in range(c.inp_keys)) * scale
+                                   for e in range(c.key_width)) * scale
         w = np.zeros_like(scores)
         for p in range(P):
             col = scores[:, p] - scores[:, p].max()
@@ -149,7 +157,7 @@ def test_selection_frequencies_follow_categorical_law():
 
 def communicate_oracle(layer, prev, new):
     c = layer.config
-    scale = 1.0 / math.sqrt(c.comm_keys)
+    scale = 1.0 / math.sqrt(c.key_width)
     pieces = []
     for h in range(c.comm_heads):
         q = prev @ layer.comm_proj.query[h].data
@@ -159,7 +167,7 @@ def communicate_oracle(layer, prev, new):
         for i in range(c.n_f):
             for j in range(c.n_f):
                 scores[i, j] = sum(q[i, e] * kappa[j, e]
-                                   for e in range(c.comm_keys)) * scale
+                                   for e in range(c.key_width)) * scale
         w = np.zeros_like(scores)
         for i in range(c.n_f):
             row = scores[i] - scores[i].max()
@@ -328,7 +336,7 @@ def test_systematicity_equal_slots_update_equally():
 # ---------------------------------------------------------------- gradients
 
 def test_two_step_soft_rollout_gradcheck():
-    cfg = tiny_config(n_f=2, n_s=2, d_h=4, d_in=4, inp_keys=3, comm_keys=3,
+    cfg = tiny_config(n_f=2, n_s=2, d_h=4, d_in=4, key_width=3,
                       hard_selection=False)
     rng = Rng(60)
     layer = ScoffLayer(cfg, rng)
@@ -373,8 +381,8 @@ def chain_logits(layer, hyps, state):
     hstack = nm.stack(hyps, axis=1)
     keys = nm.reshape(
         nm.matmul(nm.reshape(hstack, (c.n_f * c.n_s, c.d_h)), layer.sel_key),
-        (c.n_f, c.n_s, layer.SEL_KEYS))
-    q = nm.reshape(nm.matmul(state, layer.sel_query), (c.n_f, 1, layer.SEL_KEYS))
+        (c.n_f, c.n_s, c.key_width))
+    q = nm.reshape(nm.matmul(state, layer.sel_query), (c.n_f, 1, c.key_width))
     return (q * keys).sum(axis=2), hstack
 
 

@@ -39,7 +39,7 @@ def tiny_train_config(task="switching", model="scoff", **kw):
     codec = CodecConfig(d_c=6, d_pos=4, enc_hidden=8,
                         readout_hidden=8, readout_width=8)
     scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=8, d_in=codec.d_a, inp_heads=1,
-                            inp_keys=4, comm_heads=1, comm_keys=4)
+                            comm_heads=1, key_width=4)
     base = dict(task=task, model=model, scoff=scoff_cfg, codec=codec,
                 lr=1e-3, batch_size=5, epochs=1, seed=7, burn_in=3, horizon=5,
                 eval_subset=4)
@@ -276,7 +276,7 @@ def test_rng_is_the_one_stochastic_mode_switch(monkeypatch):
     # draws nothing and runs no dropout; a step given an rng draws the input
     # dropout mask, the selection noise and the communication dropout mask
     scoff_cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, d_in=tiny_train_config().codec.d_a,
-                            inp_keys=4, comm_heads=1, comm_keys=4)
+                            comm_heads=1, key_width=4)
     model = build_model(tiny_train_config(scoff=scoff_cfg), Rng(0))
     feats = nm.split_rows(model.encode(make_switching_data(1)[0].frames[:2]), 2)
     state, _ = model.step(feats[0], model.init_state())
