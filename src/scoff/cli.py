@@ -59,10 +59,10 @@ def _field_keys(cls, skip=()) -> dict:
 # key -> (type, default); parse_config fills a None default from tasks.TASKS
 _KEYS = {
     **_field_keys(TrainConfig),
-    # d_in is the encoder width; every run selects hard (soft selection is
-    # check-grad's, which builds its ScoffConfig directly) and every run's
-    # attention keys are 16 wide (check-grad and the tests pass smaller ones)
-    **_field_keys(ScoffConfig, skip=("d_in", "hard_selection", "key_width")),
+    # every run selects hard (soft selection is check-grad's, which builds its
+    # ScoffConfig directly) and every run's attention keys are 16 wide
+    # (check-grad and the tests pass smaller ones)
+    **_field_keys(ScoffConfig, skip=("hard_selection", "key_width")),
     **_field_keys(tasks.DataConfig, skip=("task",)),  # task is TrainConfig's
     "data": (str, ""),
     "checkpoint": (str, ""),
@@ -129,16 +129,16 @@ def parse_config(path: "str | None", overrides=(), seed: "int | None" = None) ->
 
 
 def _from_fields(cls, r: dict, **given):
-    """``cls`` with each field taken from ``r`` by name unless ``given``."""
-    return cls(**{f.name: r[f.name] for f in fields(cls) if f.name not in given}, **given)
+    """``cls`` with each field that ``r`` names taken from it, unless
+    ``given``; the dataclass defaults fill the rest."""
+    return cls(**{f.name: r[f.name] for f in fields(cls)
+                  if f.name in r and f.name not in given}, **given)
 
 
 def to_train_config(r: dict) -> TrainConfig:
-    codec = CodecConfig()  # every run's codec widths are the defaults
-    scoff = _from_fields(ScoffConfig, r, d_in=codec.d_a,
-                         hard_selection=ScoffConfig.hard_selection,
-                         key_width=ScoffConfig.key_width)
-    return _from_fields(TrainConfig, r, scoff=scoff, codec=codec)
+    # every run's codec widths, selection and key width are the defaults
+    return _from_fields(TrainConfig, r, scoff=_from_fields(ScoffConfig, r),
+                        codec=CodecConfig())
 
 
 def _write_snapshot(out_dir: str, resolved: dict) -> None:
@@ -286,12 +286,12 @@ def cmd_check_grad(args, resolved: dict) -> int:
     (3 slots, 2 schemata, width 8, 4 positions of 6 features, every attention
     key 4 wide; no rng, so no dropout), against central differences at
     eps=1e-5; threshold 1e-4."""
-    n_f, n_s, d_h, positions = 3, 2, 8, 4
-    cfg = ScoffConfig(n_f=n_f, n_s=n_s, d_h=d_h, d_in=6, inp_heads=1,
-                      comm_heads=1, key_width=4, hard_selection=False)
+    n_f, n_s, d_h, positions, d_in = 3, 2, 8, 4, 6
+    cfg = ScoffConfig(n_f=n_f, n_s=n_s, d_h=d_h, inp_heads=1, comm_heads=1,
+                      key_width=4, hard_selection=False)
     rng = Rng(resolved["seed"])
-    layer = ScoffLayer(cfg, rng)
-    feats = [Tensor(np.asarray(rng.uniform((positions, cfg.d_in)))) for _ in range(2)]
+    layer = ScoffLayer(cfg, d_in, rng)
+    feats = [Tensor(np.asarray(rng.uniform((positions, d_in)))) for _ in range(2)]
     noise = [nm.sample_gumbel(rng, (n_f, n_s)) for _ in range(2)]
     params = list(layer.parameters().values())
 
@@ -307,8 +307,7 @@ def cmd_check_grad(args, resolved: dict) -> int:
 
 
 def cmd_param_count(args, resolved: dict) -> int:
-    d_h = resolved["d_h"]  # every cell, the bank's and the reference, takes d_h inputs
-    bank, mono = recurrent_param_count(resolved["n_f"], resolved["n_s"], d_h, d_h)
+    bank, mono = recurrent_param_count(resolved["n_f"], resolved["n_s"], resolved["d_h"])
     print(f"schema-bank recurrent parameters: {bank}")
     print(f"monolithic recurrent parameters: {mono}")
     print(f"ratio: {bank / mono:.4f}")

@@ -1,12 +1,12 @@
 """Input encoders and output readouts around the recurrent layer.
 
-Frames are 16x16 grayscale rasters cut into square patches; each patch runs
-through a shared two-layer perceptron and gets a learned position embedding
-appended, giving one feature row per position. Scalar-task tokens take the
-same perceptron route as a single position. Readout transforms every slot row
-with one shared perceptron, pools the rows with a learned attention query
-(so slot order cannot matter), and projects the pooled vector to the task
-output.
+Frames are ``tasks.GRID``-square grayscale rasters cut into square patches;
+each patch runs through a shared two-layer perceptron and gets a learned
+position embedding appended, giving one feature row per position. Scalar-task
+tokens (``tasks.TOKEN_FEATURES`` wide) take the same perceptron route as a
+single position. Readout transforms every slot row with one shared
+perceptron, pools the rows with a learned attention query (so slot order
+cannot matter), and projects the pooled vector to the task output.
 
 Both sides map a block of rows to a block of rows and know nothing of time
 steps: an encoder turns n inputs into their n·P feature rows, and a readout
@@ -22,10 +22,12 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Tensor
 from .rng import Rng
+from .tasks import GRID, TOKEN_FEATURES
 
 
-# the side of the square patches a frame is cut into; it divides the 16x16 frame
+# the side of the square patches a frame is cut into; it divides tasks.GRID
 PATCH = 4
+SIDE = GRID // PATCH  # patches along each side of a frame
 
 
 @dataclass
@@ -116,28 +118,24 @@ class EncoderBase:
 
 
 class PositionEncoder(EncoderBase):
-    """Frames cut into ``PATCH``-square patches, one position per patch."""
+    """``tasks.GRID``-square frames cut into ``PATCH``-square patches, one
+    position per patch."""
 
-    def __init__(self, rng: Rng, height: int, width: int, cfg: CodecConfig):
-        self.height = height
-        self.width = width
-        self.grid = (height // PATCH, width // PATCH)
-        super().__init__(rng, PATCH * PATCH, self.grid[0] * self.grid[1], cfg)
+    def __init__(self, rng: Rng, cfg: CodecConfig):
+        super().__init__(rng, PATCH * PATCH, SIDE * SIDE, cfg)
 
     def patch_rows(self, frames: np.ndarray) -> np.ndarray:
         """[n·P, s·s]: the patches of frames [n, H, W], frame by frame."""
-        gh, gw = self.grid
         frames = np.asarray(frames, dtype=np.float64)
-        return (frames.reshape(-1, gh, PATCH, gw, PATCH)
+        return (frames.reshape(-1, SIDE, PATCH, SIDE, PATCH)
                 .transpose(0, 1, 3, 2, 4)
                 .reshape(-1, PATCH * PATCH))
 
     def frames(self, rows: np.ndarray) -> np.ndarray:
         """[n, H, W]: the frames whose patches are rows [n·P, s·s], the
         inverse of ``patch_rows``."""
-        gh, gw = self.grid
-        return (rows.reshape(-1, gh, gw, PATCH, PATCH).transpose(0, 1, 3, 2, 4)
-                .reshape(-1, self.height, self.width))
+        return (rows.reshape(-1, SIDE, SIDE, PATCH, PATCH).transpose(0, 1, 3, 2, 4)
+                .reshape(-1, GRID, GRID))
 
     def encode_frame(self, frames: np.ndarray) -> Tensor:
         """[n·P, d_a]: each patch of frames [n, H, W] encoded, beside its
@@ -148,12 +146,12 @@ class PositionEncoder(EncoderBase):
 class TokenEncoder(EncoderBase):
     """Lifts each input token to a single feature row (P = 1)."""
 
-    def __init__(self, rng: Rng, n_features: int, cfg: CodecConfig):
-        super().__init__(rng, n_features, 1, cfg)
+    def __init__(self, rng: Rng, cfg: CodecConfig):
+        super().__init__(rng, TOKEN_FEATURES, 1, cfg)
 
     def encode_token(self, tokens: np.ndarray) -> Tensor:
-        """[n, d_a]: each token of tokens [n, n_features] encoded, beside the
-        one position's embedding."""
+        """[n, d_a]: each token of tokens [n, TOKEN_FEATURES] encoded, beside
+        the one position's embedding."""
         return self.beside_positions(self.mlp(Tensor(tokens)))
 
 

@@ -25,13 +25,13 @@ class ScoffConfig:
     is every schema cell's input, and the communication result is added onto
     the state. Both drop weights at the fixed rate ``ScoffLayer.DROPOUT``
     when stepped with an rng. The input, selection and communication queries
-    and keys are all ``key_width`` wide.
+    and keys are all ``key_width`` wide. The input width is the layer's
+    ``d_in``, which a model takes from its encoder.
     """
 
     n_f: int = 6
     n_s: int = 4
     d_h: int = 32
-    d_in: int = 24
     inp_heads: int = 1
     comm_heads: int = 2
     key_width: int = 16
@@ -39,7 +39,7 @@ class ScoffConfig:
     hard_selection: bool = True
 
     def __post_init__(self):
-        for name in ("n_f", "n_s", "d_h", "d_in", "inp_heads", "comm_heads", "key_width"):
+        for name in ("n_f", "n_s", "d_h", "inp_heads", "comm_heads", "key_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.n_sel <= self.n_f:
@@ -63,14 +63,14 @@ class StepTrace:
 
 
 class ScoffLayer:
-    """Drop-in recurrent layer over position-encoded features."""
+    """Drop-in recurrent layer over position-encoded feature rows d_in wide."""
 
     DROPOUT = 0.1  # attention-weight dropout of input reads and communication
 
-    def __init__(self, config: ScoffConfig, rng: Rng):
+    def __init__(self, config: ScoffConfig, d_in: int, rng: Rng):
         self.config = config
         c = config
-        self.input_proj = AttentionProjections(rng, c.d_h, c.d_in, c.inp_heads, c.key_width)
+        self.input_proj = AttentionProjections(rng, c.d_h, d_in, c.inp_heads, c.key_width)
         self.sel_query = nm.glorot(rng, c.d_h, c.key_width)
         self.sel_key = nm.glorot(rng, c.d_h, c.key_width)
         self.comm_proj = AttentionProjections(rng, c.d_h, c.d_h, c.comm_heads, c.key_width)

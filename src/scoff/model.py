@@ -37,7 +37,7 @@ from .layer import ScoffConfig, ScoffLayer
 from .numerics import Tensor, record
 from .recurrent import gru_step, init_schema
 from .rng import Rng
-from .tasks import FRAME_TASKS, GRID, TOKEN_FEATURES
+from .tasks import FRAME_TASKS
 
 
 class SequenceModel:
@@ -52,9 +52,9 @@ class SequenceModel:
     def __init__(self, task: str, width: int, codec_cfg: CodecConfig, rng: Rng):
         self.task = task
         if task in FRAME_TASKS:
-            self.encoder = PositionEncoder(rng, GRID, GRID, codec_cfg)
+            self.encoder = PositionEncoder(rng, codec_cfg)
         else:
-            self.encoder = TokenEncoder(rng, TOKEN_FEATURES, codec_cfg)
+            self.encoder = TokenEncoder(rng, codec_cfg)
         self._build_core(rng)
         if task in FRAME_TASKS:
             self.head = FrameReadout(rng, width, codec_cfg, self.encoder, self.pooled_state)
@@ -89,7 +89,7 @@ class ScoffModel(SequenceModel):
         super().__init__(task, scoff_cfg.d_h, codec_cfg, rng)
 
     def _build_core(self, rng: Rng) -> None:
-        self.layer = ScoffLayer(self.config, rng)
+        self.layer = ScoffLayer(self.config, self.encoder.cfg.d_a, rng)
 
     def _core_parameters(self) -> dict:
         return {f"layer.{name}": t for name, t in self.layer.parameters().items()}

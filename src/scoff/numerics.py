@@ -597,8 +597,8 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
-def glorot(rng: Rng, rows: int, cols: int, requires_grad: bool = True) -> Tensor:
-    """Uniform init in ±sqrt(6/(fan_in+fan_out))."""
+def glorot(rng: Rng, rows: int, cols: int) -> Tensor:
+    """A trained parameter, uniform in ±sqrt(6/(fan_in+fan_out))."""
     bound = math.sqrt(6.0 / (rows + cols))
     u = np.asarray(rng.uniform((rows, cols)))
-    return Tensor(-bound + 2.0 * bound * u, requires_grad=requires_grad)
+    return Tensor(-bound + 2.0 * bound * u, requires_grad=True)

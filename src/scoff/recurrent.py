@@ -112,17 +112,18 @@ def init_schema(rng: Rng, d_in: int, d_h: int) -> SchemaParams:
     )
 
 
-def recurrent_param_count(n_f: int, n_s: int, d_h: int, d_in: int) -> tuple:
+def recurrent_param_count(n_f: int, n_s: int, d_h: int) -> tuple:
     """(bank count, monolithic count) for equal total hidden size.
 
-    The bank holds n_s cells of width d_h; the monolithic reference is a
-    single cell of width D = n_f * d_h fed the same input width d_in. That
-    cell is the formula's reference, not the trained ``GruBaseline``, whose
-    cell takes the encoder row (``CodecConfig.d_a`` wide) as its input. At
-    ``configs/bouncing_paper.cfg`` (n_f = n_s = 4, d_h = d_in = 100) the
-    counts are 241,200 and 601,200; the baseline cell there has 510,000.
+    The bank holds n_s cells of width d_h, each fed the layer's d_h-wide
+    input read; the monolithic reference is a single cell of width
+    D = n_f * d_h fed the same d_h-wide input. That cell is the formula's
+    reference, not the trained ``GruBaseline``, whose cell takes the encoder
+    row (``CodecConfig.d_a`` wide) as its input. At
+    ``configs/bouncing_paper.cfg`` (n_f = n_s = 4, d_h = 100) the counts are
+    241,200 and 601,200; the baseline cell there has 510,000.
     """
-    bank = n_s * 3 * (d_in * d_h + d_h * d_h + d_h)
+    bank = n_s * 3 * (2 * d_h * d_h + d_h)
     big = n_f * d_h
-    monolithic = 3 * (d_in * big + big * big + big)
+    monolithic = 3 * (d_h * big + big * big + big)
     return bank, monolithic

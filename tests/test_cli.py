@@ -71,7 +71,9 @@ def test_empty_file_plus_task_gives_full_defaults(tmp_path):
         assert cfg.task == task and cfg.lr == expected["lr"]
         assert cfg.scoff.n_f == 6 and cfg.scoff.n_s == 4
         assert cfg.scoff.n_sel == 0
-        assert cfg.scoff.d_in == cfg.codec.d_a == 24
+        # the layer reads rows as wide as the encoder writes them
+        layer = build_model(cfg, Rng(0)).layer
+        assert [k.shape[0] for k in layer.input_proj.key] == [cfg.codec.d_a] == [24]
 
 
 def test_adding_lr_default():
@@ -117,7 +119,7 @@ def test_comm_values_must_match_d_h():
     from scoff.rng import Rng
     for d_h in (8, 32):
         cfg = to_train_config(parse_config(None, ["task=switching", f"d_h={d_h}"]))
-        values = ScoffLayer(cfg.scoff, Rng(0)).comm_proj.value
+        values = ScoffLayer(cfg.scoff, cfg.codec.d_a, Rng(0)).comm_proj.value
         assert sum(v.shape[1] for v in values) == d_h
 
 

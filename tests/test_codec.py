@@ -6,12 +6,12 @@ import pytest
 
 import scoff.numerics as nm
 from scoff.cli import parse_config, to_train_config
-from scoff.codec import (PATCH, CodecConfig, FrameReadout, Perceptron, PositionEncoder,
+from scoff.codec import (PATCH, SIDE, CodecConfig, FrameReadout, Perceptron, PositionEncoder,
                          ScalarReadout, TokenEncoder)
 from scoff.layer import ScoffConfig, ScoffLayer
 from scoff.numerics import Tape, Tensor, backward, grad_check
 from scoff.rng import Rng
-from scoff.tasks import gen_bouncing_mini
+from scoff.tasks import GRID, gen_bouncing_mini
 from scoff.training import build_model, sequence_loss
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -32,7 +32,7 @@ def small_codec(**kw):
 # -------------------------------------------------------------------- encoder
 
 def test_encoder_zero_frame_rows_differ_only_in_position_embedding():
-    enc = PositionEncoder(Rng(1), 16, 16, small_codec())
+    enc = PositionEncoder(Rng(1), small_codec())
     out = enc.encode_frame(np.zeros((1, 16, 16))).data
     content = out[:, :5]
     assert np.max(np.abs(content - content[0])) < 1e-15
@@ -41,7 +41,7 @@ def test_encoder_zero_frame_rows_differ_only_in_position_embedding():
 
 
 def test_encoder_position_count():
-    enc = PositionEncoder(Rng(2), 16, 16, small_codec())
+    enc = PositionEncoder(Rng(2), small_codec())
     assert enc.positions == 16
     out = enc.encode_frame(np.zeros((3, 16, 16)))
     assert out.shape == (3 * 16, 8)
@@ -50,7 +50,7 @@ def test_encoder_position_count():
 def test_encoder_translation_permutes_content_rows():
     # moving a ball by exactly one patch moves its patch signature to the
     # neighboring position row
-    enc = PositionEncoder(Rng(5), 16, 16, small_codec())
+    enc = PositionEncoder(Rng(5), small_codec())
     frame_a = np.zeros((16, 16))
     frame_a[5:7, 1:3] = 1.0   # inside patch (1, 0)
     frame_b = np.zeros((16, 16))
@@ -68,7 +68,7 @@ def test_encoder_translation_permutes_content_rows():
 
 
 def test_encoder_deterministic_and_bounded():
-    enc = PositionEncoder(Rng(6), 16, 16, small_codec())
+    enc = PositionEncoder(Rng(6), small_codec())
     rng = Rng(7)
     frame = (np.asarray(rng.uniform((16, 16))) > 0.5).astype(float)
     a = enc.encode_frame(frame[None]).data
@@ -78,7 +78,7 @@ def test_encoder_deterministic_and_bounded():
 
 
 def test_token_encoder_single_row():
-    enc = TokenEncoder(Rng(8), 3, small_codec())
+    enc = TokenEncoder(Rng(8), small_codec())
     out = enc.encode_token(np.array([[0.5, 1.0, 0.0], [0.1, 0.0, 1.0]]))
     assert out.shape == (2, 8)
 
@@ -112,7 +112,7 @@ def test_readout_invariant_to_slot_permutation():
     rng = Rng(11)
     head = ScalarReadout(Rng(12), 6, small_codec())
     fhead = FrameReadout(Rng(13), 6, small_codec(),
-                         PositionEncoder(Rng(14), 16, 16, small_codec()))
+                         PositionEncoder(Rng(14), small_codec()))
     state = rand(rng, (5, 6))
     for perm in ([4, 3, 2, 1, 0], [1, 0, 3, 2, 4], [2, 4, 0, 1, 3]):
         a = head.readout(Tensor(state), 1).item()
@@ -133,7 +133,7 @@ def test_readout_matches_scalar_oracle():
 
 
 def test_frame_readout_geometry():
-    enc = PositionEncoder(Rng(17), 16, 16, small_codec())
+    enc = PositionEncoder(Rng(17), small_codec())
     head = FrameReadout(Rng(18), 6, small_codec(), enc)
     out = head.readout(Tensor(rand(Rng(19), (3, 6))), 1)
     assert out.shape == (1, 16, 16)
@@ -144,7 +144,7 @@ def test_frame_readout_geometry():
 def test_frame_readout_patch_assembly_orientation():
     # kill every weight, then write a row-major ramp into the output bias:
     # each 4x4 patch of the assembled image must carry that ramp
-    enc = PositionEncoder(Rng(20), 16, 16, small_codec())
+    enc = PositionEncoder(Rng(20), small_codec())
     head = FrameReadout(Rng(21), 6, small_codec(), enc)
     head.decoder.w1.data[...] = 0.0
     head.decoder.b1.data[...] = 0.0
@@ -161,7 +161,7 @@ def test_frame_readout_patch_assembly_orientation():
 def test_frame_readout_couples_state_and_position():
     # a purely linear decode of [pooled | e_p] would shift every position by
     # the same amount when the state changes; the hidden layer must not
-    enc = PositionEncoder(Rng(24), 16, 16, small_codec())
+    enc = PositionEncoder(Rng(24), small_codec())
     head = FrameReadout(Rng(25), 6, small_codec(), enc)
     rng = Rng(26)
     out_a = head.readout(Tensor(rand(rng, (2, 6))), 1).data[0]
@@ -176,12 +176,11 @@ def test_frame_readout_couples_state_and_position():
 def test_encode_rollout_readout_gradcheck_soft_selection():
     codec_cfg = small_codec(d_c=4, d_pos=2, enc_hidden=4, readout_hidden=4,
                             readout_width=4)
-    scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=4, d_in=codec_cfg.d_a,
-                            inp_heads=1, comm_heads=1, key_width=3,
-                            hard_selection=False)
+    scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=4, inp_heads=1, comm_heads=1,
+                            key_width=3, hard_selection=False)
     rng = Rng(22)
-    enc = PositionEncoder(rng, 16, 16, codec_cfg)
-    layer = ScoffLayer(scoff_cfg, rng)
+    enc = PositionEncoder(rng, codec_cfg)
+    layer = ScoffLayer(scoff_cfg, codec_cfg.d_a, rng)
     head = FrameReadout(rng, scoff_cfg.d_h, codec_cfg, enc)
     frames = (np.asarray(Rng(23).uniform((3, 16, 16))) > 0.6).astype(float)
     noise = [nm.sample_gumbel(rng, (2, 2)) for _ in range(2)]
@@ -237,9 +236,8 @@ def frame_readout_chain(head, state):
                        row_slice(dec.w1, width, dec.w1.shape[0])) + dec.b1
     hid = nm.tanh(nm.reshape(by_state + by_pos, (head.encoder.positions, -1)))
     patches = nm.matmul(hid, dec.w2) + dec.b2
-    gh, gw = head.encoder.grid
-    img = nm.transpose(nm.reshape(patches, (gh, gw, PATCH, PATCH)), (0, 2, 1, 3))
-    return nm.reshape(img, (1, head.encoder.height, head.encoder.width))
+    img = nm.transpose(nm.reshape(patches, (SIDE, SIDE, PATCH, PATCH)), (0, 2, 1, 3))
+    return nm.reshape(img, (1, GRID, GRID))
 
 
 def randomize(rng, tensors):
@@ -293,7 +291,7 @@ def codec_graph(fused: bool):
     readout. Returns (outputs, leaves)."""
     cfg = small_codec()
     rng = Rng(103)
-    enc = PositionEncoder(rng, 16, 16, cfg)
+    enc = PositionEncoder(rng, cfg)
     head = FrameReadout(rng, 6, cfg, enc)
     params = [*enc.params().values(), *head.params().values()]
     randomize(rng, params)
@@ -357,7 +355,7 @@ def test_one_row_readout_returns_its_row_with_the_pooled_bits(monkeypatch):
 def test_fused_codec_ops_grad_check():
     cfg = small_codec()
     rng = Rng(107)
-    enc = PositionEncoder(rng, 16, 16, cfg)
+    enc = PositionEncoder(rng, cfg)
     head = FrameReadout(rng, 6, cfg, enc)
     randomize(rng, [*enc.params().values(), *head.params().values()])
     x = Tensor(rand(rng, (6, 6)), requires_grad=True)
@@ -446,11 +444,11 @@ def time_codec(kind: str, rows: int, batched: bool):
     n = 4
     if kind.endswith("encoder"):
         if kind == "frame_encoder":
-            op = PositionEncoder(rng, 16, 16, cfg)
+            op = PositionEncoder(rng, cfg)
             xs = np.asarray(rng.uniform((n, 16, 16)))
             call = op.encode_frame
         else:
-            op = TokenEncoder(rng, 3, cfg)
+            op = TokenEncoder(rng, cfg)
             xs = rand(rng, (n, 3))
             call = op.encode_token
         leaves = list(op.params().values())
@@ -462,7 +460,7 @@ def time_codec(kind: str, rows: int, batched: bool):
         outs = [out]
     else:
         if kind == "frame_readout":
-            op = FrameReadout(rng, 6, cfg, PositionEncoder(rng, 16, 16, cfg))
+            op = FrameReadout(rng, 6, cfg, PositionEncoder(rng, cfg))
             leaves = [*op.params().values(), op.encoder.pos_table]
             targets = (np.asarray(rng.uniform((n, 16, 16))) > 0.5).astype(float)
         else:
@@ -499,8 +497,8 @@ def test_batched_codec_matches_per_step_loop(kind, rows):
 def test_batched_codec_ops_grad_check():
     cfg = small_codec(dec_hidden=6)
     rng = Rng(137)
-    enc = PositionEncoder(rng, 16, 16, cfg)
-    tok = TokenEncoder(rng, 3, cfg)
+    enc = PositionEncoder(rng, cfg)
+    tok = TokenEncoder(rng, cfg)
     frame_head = FrameReadout(rng, 6, cfg, enc)
     scalar_head = ScalarReadout(rng, 6, cfg)
     randomize(rng, [*enc.params().values(), *tok.params().values(),
@@ -537,7 +535,7 @@ def test_batched_codec_ops_grad_check():
 def test_each_fused_codec_op_appends_one_tape_node():
     cfg = small_codec()
     rng = Rng(109)
-    enc = PositionEncoder(rng, 16, 16, cfg)
+    enc = PositionEncoder(rng, cfg)
     head = FrameReadout(rng, 6, cfg, enc)
     for n in (1, 4):
         rows = Tensor(rand(rng, (n * 3, 6)), requires_grad=True)

@@ -79,9 +79,9 @@ def test_attend_leaves_its_parents_and_weights_unchanged(axis, dropout):
 @pytest.mark.parametrize("drawn_noise", [True, False])
 def test_select_leaves_its_parents_unchanged(hard, drawn_noise):
     rng = Rng(207)
-    cfg = ScoffConfig(n_f=3, n_s=3, d_h=8, d_in=6, inp_heads=1, comm_heads=1,
-                      key_width=4, hard_selection=hard)
-    layer = ScoffLayer(cfg, rng)
+    cfg = ScoffConfig(n_f=3, n_s=3, d_h=8, inp_heads=1, comm_heads=1, key_width=4,
+                      hard_selection=hard)
+    layer = ScoffLayer(cfg, 6, rng)
     hyps = [leaf(rng, (3, 8)) for _ in range(3)]
     state = leaf(rng, (3, 8))
     # a noise leaf takes a gradient; the layer's cached zero noise must not
@@ -105,7 +105,7 @@ def test_frame_readout_leaves_its_parents_unchanged(n):
     rng = Rng(211)
     cfg = CodecConfig(d_c=5, d_pos=3, enc_hidden=6, readout_hidden=5,
                       readout_width=4)
-    enc = PositionEncoder(rng, 16, 16, cfg)
+    enc = PositionEncoder(rng, cfg)
     head = FrameReadout(rng, 6, cfg, enc)
     params = list(head.params().values()) + [enc.pos_table]
     for t in params:

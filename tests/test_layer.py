@@ -14,14 +14,17 @@ def rand(rng, shape):
     return np.asarray(rng.uniform(shape)) * 2.0 - 1.0
 
 
+D_IN = 6  # the feature width of the tiny layers
+
+
 def tiny_config(**kw):
-    base = dict(n_f=3, n_s=2, d_h=8, d_in=6, inp_heads=1, comm_heads=1, key_width=4)
+    base = dict(n_f=3, n_s=2, d_h=8, inp_heads=1, comm_heads=1, key_width=4)
     base.update(kw)
     return ScoffConfig(**base)
 
 
 def make_layer(seed=0, **kw):
-    return ScoffLayer(tiny_config(**kw), Rng(seed))
+    return ScoffLayer(tiny_config(**kw), D_IN, Rng(seed))
 
 
 def test_every_query_and_key_is_key_width_wide():
@@ -336,10 +339,9 @@ def test_systematicity_equal_slots_update_equally():
 # ---------------------------------------------------------------- gradients
 
 def test_two_step_soft_rollout_gradcheck():
-    cfg = tiny_config(n_f=2, n_s=2, d_h=4, d_in=4, key_width=3,
-                      hard_selection=False)
+    cfg = tiny_config(n_f=2, n_s=2, d_h=4, key_width=3, hard_selection=False)
     rng = Rng(60)
-    layer = ScoffLayer(cfg, rng)
+    layer = ScoffLayer(cfg, 4, rng)
     feats = [Tensor(rand(rng, (3, 4))) for _ in range(2)]
     noise = [nm.sample_gumbel(rng, (2, 2)) for _ in range(2)]
 
@@ -415,7 +417,7 @@ def selection_graph(select_update, n_s, hard):
     used by the loss, so that every leaf collects several contributions.
     Returns (outputs, next rng draw, leaves)."""
     rng = Rng(65)
-    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard), rng)
+    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard), D_IN, rng)
     for t in layer.parameters().values():
         t.data[...] = rand(rng, t.shape)
     z = Tensor(rand(rng, (3, 8)), requires_grad=True)
@@ -458,7 +460,7 @@ def test_fused_selection_matches_op_chain_bit_for_bit(n_s, hard):
 def test_greedy_steps_without_tape_match_the_chain_bit_for_bit(n_s, hard, n_sel):
     # the eval path: no tape, no rng, zero noise, and in hard mode no softmax
     rng = Rng(72)
-    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard, n_sel=n_sel), rng)
+    layer = ScoffLayer(tiny_config(n_s=n_s, hard_selection=hard, n_sel=n_sel), D_IN, rng)
     for t in layer.parameters().values():
         t.data[...] = rand(rng, t.shape)
     feats = [Tensor(rand(rng, (5, 6))) for _ in range(4)]

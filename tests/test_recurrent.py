@@ -300,13 +300,13 @@ def enumerate_cell_size(d_in, d_h):
 
 
 def test_param_count_single_schema_case():
-    bank, mono = recurrent_param_count(n_f=1, n_s=1, d_h=3, d_in=2)
-    assert bank == mono == 54
-    assert enumerate_cell_size(2, 3) == 54
+    bank, mono = recurrent_param_count(n_f=1, n_s=1, d_h=3)
+    assert bank == mono == 63
+    assert enumerate_cell_size(3, 3) == 63
 
 
 def test_param_count_matched_hidden_defaults():
-    bank, mono = recurrent_param_count(n_f=4, n_s=4, d_h=100, d_in=100)
+    bank, mono = recurrent_param_count(n_f=4, n_s=4, d_h=100)
     assert bank == 241_200
     assert mono == 601_200
     # cross-check by enumerating actually constructed cells
@@ -318,15 +318,14 @@ def test_param_count_sweep_fewer_schemata_always_smaller():
     for n_f in range(2, 6):
         for n_s in range(1, n_f):
             for d_h in (2, 5, 9):
-                for d_in in (1, 4, 11):
-                    bank, mono = recurrent_param_count(n_f, n_s, d_h, d_in)
-                    assert bank < mono
+                bank, mono = recurrent_param_count(n_f, n_s, d_h)
+                assert bank < mono
 
 
 def test_param_count_linear_in_bank_size_independent_of_slots():
-    one, _ = recurrent_param_count(3, 1, 7, 5)
-    four, _ = recurrent_param_count(3, 4, 7, 5)
+    one, _ = recurrent_param_count(3, 1, 7)
+    four, _ = recurrent_param_count(3, 4, 7)
     assert four == 4 * one
-    a, _ = recurrent_param_count(2, 3, 7, 5)
-    b, _ = recurrent_param_count(9, 3, 7, 5)
+    a, _ = recurrent_param_count(2, 3, 7)
+    b, _ = recurrent_param_count(9, 3, 7)
     assert a == b

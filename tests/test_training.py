@@ -38,8 +38,8 @@ def rand(rng, shape):
 def tiny_train_config(task="switching", model="scoff", **kw):
     codec = CodecConfig(d_c=6, d_pos=4, enc_hidden=8,
                         readout_hidden=8, readout_width=8)
-    scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=8, d_in=codec.d_a, inp_heads=1,
-                            comm_heads=1, key_width=4)
+    scoff_cfg = ScoffConfig(n_f=2, n_s=2, d_h=8, inp_heads=1, comm_heads=1,
+                            key_width=4)
     base = dict(task=task, model=model, scoff=scoff_cfg, codec=codec,
                 lr=1e-3, batch_size=5, epochs=1, seed=7, burn_in=3, horizon=5,
                 eval_subset=4)
@@ -275,8 +275,7 @@ def test_rng_is_the_one_stochastic_mode_switch(monkeypatch):
     # dropout runs on both attentions: a step with no rng is greedy,
     # draws nothing and runs no dropout; a step given an rng draws the input
     # dropout mask, the selection noise and the communication dropout mask
-    scoff_cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, d_in=tiny_train_config().codec.d_a,
-                            comm_heads=1, key_width=4)
+    scoff_cfg = ScoffConfig(n_f=3, n_s=2, d_h=8, comm_heads=1, key_width=4)
     model = build_model(tiny_train_config(scoff=scoff_cfg), Rng(0))
     feats = nm.split_rows(model.encode(make_switching_data(1)[0].frames[:2]), 2)
     state, _ = model.step(feats[0], model.init_state())
@@ -412,6 +411,18 @@ def test_purity_is_null_when_the_eval_labels_hold_one_mode():
                              data, data[:2], log=lines.append)
     assert json.loads(metrics[0].to_json())["alignment_purity"] is None
     assert "purity=- " in lines[0] and "chance" not in lines[0]
+
+
+def test_a_layer_that_names_no_input_width_trains_beside_a_small_codec():
+    # the layer takes its input width from the encoder, so a ScoffConfig has
+    # no field that must repeat a non-default codec's row width
+    codec = CodecConfig(d_c=5, d_pos=3, enc_hidden=6, readout_hidden=4, readout_width=4)
+    cfg = TrainConfig(task="bouncing", model="scoff", codec=codec,
+                      scoff=ScoffConfig(n_f=2, n_s=2, d_h=8, comm_heads=1, key_width=4),
+                      lr=1e-3, batch_size=1, epochs=1, seed=3, burn_in=3, horizon=5)
+    metrics, model = train_model(cfg, [gen_bouncing_mini(Rng(61), 11, 2)])
+    assert [k.shape[0] for k in model.layer.input_proj.key] == [codec.d_a] == [8]
+    assert math.isfinite(metrics[0].train_loss)
 
 
 def test_training_collects_traces_only_where_purity_is_scored(monkeypatch):
